@@ -10,7 +10,8 @@ simulated draws of the same channel.
 import numpy as np
 
 from covertq import (
-    BenchmarkChannel,
+    BenchmarkChannelSpec,
+    ExponentialSpec,
     ProtocolParams,
     benchmark_qmax,
     benchmark_rmax,
@@ -22,11 +23,11 @@ SEED = 1
 
 
 def main():
-    channel = BenchmarkChannel(eta0=0.9, rate=10.0)
+    channel = BenchmarkChannelSpec(eta0=0.9, nb=ExponentialSpec(10.0))
     protocol = ProtocolParams(n=10**7, delta=0.05)
     eps_list = [1e-3, 1e-2, 1e-1, 0.2, 0.5]
 
-    print(f"benchmark channel: eta0={channel.eta0}, rate={channel.rate}")
+    print(f"benchmark channel: eta0={channel.eta0}, rate={channel.nb.rate}")
     print(f"K={K} draws, seed={SEED}, n={protocol.n:.0e}, delta={protocol.delta}")
     print()
     print(f"{'eps':>8} {'metric':>6} {'theory':>12} {'monte carlo':>12} {'rel err':>9}")

@@ -48,7 +48,6 @@ from .risk_constrained import (
     surface_sweep,
 )
 from .benchmark import (
-    BenchmarkChannel,
     benchmark_ccov_cdf,
     benchmark_ccov_density,
     benchmark_ccov_quantile,

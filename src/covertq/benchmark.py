@@ -36,12 +36,11 @@ import numpy as np
 from .quantiles import RiskBudgets
 from .risk_constrained import OptimumReport, ProtocolParams, optimize
 from .samples import BenchmarkChannelSpec, generate_sample_set
-from .distributions import ExponentialSpec
 from .physics import achievable_rate
 from ._csvio import write_csv
 
 __all__ = [
-    "BenchmarkChannel",
+    "InvariantError",
     "benchmark_qmax",
     "benchmark_rmax",
     "benchmark_ccov_quantile",
@@ -53,27 +52,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BenchmarkChannel:
-    """Fixed transmittance eta0 and exponential noise rate."""
+class InvariantError(Exception):
+    """An internal consistency check failed: a bug, not bad input."""
 
-    eta0: float
-    rate: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eta0", float(self.eta0))
-        object.__setattr__(self, "rate", float(self.rate))
-        if not 0 < self.eta0 < 1:
-            raise ValueError(f"eta0 must lie in (0, 1), got {self.eta0}")
-        if not self.rate > 0:
-            raise ValueError(f"rate must be > 0, got {self.rate}")
-
-    @property
-    def k(self) -> float:
-        return np.sqrt(2.0 * self.eta0) / (1.0 - self.eta0)
-
-    def as_channel_spec(self) -> BenchmarkChannelSpec:
-        return BenchmarkChannelSpec(eta0=self.eta0, nb=ExponentialSpec(self.rate))
+def _k(c: BenchmarkChannelSpec) -> float:
+    # Prefactor of c_cov = k * sqrt(nb + eta0*nb^2).
+    return np.sqrt(2.0 * c.eta0) / (1.0 - c.eta0)
 
 
 def _check_eps(eps: float, name: str) -> float:
@@ -82,54 +67,56 @@ def _check_eps(eps: float, name: str) -> float:
     return float(eps)
 
 
-def benchmark_ccov_quantile(c: BenchmarkChannel, eps_cov: float) -> float:
+def benchmark_ccov_quantile(c: BenchmarkChannelSpec, eps_cov: float) -> float:
     """Exact strict-outage quantile of c_cov: k * sqrt((Z^2 - 1)/(4*eta0))."""
     eps_cov = _check_eps(eps_cov, "eps_cov")
-    z = 1.0 - (2.0 * c.eta0 / c.rate) * np.log1p(-eps_cov)
+    z = 1.0 - (2.0 * c.eta0 / c.nb.rate) * np.log1p(-eps_cov)
     # ln(1 - eps) < 0 for eps in (0, 1), so Z > 1 and the radicand is
-    # positive; assert rather than trust the caller's floating point.
-    assert z * z - 1.0 >= 0.0, f"quantile radicand negative at eps={eps_cov}"
-    return float(c.k * np.sqrt((z * z - 1.0) / (4.0 * c.eta0)))
+    # positive; check rather than trust the caller's floating point.
+    if not z * z - 1.0 >= 0.0:
+        raise InvariantError(f"quantile radicand negative at eps={eps_cov}")
+    return float(_k(c) * np.sqrt((z * z - 1.0) / (4.0 * c.eta0)))
 
 
-def benchmark_qmax(c: BenchmarkChannel, p: ProtocolParams, eps_cov: float) -> float:
+def benchmark_qmax(c: BenchmarkChannelSpec, p: ProtocolParams, eps_cov: float) -> float:
     """Closed-form optimal transmission probability, capped at 1."""
     q = 2.0 * p.delta / np.sqrt(p.n) * benchmark_ccov_quantile(c, eps_cov)
     return min(1.0, float(q))
 
 
-def benchmark_rmax(c: BenchmarkChannel, eps_rel: float) -> float:
+def benchmark_rmax(c: BenchmarkChannelSpec, eps_rel: float) -> float:
     """Closed-form optimal code rate: the achievable rate at the upper
     exponential noise quantile -ln(eps_rel)/rate."""
     eps_rel = _check_eps(eps_rel, "eps_rel")
-    return float(achievable_rate(c.eta0, -np.log(eps_rel) / c.rate))
+    return float(achievable_rate(c.eta0, -np.log(eps_rel) / c.nb.rate))
 
 
-def benchmark_ccov_cdf(c: BenchmarkChannel, x):
+def benchmark_ccov_cdf(c: BenchmarkChannelSpec, x):
     """P[c_cov <= x] = 1 - exp(-rate * x_root(x)), elementwise."""
     x_a = np.asarray(x, dtype=float)
     if np.any(x_a < 0):
         raise ValueError("x must be >= 0")
-    out = -np.expm1(-c.rate * _x_root(c, x_a))
+    out = -np.expm1(-c.nb.rate * _x_root(c, x_a))
     return float(out) if np.ndim(x) == 0 else out
 
 
-def benchmark_ccov_density(c: BenchmarkChannel, x):
+def benchmark_ccov_density(c: BenchmarkChannelSpec, x):
     """Density of c_cov: rate * exp(-rate * x_root(x)) * dx_root/dx."""
     x_a = np.asarray(x, dtype=float)
     if np.any(x_a < 0):
         raise ValueError("x must be >= 0")
-    u = x_a / c.k
+    k = _k(c)
+    u = x_a / k
     root = np.sqrt(1.0 + 4.0 * c.eta0 * u * u)
-    dxroot = 2.0 * x_a / (c.k * c.k * root)
-    out = c.rate * np.exp(-c.rate * _x_root(c, x_a)) * dxroot
+    dxroot = 2.0 * x_a / (k * k * root)
+    out = c.nb.rate * np.exp(-c.nb.rate * _x_root(c, x_a)) * dxroot
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _x_root(c: BenchmarkChannel, x: np.ndarray) -> np.ndarray:
+def _x_root(c: BenchmarkChannelSpec, x: np.ndarray) -> np.ndarray:
     # Positive root of eta0*v^2 + v - (x/k)^2 = 0, i.e. the noise level
     # whose covertness constant equals x.
-    u = x / c.k
+    u = x / _k(c)
     return (-1.0 + np.sqrt(1.0 + 4.0 * c.eta0 * u * u)) / (2.0 * c.eta0)
 
 
@@ -145,7 +132,7 @@ class ValidationRow:
 
 
 def validate(
-    c: BenchmarkChannel,
+    c: BenchmarkChannelSpec,
     p: ProtocolParams,
     eps_list,
     K: int,
@@ -159,7 +146,7 @@ def validate(
     closed-form value is below 1e-12 (the R_max ~ 0 rows) the error is
     recorded as None — agreement there is absolute, not relative.
     """
-    s = generate_sample_set(c.as_channel_spec(), K, seed, workers=workers)
+    s = generate_sample_set(c, K, seed, workers=workers)
     rows: list[ValidationRow] = []
     for eps in eps_list:
         eps = _check_eps(eps, "eps")

@@ -12,11 +12,18 @@ Subcommands map one-to-one onto the library's pipelines:
     risk-adjusted       weighted-penalty grid maximization (sweep or heatmap)
     sensitivity         finite-difference budget sensitivities
 
-Configuration is a JSON document with nested sections (see DEFAULTS below
-for the full schema); every key is optional and unknown keys are rejected.
-Command-line flags override config values, which override the defaults.
-The default output directory can also be set through the environment
-variable COVERTQ_OUTPUT_DIR (flags and config still win over it).
+Configuration is a JSON document with nested sections.  DEFAULTS below is
+the whole schema: every key is optional, its default fixes its type (a tuple
+lists the allowed strings, the first being the default), and unknown keys
+are rejected.  The channel section's keys depend on its "kind".
+benchmark-validate reads its channel from that section, where the kind
+defaults to "benchmark"; its "benchmark" section holds only eps_list.
+
+Flags override config values, which override the defaults.  A flag
+``--key`` sets config key ``section.key`` (underscores written as dashes)
+and takes the same values, a list as comma-separated text.  The default
+output directory can also be set through the environment variable
+COVERTQ_OUTPUT_DIR (flags and config still win over it).
 
 Every CSV artifact starts with a comment line recording the seed, K, and
 the channel digest of the sample set used, so identical configs reproduce
@@ -24,15 +31,14 @@ byte-identical files.
 
 Exit codes: 0 success; 2 configuration error (also argparse errors and a
 cache whose channel digest contradicts the config); 3 I/O error (missing,
-malformed, or truncated cache, unwritable output); 4 a decade gain was
-requested but is infeasible (zero-throughput denominator); 5 internal
-invariant violation.
+malformed, unsorted, NaN-holding or truncated cache, unwritable output);
+4 a decade gain was requested but is infeasible (zero-throughput
+denominator); 5 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import os
 import sys
@@ -41,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmark import BenchmarkChannel, validate, write_validation_csv
+from .benchmark import InvariantError, validate, write_validation_csv
 from .distributions import (
     ExponentialSpec,
     TruncatedGaussianSpec,
@@ -103,17 +109,18 @@ class InfeasibleGainError(Exception):
     """A requested decade gain has a zero-throughput denominator."""
 
 
-# Full config schema with defaults.  The channel section is keyed by
-# "kind"; the remaining keys of that section depend on it.
 DEFAULTS = {
+    # One table of keys per channel kind; the first kind is the default.
     "channel": {
-        "kind": "stochastic",
-        "mu_ln": -0.0126,
-        "sigma_ln": 0.05,
-        "nb_mu": 0.005,
-        "nb_sigma": 0.001,
-        "nb_lower": 0.0,
-        "nb_upper": 0.5,
+        "stochastic": {
+            "mu_ln": -0.0126,
+            "sigma_ln": 0.05,
+            "nb_mu": 0.005,
+            "nb_sigma": 0.001,
+            "nb_lower": 0.0,
+            "nb_upper": 0.5,
+        },
+        "benchmark": {"eta0": 0.9, "rate": 10.0},
     },
     "protocol": {"n": 10_000_000, "delta": 0.05},
     "sampling": {"k": 1_000_000, "seed": 1, "workers": 1},
@@ -124,11 +131,11 @@ DEFAULTS = {
         "eps": 0.01,
         "n_values": [100_000, 400_000, 1_000_000, 4_000_000, 10_000_000, 40_000_000],
     },
-    "benchmark": {"eta0": 0.9, "rate": 10.0, "eps_list": [1e-3, 1e-2, 1e-1, 0.2, 0.5]},
+    "benchmark": {"eps_list": [1e-3, 1e-2, 1e-1, 0.2, 0.5]},
     "risk_adjusted": {
         "grid_points": 401,
-        "mode": "sweep",
-        "axis": "cov",
+        "mode": ("sweep", "heatmap"),
+        "axis": ("cov", "rel"),
         "fixed_other": 1.0,
         "lambda_min": 1e-2,
         "lambda_max": 1e6,
@@ -140,8 +147,6 @@ DEFAULTS = {
     "sensitivity": {"eps_min": 1e-4, "eps_max": 1e-1, "points": 20},
     "output_dir": None,
 }
-
-_BENCHMARK_CHANNEL_DEFAULTS = {"eta0": 0.9, "rate": 10.0}
 
 
 @dataclass(frozen=True)
@@ -159,68 +164,66 @@ class RunConfig:
 
 
 def _coerce_like(name: str, default, value):
-    # The defaults table doubles as the type schema: every user value is
-    # coerced to its default's shape, so type problems fail here with a
-    # config error instead of deep inside a pipeline.
+    # The defaults table doubles as the type schema: config values and flag
+    # strings alike are coerced to their default's shape, so type problems
+    # fail here with a config error instead of deep inside a pipeline.
     try:
-        if isinstance(default, str) or default is None:
+        if isinstance(default, tuple):
+            if value not in default:
+                raise ValueError(f"expected one of {', '.join(default)}")
+            return value
+        if default is None:
             if not isinstance(value, str):
                 raise TypeError("expected a string")
             return value
         if isinstance(default, list):
-            elem = default[0]
-            return [_coerce_like(name, elem, v) for v in value]
-        if isinstance(default, int) and not isinstance(default, bool):
-            as_float = float(value)
-            as_int = int(as_float)
-            if as_int != as_float:
+            if isinstance(value, str):
+                value = value.split(",")
+            return [_coerce_like(name, default[0], v) for v in value]
+        if isinstance(default, int):
+            if isinstance(value, str):
+                try:
+                    value = int(value)  # exact, where float() would round a 64-bit seed
+                except ValueError:
+                    value = float(value)
+            as_int = int(value)
+            if as_int != value:
                 raise ValueError("expected an integer")
             return as_int
         return float(value)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad value for '{name}': {value!r} ({e})") from e
 
 
-def _merge_section(name: str, user: dict, defaults: dict) -> dict:
+def _merge(name: str, user, defaults: dict, flags: dict) -> dict:
+    # Flag values beat config values, which beat defaults.  Keys are named
+    # by their dotted path, as the flags' argparse destinations are.
+    if not isinstance(user, dict):
+        raise ConfigError(f"'{name}' must be a JSON object")
     unknown = set(user) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown key(s) in '{name}': {sorted(unknown)}")
-    merged = dict(defaults)
-    for key, value in user.items():
-        merged[key] = _coerce_like(f"{name}.{key}", defaults[key], value)
+    merged = {}
+    for key, default in defaults.items():
+        path = f"{name}.{key}" if name else key
+        if isinstance(default, dict):
+            merged[key] = _merge(path, user.get(key, {}), default, flags)
+        elif path in flags or key in user:
+            merged[key] = _coerce_like(path, default, flags.get(path, user.get(key)))
+        else:
+            merged[key] = default[0] if isinstance(default, tuple) else default
     return merged
 
 
-def _merge_config(user: dict) -> dict:
+def _merge_config(user, flags: dict, kind: str) -> dict:
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(user) - set(DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
-    merged = copy.deepcopy(DEFAULTS)
-    for name, value in user.items():
-        if name == "output_dir":
-            if not isinstance(value, str):
-                raise ConfigError("'output_dir' must be a string")
-            merged[name] = value
-            continue
-        if not isinstance(value, dict):
-            raise ConfigError(f"'{name}' must be a JSON object")
-        if name == "channel":
-            merged[name] = _merge_channel(value)
-        else:
-            merged[name] = _merge_section(name, value, DEFAULTS[name])
-    return merged
-
-
-def _merge_channel(user: dict) -> dict:
-    kind = user.get("kind", "stochastic")
-    if kind == "stochastic":
-        return _merge_section("channel", user, DEFAULTS["channel"])
-    if kind == "benchmark":
-        defaults = {"kind": "benchmark", **_BENCHMARK_CHANNEL_DEFAULTS}
-        return _merge_section("channel", user, defaults)
-    raise ConfigError(f"channel kind must be 'stochastic' or 'benchmark', got {kind!r}")
+    channel = user.get("channel", {})
+    if isinstance(channel, dict):
+        kind = channel.get("kind", kind)
+    kind = _coerce_like("channel.kind", tuple(DEFAULTS["channel"]), kind)
+    schema = {**DEFAULTS, "channel": {"kind": (kind,), **DEFAULTS["channel"][kind]}}
+    return _merge("", user, schema, flags)
 
 
 def _build_channel(section: dict) -> ChannelSpec:
@@ -241,34 +244,10 @@ def _build_channel(section: dict) -> ChannelSpec:
     )
 
 
-# Flag destinations that override config entries, per (section, key).
-_FLAG_MAP = {
-    "n": ("protocol", "n"),
-    "delta": ("protocol", "delta"),
-    "k": ("sampling", "k"),
-    "seed": ("sampling", "seed"),
-    "workers": ("sampling", "workers"),
-    "eps_cov": ("budgets", "eps_cov"),
-    "eps_rel": ("budgets", "eps_rel"),
-    "eta0": ("benchmark", "eta0"),
-    "rate": ("benchmark", "rate"),
-    "eps_list": ("benchmark", "eps_list"),
-    "grid_points": ("risk_adjusted", "grid_points"),
-    "mode": ("risk_adjusted", "mode"),
-    "axis": ("risk_adjusted", "axis"),
-    "fixed_other": ("risk_adjusted", "fixed_other"),
-    "eps": ("scaling", "eps"),
-    "n_values": ("scaling", "n_values"),
-}
-
-# eps-grid flags resolve into the section owning the current command.
-_GRID_FLAG_SECTIONS = {"frontier", "surface", "sensitivity"}
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Load the JSON config, apply flag overrides, build domain objects."""
     user = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 user = json.load(fh)
@@ -276,25 +255,18 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config {args.config}: {e}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"config {args.config} is not valid JSON: {e}") from e
-    raw = _merge_config(user)
-
-    for dest, (section, key) in _FLAG_MAP.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            raw[section][key] = value
-    grid_section = args.command if args.command in _GRID_FLAG_SECTIONS else None
-    if grid_section:
-        for key in ("eps_min", "eps_max", "points"):
-            value = getattr(args, key, None)
-            if value is not None:
-                raw[grid_section][key] = value
+    flags = {dest: value for dest, value in vars(args).items() if value is not None}
+    # benchmark-validate checks the benchmark channel, so that is its default
+    # kind; elsewhere it is the first kind in DEFAULTS.
+    if args.command == "benchmark-validate":
+        kind = "benchmark"
+    else:
+        kind = next(iter(DEFAULTS["channel"]))
+    raw = _merge_config(user, flags, kind)
 
     # flags > config > environment > built-in default for the output dir
-    if getattr(args, "output_dir", None):
-        out_dir = args.output_dir
-    elif raw["output_dir"] is not None:
-        out_dir = raw["output_dir"]
-    else:
+    out_dir = raw["output_dir"]
+    if out_dir is None:
         out_dir = os.environ.get(OUTPUT_DIR_ENV, ".")
 
     try:
@@ -303,11 +275,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         budgets = RiskBudgets(
             eps_cov=raw["budgets"]["eps_cov"], eps_rel=raw["budgets"]["eps_rel"]
         )
-        k = int(raw["sampling"]["k"])
-        seed = int(raw["sampling"]["seed"])
-        workers = int(raw["sampling"]["workers"])
+        k = raw["sampling"]["k"]
+        seed = raw["sampling"]["seed"]
+        workers = raw["sampling"]["workers"]
         if k < 1:
             raise ValueError(f"sampling.k must be >= 1, got {k}")
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"sampling.seed must lie in [0, 2**64), got {seed}")
         if workers < 1:
             raise ValueError(f"sampling.workers must be >= 1, got {workers}")
     except (ValueError, TypeError) as e:
@@ -325,29 +299,27 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _out_path(cfg: RunConfig, args: argparse.Namespace, default_name: str) -> Path:
-    if getattr(args, "out", None):
+    if args.out:
         return Path(args.out)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     return cfg.output_dir / default_name
 
 
 def _obtain_samples(cfg: RunConfig, args: argparse.Namespace) -> SampleSet:
-    cache = getattr(args, "cache", None)
-    if cache:
-        return load_sample_set(cache, expected_digest=channel_digest(cfg.channel))
+    if args.cache:
+        return load_sample_set(args.cache, expected_digest=channel_digest(cfg.channel))
     return generate_sample_set(cfg.channel, cfg.k, cfg.seed, workers=cfg.workers)
 
 
 def _check_report(report) -> None:
     # Cheap internal consistency gate before anything is persisted.
-    assert report.t_star == report.q_max * report.r_max, "t_star != q_max * r_max"
-    assert 0.0 <= report.q_max <= 1.0, "q_max outside [0, 1]"
+    if report.t_star != report.q_max * report.r_max:
+        raise InvariantError("t_star != q_max * r_max")
+    if not 0.0 <= report.q_max <= 1.0:
+        raise InvariantError("q_max outside [0, 1]")
 
 
-def _log_grid(lo, hi, points) -> np.ndarray:
-    lo = _coerce_like("grid minimum", 0.0, lo)
-    hi = _coerce_like("grid maximum", 0.0, hi)
-    points = _coerce_like("grid points", 1, points)
+def _log_grid(lo: float, hi: float, points: int) -> np.ndarray:
     if not 0 < lo <= hi:
         raise ConfigError(f"need 0 < eps_min <= eps_max, got [{lo}, {hi}]")
     if points < 1:
@@ -452,16 +424,17 @@ def _cmd_scaling(args) -> int:
 
 def _cmd_benchmark_validate(args) -> int:
     cfg = resolve_config(args)
-    block = cfg.raw["benchmark"]
+    if not isinstance(cfg.channel, BenchmarkChannelSpec):
+        raise ConfigError("benchmark-validate needs channel.kind 'benchmark'")
     try:
-        channel = BenchmarkChannel(eta0=block["eta0"], rate=block["rate"])
         rows = validate(
-            channel, cfg.protocol, block["eps_list"], cfg.k, cfg.seed, cfg.workers
+            cfg.channel, cfg.protocol, cfg.raw["benchmark"]["eps_list"],
+            cfg.k, cfg.seed, cfg.workers,
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
     path = _out_path(cfg, args, "benchmark_validate.csv")
-    digest = channel_digest(channel.as_channel_spec())
+    digest = channel_digest(cfg.channel)
     write_validation_csv(rows, path, seed=cfg.seed, K=cfg.k, digest=digest)
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
@@ -488,14 +461,12 @@ def _cmd_risk_adjusted(args) -> int:
     s = _obtain_samples(cfg, args)
     block = cfg.raw["risk_adjusted"]
     try:
-        grid = GridSpec(points_per_axis=int(block["grid_points"]))
+        grid = GridSpec(points_per_axis=block["grid_points"])
     except ValueError as e:
         raise ConfigError(str(e)) from e
     path = _out_path(cfg, args, "risk_adjusted.csv")
     if block["mode"] == "sweep":
         values = _log_grid(block["lambda_min"], block["lambda_max"], block["lambda_points"])
-        if block["axis"] not in ("cov", "rel"):
-            raise ConfigError(f"risk_adjusted.axis must be cov or rel, got {block['axis']!r}")
         rows = lambda_sweep(
             s, cfg.protocol, grid, block["axis"], values, block["fixed_other"]
         )
@@ -504,7 +475,7 @@ def _cmd_risk_adjusted(args) -> int:
             seed=s.seed, K=s.K, digest=s.channel_digest,
         )
         print(f"wrote {path} ({len(rows)} rows)")
-    elif block["mode"] == "heatmap":
+    else:
         values = _log_grid(block["heatmap_min"], block["heatmap_max"], block["heatmap_points"])
         q_star, r_star = heatmap_sweep(s, cfg.protocol, grid, values, values)
         write_heatmap_csv(
@@ -512,10 +483,6 @@ def _cmd_risk_adjusted(args) -> int:
             seed=s.seed, K=s.K, digest=s.channel_digest,
         )
         print(f"wrote {path} ({len(values)}x{len(values)} grid)")
-    else:
-        raise ConfigError(
-            f"risk_adjusted.mode must be 'sweep' or 'heatmap', got {block['mode']!r}"
-        )
     return EXIT_OK
 
 
@@ -534,30 +501,41 @@ def _cmd_sensitivity(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "sample": _cmd_sample,
-    "optimize": _cmd_optimize,
-    "frontier": _cmd_frontier,
-    "surface": _cmd_surface,
-    "scaling": _cmd_scaling,
-    "benchmark-validate": _cmd_benchmark_validate,
-    "decade-gains": _cmd_decade_gains,
-    "risk-adjusted": _cmd_risk_adjusted,
-    "sensitivity": _cmd_sensitivity,
+# Flags that name files, not config keys.
+_FILE_FLAGS = {
+    "config": "JSON config file",
+    "out": "explicit output path (overrides --output-dir)",
+    "cache": "reuse a sample cache written by 'sample'",
+    "csv": "also export the arrays as CSV",
 }
 
+# Flags every subcommand takes, after --config and --out.
+_COMMON_FLAGS = (
+    "output_dir", "protocol.n", "protocol.delta",
+    "sampling.k", "sampling.seed", "sampling.workers",
+)
 
-def _add_common(sub: argparse.ArgumentParser, cache: bool = True) -> None:
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--output-dir", help="directory for default-named outputs")
-    sub.add_argument("--out", help="explicit output path (overrides --output-dir)")
-    sub.add_argument("--n", type=float, help="channel uses per frame")
-    sub.add_argument("--delta", type=float, help="covertness threshold")
-    sub.add_argument("--k", type=int, help="Monte Carlo sample count")
-    sub.add_argument("--seed", type=int, help="sampling seed")
-    sub.add_argument("--workers", type=int, help="generation worker threads")
-    if cache:
-        sub.add_argument("--cache", help="reuse a sample cache written by 'sample'")
+# name: (handler, help, further flags: file flags and config keys)
+_COMMANDS = {
+    "sample": (_cmd_sample, "generate and persist a sample cache", ("csv",)),
+    "optimize": (_cmd_optimize, "single risk-constrained optimum",
+                 ("cache", "budgets.eps_cov", "budgets.eps_rel")),
+    "frontier": (_cmd_frontier, "symmetric budget sweep",
+                 ("cache", "frontier.eps_min", "frontier.eps_max", "frontier.points")),
+    "surface": (_cmd_surface, "budget grid sweep",
+                ("cache", "surface.eps_min", "surface.eps_max", "surface.points")),
+    "scaling": (_cmd_scaling, "payload vs frame length",
+                ("cache", "scaling.eps", "scaling.n_values")),
+    "benchmark-validate": (_cmd_benchmark_validate, "closed forms vs Monte Carlo",
+                           ("channel.eta0", "channel.rate", "benchmark.eps_list")),
+    "decade-gains": (_cmd_decade_gains, "gains across decade budgets", ("cache",)),
+    "risk-adjusted": (_cmd_risk_adjusted, "weighted-penalty grid maximization",
+                      ("cache", "risk_adjusted.mode", "risk_adjusted.axis",
+                       "risk_adjusted.grid_points", "risk_adjusted.fixed_other")),
+    "sensitivity": (_cmd_sensitivity, "finite-difference sensitivities",
+                    ("cache", "sensitivity.eps_min", "sensitivity.eps_max",
+                     "sensitivity.points")),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -566,58 +544,17 @@ def _parser() -> argparse.ArgumentParser:
         description="Risk-aware operating points for covert quantum links.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("sample", help="generate and persist a sample cache")
-    _add_common(p, cache=False)
-    p.add_argument("--csv", help="also export the arrays as CSV")
-
-    p = subs.add_parser("optimize", help="single risk-constrained optimum")
-    _add_common(p)
-    p.add_argument("--eps-cov", type=float, dest="eps_cov")
-    p.add_argument("--eps-rel", type=float, dest="eps_rel")
-
-    for name, extra in (
-        ("frontier", "symmetric budget sweep"),
-        ("surface", "budget grid sweep"),
-        ("sensitivity", "finite-difference sensitivities"),
-    ):
-        p = subs.add_parser(name, help=extra)
-        _add_common(p)
-        p.add_argument("--eps-min", type=float, dest="eps_min")
-        p.add_argument("--eps-max", type=float, dest="eps_max")
-        p.add_argument("--points", type=int)
-
-    p = subs.add_parser("scaling", help="payload vs frame length")
-    _add_common(p)
-    p.add_argument("--eps", type=float)
-    p.add_argument(
-        "--n-values",
-        dest="n_values",
-        type=lambda text: [int(v) for v in text.split(",")],
-        help="comma-separated frame lengths",
-    )
-
-    p = subs.add_parser("benchmark-validate", help="closed forms vs Monte Carlo")
-    _add_common(p, cache=False)
-    p.add_argument("--eta0", type=float)
-    p.add_argument("--rate", type=float)
-    p.add_argument(
-        "--eps-list",
-        dest="eps_list",
-        type=lambda text: [float(v) for v in text.split(",")],
-        help="comma-separated symmetric budgets",
-    )
-
-    p = subs.add_parser("decade-gains", help="gains across decade budgets")
-    _add_common(p)
-
-    p = subs.add_parser("risk-adjusted", help="weighted-penalty grid maximization")
-    _add_common(p)
-    p.add_argument("--mode", choices=("sweep", "heatmap"))
-    p.add_argument("--axis", choices=("cov", "rel"))
-    p.add_argument("--grid-points", type=int, dest="grid_points")
-    p.add_argument("--fixed-other", type=float, dest="fixed_other")
-
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        p = subs.add_parser(
+            name, help=help_text,
+            epilog="A flag shown as --key SECTION.KEY sets that config key and "
+                   "takes the same values; a list is written comma-separated.",
+        )
+        for flag in ("config", "out", *_COMMON_FLAGS, *flags):
+            if flag in _FILE_FLAGS:
+                p.add_argument(f"--{flag}", help=_FILE_FLAGS[flag])
+            else:
+                p.add_argument("--" + flag.rpartition(".")[2].replace("_", "-"), dest=flag)
     return parser
 
 
@@ -627,23 +564,17 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return _COMMANDS[args.command](args)
-    except ConfigError as e:
+        return _COMMANDS[args.command][0](args)
+    except (ConfigError, SampleFileDigestError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except SampleFileDigestError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SampleFileError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as e:
+    except (SampleFileError, OSError) as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
     except InfeasibleGainError as e:
         print(f"infeasible gain: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE_GAIN
-    except AssertionError as e:
+    except InvariantError as e:
         print(f"internal invariant violation: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -27,6 +27,7 @@ Cache file layout (little endian), version 1:
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -195,14 +196,16 @@ def generate_sample_set(
     seed : int
         64-bit stream seed; fully determines the output.
     workers : int
-        Worker threads filling disjoint chunks.  The result is bit-identical
-        for every worker count because chunk contents are position-addressed.
+        Worker threads filling disjoint chunks, at most one per CPU.  The
+        result is bit-identical for every worker count because chunk
+        contents are position-addressed.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     digest = channel_digest(spec)  # validates the spec type up front
+    workers = min(workers, os.cpu_count() or 1)
 
     ccov = np.empty(K)
     rach = np.empty(K)
@@ -237,9 +240,9 @@ def save_sample_set(s: SampleSet, path) -> None:
 def load_sample_set(path, expected_digest: bytes | None = None) -> SampleSet:
     """Read a cache written by save_sample_set.
 
-    Raises a distinct error per failure mode: wrong magic or trailing bytes
-    (format), unknown version, digest mismatch against ``expected_digest``,
-    and short reads (truncation).
+    Raises a distinct error per failure mode: wrong magic, trailing bytes,
+    an unsorted array or a NaN (format), unknown version, digest mismatch
+    against ``expected_digest``, and short reads (truncation).
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -262,8 +265,10 @@ def load_sample_set(path, expected_digest: bytes | None = None) -> SampleSet:
     ccov = np.frombuffer(raw, dtype="<f8", count=k, offset=_HEADER.size).copy()
     rach = np.frombuffer(raw, dtype="<f8", count=k, offset=_HEADER.size + 8 * k).copy()
     for name, arr in (("ccov", ccov), ("rach", rach)):
-        if arr.size > 1 and np.any(np.diff(arr) < 0):
-            raise SampleFileFormatError(f"{path}: {name} array is not sorted")
+        # Any comparison with NaN is False, so this also rejects a NaN
+        # anywhere but in a single-element array, checked on its own.
+        if np.isnan(arr[:1]).any() or not np.all(arr[1:] >= arr[:-1]):
+            raise SampleFileFormatError(f"{path}: {name} array is not sorted or holds NaN")
     return SampleSet(ccov=ccov, rach=rach, K=k, seed=seed, channel_digest=digest)
 
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from covertq import (
-    BenchmarkChannel,
+    BenchmarkChannelSpec,
+    ExponentialSpec,
     ProtocolParams,
     StochasticChannelSpec,
     TruncatedGaussianSpec,
@@ -51,7 +52,7 @@ def volatile_spec():
 
 @pytest.fixture(scope="session")
 def benchmark_channel():
-    return BenchmarkChannel(eta0=0.9, rate=10.0)
+    return BenchmarkChannelSpec(eta0=0.9, nb=ExponentialSpec(10.0))
 
 
 @pytest.fixture(scope="session")
@@ -72,5 +73,5 @@ def volatile_set(volatile_spec):
 @pytest.fixture(scope="session")
 def benchmark_set(benchmark_channel):
     return generate_sample_set(
-        benchmark_channel.as_channel_spec(), K_FULL, seed=1, workers=4
+        benchmark_channel, K_FULL, seed=1, workers=4
     )

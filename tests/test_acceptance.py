@@ -12,7 +12,8 @@ from scipy.optimize import brentq
 
 from conftest import make_baseline_spec
 from covertq import (
-    BenchmarkChannel,
+    BenchmarkChannelSpec,
+    ExponentialSpec,
     GridSpec,
     ProtocolParams,
     RiskBudgets,
@@ -56,8 +57,8 @@ def synthetic_set(ccov, rach, seed=0):
 
 
 def test_criterion_01_closed_form_values(protocol):
-    high = BenchmarkChannel(eta0=0.99, rate=10.0)
-    low = BenchmarkChannel(eta0=0.9, rate=10.0)
+    high = BenchmarkChannelSpec(eta0=0.99, nb=ExponentialSpec(10.0))
+    low = BenchmarkChannelSpec(eta0=0.9, nb=ExponentialSpec(10.0))
     q = benchmark_qmax(high, protocol, 0.1)
     r_high = benchmark_rmax(high, 0.1)
     r_low = benchmark_rmax(low, 0.1)
@@ -196,7 +197,7 @@ def test_criterion_09_first_order_conditions():
     res = foc_residual(st, w, p, lambda x: 0.5, lambda r: 1.0)
     synthetic_ok = max(abs(res[0]), abs(res[1])) < 1e-12
 
-    c = BenchmarkChannel(eta0=0.9, rate=10.0)
+    c = BenchmarkChannelSpec(eta0=0.9, nb=ExponentialSpec(10.0))
     p = ProtocolParams(n=10**7, delta=0.05)
     scale = np.sqrt(p.n) / (2.0 * p.delta)
 
@@ -204,14 +205,14 @@ def test_criterion_09_first_order_conditions():
         return brentq(lambda x: achievable_rate(c.eta0, x) - r, 1e-12, 10.0)
 
     def rach_cdf(r):
-        return np.exp(-c.rate * x_inv(r))
+        return np.exp(-c.nb.rate * x_inv(r))
 
     def rach_density(r):
         x = x_inv(r)
         h = 1e-7
         slope = (achievable_rate(c.eta0, x + h)
                  - achievable_rate(c.eta0, x - h)) / (2 * h)
-        return c.rate * np.exp(-c.rate * x) / abs(slope)
+        return c.nb.rate * np.exp(-c.nb.rate * x) / abs(slope)
 
     def j_smooth(q, r, w):
         return (q * r - w.lambda_cov * benchmark_ccov_cdf(c, q * scale)
@@ -247,7 +248,7 @@ def test_criterion_10_sensitivity_dominance(baseline_set, benchmark_set,
         h = 1e-7
         slope = (achievable_rate(benchmark_channel.eta0, x + h)
                  - achievable_rate(benchmark_channel.eta0, x - h)) / (2 * h)
-        return benchmark_channel.rate * np.exp(-benchmark_channel.rate * x) / abs(slope)
+        return benchmark_channel.nb.rate * np.exp(-benchmark_channel.nb.rate * x) / abs(slope)
 
     worst = 0.0
     for pt in sensitivities_symmetric(benchmark_set, protocol,

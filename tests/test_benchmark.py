@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from covertq import (
-    BenchmarkChannel,
+    BenchmarkChannelSpec,
+    ExponentialSpec,
     ProtocolParams,
     benchmark_ccov_cdf,
     benchmark_ccov_density,
@@ -18,7 +19,7 @@ from covertq.benchmark import write_validation_csv
 
 @pytest.fixture(scope="module")
 def chan():
-    return BenchmarkChannel(eta0=0.9, rate=10.0)
+    return BenchmarkChannelSpec(eta0=0.9, nb=ExponentialSpec(10.0))
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +28,7 @@ def chan():
 
 def test_qmax_pinned_values(chan):
     p = ProtocolParams(n=10**7, delta=0.05)
-    high = BenchmarkChannel(eta0=0.99, rate=10.0)
+    high = BenchmarkChannelSpec(eta0=0.99, nb=ExponentialSpec(10.0))
     assert benchmark_qmax(high, p, 0.1) == pytest.approx(4.59e-4, rel=0.01)
     assert benchmark_qmax(chan, p, 0.5) == pytest.approx(1.15e-4, rel=0.01)
 
@@ -44,7 +45,7 @@ def test_qmax_cap(chan):
 
 
 def test_rmax_pinned_values(chan):
-    high = BenchmarkChannel(eta0=0.99, rate=10.0)
+    high = BenchmarkChannelSpec(eta0=0.99, nb=ExponentialSpec(10.0))
     assert benchmark_rmax(high, 0.1) == pytest.approx(0.8692, abs=1e-3)
     assert benchmark_rmax(chan, 0.1) == pytest.approx(0.220380, abs=1e-4)
     assert benchmark_rmax(chan, 1e-3) < 1e-3
@@ -97,11 +98,11 @@ def test_quantile_validation(chan):
 
 def test_channel_validation():
     with pytest.raises(ValueError):
-        BenchmarkChannel(eta0=1.0, rate=10.0)
+        BenchmarkChannelSpec(eta0=1.0, nb=ExponentialSpec(10.0))
     with pytest.raises(ValueError):
-        BenchmarkChannel(eta0=0.0, rate=10.0)
+        BenchmarkChannelSpec(eta0=0.0, nb=ExponentialSpec(10.0))
     with pytest.raises(ValueError):
-        BenchmarkChannel(eta0=0.9, rate=0.0)
+        BenchmarkChannelSpec(eta0=0.9, nb=ExponentialSpec(0.0))
 
 
 # ---------------------------------------------------------------------------

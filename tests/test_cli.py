@@ -1,11 +1,19 @@
 """End-to-end CLI behavior: artifacts, precedence rules, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import covertq
 from covertq import (
+    BenchmarkChannelSpec,
+    ExponentialSpec,
     ProtocolParams,
     RiskBudgets,
     StochasticChannelSpec,
@@ -14,6 +22,7 @@ from covertq import (
     channel_digest,
     load_sample_set,
     optimize,
+    save_sample_set,
 )
 from covertq import cli
 
@@ -154,6 +163,25 @@ def test_benchmark_validate_rows(tmp_path):
                      ["0.5", "q_max"], ["0.5", "r_max"]]
 
 
+def test_benchmark_validate_reads_channel_section(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"channel": {"kind": "benchmark", "eta0": 0.95}})
+    out = tmp_path / "val.csv"
+    assert run("benchmark-validate", "--config", cfg, "--k", "500",
+               "--out", str(out)) == 0
+    digest = channel_digest(BenchmarkChannelSpec(0.95, ExponentialSpec(10.0)))
+    assert out.read_text().splitlines()[0] == (
+        f"# seed=1 K=500 channel_digest={digest.hex()}")
+
+    # eta0/rate live only in the channel section, and only on its
+    # benchmark kind.
+    for i, bad in enumerate(({"benchmark": {"eta0": 0.95}},
+                             {"channel": {"kind": "stochastic"}})):
+        cfg = write_config(tmp_path, bad, name=f"bad{i}.json")
+        assert run("benchmark-validate", "--config", cfg, "--k", "500",
+                   "--out", str(out)) == 2, bad
+        assert "config error" in capsys.readouterr().err
+
+
 def test_decade_gains_feasible(tmp_path):
     out = tmp_path / "gains.csv"
     assert run("decade-gains", "--k", "2000", "--out", str(out)) == 0
@@ -233,6 +261,14 @@ def test_seed_flag_beats_config(tmp_path):
     assert out.read_text().splitlines()[0].startswith("# seed=2 K=500 ")
 
 
+def test_flags_take_config_values(tmp_path):
+    cfg = write_config(tmp_path, {"sampling": {"k": 1e5}})
+    out = [tmp_path / "flag.csv", tmp_path / "cfg.csv"]
+    assert run("optimize", "--k", "1e5", "--out", str(out[0])) == 0
+    assert run("optimize", "--config", cfg, "--out", str(out[1])) == 0
+    assert out[0].read_bytes() == out[1].read_bytes()
+
+
 def test_output_dir_precedence(tmp_path, monkeypatch):
     flag_dir = tmp_path / "flag"
     cfg_dir = tmp_path / "cfg"
@@ -284,6 +320,7 @@ def test_config_error_exits(tmp_path, capsys):
         {"protocol": 7},
         {"sampling": {"k": 0}},
         {"sampling": {"workers": 0}},
+        {"sampling": {"seed": -1}},
         {"output_dir": 5},
     ]
     for i, cfg in enumerate(bad_configs):
@@ -292,7 +329,8 @@ def test_config_error_exits(tmp_path, capsys):
         assert rc == 2, cfg
         assert "config error" in capsys.readouterr().err
 
-    # mode/axis are validated by the risk-adjusted command itself.
+    # mode/axis choices are checked with the rest of the config, and a
+    # flag is checked like the config key it sets.
     for j, section in enumerate(({"mode": "nope"}, {"axis": "diag"})):
         path = write_config(tmp_path, {"risk_adjusted": section,
                                        "sampling": {"k": 100}},
@@ -300,6 +338,17 @@ def test_config_error_exits(tmp_path, capsys):
         rc = run("risk-adjusted", "--config", path,
                  "--out", str(tmp_path / "x.csv"))
         assert rc == 2, section
+        assert "config error" in capsys.readouterr().err
+    bad_flags = [
+        ("optimize", "--n", "10.5"),
+        ("optimize", "--seed", "-1"),
+        ("optimize", "--seed", str(2**64)),
+        ("risk-adjusted", "--mode", "nope"),
+        ("risk-adjusted", "--axis", "diag"),
+    ]
+    for argv in bad_flags:
+        rc = run(*argv, "--k", "100", "--out", str(tmp_path / "x.csv"))
+        assert rc == 2, argv
         assert "config error" in capsys.readouterr().err
 
     not_json = tmp_path / "not.json"
@@ -353,6 +402,14 @@ def test_cache_io_errors(tmp_path, capsys):
     assert rc == 3
     assert "i/o error" in capsys.readouterr().err
 
+    s = load_sample_set(cache)
+    s.ccov[-1] = np.nan
+    save_sample_set(s, tmp_path / "nan.cqcs")
+    rc = run("optimize", "--cache", str(tmp_path / "nan.cqcs"),
+             "--out", str(tmp_path / "x.csv"))
+    assert rc == 3
+    assert "i/o error" in capsys.readouterr().err
+
 
 def test_unwritable_output_is_io_error(tmp_path):
     out = tmp_path / "no_such_dir" / "x.csv"
@@ -367,3 +424,24 @@ def test_internal_invariant_violation_exits_5(tmp_path, monkeypatch, capsys):
     rc = run("optimize", "--k", "200", "--out", str(tmp_path / "x.csv"))
     assert rc == 5
     assert "internal invariant violation" in capsys.readouterr().err
+
+
+def test_internal_invariant_violation_exits_5_under_optimize_flag(tmp_path):
+    # python -O strips assert statements; the invariant check must survive.
+    script = (
+        "import sys\n"
+        "from types import SimpleNamespace\n"
+        "from covertq import cli\n"
+        "corrupt = SimpleNamespace(q_max=0.5, r_max=0.5, t_star=0.3,\n"
+        "                          total_payload=1.0, q_capped=False,\n"
+        "                          below_resolution=False)\n"
+        "cli.optimize = lambda s, p, b: corrupt\n"
+        "sys.exit(cli.main(['optimize', '--k', '200', '--out', sys.argv[1]]))\n"
+    )
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(covertq.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", script,
+                           str(tmp_path / "x.csv")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 5, proc.stderr
+    assert "internal invariant violation" in proc.stderr

@@ -5,7 +5,8 @@ import pytest
 from scipy.optimize import brentq
 
 from covertq import (
-    BenchmarkChannel,
+    BenchmarkChannelSpec,
+    ExponentialSpec,
     GridSpec,
     ProtocolParams,
     RiskWeights,
@@ -223,7 +224,7 @@ def test_foc_residual_exact_stationary_point():
 def test_foc_residual_matches_smooth_objective_gradient():
     # On the closed-form channel the objective is smooth, so the residuals
     # must agree with central finite differences of J itself.
-    c = BenchmarkChannel(eta0=0.9, rate=10.0)
+    c = BenchmarkChannelSpec(eta0=0.9, nb=ExponentialSpec(10.0))
     p = ProtocolParams(n=10**7, delta=0.05)
     scale = np.sqrt(p.n) / (2.0 * p.delta)
 
@@ -232,13 +233,13 @@ def test_foc_residual_matches_smooth_objective_gradient():
 
     def rach_cdf(r):
         # P[R_ach < r] = P[nb > x_inv(r)] for a strictly decreasing rate.
-        return np.exp(-c.rate * x_inv(r))
+        return np.exp(-c.nb.rate * x_inv(r))
 
     def rach_density(r):
         x = x_inv(r)
         h = 1e-7
         slope = (achievable_rate(c.eta0, x + h) - achievable_rate(c.eta0, x - h)) / (2 * h)
-        return c.rate * np.exp(-c.rate * x) / abs(slope)
+        return c.nb.rate * np.exp(-c.nb.rate * x) / abs(slope)
 
     def j_smooth(q, r, w):
         return (q * r - w.lambda_cov * benchmark_ccov_cdf(c, q * scale)

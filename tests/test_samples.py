@@ -1,5 +1,6 @@
 """Sample-set generation, digests, and the binary cache round trip."""
 
+import os
 import struct
 
 import numpy as np
@@ -20,6 +21,7 @@ from covertq import (
     load_sample_set,
     save_sample_set,
 )
+from covertq import samples
 from covertq.samples import (
     SampleFileDigestError,
     SampleFileFormatError,
@@ -130,6 +132,32 @@ def test_generate_worker_count_invariance():
         np.testing.assert_array_equal(ref.rach, alt.rach)
 
 
+def test_generate_pool_bounded_by_cpu_count(monkeypatch):
+    # A serial stand-in records the pool size and starts no thread.
+    pool_sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(samples, "ThreadPoolExecutor", SerialPool)
+    spec = make_baseline_spec()
+    ref = generate_sample_set(spec, 1000, seed=7, workers=1)
+    alt = generate_sample_set(spec, 1000, seed=7, workers=1_000_000)
+    assert all(size <= (os.cpu_count() or 1) for size in pool_sizes)
+    assert np.array_equal(alt.ccov, ref.ccov)
+    assert np.array_equal(alt.rach, ref.rach)
+
+
 def test_generate_degenerate_stochastic_collapses_to_point():
     spec = StochasticChannelSpec(
         eta=TruncatedLognormalSpec(mu_ln=np.log(0.9), sigma_ln=1e-9),
@@ -228,6 +256,17 @@ def test_load_rejects_unsorted_arrays(tmp_path):
     )
     path = tmp_path / "s.cqcs"
     save_sample_set(shuffled, path)
+    with pytest.raises(SampleFileFormatError):
+        load_sample_set(path)
+
+
+@pytest.mark.parametrize("K, index", [(10, 4), (10, 9), (1, 0)],
+                         ids=["interior", "top", "single"])
+def test_load_rejects_nan(tmp_path, K, index):
+    s = generate_sample_set(make_baseline_spec(), K, seed=1)
+    s.ccov[index] = np.nan
+    path = tmp_path / "s.cqcs"
+    save_sample_set(s, path)
     with pytest.raises(SampleFileFormatError):
         load_sample_set(path)
 

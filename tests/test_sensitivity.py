@@ -38,7 +38,7 @@ def bench_rach_density(channel, r):
     h = 1e-7
     slope = (achievable_rate(channel.eta0, x + h)
              - achievable_rate(channel.eta0, x - h)) / (2 * h)
-    return channel.rate * np.exp(-channel.rate * x) / abs(slope)
+    return channel.nb.rate * np.exp(-channel.nb.rate * x) / abs(slope)
 
 
 # ---------------------------------------------------------------------------

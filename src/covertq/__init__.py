@@ -18,13 +18,9 @@ from .distributions import (
     sample_truncated_lognormal,
 )
 from .physics import (
-    ChannelRealization,
-    PauliVector,
     achievable_rate,
     covertness_constant,
     depolarizing_probability,
-    pauli_entropy,
-    pauli_vector,
     q_ceiling,
 )
 from .quantiles import RiskBudgets, strict_cdf, strict_outage_quantile

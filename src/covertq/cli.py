@@ -29,11 +29,13 @@ Every CSV artifact starts with a comment line recording the seed, K, and
 the channel digest of the sample set used, so identical configs reproduce
 byte-identical files.
 
-Exit codes: 0 success; 2 configuration error (also argparse errors and a
-cache whose channel digest contradicts the config); 3 I/O error (missing,
-malformed, unsorted, NaN-holding or truncated cache, unwritable output);
-4 a decade gain was requested but is infeasible (zero-throughput
-denominator); 5 internal invariant violation.
+Exit codes: 0 success; 2 configuration error: any out-of-range config value
+(sweep bounds and weights included), an unreadable, undecodable or non-JSON
+config file, argparse errors, and a cache whose channel digest contradicts
+the config; 3 I/O error (missing, malformed, K = 0, unsorted, NaN-holding or
+truncated cache, unwritable output); 4 a decade gain was requested but is
+infeasible (zero-throughput denominator); 5 internal invariant violation.
+Handlers raise and main() alone maps exceptions to these codes.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -251,10 +254,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         try:
             with open(args.config) as fh:
                 user = json.load(fh)
-        except OSError as e:
+        except (OSError, ValueError) as e:  # unreadable, not UTF-8, not JSON
             raise ConfigError(f"cannot read config {args.config}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config {args.config} is not valid JSON: {e}") from e
     flags = {dest: value for dest, value in vars(args).items() if value is not None}
     # benchmark-validate checks the benchmark channel, so that is its default
     # kind; elsewhere it is the first kind in DEFAULTS.
@@ -269,40 +270,27 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if out_dir is None:
         out_dir = os.environ.get(OUTPUT_DIR_ENV, ".")
 
-    try:
-        channel = _build_channel(raw["channel"])
-        protocol = ProtocolParams(n=raw["protocol"]["n"], delta=raw["protocol"]["delta"])
-        budgets = RiskBudgets(
-            eps_cov=raw["budgets"]["eps_cov"], eps_rel=raw["budgets"]["eps_rel"]
-        )
-        k = raw["sampling"]["k"]
-        seed = raw["sampling"]["seed"]
-        workers = raw["sampling"]["workers"]
-        if k < 1:
-            raise ValueError(f"sampling.k must be >= 1, got {k}")
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"sampling.seed must lie in [0, 2**64), got {seed}")
-        if workers < 1:
-            raise ValueError(f"sampling.workers must be >= 1, got {workers}")
-    except (ValueError, TypeError) as e:
-        raise ConfigError(str(e)) from e
+    k = raw["sampling"]["k"]
+    seed = raw["sampling"]["seed"]
+    workers = raw["sampling"]["workers"]
+    if k < 1:
+        raise ConfigError(f"sampling.k must be >= 1, got {k}")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"sampling.seed must lie in [0, 2**64), got {seed}")
+    if workers < 1:
+        raise ConfigError(f"sampling.workers must be >= 1, got {workers}")
     return RunConfig(
-        channel=channel,
-        protocol=protocol,
+        channel=_build_channel(raw["channel"]),
+        protocol=ProtocolParams(n=raw["protocol"]["n"], delta=raw["protocol"]["delta"]),
         k=k,
         seed=seed,
         workers=workers,
-        budgets=budgets,
+        budgets=RiskBudgets(
+            eps_cov=raw["budgets"]["eps_cov"], eps_rel=raw["budgets"]["eps_rel"]
+        ),
         raw=raw,
         output_dir=Path(out_dir),
     )
-
-
-def _out_path(cfg: RunConfig, args: argparse.Namespace, default_name: str) -> Path:
-    if args.out:
-        return Path(args.out)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    return cfg.output_dir / default_name
 
 
 def _obtain_samples(cfg: RunConfig, args: argparse.Namespace) -> SampleSet:
@@ -319,186 +307,150 @@ def _check_report(report) -> None:
         raise InvariantError("q_max outside [0, 1]")
 
 
-def _log_grid(lo: float, hi: float, points: int) -> np.ndarray:
+def _log_grid(cfg: RunConfig, section: str,
+              keys=("eps_min", "eps_max", "points")) -> np.ndarray:
+    lo, hi, points = (cfg.raw[section][key] for key in keys)
+    lo_key, hi_key, points_key = (f"{section}.{key}" for key in keys)
     if not 0 < lo <= hi:
-        raise ConfigError(f"need 0 < eps_min <= eps_max, got [{lo}, {hi}]")
+        raise ConfigError(f"need 0 < {lo_key} <= {hi_key}, got [{lo}, {hi}]")
     if points < 1:
-        raise ConfigError(f"points must be >= 1, got {points}")
+        raise ConfigError(f"{points_key} must be >= 1, got {points}")
     return np.logspace(np.log10(lo), np.log10(hi), points)
 
 
-def _cmd_sample(args) -> int:
-    cfg = resolve_config(args)
+def _emit(cfg: RunConfig, args, default_name: str, write, summary: str,
+          s: SampleSet | None) -> None:
+    """Write one artifact with its provenance and report it on stdout.
+
+    ``write(path, seed=, K=, digest=)`` does the writing; the provenance comes
+    from the sample set, or from the config when ``s`` is None.
+    """
+    if args.out:
+        path = Path(args.out)
+    else:
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        path = cfg.output_dir / default_name
+    if s is None:
+        write(path, seed=cfg.seed, K=cfg.k, digest=channel_digest(cfg.channel))
+    else:
+        write(path, seed=s.seed, K=s.K, digest=s.channel_digest)
+    print(f"wrote {path} ({summary})")
+
+
+def _cmd_sample(cfg, args) -> None:
     s = generate_sample_set(cfg.channel, cfg.k, cfg.seed, workers=cfg.workers)
-    path = _out_path(cfg, args, "samples.cqcs")
-    save_sample_set(s, path)
+    # The cache header records its own provenance.
+    _emit(cfg, args, "samples.cqcs", lambda path, **_: save_sample_set(s, path),
+          f"K={s.K}, seed={s.seed}", s)
     if args.csv:
         export_sample_csv(s, args.csv)
-    print(f"wrote {path} (K={s.K}, seed={s.seed})")
-    return EXIT_OK
 
 
-def _cmd_optimize(args) -> int:
-    cfg = resolve_config(args)
+def _cmd_optimize(cfg, args) -> None:
     s = _obtain_samples(cfg, args)
     report = optimize(s, cfg.protocol, cfg.budgets)
     _check_report(report)
-    path = _out_path(cfg, args, "optimize.csv")
-    write_csv(
-        path,
-        [
-            "eps_cov",
-            "eps_rel",
-            "q_max",
-            "r_max",
-            "t_star",
-            "n_t_star",
-            "q_capped",
-            "feasible",
-            "below_resolution",
-        ],
-        [
-            (
-                cfg.budgets.eps_cov,
-                cfg.budgets.eps_rel,
-                report.q_max,
-                report.r_max,
-                report.t_star,
-                report.total_payload,
-                report.q_capped,
-                report.r_max > 0,
-                report.below_resolution,
-            )
-        ],
-        seed=s.seed,
-        K=s.K,
-        digest=s.channel_digest,
+    columns = [
+        "eps_cov",
+        "eps_rel",
+        "q_max",
+        "r_max",
+        "t_star",
+        "n_t_star",
+        "q_capped",
+        "feasible",
+        "below_resolution",
+    ]
+    row = (
+        cfg.budgets.eps_cov,
+        cfg.budgets.eps_rel,
+        report.q_max,
+        report.r_max,
+        report.t_star,
+        report.total_payload,
+        report.q_capped,
+        report.r_max > 0,
+        report.below_resolution,
     )
-    print(
-        f"wrote {path} (t_star={report.t_star!r}, payload={report.total_payload!r})"
-    )
-    return EXIT_OK
+    _emit(cfg, args, "optimize.csv",
+          lambda path, **meta: write_csv(path, columns, [row], **meta),
+          f"t_star={report.t_star!r}, payload={report.total_payload!r}", s)
 
 
-def _cmd_frontier(args) -> int:
-    cfg = resolve_config(args)
+def _cmd_frontier(cfg, args) -> None:
     s = _obtain_samples(cfg, args)
-    block = cfg.raw["frontier"]
-    grid = _log_grid(block["eps_min"], block["eps_max"], block["points"])
-    rows = frontier_sweep(s, cfg.protocol, grid)
+    rows = frontier_sweep(s, cfg.protocol, _log_grid(cfg, "frontier"))
     for _, report in rows:
         _check_report(report)
-    path = _out_path(cfg, args, "frontier.csv")
-    write_frontier_csv(rows, path, seed=s.seed, K=s.K, digest=s.channel_digest)
-    print(f"wrote {path} ({len(rows)} rows)")
-    return EXIT_OK
+    _emit(cfg, args, "frontier.csv", partial(write_frontier_csv, rows),
+          f"{len(rows)} rows", s)
 
 
-def _cmd_surface(args) -> int:
-    cfg = resolve_config(args)
+def _cmd_surface(cfg, args) -> None:
     s = _obtain_samples(cfg, args)
-    block = cfg.raw["surface"]
-    grid = _log_grid(block["eps_min"], block["eps_max"], block["points"])
+    grid = _log_grid(cfg, "surface")
     matrix = surface_sweep(s, cfg.protocol, grid, grid)
-    path = _out_path(cfg, args, "surface.csv")
-    write_surface_csv(
-        matrix, grid, grid, path, seed=s.seed, K=s.K, digest=s.channel_digest
-    )
-    print(f"wrote {path} ({len(grid)}x{len(grid)} grid)")
-    return EXIT_OK
+    _emit(cfg, args, "surface.csv", partial(write_surface_csv, matrix, grid, grid),
+          f"{len(grid)}x{len(grid)} grid", s)
 
 
-def _cmd_scaling(args) -> int:
-    cfg = resolve_config(args)
+def _cmd_scaling(cfg, args) -> None:
     s = _obtain_samples(cfg, args)
     block = cfg.raw["scaling"]
-    try:
-        rows = n_scaling_sweep(s, cfg.protocol.delta, block["eps"], block["n_values"])
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    path = _out_path(cfg, args, "scaling.csv")
-    write_scaling_csv(rows, path, seed=s.seed, K=s.K, digest=s.channel_digest)
-    print(f"wrote {path} ({len(rows)} rows)")
-    return EXIT_OK
+    rows = n_scaling_sweep(s, cfg.protocol.delta, block["eps"], block["n_values"])
+    _emit(cfg, args, "scaling.csv", partial(write_scaling_csv, rows),
+          f"{len(rows)} rows", s)
 
 
-def _cmd_benchmark_validate(args) -> int:
-    cfg = resolve_config(args)
+def _cmd_benchmark_validate(cfg, args) -> None:
     if not isinstance(cfg.channel, BenchmarkChannelSpec):
         raise ConfigError("benchmark-validate needs channel.kind 'benchmark'")
-    try:
-        rows = validate(
-            cfg.channel, cfg.protocol, cfg.raw["benchmark"]["eps_list"],
-            cfg.k, cfg.seed, cfg.workers,
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    path = _out_path(cfg, args, "benchmark_validate.csv")
-    digest = channel_digest(cfg.channel)
-    write_validation_csv(rows, path, seed=cfg.seed, K=cfg.k, digest=digest)
-    print(f"wrote {path} ({len(rows)} rows)")
-    return EXIT_OK
+    rows = validate(
+        cfg.channel, cfg.protocol, cfg.raw["benchmark"]["eps_list"],
+        cfg.k, cfg.seed, cfg.workers,
+    )
+    _emit(cfg, args, "benchmark_validate.csv", partial(write_validation_csv, rows),
+          f"{len(rows)} rows", None)
 
 
-def _cmd_decade_gains(args) -> int:
-    cfg = resolve_config(args)
+def _cmd_decade_gains(cfg, args) -> None:
     s = _obtain_samples(cfg, args)
-    rows = frontier_sweep(s, cfg.protocol, DECADE_BUDGETS)
-    gains = decade_gains(rows)
-    path = _out_path(cfg, args, "decade_gains.csv")
-    write_decade_gains_csv(gains, path, seed=s.seed, K=s.K, digest=s.channel_digest)
+    gains = decade_gains(frontier_sweep(s, cfg.protocol, DECADE_BUDGETS))
+    _emit(cfg, args, "decade_gains.csv", partial(write_decade_gains_csv, gains),
+          f"{len(gains)} gains", s)
     infeasible = [(lo, hi) for lo, hi, gain in gains if gain is None]
-    print(f"wrote {path} ({len(gains)} gains)")
     if infeasible:
         raise InfeasibleGainError(
             f"zero throughput at the smaller budget of {infeasible}"
         )
-    return EXIT_OK
 
 
-def _cmd_risk_adjusted(args) -> int:
-    cfg = resolve_config(args)
+def _cmd_risk_adjusted(cfg, args) -> None:
     s = _obtain_samples(cfg, args)
     block = cfg.raw["risk_adjusted"]
-    try:
-        grid = GridSpec(points_per_axis=block["grid_points"])
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    path = _out_path(cfg, args, "risk_adjusted.csv")
+    grid = GridSpec(points_per_axis=block["grid_points"])
     if block["mode"] == "sweep":
-        values = _log_grid(block["lambda_min"], block["lambda_max"], block["lambda_points"])
+        keys = ("lambda_min", "lambda_max", "lambda_points")
+        values = _log_grid(cfg, "risk_adjusted", keys)
         rows = lambda_sweep(
             s, cfg.protocol, grid, block["axis"], values, block["fixed_other"]
         )
-        write_lambda_sweep_csv(
-            rows, block["axis"], block["fixed_other"], path,
-            seed=s.seed, K=s.K, digest=s.channel_digest,
-        )
-        print(f"wrote {path} ({len(rows)} rows)")
+        write = partial(write_lambda_sweep_csv, rows, block["axis"], block["fixed_other"])
+        summary = f"{len(rows)} rows"
     else:
-        values = _log_grid(block["heatmap_min"], block["heatmap_max"], block["heatmap_points"])
+        keys = ("heatmap_min", "heatmap_max", "heatmap_points")
+        values = _log_grid(cfg, "risk_adjusted", keys)
         q_star, r_star = heatmap_sweep(s, cfg.protocol, grid, values, values)
-        write_heatmap_csv(
-            q_star, r_star, values, values, path,
-            seed=s.seed, K=s.K, digest=s.channel_digest,
-        )
-        print(f"wrote {path} ({len(values)}x{len(values)} grid)")
-    return EXIT_OK
+        write = partial(write_heatmap_csv, q_star, r_star, values, values)
+        summary = f"{len(values)}x{len(values)} grid"
+    _emit(cfg, args, "risk_adjusted.csv", write, summary, s)
 
 
-def _cmd_sensitivity(args) -> int:
-    cfg = resolve_config(args)
+def _cmd_sensitivity(cfg, args) -> None:
     s = _obtain_samples(cfg, args)
-    block = cfg.raw["sensitivity"]
-    grid = _log_grid(block["eps_min"], block["eps_max"], block["points"])
-    try:
-        points = sensitivities_symmetric(s, cfg.protocol, grid)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    path = _out_path(cfg, args, "sensitivity.csv")
-    write_sensitivity_csv(points, path, seed=s.seed, K=s.K, digest=s.channel_digest)
-    print(f"wrote {path} ({len(points)} rows)")
-    return EXIT_OK
+    points = sensitivities_symmetric(s, cfg.protocol, _log_grid(cfg, "sensitivity"))
+    _emit(cfg, args, "sensitivity.csv", partial(write_sensitivity_csv, points),
+          f"{len(points)} rows", s)
 
 
 # Flags that name files, not config keys.
@@ -563,9 +515,13 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    # Handlers raise; this is the one place errors become exit codes.  Every
+    # library argument comes from the config, the flags or a cache that
+    # load_sample_set has checked, so a ValueError is a bad config value.
     try:
-        return _COMMANDS[args.command][0](args)
-    except (ConfigError, SampleFileDigestError) as e:
+        _COMMANDS[args.command][0](resolve_config(args), args)
+        return EXIT_OK
+    except (ConfigError, SampleFileDigestError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (SampleFileError, OSError) as e:

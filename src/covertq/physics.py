@@ -18,59 +18,17 @@ logic downstream treats +inf as a legal upper-tail value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import xlogy
 
 __all__ = [
-    "ChannelRealization",
-    "PauliVector",
     "covertness_constant",
     "depolarizing_probability",
-    "pauli_vector",
-    "pauli_entropy",
     "achievable_rate",
     "q_ceiling",
 ]
 
 _LN2 = np.log(2.0)
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One frame's channel state: transmittance and thermal occupation."""
-
-    eta: float
-    nb: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.eta <= 1:
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        if not self.nb >= 0:
-            raise ValueError(f"nb must be >= 0, got {self.nb}")
-
-
-@dataclass(frozen=True)
-class PauliVector:
-    """Depolarizing-channel error probabilities (p_i, p_x, p_y, p_z)."""
-
-    p_i: float
-    p_x: float
-    p_y: float
-    p_z: float
-
-    def __post_init__(self) -> None:
-        comps = (self.p_i, self.p_x, self.p_y, self.p_z)
-        if any(not 0 <= c <= 1 for c in comps):
-            raise ValueError(f"components must lie in [0, 1], got {comps}")
-        if abs(sum(comps) - 1.0) > 1e-12:
-            raise ValueError(f"components must sum to 1, got {sum(comps)}")
-        if not self.p_x == self.p_y == self.p_z:
-            raise ValueError("depolarizing symmetry requires p_x = p_y = p_z")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_i, self.p_x, self.p_y, self.p_z])
 
 
 def _scalar_or_array(out: np.ndarray, *inputs):
@@ -106,22 +64,9 @@ def depolarizing_probability(eta, nb):
     return _scalar_or_array(np.clip(p, 0.0, 1.0), eta, nb)
 
 
-def pauli_vector(p: float) -> PauliVector:
-    """Pauli error vector [1 - 3p/4, p/4, p/4, p/4] of depolarizing strength p."""
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    return PauliVector(1.0 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p)
-
-
-def pauli_entropy(v: PauliVector) -> float:
-    """Shannon entropy of the Pauli vector in bits, with 0*log2(0) = 0."""
-    comps = v.as_array()
-    return float(-np.sum(xlogy(comps, comps)) / _LN2)
-
-
 def _entropy_of_depolarizing(p):
-    # H of [1-3p/4, p/4, p/4, p/4] without building vector objects; xlogy
-    # supplies the 0*log 0 = 0 convention at p = 0.
+    # Shannon entropy in bits of the Pauli vector [1-3p/4, p/4, p/4, p/4];
+    # xlogy supplies the 0*log 0 = 0 convention at p = 0.
     a = 1.0 - 0.75 * p
     b = 0.25 * p
     return -(xlogy(a, a) + 3.0 * xlogy(b, b)) / _LN2

@@ -57,7 +57,6 @@ __all__ = [
     "SampleFileDigestError",
     "SampleFileTruncatedError",
     "channel_digest",
-    "draw_realizations",
     "generate_sample_set",
     "save_sample_set",
     "load_sample_set",
@@ -150,29 +149,11 @@ class SampleSet:
             raise ValueError("arrays must both have length K")
 
 
-def draw_realizations(spec: ChannelSpec, count: int, stream: SeededStream):
-    """Draw (eta, nb) arrays for ``count`` frames, advancing the stream.
-
-    The stream is consumed in a fixed order — the eta span first, then the
-    nb span.  For the benchmark variant eta is constant and needs no draws,
-    but the stream is advanced past the eta span anyway so that nb occupies
-    the same positions under both variants.
-    """
-    if isinstance(spec, StochasticChannelSpec):
-        eta = sample_truncated_lognormal(spec.eta, count, stream)
-        nb = sample_truncated_gaussian(spec.nb, count, stream)
-        return eta, nb
-    if isinstance(spec, BenchmarkChannelSpec):
-        stream.position += count
-        nb = sample_exponential(spec.nb, count, stream)
-        return np.full(count, spec.eta0), nb
-    raise TypeError(f"not a channel spec: {spec!r}")
-
-
 def _draw_span(spec: ChannelSpec, lo: int, hi: int, K: int, seed: int):
     # Draw output rows [lo, hi) of a K-row run: eta uniforms live at stream
-    # positions [lo, hi) and nb uniforms at [K + lo, K + hi), matching what
-    # draw_realizations(spec, K, SeededStream(seed)) consumes end to end.
+    # positions [lo, hi) and nb uniforms at [K + lo, K + hi).  The benchmark
+    # channel's constant eta draws nothing, but its nb keeps the same
+    # positions, so both variants share one stream layout.
     count = hi - lo
     if isinstance(spec, StochasticChannelSpec):
         eta = sample_truncated_lognormal(spec.eta, count, SeededStream(seed, lo))
@@ -240,9 +221,9 @@ def save_sample_set(s: SampleSet, path) -> None:
 def load_sample_set(path, expected_digest: bytes | None = None) -> SampleSet:
     """Read a cache written by save_sample_set.
 
-    Raises a distinct error per failure mode: wrong magic, trailing bytes,
-    an unsorted array or a NaN (format), unknown version, digest mismatch
-    against ``expected_digest``, and short reads (truncation).
+    Raises a distinct error per failure mode: wrong magic, K = 0, trailing
+    bytes, an unsorted array or a NaN (format), unknown version, digest
+    mismatch against ``expected_digest``, and short reads (truncation).
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -253,6 +234,8 @@ def load_sample_set(path, expected_digest: bytes | None = None) -> SampleSet:
         raise SampleFileFormatError(f"{path}: bad magic {magic!r}")
     if version != _VERSION:
         raise SampleFileVersionError(f"{path}: unsupported version {version}")
+    if k < 1:
+        raise SampleFileFormatError(f"{path}: header declares K={k}, need K >= 1")
     expected_len = _HEADER.size + 2 * 8 * k
     if len(raw) < expected_len:
         raise SampleFileTruncatedError(

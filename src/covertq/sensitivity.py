@@ -108,10 +108,11 @@ def sensitivities_symmetric(
 
         t_cov_hi, cap_hi = _t_star(s, p, hi, eps)
         t_cov_lo, cap_lo = _t_star(s, p, lo, eps)
-        _, cap_mid = _t_star(s, p, eps, eps)
         s_cov = (t_cov_hi - t_cov_lo) / span
 
-        t_rel_hi, _ = _t_star(s, p, eps, hi)
+        # The cap depends on eps_cov alone, so the eps_rel stencil's calls
+        # (both at eps_cov = eps) also give the cap state at the midpoint.
+        t_rel_hi, cap_mid = _t_star(s, p, eps, hi)
         t_rel_lo, _ = _t_star(s, p, eps, lo)
         s_rel = (t_rel_hi - t_rel_lo) / span
 

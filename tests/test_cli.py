@@ -345,6 +345,10 @@ def test_config_error_exits(tmp_path, capsys):
         ("optimize", "--seed", str(2**64)),
         ("risk-adjusted", "--mode", "nope"),
         ("risk-adjusted", "--axis", "diag"),
+        # Out-of-range values the library, not the schema, rejects.
+        ("frontier", "--eps-max", "1.5"),
+        ("surface", "--eps-max", "1.0"),
+        ("risk-adjusted", "--fixed-other", "-1"),
     ]
     for argv in bad_flags:
         rc = run(*argv, "--k", "100", "--out", str(tmp_path / "x.csv"))
@@ -354,6 +358,10 @@ def test_config_error_exits(tmp_path, capsys):
     not_json = tmp_path / "not.json"
     not_json.write_text("{nope")
     assert run("optimize", "--config", str(not_json)) == 2
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"output_dir": "caf\xe9"}')
+    assert run("optimize", "--config", str(not_utf8)) == 2
+    assert "config error" in capsys.readouterr().err
     assert run("optimize", "--config", str(tmp_path / "missing.json")) == 2
     assert run("optimize", "--k", "100", "--n", "10.5",
                "--out", str(tmp_path / "x.csv")) == 2
@@ -361,6 +369,14 @@ def test_config_error_exits(tmp_path, capsys):
                "--out", str(tmp_path / "x.csv")) == 2
     assert run("frontier", "--k", "100", "--eps-min", "0.5", "--eps-max", "0.1",
                "--out", str(tmp_path / "x.csv")) == 2
+    assert "frontier.eps_min <= frontier.eps_max" in capsys.readouterr().err
+    cfg = write_config(tmp_path, {"risk_adjusted": {"heatmap_min": 2.0,
+                                                    "heatmap_max": 1.0}},
+                       name="heat.json")
+    assert run("risk-adjusted", "--config", cfg, "--mode", "heatmap", "--k", "100",
+               "--out", str(tmp_path / "x.csv")) == 2
+    assert ("risk_adjusted.heatmap_min <= risk_adjusted.heatmap_max"
+            in capsys.readouterr().err)
     assert run("frontier", "--k", "100", "--points", "0",
                "--out", str(tmp_path / "x.csv")) == 2
     assert run("risk-adjusted", "--k", "100", "--grid-points", "1",
@@ -406,6 +422,14 @@ def test_cache_io_errors(tmp_path, capsys):
     s.ccov[-1] = np.nan
     save_sample_set(s, tmp_path / "nan.cqcs")
     rc = run("optimize", "--cache", str(tmp_path / "nan.cqcs"),
+             "--out", str(tmp_path / "x.csv"))
+    assert rc == 3
+    assert "i/o error" in capsys.readouterr().err
+
+    # A header declaring K = 0, with a matching digest and no arrays.
+    (tmp_path / "empty.cqcs").write_bytes(cache.read_bytes()[:8] + bytes(8)
+                                          + cache.read_bytes()[16:64])
+    rc = run("optimize", "--cache", str(tmp_path / "empty.cqcs"),
              "--out", str(tmp_path / "x.csv"))
     assert rc == 3
     assert "i/o error" in capsys.readouterr().err

@@ -2,17 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from covertq import (
-    ChannelRealization,
-    PauliVector,
     achievable_rate,
     covertness_constant,
     depolarizing_probability,
-    pauli_entropy,
-    pauli_vector,
     q_ceiling,
 )
+from covertq.physics import _entropy_of_depolarizing
 
 
 def ccov_alternate_form(eta, nb):
@@ -70,7 +68,7 @@ def test_covertness_constant_array_matches_scalars():
 
 
 # ---------------------------------------------------------------------------
-# depolarizing probability and Pauli structure
+# depolarizing probability and Pauli entropy
 
 
 def test_depolarizing_probability_pinned_values():
@@ -93,34 +91,11 @@ def test_depolarizing_probability_monotone_in_noise():
     assert np.all(np.diff(p) >= 0.0)
 
 
-def test_pauli_vector_values():
-    assert pauli_vector(0.0).as_array().tolist() == [1.0, 0.0, 0.0, 0.0]
-    assert pauli_vector(1.0).as_array().tolist() == [0.25, 0.25, 0.25, 0.25]
-    np.testing.assert_allclose(
-        pauli_vector(0.17833).as_array(),
-        [0.866252, 0.044583, 0.044583, 0.044583],
-        rtol=0,
-        atol=1e-6,
-    )
-
-
-def test_pauli_vector_validation():
-    with pytest.raises(ValueError):
-        pauli_vector(-0.1)
-    with pytest.raises(ValueError):
-        pauli_vector(1.1)
-    with pytest.raises(ValueError):
-        PauliVector(0.5, 0.5, 0.0, 0.0)  # asymmetric
-    with pytest.raises(ValueError):
-        PauliVector(0.9, 0.1, 0.1, 0.1)  # sums to 1.2
-    with pytest.raises(ValueError):
-        PauliVector(1.2, -0.2, 0.1, 0.1)
-
-
 def test_pauli_entropy_values():
-    assert pauli_entropy(PauliVector(1.0, 0.0, 0.0, 0.0)) == 0.0
-    assert pauli_entropy(PauliVector(0.25, 0.25, 0.25, 0.25)) == pytest.approx(2.0)
-    assert pauli_entropy(pauli_vector(0.17833)) == pytest.approx(0.77964, abs=5e-4)
+    # Entropy in bits of the Pauli vector [1 - 3p/4, p/4, p/4, p/4].
+    assert _entropy_of_depolarizing(0.0) == 0.0
+    assert _entropy_of_depolarizing(1.0) == pytest.approx(2.0)
+    assert _entropy_of_depolarizing(0.17833) == pytest.approx(0.77964, abs=5e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +114,9 @@ def test_achievable_rate_consistent_with_entropy():
         eta = rng.uniform(0.5, 1.0)
         nb = rng.uniform(0.0, 0.5)
         p = depolarizing_probability(eta, nb)
-        expect = max(0.0, 1.0 - pauli_entropy(pauli_vector(p)))
+        pauli = np.array([1.0 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p])
+        entropy = -np.sum(xlogy(pauli, pauli)) / np.log(2.0)
+        expect = max(0.0, 1.0 - entropy)
         assert achievable_rate(eta, nb) == pytest.approx(expect, abs=1e-12)
 
 
@@ -170,18 +147,3 @@ def test_q_ceiling_validation():
         q_ceiling(1.0, 0.5, 100)
     with pytest.raises(ValueError):
         q_ceiling(1.0, 0.05, 0)
-
-
-# ---------------------------------------------------------------------------
-# realization container
-
-
-def test_channel_realization_validation():
-    ChannelRealization(eta=0.5, nb=0.0)
-    ChannelRealization(eta=1.0, nb=2.0)
-    with pytest.raises(ValueError):
-        ChannelRealization(eta=0.0, nb=0.1)
-    with pytest.raises(ValueError):
-        ChannelRealization(eta=1.1, nb=0.1)
-    with pytest.raises(ValueError):
-        ChannelRealization(eta=0.5, nb=-0.1)

@@ -27,7 +27,6 @@ from covertq.samples import (
     SampleFileFormatError,
     SampleFileTruncatedError,
     SampleFileVersionError,
-    draw_realizations,
     export_sample_csv,
 )
 from covertq.distributions import (
@@ -76,15 +75,15 @@ def test_channel_digest_rejects_other_types():
 
 
 def test_draw_realizations_stochastic_stream_layout():
+    # Rows [lo, hi) of a K-row run draw eta at stream positions [lo, hi)
+    # and nb at [K + lo, K + hi).
     spec = make_baseline_spec()
-    stream = SeededStream(5)
-    eta, nb = draw_realizations(spec, 100, stream)
-    assert stream.position == 200
+    eta, nb = samples._draw_span(spec, 40, 100, 100, 5)
     np.testing.assert_array_equal(
-        eta, sample_truncated_lognormal(spec.eta, 100, SeededStream(5))
+        eta, sample_truncated_lognormal(spec.eta, 60, SeededStream(5, position=40))
     )
     np.testing.assert_array_equal(
-        nb, sample_truncated_gaussian(spec.nb, 100, SeededStream(5, position=100))
+        nb, sample_truncated_gaussian(spec.nb, 60, SeededStream(5, position=140))
     )
 
 
@@ -92,12 +91,10 @@ def test_draw_realizations_benchmark_skips_eta_span():
     # eta is constant for the benchmark variant, but nb must occupy the same
     # stream positions as in the stochastic case.
     spec = small_benchmark_spec()
-    stream = SeededStream(5)
-    eta, nb = draw_realizations(spec, 100, stream)
-    assert stream.position == 200
-    assert np.all(eta == 0.9)
+    eta, nb = samples._draw_span(spec, 40, 100, 100, 5)
+    assert eta.shape == (60,) and np.all(eta == 0.9)
     np.testing.assert_array_equal(
-        nb, sample_exponential(spec.nb, 100, SeededStream(5, position=100))
+        nb, sample_exponential(spec.nb, 60, SeededStream(5, position=140))
     )
 
 
@@ -110,7 +107,8 @@ def test_generate_sorted_and_consistent_with_physics():
     s = generate_sample_set(spec, 500, seed=3)
     assert np.all(np.diff(s.ccov) >= 0.0)
     assert np.all(np.diff(s.rach) >= 0.0)
-    eta, nb = draw_realizations(spec, 500, SeededStream(3))
+    eta = sample_truncated_lognormal(spec.eta, 500, SeededStream(3))
+    nb = sample_truncated_gaussian(spec.nb, 500, SeededStream(3, position=500))
     np.testing.assert_array_equal(s.ccov, np.sort(covertness_constant(eta, nb)))
     np.testing.assert_array_equal(s.rach, np.sort(achievable_rate(eta, nb)))
     assert s.K == 500 and s.seed == 3

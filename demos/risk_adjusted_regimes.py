@@ -19,7 +19,7 @@ from covertq import (
     TruncatedLognormalSpec,
     generate_sample_set,
     grid_maximize,
-    lambda_sweep,
+    heatmap_sweep,
 )
 
 K = 50_000
@@ -48,14 +48,14 @@ def main():
     print()
 
     values = np.logspace(-2, 6, 17)
-    sweep = lambda_sweep(samples, protocol, grid, axis="cov",
-                         values=values, fixed_other=1.0)
+    # A one-weight sweep: the lambda_rel axis holds the single value 1.0.
+    sweep = [row[0] for row in heatmap_sweep(samples, protocol, grid, values, [1.0])]
     print(f"{'lambda_cov':>11} {'q*':>8} {'r*':>8} {'J':>12} {'sparse?':>8}")
-    for lam, best in sweep:
+    for lam, best in zip(values, sweep):
         print(f"{lam:11.3e} {best.strategy.q:8.4f} {best.strategy.r:8.4f} "
               f"{best.j_value:12.6f} {str(best.outside_sparse_regime):>8}")
 
-    on = [lam for lam, best in sweep if best.strategy.q > 0]
+    on = [lam for lam, best in zip(values, sweep) if best.strategy.q > 0]
     if on and len(on) < len(values):
         print()
         print(f"transmission shuts off between lambda_cov = {max(on):.3e} "

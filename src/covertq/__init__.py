@@ -58,7 +58,6 @@ from .risk_adjusted import (
     foc_residual,
     grid_maximize,
     heatmap_sweep,
-    lambda_sweep,
     objective,
 )
 from .sensitivity import (

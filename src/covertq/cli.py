@@ -30,7 +30,8 @@ the channel digest of the sample set used, so identical configs reproduce
 byte-identical files.
 
 Exit codes: 0 success; 2 configuration error: any out-of-range config value
-(sweep bounds and weights included), an unreadable, undecodable or non-JSON
+(sweep bounds and weights included; NaN and Infinity are out of range for
+every key), an unreadable, undecodable or non-JSON
 config file, argparse errors, and a cache whose channel digest contradicts
 the config; 3 I/O error (missing, malformed, K = 0, unsorted, NaN-holding or
 truncated cache, unwritable output); 4 a decade gain was requested but is
@@ -60,7 +61,6 @@ from .quantiles import RiskBudgets
 from .risk_adjusted import (
     GridSpec,
     heatmap_sweep,
-    lambda_sweep,
     write_heatmap_csv,
     write_lambda_sweep_csv,
 )
@@ -311,8 +311,8 @@ def _log_grid(cfg: RunConfig, section: str,
               keys=("eps_min", "eps_max", "points")) -> np.ndarray:
     lo, hi, points = (cfg.raw[section][key] for key in keys)
     lo_key, hi_key, points_key = (f"{section}.{key}" for key in keys)
-    if not 0 < lo <= hi:
-        raise ConfigError(f"need 0 < {lo_key} <= {hi_key}, got [{lo}, {hi}]")
+    if not 0 < lo <= hi < np.inf:
+        raise ConfigError(f"need 0 < {lo_key} <= {hi_key} < inf, got [{lo}, {hi}]")
     if points < 1:
         raise ConfigError(f"{points_key} must be >= 1, got {points}")
     return np.logspace(np.log10(lo), np.log10(hi), points)
@@ -429,21 +429,20 @@ def _cmd_risk_adjusted(cfg, args) -> None:
     s = _obtain_samples(cfg, args)
     block = cfg.raw["risk_adjusted"]
     grid = GridSpec(points_per_axis=block["grid_points"])
-    if block["mode"] == "sweep":
-        keys = ("lambda_min", "lambda_max", "lambda_points")
-        values = _log_grid(cfg, "risk_adjusted", keys)
-        rows = lambda_sweep(
-            s, cfg.protocol, grid, block["axis"], values, block["fixed_other"]
-        )
-        write = partial(write_lambda_sweep_csv, rows, block["axis"], block["fixed_other"])
-        summary = f"{len(rows)} rows"
+    if block["mode"] == "heatmap":
+        values = _log_grid(cfg, "risk_adjusted",
+                           ("heatmap_min", "heatmap_max", "heatmap_points"))
+        cov_values, rel_values = values, values
+        write, summary = write_heatmap_csv, f"{len(values)}x{len(values)} grid"
     else:
-        keys = ("heatmap_min", "heatmap_max", "heatmap_points")
-        values = _log_grid(cfg, "risk_adjusted", keys)
-        q_star, r_star = heatmap_sweep(s, cfg.protocol, grid, values, values)
-        write = partial(write_heatmap_csv, q_star, r_star, values, values)
-        summary = f"{len(values)}x{len(values)} grid"
-    _emit(cfg, args, "risk_adjusted.csv", write, summary, s)
+        values = _log_grid(cfg, "risk_adjusted",
+                           ("lambda_min", "lambda_max", "lambda_points"))
+        fixed = [block["fixed_other"]]
+        cov_values, rel_values = (values, fixed) if block["axis"] == "cov" else (fixed, values)
+        write, summary = write_lambda_sweep_csv, f"{len(values)} rows"
+    matrix = heatmap_sweep(s, cfg.protocol, grid, cov_values, rel_values)
+    _emit(cfg, args, "risk_adjusted.csv",
+          partial(write, matrix, cov_values, rel_values), summary, s)
 
 
 def _cmd_sensitivity(cfg, args) -> None:

@@ -39,9 +39,13 @@ _MAX_SEED = 2**64
 
 def _coerce_floats(obj, *names: str) -> None:
     # Normalize numeric fields of frozen specs so equality and digests do
-    # not depend on whether the caller passed 1 or 1.0.
+    # not depend on whether the caller passed 1 or 1.0.  NaN and +-inf are
+    # rejected: no law here has a meaningful non-finite parameter.
     for name in names:
-        object.__setattr__(obj, name, float(getattr(obj, name)))
+        value = float(getattr(obj, name))
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)

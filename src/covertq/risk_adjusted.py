@@ -17,11 +17,16 @@ reported maximizer is the lexicographically smallest (q, then r) — ties are
 real here: whole axes of the grid can share J = 0 in the no-transmission
 regime.  First-order-condition residuals for interior maximizers are
 provided for smooth (closed-form) channel models, where densities exist.
+
+heatmap_sweep is the one weight sweep: one grid maximization per
+(lambda_cov, lambda_rel) pair.  Sweeping a single weight is a heatmap whose
+other axis holds one value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,7 +43,6 @@ __all__ = [
     "GridMaximum",
     "objective",
     "grid_maximize",
-    "lambda_sweep",
     "heatmap_sweep",
     "foc_residual",
     "write_lambda_sweep_csv",
@@ -60,9 +64,10 @@ class RiskWeights:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lambda_cov", float(self.lambda_cov))
         object.__setattr__(self, "lambda_rel", float(self.lambda_rel))
-        if self.lambda_cov < 0 or self.lambda_rel < 0:
+        if not (0 <= self.lambda_cov < np.inf and 0 <= self.lambda_rel < np.inf):
             raise ValueError(
-                f"weights must be >= 0, got ({self.lambda_cov}, {self.lambda_rel})"
+                f"weights must be finite and >= 0, "
+                f"got ({self.lambda_cov}, {self.lambda_rel})"
             )
 
 
@@ -120,8 +125,11 @@ def objective(
 
 
 def _sparse_q_bound(s: SampleSet, p: ProtocolParams) -> float:
-    # Transmission probability the median c_cov draw would permit.
-    return float(2.0 * p.delta * np.median(s.ccov) / np.sqrt(p.n))
+    # Transmission probability the median c_cov draw would permit.  ccov is
+    # sorted and NaN-free, so averaging its middle one or two entries gives
+    # np.median's value bit for bit without its copy and partition.
+    mid = s.ccov[(s.K - 1) // 2 : s.K // 2 + 1]
+    return float(2.0 * p.delta * (mid.sum() / mid.size) / np.sqrt(p.n))
 
 
 def grid_maximize(
@@ -150,48 +158,21 @@ def grid_maximize(
     )
 
 
-def lambda_sweep(
-    s: SampleSet,
-    p: ProtocolParams,
-    g: GridSpec,
-    axis: str,
-    values: Sequence[float],
-    fixed_other: float,
-) -> list[tuple[float, GridMaximum]]:
-    """One grid_maximize per weight value, the other weight held fixed.
-
-    ``axis`` selects which weight varies: "cov" or "rel".
-    """
-    if axis not in ("cov", "rel"):
-        raise ValueError(f'axis must be "cov" or "rel", got {axis!r}')
-    rows = []
-    for value in values:
-        if axis == "cov":
-            w = RiskWeights(lambda_cov=value, lambda_rel=fixed_other)
-        else:
-            w = RiskWeights(lambda_cov=fixed_other, lambda_rel=value)
-        rows.append((float(value), grid_maximize(s, w, p, g)))
-    return rows
-
-
 def heatmap_sweep(
     s: SampleSet,
     p: ProtocolParams,
     g: GridSpec,
     lambda_cov_values: Sequence[float],
     lambda_rel_values: Sequence[float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cartesian weight sweep; returns (q_star, r_star) matrices indexed
-    [i_cov, j_rel] in the given value order."""
-    shape = (len(lambda_cov_values), len(lambda_rel_values))
-    q_star = np.empty(shape)
-    r_star = np.empty(shape)
-    for i, lc in enumerate(lambda_cov_values):
-        for j, lr in enumerate(lambda_rel_values):
-            best = grid_maximize(s, RiskWeights(lc, lr), p, g)
-            q_star[i, j] = best.strategy.q
-            r_star[i, j] = best.strategy.r
-    return q_star, r_star
+) -> list[list[GridMaximum]]:
+    """Cartesian weight sweep; row index follows lambda_cov, column lambda_rel.
+
+    A one-axis sweep is a heatmap whose other axis holds a single value.
+    """
+    return [
+        [grid_maximize(s, RiskWeights(lc, lr), p, g) for lr in lambda_rel_values]
+        for lc in lambda_cov_values
+    ]
 
 
 def foc_residual(
@@ -218,46 +199,26 @@ def foc_residual(
     return float(res_q), float(res_r)
 
 
-def write_lambda_sweep_csv(
-    rows, axis: str, fixed_other: float, path, *, seed=None, K=None, digest=None
-) -> None:
-    def cells():
-        for value, best in rows:
-            lc = value if axis == "cov" else fixed_other
-            lr = fixed_other if axis == "cov" else value
-            yield (
-                lc,
-                lr,
-                best.strategy.q,
-                best.strategy.r,
-                best.j_value,
-                best.outside_sparse_regime,
-            )
-
-    write_csv(
-        path,
-        ["lambda_cov", "lambda_rel", "q_star", "r_star", "j_value", "outside_sparse_regime"],
-        cells(),
-        seed=seed,
-        K=K,
-        digest=digest,
-    )
+_WEIGHT_COLUMNS = [
+    "lambda_cov", "lambda_rel", "q_star", "r_star", "j_value", "outside_sparse_regime",
+]
 
 
-def write_heatmap_csv(
-    q_star, r_star, lambda_cov_values, lambda_rel_values, path,
+def _write_weight_csv(
+    columns, matrix, lambda_cov_values, lambda_rel_values, path,
     *, seed=None, K=None, digest=None,
 ) -> None:
-    def cells():
-        for i, lc in enumerate(lambda_cov_values):
-            for j, lr in enumerate(lambda_rel_values):
-                yield (lc, lr, q_star[i, j], r_star[i, j])
-
-    write_csv(
-        path,
-        ["lambda_cov", "lambda_rel", "q_star", "r_star"],
-        cells(),
-        seed=seed,
-        K=K,
-        digest=digest,
+    # One row per weight pair, row-major like the matrix, cut to the columns.
+    rows = (
+        (lc, lr, best.strategy.q, best.strategy.r, best.j_value,
+         best.outside_sparse_regime)[: len(columns)]
+        for lc, row in zip(lambda_cov_values, matrix, strict=True)
+        for lr, best in zip(lambda_rel_values, row, strict=True)
     )
+    write_csv(path, columns, rows, seed=seed, K=K, digest=digest)
+
+
+# write_*(matrix, lambda_cov_values, lambda_rel_values, path, *, seed, K, digest):
+# the heatmap CSV drops j_value and the sparse-regime flag.
+write_lambda_sweep_csv = partial(_write_weight_csv, _WEIGHT_COLUMNS)
+write_heatmap_csv = partial(_write_weight_csv, _WEIGHT_COLUMNS[:4])

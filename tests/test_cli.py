@@ -322,6 +322,17 @@ def test_config_error_exits(tmp_path, capsys):
         {"sampling": {"workers": 0}},
         {"sampling": {"seed": -1}},
         {"output_dir": 5},
+        # JSON's NaN and Infinity reach the channel laws.
+        {"channel": {"mu_ln": float("nan")}},
+        {"channel": {"mu_ln": float("inf")}},
+        {"channel": {"mu_ln": float("-inf")}},
+        {"channel": {"sigma_ln": float("inf")}},
+        {"channel": {"nb_mu": float("nan")}},
+        {"channel": {"nb_mu": float("inf")}},
+        {"channel": {"nb_mu": float("-inf")}},
+        {"channel": {"nb_sigma": float("inf")}},
+        {"channel": {"nb_upper": float("inf")}},
+        {"channel": {"kind": "benchmark", "rate": float("inf")}},
     ]
     for i, cfg in enumerate(bad_configs):
         path = write_config(tmp_path, cfg, name=f"bad{i}.json")
@@ -329,9 +340,12 @@ def test_config_error_exits(tmp_path, capsys):
         assert rc == 2, cfg
         assert "config error" in capsys.readouterr().err
 
-    # mode/axis choices are checked with the rest of the config, and a
-    # flag is checked like the config key it sets.
-    for j, section in enumerate(({"mode": "nope"}, {"axis": "diag"})):
+    # mode/axis choices are checked with the rest of the config, weights
+    # when the sweep builds them; a flag is checked like the config key it
+    # sets.
+    for j, section in enumerate(({"mode": "nope"}, {"axis": "diag"},
+                                 {"lambda_max": float("inf")},
+                                 {"mode": "heatmap", "heatmap_max": float("inf")})):
         path = write_config(tmp_path, {"risk_adjusted": section,
                                        "sampling": {"k": 100}},
                             name=f"ra{j}.json")
@@ -349,6 +363,8 @@ def test_config_error_exits(tmp_path, capsys):
         ("frontier", "--eps-max", "1.5"),
         ("surface", "--eps-max", "1.0"),
         ("risk-adjusted", "--fixed-other", "-1"),
+        ("risk-adjusted", "--fixed-other", "nan"),
+        ("risk-adjusted", "--fixed-other", "inf"),
     ]
     for argv in bad_flags:
         rc = run(*argv, "--k", "100", "--out", str(tmp_path / "x.csv"))

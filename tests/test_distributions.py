@@ -1,5 +1,7 @@
 """Samplers: support, determinism, stream addressing, and law agreement."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -208,6 +210,18 @@ def test_exponential_count_zero_and_validation():
         ExponentialSpec(rate=0.0)
     with pytest.raises(ValueError):
         ExponentialSpec(rate=-2.0)
+
+
+@pytest.mark.parametrize("spec, field", [
+    (LN_SPEC, "mu_ln"), (LN_SPEC, "sigma_ln"),
+    (NB_SPEC, "mu"), (NB_SPEC, "sigma"), (NB_SPEC, "upper"), (NB_SPEC, "lower"),
+    (EXP_SPEC, "rate"),
+])
+def test_spec_fields_must_be_finite(spec, field):
+    # JSON configs can carry NaN and Infinity; no spec field may take them.
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(spec, **{field: bad})
 
 
 # ---------------------------------------------------------------------------

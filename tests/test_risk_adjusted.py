@@ -18,12 +18,12 @@ from covertq import (
     foc_residual,
     grid_maximize,
     heatmap_sweep,
-    lambda_sweep,
     objective,
 )
 from covertq.risk_adjusted import (
     TIE_TOLERANCE,
     GridMaximum,
+    _sparse_q_bound,
     write_heatmap_csv,
     write_lambda_sweep_csv,
 )
@@ -139,6 +139,11 @@ def test_weights_and_strategy_validation():
         RiskWeights(-1.0, 0.0)
     with pytest.raises(ValueError):
         RiskWeights(0.0, -1e-9)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            RiskWeights(bad, 0.0)
+        with pytest.raises(ValueError):
+            RiskWeights(0.0, bad)
     for q, r in [(-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, 1.1)]:
         with pytest.raises(ValueError):
             Strategy(q, r)
@@ -150,27 +155,22 @@ def test_weights_and_strategy_validation():
 
 def test_lambda_sweep_single_value_matches_grid_maximize(baseline_set, protocol):
     g = GridSpec(21)
-    rows = lambda_sweep(baseline_set, protocol, g, "cov", [0.3], 0.7)
-    assert rows == [(0.3, grid_maximize(baseline_set, RiskWeights(0.3, 0.7),
-                                        protocol, g))]
-    rows = lambda_sweep(baseline_set, protocol, g, "rel", [0.3], 0.7)
-    assert rows == [(0.3, grid_maximize(baseline_set, RiskWeights(0.7, 0.3),
-                                        protocol, g))]
-
-
-def test_lambda_sweep_axis_validation(baseline_set, protocol):
-    with pytest.raises(ValueError):
-        lambda_sweep(baseline_set, protocol, GridSpec(5), "both", [1.0], 0.0)
+    matrix = heatmap_sweep(baseline_set, protocol, g, [0.3], [0.7])
+    assert matrix == [[grid_maximize(baseline_set, RiskWeights(0.3, 0.7),
+                                     protocol, g)]]
+    matrix = heatmap_sweep(baseline_set, protocol, g, [0.7], [0.3])
+    assert matrix == [[grid_maximize(baseline_set, RiskWeights(0.7, 0.3),
+                                     protocol, g)]]
 
 
 def test_lambda_sweep_rel_axis_under_heavy_cov_weight(volatile_set, protocol):
     # With the covertness weight pinned high, transmission is already shut
     # off; sweeping the reliability weight upward can then only push the
     # rate toward zero as well.
-    rows = lambda_sweep(volatile_set, protocol, GridSpec(101), "rel",
-                        np.logspace(-2.0, 1.0, 8), 10.0)
-    q_star = [best.strategy.q for _, best in rows]
-    r_star = [best.strategy.r for _, best in rows]
+    [row] = heatmap_sweep(volatile_set, protocol, GridSpec(101), [10.0],
+                          np.logspace(-2.0, 1.0, 8))
+    q_star = [best.strategy.q for best in row]
+    r_star = [best.strategy.r for best in row]
     assert all(q < 0.01 for q in q_star)
     assert all(np.diff(r_star) <= 0.0)
     assert r_star[-1] == 0.0
@@ -180,22 +180,36 @@ def test_heatmap_corners_match_grid_maximize(baseline_set, protocol):
     g = GridSpec(21)
     lc_values = [0.0, 1e6]
     lr_values = [0.0, 1e6]
-    q_star, r_star = heatmap_sweep(baseline_set, protocol, g, lc_values, lr_values)
-    assert q_star.shape == (2, 2) and r_star.shape == (2, 2)
+    matrix = heatmap_sweep(baseline_set, protocol, g, lc_values, lr_values)
+    assert len(matrix) == 2 and all(len(row) == 2 for row in matrix)
     for i, lc in enumerate(lc_values):
         for j, lr in enumerate(lr_values):
             best = grid_maximize(baseline_set, RiskWeights(lc, lr), protocol, g)
-            assert q_star[i, j] == best.strategy.q
-            assert r_star[i, j] == best.strategy.r
-    assert q_star[0, 0] == 1.0 and r_star[0, 0] == 1.0
+            assert matrix[i][j].strategy.q == best.strategy.q
+            assert matrix[i][j].strategy.r == best.strategy.r
+    assert matrix[0][0].strategy == Strategy(1.0, 1.0)
 
 
 def test_heatmap_shows_silent_and_aggressive_regimes(volatile_set, protocol):
     values = np.logspace(-6.0, 6.0, 25)
-    q_star, _ = heatmap_sweep(volatile_set, protocol, GridSpec(101),
-                              values, values)
+    matrix = heatmap_sweep(volatile_set, protocol, GridSpec(101), values, values)
+    q_star = np.array([[best.strategy.q for best in row] for row in matrix])
     assert np.any(q_star == 0.0)
     assert np.any(q_star > 0.5)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 1001])
+@pytest.mark.parametrize("n_inf", [0, 1, 2])
+def test_sparse_q_bound_matches_median(K, n_inf):
+    # The bound reads the median off the sorted array; np.median on the
+    # same array, +inf entries at the top included, is the reference.
+    rng = np.random.default_rng(K)
+    ccov = rng.uniform(0.0, 2000.0, K)
+    ccov[K - min(n_inf, K):] = np.inf
+    s = synthetic_set(ccov, rng.uniform(0.0, 1.0, K))
+    p = ProtocolParams(n=10**7, delta=0.05)
+    expected = float(2.0 * p.delta * np.median(s.ccov) / np.sqrt(p.n))
+    assert _sparse_q_bound(s, p) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -267,29 +281,32 @@ def test_foc_residual_matches_smooth_objective_gradient():
 
 
 def test_write_lambda_sweep_csv(tmp_path):
-    rows = [
-        (0.5, GridMaximum(Strategy(0.25, 0.5), 0.1, False)),
-        (2.0, GridMaximum(Strategy(0.0, 0.0), 0.0, True)),
+    column = [
+        [GridMaximum(Strategy(0.25, 0.5), 0.1, False)],
+        [GridMaximum(Strategy(0.0, 0.0), 0.0, True)],
     ]
     path = tmp_path / "sweep.csv"
-    write_lambda_sweep_csv(rows, "cov", 1.5, path, seed=3, K=100)
+    write_lambda_sweep_csv(column, [0.5, 2.0], [1.5], path, seed=3, K=100)
     lines = path.read_text().splitlines()
     assert lines[0] == "# seed=3 K=100"
     assert lines[1] == ("lambda_cov,lambda_rel,q_star,r_star,j_value,"
                         "outside_sparse_regime")
     assert lines[2] == "0.5,1.5,0.25,0.5,0.1,false"
     assert lines[3] == "2.0,1.5,0.0,0.0,0.0,true"
-    # On the "rel" axis the varied value lands in the lambda_rel column;
-    # without provenance arguments there is no comment line.
-    write_lambda_sweep_csv(rows, "rel", 1.5, path)
+    # A sweep along lambda_rel is one row; without provenance arguments
+    # there is no comment line.
+    row = [[column[0][0], column[1][0]]]
+    write_lambda_sweep_csv(row, [1.5], [0.5, 2.0], path)
     assert path.read_text().splitlines()[:2] == [lines[1], "1.5,0.5,0.25,0.5,0.1,false"]
 
 
 def test_write_heatmap_csv(tmp_path):
-    q = np.array([[0.1, 0.2], [0.3, 0.4]])
-    r = np.array([[0.5, 0.6], [0.7, 0.8]])
+    q = [[0.1, 0.2], [0.3, 0.4]]
+    r = [[0.5, 0.6], [0.7, 0.8]]
+    matrix = [[GridMaximum(Strategy(q[i][j], r[i][j]), 0.0, False) for j in range(2)]
+              for i in range(2)]
     path = tmp_path / "heat.csv"
-    write_heatmap_csv(q, r, [1.0, 2.0], [3.0, 4.0], path)
+    write_heatmap_csv(matrix, [1.0, 2.0], [3.0, 4.0], path)
     lines = path.read_text().splitlines()
     assert lines[0] == "lambda_cov,lambda_rel,q_star,r_star"
     assert lines[1] == "1.0,3.0,0.1,0.5"

@@ -30,8 +30,9 @@ the channel digest of the sample set used, so identical configs reproduce
 byte-identical files.
 
 Exit codes: 0 success; 2 configuration error: any out-of-range config value
-(sweep bounds and weights included; NaN and Infinity are out of range for
-every key), an unreadable, undecodable or non-JSON
+(sweep bounds and weights included, checked before any sampling; NaN and
+Infinity are out of range for every key), a size (sampling.k, grid_points)
+whose arrays cannot be allocated, an unreadable, undecodable or non-JSON
 config file, argparse errors, and a cache whose channel digest contradicts
 the config; 3 I/O error (missing, malformed, K = 0, unsorted, NaN-holding or
 truncated cache, unwritable output); 4 a decade gain was requested but is
@@ -60,6 +61,7 @@ from .distributions import (
 from .quantiles import RiskBudgets
 from .risk_adjusted import (
     GridSpec,
+    RiskWeights,
     heatmap_sweep,
     write_heatmap_csv,
     write_lambda_sweep_csv,
@@ -308,11 +310,12 @@ def _check_report(report) -> None:
 
 
 def _log_grid(cfg: RunConfig, section: str,
-              keys=("eps_min", "eps_max", "points")) -> np.ndarray:
+              keys=("eps_min", "eps_max", "points"), top=1.0) -> np.ndarray:
+    # Budget grids lie in (0, 1); weight grids pass top=np.inf.
     lo, hi, points = (cfg.raw[section][key] for key in keys)
     lo_key, hi_key, points_key = (f"{section}.{key}" for key in keys)
-    if not 0 < lo <= hi < np.inf:
-        raise ConfigError(f"need 0 < {lo_key} <= {hi_key} < inf, got [{lo}, {hi}]")
+    if not 0 < lo <= hi < top:
+        raise ConfigError(f"need 0 < {lo_key} <= {hi_key} < {top:g}, got [{lo}, {hi}]")
     if points < 1:
         raise ConfigError(f"{points_key} must be >= 1, got {points}")
     return np.logspace(np.log10(lo), np.log10(hi), points)
@@ -378,8 +381,9 @@ def _cmd_optimize(cfg, args) -> None:
 
 
 def _cmd_frontier(cfg, args) -> None:
+    grid = _log_grid(cfg, "frontier")
     s = _obtain_samples(cfg, args)
-    rows = frontier_sweep(s, cfg.protocol, _log_grid(cfg, "frontier"))
+    rows = frontier_sweep(s, cfg.protocol, grid)
     for _, report in rows:
         _check_report(report)
     _emit(cfg, args, "frontier.csv", partial(write_frontier_csv, rows),
@@ -387,8 +391,8 @@ def _cmd_frontier(cfg, args) -> None:
 
 
 def _cmd_surface(cfg, args) -> None:
-    s = _obtain_samples(cfg, args)
     grid = _log_grid(cfg, "surface")
+    s = _obtain_samples(cfg, args)
     matrix = surface_sweep(s, cfg.protocol, grid, grid)
     _emit(cfg, args, "surface.csv", partial(write_surface_csv, matrix, grid, grid),
           f"{len(grid)}x{len(grid)} grid", s)
@@ -426,28 +430,30 @@ def _cmd_decade_gains(cfg, args) -> None:
 
 
 def _cmd_risk_adjusted(cfg, args) -> None:
-    s = _obtain_samples(cfg, args)
     block = cfg.raw["risk_adjusted"]
     grid = GridSpec(points_per_axis=block["grid_points"])
     if block["mode"] == "heatmap":
         values = _log_grid(cfg, "risk_adjusted",
-                           ("heatmap_min", "heatmap_max", "heatmap_points"))
+                           ("heatmap_min", "heatmap_max", "heatmap_points"), np.inf)
         cov_values, rel_values = values, values
         write, summary = write_heatmap_csv, f"{len(values)}x{len(values)} grid"
     else:
         values = _log_grid(cfg, "risk_adjusted",
-                           ("lambda_min", "lambda_max", "lambda_points"))
-        fixed = [block["fixed_other"]]
+                           ("lambda_min", "lambda_max", "lambda_points"), np.inf)
+        # RiskWeights checks the fixed weight here, before any sampling.
+        fixed = [RiskWeights(block["fixed_other"], 0.0).lambda_cov]
         cov_values, rel_values = (values, fixed) if block["axis"] == "cov" else (fixed, values)
         write, summary = write_lambda_sweep_csv, f"{len(values)} rows"
+    s = _obtain_samples(cfg, args)
     matrix = heatmap_sweep(s, cfg.protocol, grid, cov_values, rel_values)
     _emit(cfg, args, "risk_adjusted.csv",
           partial(write, matrix, cov_values, rel_values), summary, s)
 
 
 def _cmd_sensitivity(cfg, args) -> None:
+    grid = _log_grid(cfg, "sensitivity")
     s = _obtain_samples(cfg, args)
-    points = sensitivities_symmetric(s, cfg.protocol, _log_grid(cfg, "sensitivity"))
+    points = sensitivities_symmetric(s, cfg.protocol, grid)
     _emit(cfg, args, "sensitivity.csv", partial(write_sensitivity_csv, points),
           f"{len(points)} rows", s)
 
@@ -532,6 +538,9 @@ def main(argv=None) -> int:
     except InvariantError as e:
         print(f"internal invariant violation: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError as e:  # sampling.k or grid_points too large to allocate
+        print(f"config error: cannot allocate: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -8,9 +8,7 @@ probabilities,
 
 with F< the strict empirical CDFs of the cached sample arrays.  Because the
 empirical CDFs are step functions, J is maximized by exhaustive evaluation
-on a uniform grid over [0,1]^2 rather than by smooth optimization; each
-penalty term needs one binary search per grid coordinate, so a full
-401 x 401 sweep stays interactive even at K = 10^6.
+on a uniform grid over [0,1]^2 rather than by smooth optimization.
 
 Among grid points whose J lies within 1e-12 (absolute) of the maximum, the
 reported maximizer is the lexicographically smallest (q, then r) — ties are
@@ -18,9 +16,11 @@ real here: whole axes of the grid can share J = 0 in the no-transmission
 regime.  First-order-condition residuals for interior maximizers are
 provided for smooth (closed-form) channel models, where densities exist.
 
-heatmap_sweep is the one weight sweep: one grid maximization per
-(lambda_cov, lambda_rel) pair.  Sweeping a single weight is a heatmap whose
-other axis holds one value.
+heatmap_sweep is the one weight sweep and grid_maximize its one-pair case.
+The axis, q*r, both strict CDFs (one binary search per grid coordinate) and
+the sparse-regime bound do not depend on the weights, so they are computed
+once per sweep; each weight pair then costs a few passes over one G x G
+buffer.  Sweeping one weight is a heatmap whose other axis holds one value.
 """
 
 from __future__ import annotations
@@ -132,47 +132,46 @@ def _sparse_q_bound(s: SampleSet, p: ProtocolParams) -> float:
     return float(2.0 * p.delta * (mid.sum() / mid.size) / np.sqrt(p.n))
 
 
-def grid_maximize(
-    s: SampleSet, w: RiskWeights, p: ProtocolParams, g: GridSpec = GridSpec()
-) -> GridMaximum:
-    """Exhaustive maximization of J over the uniform grid.
-
-    Evaluation is vectorized: both penalty terms depend on one coordinate
-    only, so they are precomputed per axis (one searchsorted pass each) and
-    combined by outer sum.  Among near-ties (within TIE_TOLERANCE) the
-    lexicographically smallest (q, r) wins; numpy's row-major argwhere
-    ordering delivers exactly that ordering for free.
-    """
+def _grid_kernel(s: SampleSet, p: ProtocolParams, g: GridSpec):
+    # The weight-independent terms of J, once; the returned per-pair kernel
+    # writes J into one reused buffer and applies the tie rule to it.
     axis = g.axis()
-    cov_pen = w.lambda_cov * strict_cdf(s.ccov, axis * np.sqrt(p.n) / (2.0 * p.delta))
-    rel_pen = w.lambda_rel * strict_cdf(s.rach, axis)
-    j = np.outer(axis, axis) - cov_pen[:, None] - rel_pen[None, :]
-    j_best = float(j.max())
-    ties = np.argwhere(j >= j_best - TIE_TOLERANCE)
-    qi, ri = ties[0]
-    strategy = Strategy(q=axis[qi], r=axis[ri])
-    return GridMaximum(
-        strategy=strategy,
-        j_value=float(j[qi, ri]),
-        outside_sparse_regime=strategy.q > _sparse_q_bound(s, p),
-    )
+    qr = np.outer(axis, axis)
+    f_cov = strict_cdf(s.ccov, axis * np.sqrt(p.n) / (2.0 * p.delta))
+    f_rel = strict_cdf(s.rach, axis)
+    q_bound = _sparse_q_bound(s, p)
+    j = np.empty_like(qr)
+    flat = j.reshape(-1)
+
+    def maximize(w: RiskWeights) -> GridMaximum:
+        np.subtract(qr, (w.lambda_cov * f_cov)[:, None], out=j)
+        np.subtract(j, (w.lambda_rel * f_rel)[None, :], out=j)
+        k = int(flat.argmax())  # flat[k] is the maximum: the first tie is at or before k
+        qi, ri = divmod(int(np.argmax(flat[: k + 1] >= flat[k] - TIE_TOLERANCE)), axis.size)
+        strategy = Strategy(q=axis[qi], r=axis[ri])
+        return GridMaximum(strategy, float(j[qi, ri]), strategy.q > q_bound)
+
+    return maximize
 
 
-def heatmap_sweep(
-    s: SampleSet,
-    p: ProtocolParams,
-    g: GridSpec,
-    lambda_cov_values: Sequence[float],
-    lambda_rel_values: Sequence[float],
-) -> list[list[GridMaximum]]:
+def grid_maximize(s: SampleSet, w: RiskWeights, p: ProtocolParams,
+                  g: GridSpec = GridSpec()) -> GridMaximum:
+    """Exhaustive maximization of J over the uniform grid."""
+    return _grid_kernel(s, p, g)(w)
+
+
+def heatmap_sweep(s: SampleSet, p: ProtocolParams, g: GridSpec,
+                  lambda_cov_values: Sequence[float],
+                  lambda_rel_values: Sequence[float]) -> list[list[GridMaximum]]:
     """Cartesian weight sweep; row index follows lambda_cov, column lambda_rel.
 
-    A one-axis sweep is a heatmap whose other axis holds a single value.
+    The weight-independent terms of J are computed once per sweep, then the
+    grid is maximized once per weight pair.  A one-axis sweep is a heatmap
+    whose other axis holds a single value.
     """
-    return [
-        [grid_maximize(s, RiskWeights(lc, lr), p, g) for lr in lambda_rel_values]
-        for lc in lambda_cov_values
-    ]
+    maximize = _grid_kernel(s, p, g)
+    return [[maximize(RiskWeights(lc, lr)) for lr in lambda_rel_values]
+            for lc in lambda_cov_values]
 
 
 def foc_residual(

@@ -402,6 +402,69 @@ def test_config_error_exits(tmp_path, capsys):
                "--out", str(tmp_path / "x.csv")) == 2
 
 
+def test_sweep_inputs_checked_before_sampling(tmp_path, monkeypatch, capsys):
+    # A bad sweep bound, grid size or fixed weight must fail before any
+    # sample set is generated or loaded.
+    def no_samples(*args, **kwargs):
+        raise AssertionError("sampled before the sweep inputs were checked")
+
+    monkeypatch.setattr(cli, "generate_sample_set", no_samples)
+    monkeypatch.setattr(cli, "load_sample_set", no_samples)
+    cases = [
+        (("frontier", "--eps-min", "0"), "frontier.eps_min <= frontier.eps_max"),
+        (("frontier", "--eps-min", "0.5", "--eps-max", "0.1"),
+         "frontier.eps_min <= frontier.eps_max"),
+        (("frontier", "--eps-max", "1.5"), "frontier.eps_max < 1"),
+        (("frontier", "--points", "0"), "frontier.points must be >= 1"),
+        (("surface", "--eps-max", "1.0"), "surface.eps_max < 1"),
+        (("surface", "--points", "0"), "surface.points must be >= 1"),
+        (("sensitivity", "--eps-min", "0.5", "--eps-max", "0.1"),
+         "sensitivity.eps_min <= sensitivity.eps_max"),
+        (("sensitivity", "--points", "0"), "sensitivity.points must be >= 1"),
+        (("risk-adjusted", "--grid-points", "1"), "points_per_axis must be >= 2"),
+        (("risk-adjusted", "--fixed-other", "-1"), "weights must be finite"),
+        (("risk-adjusted", "--fixed-other", "nan"), "weights must be finite"),
+        (("risk-adjusted", "--axis", "rel", "--fixed-other", "inf"),
+         "weights must be finite"),
+    ]
+    ra_configs = [
+        ({"lambda_min": 2.0, "lambda_max": 1.0},
+         "risk_adjusted.lambda_min <= risk_adjusted.lambda_max"),
+        ({"lambda_max": float("inf")}, "risk_adjusted.lambda_max < inf"),
+        ({"lambda_points": 0}, "risk_adjusted.lambda_points must be >= 1"),
+        ({"mode": "heatmap", "heatmap_min": 2.0, "heatmap_max": 1.0},
+         "risk_adjusted.heatmap_min <= risk_adjusted.heatmap_max"),
+        ({"mode": "heatmap", "heatmap_points": 0},
+         "risk_adjusted.heatmap_points must be >= 1"),
+    ]
+    for i, (section, message) in enumerate(ra_configs):
+        cfg = write_config(tmp_path, {"risk_adjusted": section}, name=f"ra{i}.json")
+        cases.append((("risk-adjusted", "--config", cfg), message))
+    cache = str(tmp_path / "never-read.cqcs")
+    for argv, message in cases:
+        for source in (("--k", "4000000"), ("--cache", cache)):
+            rc = run(*argv, *source, "--out", str(tmp_path / "x.csv"))
+            err = capsys.readouterr().err
+            assert rc == 2, argv
+            assert err.startswith("config error") and message in err, (argv, err)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_unallocatable_size_is_config_error(tmp_path, monkeypatch, capsys):
+    # Stands in for numpy's allocation failure at a K no machine can hold;
+    # nothing here asks the allocator for that much memory.
+    def too_big(channel, K, seed, workers=1):
+        raise MemoryError(f"Unable to allocate {16 * K} bytes")
+
+    monkeypatch.setattr(cli, "generate_sample_set", too_big)
+    for command in ("sample", "optimize", "risk-adjusted"):
+        rc = run(command, "--k", "1e12", "--out", str(tmp_path / "x.out"))
+        err = capsys.readouterr().err
+        assert rc == 2, command
+        assert err.startswith("config error") and "cannot allocate" in err, err
+        assert "Traceback" not in err
+
+
 def test_argparse_errors_and_help(capsys):
     assert run() == 2
     assert run("optimize", "--no-such-flag") == 2

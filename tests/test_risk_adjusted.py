@@ -19,6 +19,7 @@ from covertq import (
     grid_maximize,
     heatmap_sweep,
     objective,
+    strict_cdf,
 )
 from covertq.risk_adjusted import (
     TIE_TOLERANCE,
@@ -196,6 +197,51 @@ def test_heatmap_shows_silent_and_aggressive_regimes(volatile_set, protocol):
     q_star = np.array([[best.strategy.q for best in row] for row in matrix])
     assert np.any(q_star == 0.0)
     assert np.any(q_star > 0.5)
+
+
+def full_matrix_grid_maximum(s, w, p, g):
+    # The full-matrix formulation the per-pair kernel replaced: J on the whole
+    # grid, the row-major first index of every cell within TIE_TOLERANCE of
+    # the maximum, and np.median for the sparse-regime bound.
+    axis = g.axis()
+    cov_pen = w.lambda_cov * strict_cdf(s.ccov, axis * np.sqrt(p.n) / (2.0 * p.delta))
+    rel_pen = w.lambda_rel * strict_cdf(s.rach, axis)
+    j = np.outer(axis, axis) - cov_pen[:, None] - rel_pen[None, :]
+    qi, ri = np.argwhere(j >= float(j.max()) - TIE_TOLERANCE)[0]
+    q_bound = float(2.0 * p.delta * np.median(s.ccov) / np.sqrt(p.n))
+    return (float(axis[qi]), float(axis[ri]), float(j[qi, ri]), bool(axis[qi] > q_bound))
+
+
+def fields(best):
+    return (best.strategy.q, best.strategy.r, best.j_value, best.outside_sparse_regime)
+
+
+@pytest.mark.parametrize("K", [1, 2, 1001])
+@pytest.mark.parametrize("points", [2, 3, 401])
+@pytest.mark.parametrize("kind", ["zeros", "inf_ccov"])
+def test_sweep_and_grid_maximize_match_full_matrix_tie_rule(K, points, kind):
+    # Tie-heavy cases.  All-zero draws make every q > 0 row pay the full
+    # covertness weight and every r > 0 column the full reliability weight,
+    # so weight 0 or 1 ties whole rows and columns, and weight 1 - 1e-13
+    # leaves (1, 1) ahead of (0, 0) by less than TIE_TOLERANCE; +inf c_cov
+    # draws keep F<_ccov below 1 on the whole axis.
+    rng = np.random.default_rng(K + points)
+    if kind == "zeros":
+        s = synthetic_set(np.zeros(K), np.zeros(K))
+    else:
+        ccov = rng.uniform(0.0, 1500.0, K)
+        ccov[-max(1, K // 3):] = np.inf
+        s = synthetic_set(ccov, rng.uniform(0.0, 1.0, K))
+    p = ProtocolParams(n=10**4, delta=0.05)  # sqrt(n)/(2*delta) = 1000
+    g = GridSpec(points)
+    weights = [0.0, 1.0 - 1e-13, 1.0, 1e6]
+    matrix = heatmap_sweep(s, p, g, weights, weights)
+    for lc, row in zip(weights, matrix, strict=True):
+        for lr, best in zip(weights, row, strict=True):
+            w = RiskWeights(lc, lr)
+            expected = full_matrix_grid_maximum(s, w, p, g)
+            assert fields(best) == expected, (lc, lr)
+            assert fields(grid_maximize(s, w, p, g)) == expected, (lc, lr)
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 1001])

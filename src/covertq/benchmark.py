@@ -146,10 +146,10 @@ def validate(
     closed-form value is below 1e-12 (the R_max ~ 0 rows) the error is
     recorded as None — agreement there is absolute, not relative.
     """
+    eps_list = [_check_eps(eps, "eps") for eps in eps_list]  # before sampling
     s = generate_sample_set(c, K, seed, workers=workers)
     rows: list[ValidationRow] = []
     for eps in eps_list:
-        eps = _check_eps(eps, "eps")
         report: OptimumReport = optimize(s, p, RiskBudgets(eps, eps))
         for metric, theory, mc in (
             ("q_max", benchmark_qmax(c, p, eps), report.q_max),

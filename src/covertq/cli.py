@@ -399,8 +399,12 @@ def _cmd_surface(cfg, args) -> None:
 
 
 def _cmd_scaling(cfg, args) -> None:
-    s = _obtain_samples(cfg, args)
     block = cfg.raw["scaling"]
+    # The library objects check every n and eps here, before any sampling.
+    for n in block["n_values"]:
+        ProtocolParams(n=n, delta=cfg.protocol.delta)
+    RiskBudgets(block["eps"], block["eps"])
+    s = _obtain_samples(cfg, args)
     rows = n_scaling_sweep(s, cfg.protocol.delta, block["eps"], block["n_values"])
     _emit(cfg, args, "scaling.csv", partial(write_scaling_csv, rows),
           f"{len(rows)} rows", s)

@@ -127,19 +127,17 @@ def stream_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     produced by PCG64 seeded from SeedSequence([seed, c]), so any partition
     of the position space reproduces the same concatenated output.
     """
-    if count == 0:
-        return np.empty(0)
     out = np.empty(count)
     filled = 0
-    first = start // STREAM_CHUNK
-    last = (start + count - 1) // STREAM_CHUNK
-    for c in range(first, last + 1):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, c])))
-        block = rng.random(STREAM_CHUNK)
-        lo = max(start, c * STREAM_CHUNK)
-        hi = min(start + count, (c + 1) * STREAM_CHUNK)
-        out[filled : filled + hi - lo] = block[lo - c * STREAM_CHUNK : hi - c * STREAM_CHUNK]
-        filled += hi - lo
+    while filled < count:
+        c, offset = divmod(start + filled, STREAM_CHUNK)
+        n = min(count - filled, STREAM_CHUNK - offset)
+        bits = np.random.PCG64(np.random.SeedSequence([seed, c]))
+        # Each double consumes one 64-bit step, so advancing by the offset
+        # skips exactly the chunk positions before the span.
+        bits.advance(offset)
+        np.random.Generator(bits).random(out=out[filled : filled + n])
+        filled += n
     return out
 
 
@@ -164,18 +162,25 @@ def sample_truncated_lognormal(
         rounding and is kept: it is legal support and downstream code
         treats the induced +inf covertness constant explicitly.
     """
-    u = stream.uniforms(count)
+    # Each step below overwrites the uniforms in place, in the order of
+    # min(exp(mu + sigma * ndtri(p_hi * (1 - u))), 1): same ufuncs, same bits.
+    x = stream.uniforms(count)
     # Truncated region in probability space is (0, p_hi] with
     # p_hi = Phi((ln 1 - mu)/sigma).  Mapping through (1 - u) keeps the
     # left edge open: u in [0, 1) lands in (0, p_hi], so no sample can
     # collapse to 0 while exact 1.0 stays reachable at u = 0.
     p_hi = ndtr((0.0 - spec.mu_ln) / spec.sigma_ln)
-    p = p_hi * (1.0 - u)
+    np.subtract(1.0, x, out=x)
+    np.multiply(p_hi, x, out=x)
     # ndtri is SciPy's Cephes rational-approximation normal quantile,
     # accurate to well below 1e-9 relative error over (1e-12, 1 - 1e-12).
     # The minimum absorbs the last-ulp excess of the ndtri/ndtr roundtrip
     # at u = 0; values strictly inside (0, 1) are untouched.
-    return np.minimum(np.exp(spec.mu_ln + spec.sigma_ln * ndtri(p)), 1.0)
+    ndtri(x, out=x)
+    np.multiply(spec.sigma_ln, x, out=x)
+    np.add(spec.mu_ln, x, out=x)
+    np.exp(x, out=x)
+    return np.minimum(x, 1.0, out=x)
 
 
 def sample_truncated_gaussian(
@@ -188,20 +193,29 @@ def sample_truncated_gaussian(
     final clip only absorbs last-ulp rounding; the mathematical image is
     already inside the interval.
     """
-    u = stream.uniforms(count)
+    # In place, in the order of mu + sigma * ndtri(p_lo + (p_hi - p_lo) * u).
+    x = stream.uniforms(count)
     p_lo = ndtr((spec.lower - spec.mu) / spec.sigma)
     p_hi = ndtr((spec.upper - spec.mu) / spec.sigma)
-    x = spec.mu + spec.sigma * ndtri(p_lo + (p_hi - p_lo) * u)
-    return np.clip(x, spec.lower, spec.upper)
+    np.multiply(p_hi - p_lo, x, out=x)
+    np.add(p_lo, x, out=x)
+    ndtri(x, out=x)
+    np.multiply(spec.sigma, x, out=x)
+    np.add(spec.mu, x, out=x)
+    return np.clip(x, spec.lower, spec.upper, out=x)
 
 
 def sample_exponential(
     spec: ExponentialSpec, count: int, stream: SeededStream
 ) -> np.ndarray:
     """Draw ``count`` nonnegative values with inverse CDF -ln(1 - u)/rate."""
-    u = stream.uniforms(count)
+    x = stream.uniforms(count)
     # log1p keeps precision for small u; u in [0, 1) keeps the result finite.
-    return -np.log1p(-u) / spec.rate
+    # In place, in the order of -log1p(-u) / rate.
+    np.negative(x, out=x)
+    np.log1p(x, out=x)
+    np.negative(x, out=x)
+    return np.divide(x, spec.rate, out=x)
 
 
 def truncated_lognormal_cdf(spec: TruncatedLognormalSpec, x) -> np.ndarray:

@@ -37,19 +37,54 @@ def _scalar_or_array(out: np.ndarray, *inputs):
     return out
 
 
+def _operands(eta, nb):
+    # Float views of the inputs and an output array of their broadcast
+    # shape.  The kernels below apply their ufuncs with out= into it and at
+    # most one scratch array, in the order the closed forms in the
+    # docstrings read, so results are bit-identical to the whole-expression
+    # forms while a call allocates two arrays, not one per operation.
+    # Reordering a step (x**4 as x*x*x*x, or xlogy as x*log) changes
+    # last-ulp bits.
+    eta_a = np.asarray(eta, dtype=float)
+    nb_a = np.asarray(nb, dtype=float)
+    return eta_a, nb_a, np.empty(np.broadcast_shapes(eta_a.shape, nb_a.shape))
+
+
 def covertness_constant(eta, nb):
     """Covertness constant sqrt(2*eta*nb*(1 + eta*nb)) / (1 - eta).
 
     Elementwise over arrays.  Returns 0 whenever nb = 0 (including the
     0/0 corner at eta = 1) and +inf when eta = 1 with nb > 0.
     """
-    eta_a = np.asarray(eta, dtype=float)
-    nb_a = np.asarray(nb, dtype=float)
-    num = np.sqrt(2.0 * eta_a * nb_a * (1.0 + eta_a * nb_a))
+    eta_a, nb_a, out = _operands(eta, nb)
+    tmp = np.empty_like(out)
+    np.multiply(2.0, eta_a, out=out)
+    np.multiply(out, nb_a, out=out)
+    np.multiply(eta_a, nb_a, out=tmp)
+    np.add(1.0, tmp, out=tmp)
+    np.multiply(out, tmp, out=out)
+    np.sqrt(out, out=out)
+    np.subtract(1.0, eta_a, out=tmp)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / (1.0 - eta_a)
-    out = np.where(nb_a == 0.0, 0.0, out)
+        np.divide(out, tmp, out=out)
+    np.copyto(out, 0.0, where=nb_a == 0.0)
     return _scalar_or_array(out, eta, nb)
+
+
+def _depolarizing_into(eta_a, nb_a, out):
+    # 1 - eta/(1 + (1-eta)*nb)^4, clipped to [0, 1], written into out.
+    np.subtract(1.0, eta_a, out=out)
+    np.multiply(out, nb_a, out=out)
+    np.add(1.0, out, out=out)
+    if out.ndim:
+        np.power(out, 4, out=out)
+    else:
+        # Scalar inputs keep numpy's scalar power, which can differ from the
+        # array loop in the last ulp.
+        out[()] = out[()] ** 4
+    np.divide(eta_a, out, out=out)
+    np.subtract(1.0, out, out=out)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def depolarizing_probability(eta, nb):
@@ -58,25 +93,37 @@ def depolarizing_probability(eta, nb):
     Mathematically in [0, 1] for eta in (0, 1], nb >= 0; the clip only
     removes last-ulp excursions.
     """
-    eta_a = np.asarray(eta, dtype=float)
-    nb_a = np.asarray(nb, dtype=float)
-    p = 1.0 - eta_a / (1.0 + (1.0 - eta_a) * nb_a) ** 4
-    return _scalar_or_array(np.clip(p, 0.0, 1.0), eta, nb)
+    eta_a, nb_a, out = _operands(eta, nb)
+    return _scalar_or_array(_depolarizing_into(eta_a, nb_a, out), eta, nb)
+
+
+def _entropy_into(p, tmp):
+    # Shannon entropy in bits of the Pauli vector [1-3p/4, p/4, p/4, p/4],
+    # -(xlogy(a, a) + 3*xlogy(b, b))/ln 2, written over p with a in tmp;
+    # xlogy supplies the 0*log 0 = 0 convention at p = 0.
+    np.multiply(0.75, p, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    np.multiply(0.25, p, out=p)
+    xlogy(tmp, tmp, out=tmp)
+    xlogy(p, p, out=p)
+    np.multiply(3.0, p, out=p)
+    np.add(tmp, p, out=p)
+    np.negative(p, out=p)
+    return np.divide(p, _LN2, out=p)
 
 
 def _entropy_of_depolarizing(p):
-    # Shannon entropy in bits of the Pauli vector [1-3p/4, p/4, p/4, p/4];
-    # xlogy supplies the 0*log 0 = 0 convention at p = 0.
-    a = 1.0 - 0.75 * p
-    b = 0.25 * p
-    return -(xlogy(a, a) + 3.0 * xlogy(b, b)) / _LN2
+    p_a = np.array(p, dtype=float)
+    return _scalar_or_array(_entropy_into(p_a, np.empty_like(p_a)), p)
 
 
 def achievable_rate(eta, nb):
     """Hashing-bound rate max(0, 1 - H(pauli vector)) in qubits per use."""
-    p = depolarizing_probability(np.asarray(eta, dtype=float), np.asarray(nb, dtype=float))
-    rate = np.maximum(0.0, 1.0 - _entropy_of_depolarizing(np.asarray(p)))
-    return _scalar_or_array(rate, eta, nb)
+    eta_a, nb_a, out = _operands(eta, nb)
+    entropy = _entropy_into(_depolarizing_into(eta_a, nb_a, out), np.empty_like(out))
+    np.subtract(1.0, entropy, out=out)
+    np.maximum(0.0, out, out=out)
+    return _scalar_or_array(out, eta, nb)
 
 
 def q_ceiling(c_cov, delta: float, n: int):

@@ -12,6 +12,13 @@ stream is counter-addressed (see distributions), eta consumes positions
 [0, K) and nb positions [K, 2K), and parallel workers fill disjoint index
 ranges of the same virtual sequence.
 
+Generation runs in fixed blocks of rows small enough for a core's L2 cache:
+each block draws its span of the stream, reduces it to (c_cov, r_ach) and
+writes the result into the two K-row output arrays, which are then sorted in
+place.  Peak memory is therefore close to 16 bytes x K plus a few block-sized
+scratch arrays per worker.  The cache is written from and read into those
+arrays directly, without an intermediate copy of the payload.
+
 Cache file layout (little endian), version 1:
 
     offset  0  magic  b"CQCS"
@@ -36,6 +43,7 @@ from typing import Union
 import numpy as np
 
 from .distributions import (
+    STREAM_CHUNK,
     ExponentialSpec,
     SeededStream,
     TruncatedGaussianSpec,
@@ -67,6 +75,11 @@ _MAGIC = b"CQCS"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQQ32s8x")
 assert _HEADER.size == 64
+
+# Rows per generation block.  Each block's draws and physics temporaries
+# (a few arrays of _BLOCK doubles) stay in a core's L2 cache.  A multiple of
+# STREAM_CHUNK so eta spans stay chunk-aligned; output does not depend on it.
+_BLOCK = 2 * STREAM_CHUNK
 
 
 class SampleFileError(Exception):
@@ -177,35 +190,37 @@ def generate_sample_set(
     seed : int
         64-bit stream seed; fully determines the output.
     workers : int
-        Worker threads filling disjoint chunks, at most one per CPU.  The
-        result is bit-identical for every worker count because chunk
-        contents are position-addressed.
+        Worker threads pulling row blocks, at most one per CPU and one per
+        block.  The result is bit-identical for every worker count because
+        block contents are position-addressed.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     digest = channel_digest(spec)  # validates the spec type up front
-    workers = min(workers, os.cpu_count() or 1)
+    blocks = range(0, K, _BLOCK)
+    threads = min(workers, os.cpu_count() or 1, len(blocks))
 
     ccov = np.empty(K)
     rach = np.empty(K)
 
-    def fill(lo: int, hi: int) -> None:
+    def fill(lo: int) -> None:
+        hi = min(lo + _BLOCK, K)
         eta, nb = _draw_span(spec, lo, hi, K, seed)
         ccov[lo:hi] = covertness_constant(eta, nb)
         rach[lo:hi] = achievable_rate(eta, nb)
 
-    if workers == 1:
-        fill(0, K)
+    if threads == 1:
+        for lo in blocks:
+            fill(lo)
+        ccov.sort()
+        rach.sort()
     else:
-        step = max(1, -(-K // workers))
-        bounds = [(lo, min(lo + step, K)) for lo in range(0, K, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
-
-    ccov.sort()
-    rach.sort()
+        # numpy's sort releases the GIL, so the two arrays sort in parallel.
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fill, blocks))
+            list(pool.map(np.ndarray.sort, (ccov, rach)))
     return SampleSet(ccov=ccov, rach=rach, K=K, seed=seed, channel_digest=digest)
 
 
@@ -214,8 +229,10 @@ def save_sample_set(s: SampleSet, path) -> None:
     header = _HEADER.pack(_MAGIC, _VERSION, s.K, s.seed, s.channel_digest)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(s.ccov, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(s.rach, dtype="<f8").tobytes())
+        # A contiguous little-endian float64 array is written from its own
+        # buffer; ascontiguousarray copies only when it is not one.
+        fh.write(np.ascontiguousarray(s.ccov, dtype="<f8"))
+        fh.write(np.ascontiguousarray(s.rach, dtype="<f8"))
 
 
 def load_sample_set(path, expected_digest: bytes | None = None) -> SampleSet:
@@ -224,29 +241,37 @@ def load_sample_set(path, expected_digest: bytes | None = None) -> SampleSet:
     Raises a distinct error per failure mode: wrong magic, K = 0, trailing
     bytes, an unsorted array or a NaN (format), unknown version, digest
     mismatch against ``expected_digest``, and short reads (truncation).
+    The header and the file size are checked before the arrays are
+    allocated, and the payload is read straight into them.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise SampleFileTruncatedError(f"{path}: file shorter than the 64-byte header")
-    magic, version, k, seed, digest = _HEADER.unpack_from(raw, 0)
-    if magic != _MAGIC:
-        raise SampleFileFormatError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise SampleFileVersionError(f"{path}: unsupported version {version}")
-    if k < 1:
-        raise SampleFileFormatError(f"{path}: header declares K={k}, need K >= 1")
-    expected_len = _HEADER.size + 2 * 8 * k
-    if len(raw) < expected_len:
-        raise SampleFileTruncatedError(
-            f"{path}: expected {expected_len} bytes for K={k}, found {len(raw)}"
-        )
-    if len(raw) > expected_len:
-        raise SampleFileFormatError(f"{path}: {len(raw) - expected_len} trailing bytes")
-    if expected_digest is not None and digest != expected_digest:
-        raise SampleFileDigestError(f"{path}: channel digest mismatch")
-    ccov = np.frombuffer(raw, dtype="<f8", count=k, offset=_HEADER.size).copy()
-    rach = np.frombuffer(raw, dtype="<f8", count=k, offset=_HEADER.size + 8 * k).copy()
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise SampleFileTruncatedError(f"{path}: file shorter than the 64-byte header")
+        magic, version, k, seed, digest = _HEADER.unpack(head)
+        if magic != _MAGIC:
+            raise SampleFileFormatError(f"{path}: bad magic {magic!r}")
+        if version != _VERSION:
+            raise SampleFileVersionError(f"{path}: unsupported version {version}")
+        if k < 1:
+            raise SampleFileFormatError(f"{path}: header declares K={k}, need K >= 1")
+        size = os.fstat(fh.fileno()).st_size
+        expected_len = _HEADER.size + 2 * 8 * k
+        if size < expected_len:
+            raise SampleFileTruncatedError(
+                f"{path}: expected {expected_len} bytes for K={k}, found {size}"
+            )
+        if size > expected_len:
+            raise SampleFileFormatError(f"{path}: {size - expected_len} trailing bytes")
+        if expected_digest is not None and digest != expected_digest:
+            raise SampleFileDigestError(f"{path}: channel digest mismatch")
+        ccov = np.empty(k, dtype="<f8")
+        rach = np.empty(k, dtype="<f8")
+        for arr in (ccov, rach):
+            # The size was checked above; a short read means the file
+            # shrank while it was being read.
+            if fh.readinto(arr) != arr.nbytes:
+                raise SampleFileTruncatedError(f"{path}: file ended before K={k} rows")
     for name, arr in (("ccov", ccov), ("rach", rach)):
         # Any comparison with NaN is False, so this also rejects a NaN
         # anywhere but in a single-element array, checked on its own.

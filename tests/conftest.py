@@ -7,6 +7,7 @@ other seeds or sizes generate their own sets locally.
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from covertq import (
     BenchmarkChannelSpec,
@@ -38,6 +39,33 @@ def make_volatile_spec() -> StochasticChannelSpec:
         ),
         nb=TruncatedGaussianSpec(mu=0.01, sigma=0.005, upper=0.5),
     )
+
+
+def reference_covertness_constant(eta, nb):
+    """Whole-expression c_cov, one temporary per operation: the reference the
+    in-place physics kernels must match bit for bit."""
+    eta_a = np.asarray(eta, dtype=float)
+    nb_a = np.asarray(nb, dtype=float)
+    num = np.sqrt(2.0 * eta_a * nb_a * (1.0 + eta_a * nb_a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = num / (1.0 - eta_a)
+    return np.where(nb_a == 0.0, 0.0, out)
+
+
+def reference_depolarizing_probability(eta, nb):
+    """Whole-expression depolarizing probability, the in-place reference."""
+    eta_a = np.asarray(eta, dtype=float)
+    nb_a = np.asarray(nb, dtype=float)
+    return np.clip(1.0 - eta_a / (1.0 + (1.0 - eta_a) * nb_a) ** 4, 0.0, 1.0)
+
+
+def reference_achievable_rate(eta, nb):
+    """Whole-expression hashing-bound rate, the in-place kernel's reference."""
+    p = reference_depolarizing_probability(eta, nb)
+    a = 1.0 - 0.75 * p
+    b = 0.25 * p
+    entropy = -(xlogy(a, a) + 3.0 * xlogy(b, b)) / np.log(2.0)
+    return np.maximum(0.0, 1.0 - entropy)
 
 
 @pytest.fixture(scope="session")

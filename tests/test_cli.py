@@ -450,6 +450,38 @@ def test_sweep_inputs_checked_before_sampling(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_scaling_and_validate_inputs_checked_before_sampling(tmp_path, monkeypatch,
+                                                             capsys):
+    # A bad frame length or budget must fail before any sample set is
+    # generated or loaded, by the CLI or by benchmark.validate.
+    def no_samples(*args, **kwargs):
+        raise AssertionError("sampled before the inputs were checked")
+
+    monkeypatch.setattr(cli, "generate_sample_set", no_samples)
+    monkeypatch.setattr(cli, "load_sample_set", no_samples)
+    monkeypatch.setattr(covertq.benchmark, "generate_sample_set", no_samples)
+    cache = str(tmp_path / "never-read.cqcs")
+    cases = [
+        ({"scaling": {"n_values": [0]}}, "scaling", "n must be a positive integer"),
+        ({"scaling": {"n_values": [4, -3]}}, "scaling", "n must be a positive integer"),
+        ({"scaling": {"eps": 1.5}}, "scaling", "eps_cov must lie in (0, 1)"),
+        ({"channel": {"kind": "benchmark", "eta0": 0.9, "rate": 10.0},
+          "benchmark": {"eps_list": [0.1, 1.5]}},
+         "benchmark-validate", "eps must lie in (0, 1)"),
+    ]
+    for i, (section, command, message) in enumerate(cases):
+        cfg = write_config(tmp_path, section, name=f"c{i}.json")
+        sources = [("--k", "4000000")]
+        if command == "scaling":
+            sources.append(("--cache", cache))
+        for source in sources:
+            rc = run(command, "--config", cfg, *source, "--out", str(tmp_path / "x.csv"))
+            err = capsys.readouterr().err
+            assert rc == 2, (command, section)
+            assert err.startswith("config error") and message in err, (section, err)
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_unallocatable_size_is_config_error(tmp_path, monkeypatch, capsys):
     # Stands in for numpy's allocation failure at a K no machine can hold;
     # nothing here asks the allocator for that much memory.

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 from covertq import (
@@ -67,6 +68,54 @@ def test_stream_uniforms_chunk_boundary():
     left = stream_uniforms(3, lo, 10)
     right = stream_uniforms(3, STREAM_CHUNK, 10)
     np.testing.assert_array_equal(span, np.concatenate([left, right]))
+
+
+def whole_chunk_uniforms(seed, start, count):
+    # The stream format spelled out: generate every chunk the span touches
+    # in full from PCG64(SeedSequence([seed, c])) and slice.
+    first, last = start // STREAM_CHUNK, (start + count - 1) // STREAM_CHUNK
+    chunks = [
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, c])))
+        .random(STREAM_CHUNK)
+        for c in range(first, last + 1)
+    ]
+    offset = start - first * STREAM_CHUNK
+    return np.concatenate(chunks)[offset : offset + count]
+
+
+# Spans at chunk starts, inside a chunk, straddling one and several chunk
+# edges, and far out in position space.
+SPANS = [(0, 1), (0, STREAM_CHUNK), (7, 1000), (STREAM_CHUNK - 10, 20),
+         (STREAM_CHUNK + 3, 3 * STREAM_CHUNK - 5), (2**40 + 12345, 70_001)]
+
+
+@pytest.mark.parametrize("start, count", SPANS)
+def test_stream_uniforms_match_whole_chunks(start, count):
+    for seed in (0, 5, 2**64 - 1):
+        got = stream_uniforms(seed, start, count)
+        assert got.tobytes() == whole_chunk_uniforms(seed, start, count).tobytes()
+
+
+@pytest.mark.parametrize("start, count", SPANS)
+def test_inplace_samplers_match_whole_expressions(start, count):
+    # Each sampler overwrites its uniforms in place; the results must equal
+    # the whole-expression inverse CDFs bit for bit.
+    u = stream_uniforms(9, start, count)
+    p_hi = ndtr((0.0 - LN_SPEC.mu_ln) / LN_SPEC.sigma_ln)
+    want = np.minimum(np.exp(LN_SPEC.mu_ln + LN_SPEC.sigma_ln * ndtri(p_hi * (1.0 - u))), 1.0)
+    got = sample_truncated_lognormal(LN_SPEC, count, SeededStream(9, start))
+    assert got.tobytes() == want.tobytes()
+
+    p_lo = ndtr((NB_SPEC.lower - NB_SPEC.mu) / NB_SPEC.sigma)
+    p_hi = ndtr((NB_SPEC.upper - NB_SPEC.mu) / NB_SPEC.sigma)
+    x = NB_SPEC.mu + NB_SPEC.sigma * ndtri(p_lo + (p_hi - p_lo) * u)
+    want = np.clip(x, NB_SPEC.lower, NB_SPEC.upper)
+    got = sample_truncated_gaussian(NB_SPEC, count, SeededStream(9, start))
+    assert got.tobytes() == want.tobytes()
+
+    want = -np.log1p(-u) / EXP_SPEC.rate
+    got = sample_exponential(EXP_SPEC, count, SeededStream(9, start))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_stream_call_pattern_independence():

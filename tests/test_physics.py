@@ -12,6 +12,12 @@ from covertq import (
 )
 from covertq.physics import _entropy_of_depolarizing
 
+from conftest import (
+    reference_achievable_rate,
+    reference_covertness_constant,
+    reference_depolarizing_probability,
+)
+
 
 def ccov_alternate_form(eta, nb):
     # k * sqrt(x + eta x^2) with k = sqrt(2 eta) / (1 - eta); algebraically
@@ -125,6 +131,43 @@ def test_achievable_rate_monotone_in_noise():
     r = achievable_rate(np.full_like(nb, 0.9), nb)
     assert np.all(np.diff(r) <= 0.0)
     assert r[0] > 0.0 and r[-1] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# in-place kernels against the whole-expression forms
+
+KERNELS = [
+    (covertness_constant, reference_covertness_constant),
+    (depolarizing_probability, reference_depolarizing_probability),
+    (achievable_rate, reference_achievable_rate),
+]
+
+
+@pytest.mark.parametrize("kernel, reference", KERNELS,
+                         ids=["c_cov", "depolarizing", "r_ach"])
+def test_inplace_kernels_match_whole_expressions(kernel, reference):
+    rng = np.random.default_rng(3)
+    eta = rng.uniform(1e-6, 1.0, 5000)
+    nb = rng.uniform(0.0, 0.5, 5000)
+    eta[:10] = 1.0  # lossless rows: c_cov = +inf
+    nb[5:15] = 0.0  # noiseless rows; rows 5-9 are the 0/0 corner
+    cases = [
+        (eta, nb),
+        (0.9, nb),  # scalar eta broadcast against an array nb
+        (1.0, nb),
+        (eta, 0.0),
+        (eta[:, None], nb[None, :40]),
+    ]
+    for e, n in cases:
+        got, want = kernel(e, n), reference(e, n)
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    # Scalars return float, bit-identical to the scalar evaluation of the
+    # whole expression (numpy's scalar power can differ from its array loop).
+    for e, n in zip(eta[:2000], nb[:2000]):
+        got = kernel(float(e), float(n))
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(reference(float(e), float(n))).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import os
 import struct
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +37,11 @@ from covertq.distributions import (
     sample_truncated_lognormal,
 )
 
-from conftest import make_baseline_spec
+from conftest import (
+    make_baseline_spec,
+    reference_achievable_rate,
+    reference_covertness_constant,
+)
 
 
 def small_benchmark_spec():
@@ -130,6 +136,92 @@ def test_generate_worker_count_invariance():
         np.testing.assert_array_equal(ref.rach, alt.rach)
 
 
+@pytest.mark.parametrize("spec", [make_baseline_spec(), small_benchmark_spec()],
+                         ids=["stochastic", "benchmark"])
+def test_blocked_generation_matches_whole_array(spec, monkeypatch):
+    # Several blocks and a partial last one; the nb span starts mid-chunk,
+    # so its blocks straddle stream chunks.  The reference draws all rows in
+    # one span, reduces them with the whole-expression physics and sorts.
+    K, seed = 3 * 2**16 + 12_345, 13
+    eta, nb = samples._draw_span(spec, 0, K, K, seed)
+    ccov = np.sort(reference_covertness_constant(eta, nb))
+    rach = np.sort(reference_achievable_rate(eta, nb))
+
+    pool_sizes = []
+
+    class RecordingPool(samples.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(samples, "ThreadPoolExecutor", RecordingPool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the block workers finely
+    try:
+        for workers in (1, 2, 3):
+            s = generate_sample_set(spec, K, seed, workers=workers)
+            assert s.ccov.tobytes() == ccov.tobytes(), workers
+            assert s.rach.tobytes() == rach.tobytes(), workers
+    finally:
+        sys.setswitchinterval(interval)
+    n_blocks = -(-K // samples._BLOCK)
+    threads = [min(w, os.cpu_count() or 1, n_blocks) for w in (1, 2, 3)]
+    assert pool_sizes == [t for t in threads if t > 1]
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_generation_peak_memory_near_payload(workers):
+    # The two K-row output arrays are 16*K bytes; blocked generation adds
+    # only block-sized scratch per worker on top.
+    K = 2**20
+    spec = make_baseline_spec()
+    generate_sample_set(spec, 1000, seed=1)  # lazy imports outside the trace
+    peak, s = _peak_bytes(lambda: generate_sample_set(spec, K, seed=1, workers=workers))
+    assert s.K == K
+    assert peak < 1.5 * 16 * K, peak / (16 * K)
+
+
+def test_cache_round_trip_peak_memory_near_payload(tmp_path):
+    K = 2**20
+    path = tmp_path / "s.cqcs"
+    save_sample_set(generate_sample_set(small_benchmark_spec(), K, seed=1), path)
+
+    def round_trip():
+        t = load_sample_set(path)
+        save_sample_set(t, path)
+        return t
+
+    peak, t = _peak_bytes(round_trip)
+    assert peak < 1.25 * 16 * K, peak / (16 * K)
+    for arr in (t.ccov, t.rach):
+        assert arr.dtype == np.float64
+        assert arr.flags.writeable and arr.flags.owndata
+    assert load_sample_set(path).ccov.tobytes() == t.ccov.tobytes()
+
+
+def test_load_checks_size_before_allocating(tmp_path):
+    # A header declaring K = 2**40 on a bare 64-byte file is reported as
+    # truncated without asking for the 16 TiB its arrays would need.
+    path = tmp_path / "huge.cqcs"
+    path.write_bytes(struct.pack("<4sIQQ32s8x", b"CQCS", 1, 2**40, 0, b"\0" * 32))
+
+    def load():
+        with pytest.raises(SampleFileTruncatedError):
+            load_sample_set(path)
+
+    peak, _ = _peak_bytes(load)
+    assert peak < 1 << 20
+
+
 def test_generate_pool_bounded_by_cpu_count(monkeypatch):
     # A serial stand-in records the pool size and starts no thread.
     pool_sizes = []
@@ -149,8 +241,9 @@ def test_generate_pool_bounded_by_cpu_count(monkeypatch):
 
     monkeypatch.setattr(samples, "ThreadPoolExecutor", SerialPool)
     spec = make_baseline_spec()
-    ref = generate_sample_set(spec, 1000, seed=7, workers=1)
-    alt = generate_sample_set(spec, 1000, seed=7, workers=1_000_000)
+    K = 2 * samples._BLOCK + 1  # three blocks, so a pool can start
+    ref = generate_sample_set(spec, K, seed=7, workers=1)
+    alt = generate_sample_set(spec, K, seed=7, workers=1_000_000)
     assert all(size <= (os.cpu_count() or 1) for size in pool_sizes)
     assert np.array_equal(alt.ccov, ref.ccov)
     assert np.array_equal(alt.rach, ref.rach)

@@ -35,8 +35,9 @@ Infinity are out of range for every key), a size (sampling.k, grid_points)
 whose arrays cannot be allocated, an unreadable, undecodable or non-JSON
 config file, argparse errors, and a cache whose channel digest contradicts
 the config; 3 I/O error (missing, malformed, K = 0, unsorted, NaN-holding or
-truncated cache, unwritable output); 4 a decade gain was requested but is
-infeasible (zero-throughput denominator); 5 internal invariant violation.
+truncated cache, a cache with a negative c_cov or an r_ach outside [0, 1],
+unwritable output); 4 a decade gain was requested but is infeasible
+(zero-throughput denominator); 5 internal invariant violation.
 Handlers raise and main() alone maps exceptions to these codes.
 """
 

@@ -10,7 +10,12 @@ thermal photon number >= 0 — this module evaluates:
   seen by a dual-rail qubit, its Pauli error vector [1-3p/4, p/4, p/4, p/4],
   and the hashing-bound rate  R = max(0, 1 - H(pauli vector)).
 
-All functions are elementwise over numpy arrays and equally accept floats.
+All functions are elementwise over numpy arrays and also accept floats, but
+a float (eta, nb) pair can differ in the last ulp from the same pair inside
+an array for depolarizing_probability and achievable_rate: scalars use
+numpy's scalar power (libm pow) and arrays its vectorised power loop, which
+disagree on a few percent of inputs.  covertness_constant has no power and
+agrees on both paths.
 eta = 1 with nb > 0 yields c_cov = +inf by convention rather than an error,
 so measure-zero boundary samples survive bulk Monte Carlo runs; quantile
 logic downstream treats +inf as a legal upper-tail value.

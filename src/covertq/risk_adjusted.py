@@ -19,8 +19,16 @@ provided for smooth (closed-form) channel models, where densities exist.
 heatmap_sweep is the one weight sweep and grid_maximize its one-pair case.
 The axis, q*r, both strict CDFs (one binary search per grid coordinate) and
 the sparse-regime bound do not depend on the weights, so they are computed
-once per sweep; each weight pair then costs a few passes over one G x G
-buffer.  Sweeping one weight is a heatmap whose other axis holds one value.
+once per sweep.  The row envelope
+
+    env_i = max_j (q_i*r_j - lambda_rel * F<_rach(r_j))
+
+depends on lambda_rel alone: one pass over the G x G grid per distinct
+lambda_rel.  Each weight pair then bounds row i of J by env_i - lambda_cov *
+F<_ccov(q_i) in O(G) and evaluates J only on the rows whose bound lies within
+TIE_TOLERANCE plus a rounding margin of the best one.  Those rows hold every
+cell the tie rule can report, and their J is the full grid's bit for bit.
+Sweeping one weight is a heatmap whose other axis holds one value.
 """
 
 from __future__ import annotations
@@ -134,29 +142,47 @@ def _sparse_q_bound(s: SampleSet, p: ProtocolParams) -> float:
 
 def _grid_kernel(s: SampleSet, p: ProtocolParams, g: GridSpec):
     # The weight-independent terms of J, once; the returned per-pair kernel
-    # writes J into one reused buffer and applies the tie rule to it.
+    # evaluates J, in the full grid's operations and order, on the rows the
+    # envelope bound keeps (see heatmap_sweep).
     axis = g.axis()
     qr = np.outer(axis, axis)
     f_cov = strict_cdf(s.ccov, axis * np.sqrt(p.n) / (2.0 * p.delta))
     f_rel = strict_cdf(s.rach, axis)
     q_bound = _sparse_q_bound(s, p)
-    j = np.empty_like(qr)
-    flat = j.reshape(-1)
+    scratch = np.empty_like(qr)
+    envelopes: dict[float, np.ndarray] = {}
 
     def maximize(w: RiskWeights) -> GridMaximum:
-        np.subtract(qr, (w.lambda_cov * f_cov)[:, None], out=j)
-        np.subtract(j, (w.lambda_rel * f_rel)[None, :], out=j)
+        a = w.lambda_cov * f_cov
+        b = w.lambda_rel * f_rel
+        env = envelopes.get(w.lambda_rel)
+        if env is None:
+            env = envelopes[w.lambda_rel] = np.subtract(qr, b, out=scratch).max(axis=1)
+        ub = env - a
+        # Each subtraction rounds by at most half an ulp of a value no larger
+        # than 1 + lambda_cov + lambda_rel in magnitude, so a row's largest
+        # computed J and its computed bound differ by well under margin.  A
+        # row more than TIE_TOLERANCE + 4*margin under the best bound then
+        # holds no cell within TIE_TOLERANCE of the maximum (the slack also
+        # covers the rounding of the threshold).  An overflowing margin
+        # keeps every row.
+        margin = 8.0 * np.finfo(float).eps * (1.0 + w.lambda_cov + w.lambda_rel)
+        rows = np.flatnonzero(ub >= ub.max() - TIE_TOLERANCE - 4.0 * margin)
+        j = qr[rows] - a[rows, None]
+        j -= b
+        flat = j.reshape(-1)
         k = int(flat.argmax())  # flat[k] is the maximum: the first tie is at or before k
-        qi, ri = divmod(int(np.argmax(flat[: k + 1] >= flat[k] - TIE_TOLERANCE)), axis.size)
+        ki, ri = divmod(int(np.argmax(flat[: k + 1] >= flat[k] - TIE_TOLERANCE)), axis.size)
+        qi = int(rows[ki])
         strategy = Strategy(q=axis[qi], r=axis[ri])
-        return GridMaximum(strategy, float(j[qi, ri]), strategy.q > q_bound)
+        return GridMaximum(strategy, float(j[ki, ri]), strategy.q > q_bound)
 
     return maximize
 
 
 def grid_maximize(s: SampleSet, w: RiskWeights, p: ProtocolParams,
                   g: GridSpec = GridSpec()) -> GridMaximum:
-    """Exhaustive maximization of J over the uniform grid."""
+    """Maximization of J over the uniform grid, equal to exhaustive evaluation."""
     return _grid_kernel(s, p, g)(w)
 
 
@@ -165,9 +191,15 @@ def heatmap_sweep(s: SampleSet, p: ProtocolParams, g: GridSpec,
                   lambda_rel_values: Sequence[float]) -> list[list[GridMaximum]]:
     """Cartesian weight sweep; row index follows lambda_cov, column lambda_rel.
 
-    The weight-independent terms of J are computed once per sweep, then the
-    grid is maximized once per weight pair.  A one-axis sweep is a heatmap
-    whose other axis holds a single value.
+    The weight-independent terms of J are computed once per sweep, and the
+    row envelope max_j (q*r - lambda_rel * F<_rach(r)) once per distinct
+    lambda_rel.  Per weight pair, the envelope minus the covertness penalty
+    bounds each row of J; only the rows within TIE_TOLERANCE + 4*margin of
+    the best bound are evaluated, where margin = 8*eps*(1 + lambda_cov +
+    lambda_rel) exceeds the rounding gap between a row's bound and its J.
+    The result equals full-grid maximization exactly (an overflowing margin
+    evaluates every row).  A one-axis sweep is a heatmap whose other axis
+    holds a single value.
     """
     maximize = _grid_kernel(s, p, g)
     return [[maximize(RiskWeights(lc, lr)) for lr in lambda_rel_values]

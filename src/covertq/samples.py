@@ -239,8 +239,9 @@ def load_sample_set(path, expected_digest: bytes | None = None) -> SampleSet:
     """Read a cache written by save_sample_set.
 
     Raises a distinct error per failure mode: wrong magic, K = 0, trailing
-    bytes, an unsorted array or a NaN (format), unknown version, digest
-    mismatch against ``expected_digest``, and short reads (truncation).
+    bytes, an unsorted array, a NaN, a negative c_cov or an r_ach outside
+    [0, 1] (format), unknown version, digest mismatch against
+    ``expected_digest``, and short reads (truncation).
     The header and the file size are checked before the arrays are
     allocated, and the payload is read straight into them.
     """
@@ -277,6 +278,14 @@ def load_sample_set(path, expected_digest: bytes | None = None) -> SampleSet:
         # anywhere but in a single-element array, checked on its own.
         if np.isnan(arr[:1]).any() or not np.all(arr[1:] >= arr[:-1]):
             raise SampleFileFormatError(f"{path}: {name} array is not sorted or holds NaN")
+    # Sorted, so the ends bound every value: c_cov >= 0 (+inf is legal) and
+    # r_ach in [0, 1].
+    if ccov[0] < 0.0 or rach[0] < 0.0 or rach[-1] > 1.0:
+        raise SampleFileFormatError(
+            f"{path}: values outside their domain (c_cov from {float(ccov[0])}, "
+            f"r_ach from {float(rach[0])} to {float(rach[-1])}; "
+            f"need c_cov >= 0, 0 <= r_ach <= 1)"
+        )
     return SampleSet(ccov=ccov, rach=rach, K=k, seed=seed, channel_digest=digest)
 
 

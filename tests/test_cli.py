@@ -546,6 +546,24 @@ def test_cache_io_errors(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, index, value", [
+    ("rach", 0, -np.inf), ("ccov", 0, -1.0), ("rach", -1, 5.0), ("rach", -1, np.inf),
+])
+def test_cache_values_outside_domain_are_io_errors(tmp_path, capsys, name, index, value):
+    # Before the domain check these exited 0 (r_ach = -inf wrote
+    # t_star=-inf; 5.0 and +inf loaded silently) or 5 (negative c_cov).
+    cache = tmp_path / "c.cqcs"
+    assert run("sample", "--k", "200", "--out", str(cache)) == 0
+    s = load_sample_set(cache)
+    getattr(s, name)[index] = value
+    save_sample_set(s, tmp_path / "bad.cqcs")
+    out = tmp_path / "x.csv"
+    rc = run("optimize", "--cache", str(tmp_path / "bad.cqcs"), "--out", str(out))
+    assert rc == 3
+    assert "outside their domain" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_output_is_io_error(tmp_path):
     out = tmp_path / "no_such_dir" / "x.csv"
     assert run("optimize", "--k", "200", "--out", str(out)) == 3

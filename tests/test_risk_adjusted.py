@@ -244,6 +244,100 @@ def test_sweep_and_grid_maximize_match_full_matrix_tie_rule(K, points, kind):
             assert fields(grid_maximize(s, w, p, g)) == expected, (lc, lr)
 
 
+def assert_sweep_matches_full_matrix(s, p, g, lc_values, lr_values):
+    # Field for field and exact, the j_value included: the row bound may only
+    # skip rows that cannot hold the reported cell.
+    matrix = heatmap_sweep(s, p, g, lc_values, lr_values)
+    for lc, row in zip(lc_values, matrix, strict=True):
+        for lr, best in zip(lr_values, row, strict=True):
+            w = RiskWeights(lc, lr)
+            expected = full_matrix_grid_maximum(s, w, p, g)
+            assert fields(best) == expected, (lc, lr)
+            assert fields(grid_maximize(s, w, p, g)) == expected, (lc, lr)
+    return matrix
+
+
+def lattice_set(rng, K):
+    # Draws on coarse lattices: on a grid whose step divides them, many
+    # cells share one J in exact arithmetic and differ only by rounding.
+    return synthetic_set(rng.integers(0, 9, K) * 125.0, rng.integers(0, 9, K) / 8.0)
+
+
+@pytest.mark.parametrize("points", [2, 3, 41])
+@pytest.mark.parametrize("kind", ["zeros", "uniform", "inf_ccov", "lattice"])
+def test_pruned_kernel_extreme_weights(points, kind):
+    # Subnormal and huge weights; 1e308 with 1e308 overflows the rounding
+    # margin (and J itself) to infinity, which keeps every row.
+    rng = np.random.default_rng(points)
+    K = 17
+    if kind == "zeros":
+        s = synthetic_set(np.zeros(K), np.zeros(K))
+    elif kind == "lattice":
+        s = lattice_set(rng, K)
+    else:
+        ccov = rng.uniform(0.0, 1500.0, K)
+        if kind == "inf_ccov":
+            ccov[-5:] = np.inf
+        s = synthetic_set(ccov, rng.uniform(0.0, 1.0, K))
+    p = ProtocolParams(n=10**4, delta=0.05)
+    weights = [0.0, 5e-324, 1e-300, 1.0, 1e300, 1e308]
+    with np.errstate(over="ignore"):
+        assert_sweep_matches_full_matrix(s, p, GridSpec(points), weights, weights)
+
+
+def test_pruned_kernel_duplicate_weights():
+    # A repeated lambda_rel reuses its row envelope; repeated pairs must give
+    # equal results wherever they sit in the sweep.
+    rng = np.random.default_rng(5)
+    s = lattice_set(rng, 33)
+    p = ProtocolParams(n=10**4, delta=0.05)
+    lc_values = [0.5, 2.0, 0.5, 0.5]
+    lr_values = [1.0, 0.25, 1.0, 0.25, 1.0]
+    matrix = assert_sweep_matches_full_matrix(s, p, GridSpec(41), lc_values, lr_values)
+    assert matrix[0] == matrix[2] == matrix[3]
+    assert matrix[0][0] == matrix[0][2] == matrix[0][4]
+    assert matrix[1][1] == matrix[1][3]
+
+
+def test_pruned_kernel_rel_axis_sweep(volatile_set, protocol):
+    # One row envelope per pair: the sweep's axis is lambda_rel.
+    assert_sweep_matches_full_matrix(volatile_set, protocol, GridSpec(401),
+                                     [1.0], np.logspace(-6.0, 6.0, 40))
+
+
+@pytest.mark.parametrize("points", [5, 9, 41])
+def test_pruned_kernel_near_ties(points):
+    # Lattice draws, a grid that steps on the lattice and weights of few
+    # binary digits: rows tie in exact arithmetic and the rounding of J
+    # decides between them.
+    rng = np.random.default_rng(points)
+    p = ProtocolParams(n=10**4, delta=0.05)  # sqrt(n)/(2*delta) = 1000
+    weights = [0.0, 0.125, 0.25, 0.375, 1.0 - 1e-13, 1.0, 3.0, 1e6 + 0.5]
+    for _ in range(10):
+        s = lattice_set(rng, int(rng.integers(1, 40)))
+        assert_sweep_matches_full_matrix(s, p, GridSpec(points), weights, weights)
+
+
+def test_pruned_kernel_rounding_boundary():
+    # All-zero draws on the 2-point grid: J(0, 0) = 0 and J(1, 1) = (1 - 0.3)
+    # - lambda_rel = 9007 * 2**-53, just under TIE_TOLERANCE, so (0, 0) ties
+    # and wins.  Row 1's bound, (1 - lambda_rel) - 0.3, rounds to just over
+    # TIE_TOLERANCE: only the rounding margin keeps row 0.
+    s = synthetic_set(np.zeros(1), np.zeros(1))
+    p = ProtocolParams(n=10**4, delta=0.05)
+    lambda_rel = 0.699999999999
+    assert (1.0 - 0.3) - lambda_rel == 9007 * 2.0**-53 < TIE_TOLERANCE
+    assert (1.0 - lambda_rel) - 0.3 - TIE_TOLERANCE > 0.0
+    [[best]] = assert_sweep_matches_full_matrix(s, p, GridSpec(2), [0.3], [lambda_rel])
+    assert best.strategy == Strategy(0.0, 0.0)
+
+
+def test_pruned_heatmap_matches_full_matrix_on_baseline_set(baseline_set, protocol):
+    # The CLI's default heatmap: 25 x 25 weights on the 401-point grid.
+    values = np.logspace(-6.0, 6.0, 25)
+    assert_sweep_matches_full_matrix(baseline_set, protocol, GridSpec(), values, values)
+
+
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 1001])
 @pytest.mark.parametrize("n_inf", [0, 1, 2])
 def test_sparse_q_bound_matches_median(K, n_inf):

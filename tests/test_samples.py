@@ -362,6 +362,32 @@ def test_load_rejects_nan(tmp_path, K, index):
         load_sample_set(path)
 
 
+@pytest.mark.parametrize("name, index, value", [
+    ("ccov", 0, -1.0), ("ccov", 0, -np.inf), ("rach", 0, -np.inf),
+    ("rach", 0, -1e-300), ("rach", -1, 5.0), ("rach", -1, np.inf),
+])
+def test_load_rejects_values_outside_domain(tmp_path, name, index, value):
+    # The arrays stay sorted, so only the domain check can reject them.
+    s = generate_sample_set(make_baseline_spec(), 10, seed=1)
+    getattr(s, name)[index] = value
+    path = tmp_path / "s.cqcs"
+    save_sample_set(s, path)
+    with pytest.raises(SampleFileFormatError, match="outside their domain"):
+        load_sample_set(path)
+
+
+def test_load_accepts_domain_ends(tmp_path):
+    # c_cov = 0 and +inf, r_ach = 0 and 1 are legal values.
+    s = generate_sample_set(make_baseline_spec(), 10, seed=1)
+    s.ccov[0], s.ccov[-1] = 0.0, np.inf
+    s.rach[0], s.rach[-1] = 0.0, 1.0
+    path = tmp_path / "s.cqcs"
+    save_sample_set(s, path)
+    t = load_sample_set(path)
+    assert t.ccov.tobytes() == s.ccov.tobytes()
+    assert t.rach.tobytes() == s.rach.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # CSV export
 

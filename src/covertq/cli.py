@@ -48,7 +48,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -500,7 +500,11 @@ _COMMANDS = {
 }
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    # Built once per process: the parser holds no per-parse state, and main
+    # looks each handler up in _COMMANDS at call time.  Only a process that
+    # runs main more than once saves anything.
     parser = argparse.ArgumentParser(
         prog="covertq",
         description="Risk-aware operating points for covert quantum links.",

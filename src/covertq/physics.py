@@ -19,12 +19,16 @@ agrees on both paths.
 eta = 1 with nb > 0 yields c_cov = +inf by convention rather than an error,
 so measure-zero boundary samples survive bulk Monte Carlo runs; quantile
 logic downstream treats +inf as a legal upper-tail value.
+
+scipy.special.xlogy is imported inside the entropy kernel, not at module
+scope, as in distributions: only achievable_rate needs it (sample
+generation and the benchmark closed forms), and a query on a cached sample
+set should not pay for the import.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import xlogy
 
 __all__ = [
     "covertness_constant",
@@ -106,6 +110,8 @@ def _entropy_into(p, tmp):
     # Shannon entropy in bits of the Pauli vector [1-3p/4, p/4, p/4, p/4],
     # -(xlogy(a, a) + 3*xlogy(b, b))/ln 2, written over p with a in tmp;
     # xlogy supplies the 0*log 0 = 0 convention at p = 0.
+    from scipy.special import xlogy
+
     np.multiply(0.75, p, out=tmp)
     np.subtract(1.0, tmp, out=tmp)
     np.multiply(0.25, p, out=p)

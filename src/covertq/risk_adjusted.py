@@ -183,7 +183,8 @@ def _grid_kernel(s: SampleSet, p: ProtocolParams, g: GridSpec):
 def grid_maximize(s: SampleSet, w: RiskWeights, p: ProtocolParams,
                   g: GridSpec = GridSpec()) -> GridMaximum:
     """Maximization of J over the uniform grid, equal to exhaustive evaluation."""
-    return _grid_kernel(s, p, g)(w)
+    with np.errstate(over="ignore"):
+        return _grid_kernel(s, p, g)(w)
 
 
 def heatmap_sweep(s: SampleSet, p: ProtocolParams, g: GridSpec,
@@ -199,11 +200,13 @@ def heatmap_sweep(s: SampleSet, p: ProtocolParams, g: GridSpec,
     lambda_rel) exceeds the rounding gap between a row's bound and its J.
     The result equals full-grid maximization exactly (an overflowing margin
     evaluates every row).  A one-axis sweep is a heatmap whose other axis
-    holds a single value.
+    holds a single value.  Weights near the float maximum can overflow J to
+    -inf in cells that cannot win; that is silent, not a warning.
     """
     maximize = _grid_kernel(s, p, g)
-    return [[maximize(RiskWeights(lc, lr)) for lr in lambda_rel_values]
-            for lc in lambda_cov_values]
+    with np.errstate(over="ignore"):
+        return [[maximize(RiskWeights(lc, lr)) for lr in lambda_rel_values]
+                for lc in lambda_cov_values]
 
 
 def foc_residual(

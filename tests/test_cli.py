@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -246,6 +247,22 @@ def test_risk_adjusted_sweep_and_heatmap(tmp_path):
     lines = data_lines(heat)
     assert lines[0] == "lambda_cov,lambda_rel,q_star,r_star"
     assert len(lines) == 5
+
+
+def test_risk_adjusted_extreme_weights_print_no_warning(tmp_path, capsys):
+    # Weights near the float maximum overflow J to -inf in cells that cannot
+    # win; the run must stay silent about it, not print a numpy warning.
+    cfg = write_config(tmp_path, {"risk_adjusted": {
+        "mode": "heatmap", "heatmap_min": 1, "heatmap_max": 1e308,
+        "heatmap_points": 3, "grid_points": 11,
+    }})
+    heat = tmp_path / "heat.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run("risk-adjusted", "--config", cfg, "--k", "1000", "--out", str(heat))
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert len(data_lines(heat)) == 10
 
 
 # ---------------------------------------------------------------------------
@@ -598,3 +615,60 @@ def test_internal_invariant_violation_exits_5_under_optimize_flag(tmp_path):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 5, proc.stderr
     assert "internal invariant violation" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# cold start: scipy.special is imported only where sampling and entropy run
+
+
+def run_fresh(script, *args):
+    # A new interpreter, so no earlier test has imported anything yet.
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(covertq.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_does_not_load_scipy_special():
+    out = run_fresh("import sys\n"
+                    "import covertq, covertq.cli\n"
+                    "print('scipy.special' in sys.modules)\n")
+    assert out == "False\n"
+
+
+def test_cached_optimize_does_not_load_scipy_special(tmp_path):
+    cache = tmp_path / "s.cqcs"
+    assert run("sample", "--k", "1000", "--out", str(cache)) == 0
+    out = tmp_path / "opt.csv"
+    script = ("import sys\n"
+              "from covertq import cli\n"
+              "rc = cli.main(['optimize', '--cache', sys.argv[1], '--out', sys.argv[2]])\n"
+              "print(rc, 'scipy.special' in sys.modules)\n")
+    assert run_fresh(script, cache, out).splitlines()[-1] == "0 False"
+    assert len(data_lines(out)) == 2
+
+
+@pytest.mark.parametrize("kind", ["stochastic", "benchmark"])
+def test_first_generation_in_two_threads_matches_one(kind):
+    # The first sampler and entropy calls of the process run in two pool
+    # threads at once, so both import scipy.special concurrently.
+    script = (
+        "import sys\n"
+        "from covertq import (BenchmarkChannelSpec, ExponentialSpec,\n"
+        "    StochasticChannelSpec, TruncatedGaussianSpec, TruncatedLognormalSpec,\n"
+        "    generate_sample_set)\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "spec = (StochasticChannelSpec(\n"
+        "            eta=TruncatedLognormalSpec(mu_ln=-0.0126, sigma_ln=0.05),\n"
+        "            nb=TruncatedGaussianSpec(mu=0.005, sigma=0.001, upper=0.5))\n"
+        "        if sys.argv[1] == 'stochastic' else\n"
+        "        BenchmarkChannelSpec(eta0=0.9, nb=ExponentialSpec(10.0)))\n"
+        "K = 4 * 2**16 + 7\n"
+        "two = generate_sample_set(spec, K, 11, workers=2)\n"
+        "one = generate_sample_set(spec, K, 11, workers=1)\n"
+        "print(two.ccov.tobytes() == one.ccov.tobytes(),\n"
+        "      two.rach.tobytes() == one.rach.tobytes())\n"
+    )
+    assert run_fresh(script, kind) == "True True\n"

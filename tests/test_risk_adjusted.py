@@ -1,5 +1,7 @@
 """Risk-adjusted objective, grid maximization, weight sweeps, and FOC residuals."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -283,6 +285,32 @@ def test_pruned_kernel_extreme_weights(points, kind):
     weights = [0.0, 5e-324, 1e-300, 1.0, 1e300, 1e308]
     with np.errstate(over="ignore"):
         assert_sweep_matches_full_matrix(s, p, GridSpec(points), weights, weights)
+
+
+@pytest.mark.parametrize("kind", ["zeros", "inf_ccov", "lattice"])
+def test_extreme_weights_overflow_silently(kind):
+    # J overflows to -inf in cells that cannot win; neither the sweep nor a
+    # single maximization warns about it, and both still match the full matrix.
+    rng, K = np.random.default_rng(11), 17
+    if kind == "zeros":
+        s = synthetic_set(np.zeros(K), np.zeros(K))
+    elif kind == "lattice":
+        s = lattice_set(rng, K)
+    else:
+        s = synthetic_set(np.r_[rng.uniform(0.0, 1500.0, K - 5), [np.inf] * 5],
+                          rng.uniform(0.0, 1.0, K))
+    p, g = ProtocolParams(n=10**4, delta=0.05), GridSpec(11)
+    weights = [1.0, 1e154, 1e308, np.finfo(float).max]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        matrix = heatmap_sweep(s, p, g, weights, weights)
+        singles = [[grid_maximize(s, RiskWeights(lc, lr), p, g) for lr in weights]
+                   for lc in weights]
+    with np.errstate(over="ignore"):
+        for lc, row, single_row in zip(weights, matrix, singles, strict=True):
+            for lr, best, single in zip(weights, row, single_row, strict=True):
+                expected = full_matrix_grid_maximum(s, RiskWeights(lc, lr), p, g)
+                assert fields(best) == fields(single) == expected, (lc, lr)
 
 
 def test_pruned_kernel_duplicate_weights():

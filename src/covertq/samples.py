@@ -16,8 +16,11 @@ Generation runs in fixed blocks of rows small enough for a core's L2 cache:
 each block draws its span of the stream, reduces it to (c_cov, r_ach) and
 writes the result into the two K-row output arrays, which are then sorted in
 place.  Peak memory is therefore close to 16 bytes x K plus a few block-sized
-scratch arrays per worker.  The cache is written from and read into those
-arrays directly, without an intermediate copy of the payload.
+scratch arrays per worker.  The cache is written from those arrays directly,
+and a load maps the file copy-on-write instead of reading it: the loaded
+arrays are views of a private mapping, so a write into them stays in memory
+and never reaches the file.  A save replaces the file and never rewrites it
+in place, so a set already mapped from it keeps the bytes it was validated on.
 
 Cache file layout (little endian), version 1:
 
@@ -34,6 +37,7 @@ Cache file layout (little endian), version 1:
 from __future__ import annotations
 
 import hashlib
+import mmap
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -225,8 +229,19 @@ def generate_sample_set(
 
 
 def save_sample_set(s: SampleSet, path) -> None:
-    """Write the binary cache; round-trips bit-exactly through load."""
+    """Write the binary cache; round-trips bit-exactly through load.
+
+    An existing regular file at ``path`` (symlinks resolved) is unlinked and
+    a new one created, never truncated or rewritten in place: a loaded set
+    may map the old file, and it keeps the old inode's bytes.  Truncating it
+    would end the next read of such a set with SIGBUS.  Anything else, such
+    as a device or a FIFO, is opened for writing as it is.
+    """
     header = _HEADER.pack(_MAGIC, _VERSION, s.K, s.seed, s.channel_digest)
+    if os.path.isfile(path):
+        # Unlinking also spares ext4 the flush that truncating a non-empty
+        # file triggers; a rename over the file would trigger one too.
+        os.unlink(os.path.realpath(path))
     with open(path, "wb") as fh:
         fh.write(header)
         # A contiguous little-endian float64 array is written from its own
@@ -241,9 +256,12 @@ def load_sample_set(path, expected_digest: bytes | None = None) -> SampleSet:
     Raises a distinct error per failure mode: wrong magic, K = 0, trailing
     bytes, an unsorted array, a NaN, a negative c_cov or an r_ach outside
     [0, 1] (format), unknown version, digest mismatch against
-    ``expected_digest``, and short reads (truncation).
-    The header and the file size are checked before the arrays are
-    allocated, and the payload is read straight into them.
+    ``expected_digest``, and a file shorter than its header declares, or
+    one that changes size while it is loaded (truncation).
+    The header and the file size are checked before anything is mapped.  The
+    payload is then mapped copy-on-write, not read: ``ccov`` and ``rach`` are
+    writable views of one private mapping that lives as long as they do, and
+    writes into them never reach the file.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -266,13 +284,16 @@ def load_sample_set(path, expected_digest: bytes | None = None) -> SampleSet:
             raise SampleFileFormatError(f"{path}: {size - expected_len} trailing bytes")
         if expected_digest is not None and digest != expected_digest:
             raise SampleFileDigestError(f"{path}: channel digest mismatch")
-        ccov = np.empty(k, dtype="<f8")
-        rach = np.empty(k, dtype="<f8")
-        for arr in (ccov, rach):
-            # The size was checked above; a short read means the file
-            # shrank while it was being read.
-            if fh.readinto(arr) != arr.nbytes:
-                raise SampleFileTruncatedError(f"{path}: file ended before K={k} rows")
+        try:
+            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        except ValueError:  # mmap refuses a file that is empty by now
+            buf = b""
+        # The size was checked above; a different mapped length means the
+        # file changed size while it was being loaded.
+        if len(buf) != expected_len:
+            raise SampleFileTruncatedError(f"{path}: file changed size while loading K={k} rows")
+    ccov = np.frombuffer(buf, "<f8", count=k, offset=_HEADER.size)
+    rach = np.frombuffer(buf, "<f8", count=k, offset=_HEADER.size + 8 * k)
     for name, arr in (("ccov", ccov), ("rach", rach)):
         # Any comparison with NaN is False, so this also rejects a NaN
         # anywhere but in a single-element array, checked on its own.

@@ -5,10 +5,16 @@ reused across many tests, so they are session scoped.  Tests that need
 other seeds or sizes generate their own sets locally.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import xlogy
 
+import covertq
 from covertq import (
     BenchmarkChannelSpec,
     ExponentialSpec,
@@ -20,6 +26,17 @@ from covertq import (
 )
 
 K_FULL = 10**6
+
+
+def run_fresh(script, *args):
+    # A new interpreter, so no earlier test has imported anything yet, and a
+    # crash such as SIGBUS fails the test (return code -7) instead of the run.
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(covertq.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def make_baseline_spec() -> StochasticChannelSpec:

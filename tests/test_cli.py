@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: artifacts, precedence rules, and exit codes."""
 
+import errno
 import json
+import mmap
 import os
 import subprocess
 import sys
@@ -26,6 +28,9 @@ from covertq import (
     save_sample_set,
 )
 from covertq import cli
+from covertq.samples import SampleFileTruncatedError
+
+from conftest import run_fresh
 
 
 def run(*argv):
@@ -563,6 +568,44 @@ def test_cache_io_errors(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("left", [0, 100])
+def test_cache_shrinking_during_load_is_io_error(tmp_path, capsys, monkeypatch, left):
+    # The cache shrinks to `left` bytes right after its size is checked, so
+    # the mapped length falls short (and mmap refuses an empty file outright).
+    cache = tmp_path / "c.cqcs"
+    assert run("sample", "--k", "200", "--out", str(cache)) == 0
+    full = cache.read_bytes()
+    real_fstat = os.fstat
+
+    def fstat_then_shrink(fd):
+        st = real_fstat(fd)
+        if st.st_ino == cache.stat().st_ino:
+            os.truncate(cache, left)
+        return st
+
+    monkeypatch.setattr(os, "fstat", fstat_then_shrink)
+    with pytest.raises(SampleFileTruncatedError):
+        load_sample_set(cache)
+    cache.write_bytes(full)
+    rc = run("optimize", "--cache", str(cache), "--out", str(tmp_path / "x.csv"))
+    assert rc == 3
+    assert "i/o error" in capsys.readouterr().err
+
+
+def test_cache_unmappable_is_io_error(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "c.cqcs"
+    assert run("sample", "--k", "200", "--out", str(cache)) == 0
+
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENODEV, os.strerror(errno.ENODEV))
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    rc = run("optimize", "--cache", str(cache), "--out", str(tmp_path / "x.csv"))
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "i/o error" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("name, index, value", [
     ("rach", 0, -np.inf), ("ccov", 0, -1.0), ("rach", -1, 5.0), ("rach", -1, np.inf),
 ])
@@ -619,16 +662,6 @@ def test_internal_invariant_violation_exits_5_under_optimize_flag(tmp_path):
 
 # ---------------------------------------------------------------------------
 # cold start: scipy.special is imported only where sampling and entropy run
-
-
-def run_fresh(script, *args):
-    # A new interpreter, so no earlier test has imported anything yet.
-    env = {**os.environ,
-           "PYTHONPATH": str(Path(covertq.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
-                          env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
 
 
 def test_import_does_not_load_scipy_special():

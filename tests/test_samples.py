@@ -1,5 +1,6 @@
 """Sample-set generation, digests, and the binary cache round trip."""
 
+import hashlib
 import os
 import struct
 import sys
@@ -41,6 +42,7 @@ from conftest import (
     make_baseline_spec,
     reference_achievable_rate,
     reference_covertness_constant,
+    run_fresh,
 )
 
 
@@ -204,8 +206,20 @@ def test_cache_round_trip_peak_memory_near_payload(tmp_path):
     assert peak < 1.25 * 16 * K, peak / (16 * K)
     for arr in (t.ccov, t.rach):
         assert arr.dtype == np.float64
-        assert arr.flags.writeable and arr.flags.owndata
+        assert arr.flags.writeable and arr.flags.c_contiguous
     assert load_sample_set(path).ccov.tobytes() == t.ccov.tobytes()
+
+    # The payload is mapped, not copied: a load alone holds no heap copy of
+    # its 16 * K bytes, and its peak is the K-byte sortedness temporary.
+    tracemalloc.start()
+    try:
+        u = load_sample_set(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert u.K == K
+    assert held < 1 << 20, held
+    assert peak < 2 << 20, peak
 
 
 def test_load_checks_size_before_allocating(tmp_path):
@@ -386,6 +400,74 @@ def test_load_accepts_domain_ends(tmp_path):
     t = load_sample_set(path)
     assert t.ccov.tobytes() == s.ccov.tobytes()
     assert t.rach.tobytes() == s.rach.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# mapped loads and in-place-free saves
+
+
+def test_mapped_set_survives_overwrite_of_its_file(tmp_path):
+    # A is mapped from P.  Saving a shorter set B to P, then A itself back to
+    # P, must leave every byte of A as it was: an in-place truncation would
+    # end the read of A's tail with SIGBUS, an in-place rewrite would change
+    # values already validated.
+    script = (
+        "import sys\n"
+        "from covertq import (BenchmarkChannelSpec, ExponentialSpec,\n"
+        "    generate_sample_set, load_sample_set, save_sample_set)\n"
+        "path = sys.argv[1]\n"
+        "spec = BenchmarkChannelSpec(eta0=0.9, nb=ExponentialSpec(rate=10.0))\n"
+        "save_sample_set(generate_sample_set(spec, 3 * 2**16 + 5, seed=1), path)\n"
+        "a = load_sample_set(path)\n"
+        "before = a.ccov.tobytes() + a.rach.tobytes()\n"
+        "b = generate_sample_set(spec, 1000, seed=2)\n"
+        "save_sample_set(b, path)\n"
+        "assert a.ccov.tobytes() + a.rach.tobytes() == before\n"
+        "r = load_sample_set(path)\n"
+        "assert (r.K, r.seed) == (1000, 2)\n"
+        "assert r.ccov.tobytes() + r.rach.tobytes() == b.ccov.tobytes() + b.rach.tobytes()\n"
+        "save_sample_set(a, path)\n"
+        "assert a.ccov.tobytes() + a.rach.tobytes() == before\n"
+        "r = load_sample_set(path)\n"
+        "assert r.ccov.tobytes() + r.rach.tobytes() == before\n"
+        "print('ok')\n"
+    )
+    assert run_fresh(script, tmp_path / "p.cqcs") == "ok\n"
+
+
+def test_writes_into_loaded_set_stay_in_memory(tmp_path):
+    path = tmp_path / "p.cqcs"
+    save_sample_set(generate_sample_set(make_baseline_spec(), 1000, seed=3), path)
+    digest = hashlib.sha256(path.read_bytes()).digest()
+    s = load_sample_set(path)
+    for arr in (s.ccov, s.rach):
+        arr[0], arr[-1] = -1.0, np.nan
+    for arr in (s.ccov, s.rach):
+        assert arr[0] == -1.0 and np.isnan(arr[-1])
+    assert hashlib.sha256(path.read_bytes()).digest() == digest
+    # The mutated set still saves as the corrupt cache the CLI tests use.
+    save_sample_set(s, tmp_path / "bad.cqcs")
+    with pytest.raises(SampleFileFormatError):
+        load_sample_set(tmp_path / "bad.cqcs")
+
+
+def test_save_unlinks_only_regular_files(tmp_path, monkeypatch):
+    s = generate_sample_set(small_benchmark_spec(), 100, seed=1)
+    target = tmp_path / "target.cqcs"
+    save_sample_set(generate_sample_set(small_benchmark_spec(), 50, seed=2), target)
+    link = tmp_path / "link.cqcs"
+    link.symlink_to(target)
+    save_sample_set(s, link)
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert load_sample_set(link).ccov.tobytes() == s.ccov.tobytes()
+
+    def refuse(path):
+        raise AssertionError(f"unlinked {path}")
+
+    # A device is written as it is, never unlinked (and the real unlink is
+    # out of reach: tests may run as root).
+    monkeypatch.setattr(os, "unlink", refuse)
+    save_sample_set(s, os.devnull)
 
 
 # ---------------------------------------------------------------------------

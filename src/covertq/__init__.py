@@ -10,7 +10,6 @@ pipelines as a command-line tool.
 
 from .distributions import (
     ExponentialSpec,
-    SeededStream,
     TruncatedGaussianSpec,
     TruncatedLognormalSpec,
     sample_exponential,

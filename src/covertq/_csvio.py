@@ -33,18 +33,10 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, columns, rows, seed=None, K=None, digest=None) -> None:
+def write_csv(path, columns, rows, *, seed, K, digest: bytes) -> None:
     """Write rows (iterables of cells) under a provenance comment + header."""
-    meta = []
-    if seed is not None:
-        meta.append(f"seed={int(seed)}")
-    if K is not None:
-        meta.append(f"K={int(K)}")
-    if digest is not None:
-        meta.append(f"channel_digest={digest.hex() if isinstance(digest, bytes) else digest}")
     with open(path, "w", newline="") as fh:
-        if meta:
-            fh.write("# " + " ".join(meta) + "\n")
+        fh.write(f"# seed={int(seed)} K={int(K)} channel_digest={digest.hex()}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:

@@ -163,7 +163,7 @@ def validate(
     return rows
 
 
-def write_validation_csv(rows, path, *, seed=None, K=None, digest=None) -> None:
+def write_validation_csv(rows, path, *, seed, K, digest) -> None:
     write_csv(
         path,
         ["eps", "metric", "theory", "mc", "rel_error_percent"],

@@ -2,10 +2,10 @@
 
 Three laws are supported: a lognormal truncated to (0, 1] (transmittance),
 a Gaussian truncated to [0, b] (thermal photon number), and an exponential
-(benchmark noise).  Every sampler maps exactly one uniform draw through the
-inverse CDF of the truncated law, so streams stay aligned across runs: the
-i-th output depends only on (spec, seed, i), never on how many values were
-requested per call or which thread produced them.
+(benchmark noise).  A sampler call (spec, count, seed, start) reads the
+uniforms at stream positions [start, start + count) and maps each through
+the inverse CDF of the truncated law, so output i depends only on (spec,
+seed, start + i), never on the call pattern or the thread.
 
 The uniform source is a counter-addressed stream: position space is split
 into fixed chunks and chunk c is generated from a PCG64 generator keyed by
@@ -28,7 +28,6 @@ __all__ = [
     "TruncatedLognormalSpec",
     "TruncatedGaussianSpec",
     "ExponentialSpec",
-    "SeededStream",
     "sample_truncated_lognormal",
     "sample_truncated_gaussian",
     "sample_exponential",
@@ -96,41 +95,22 @@ class ExponentialSpec:
             raise ValueError(f"rate must be > 0, got {self.rate}")
 
 
-@dataclass
-class SeededStream:
-    """Deterministic uniform stream addressed by (seed, position).
-
-    The value at absolute position i is fixed by the seed alone; ``uniforms``
-    reads a span and advances the position.  Two streams with the same seed
-    emit bit-identical sequences regardless of call pattern, and a worker can
-    open the stream mid-sequence by passing a nonzero starting position.
-    """
-
-    seed: int
-    position: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.seed < _MAX_SEED:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.position < 0:
-            raise ValueError(f"position must be >= 0, got {self.position}")
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """Return ``count`` doubles in [0, 1) and advance the position."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        out = stream_uniforms(self.seed, self.position, count)
-        self.position += count
-        return out
-
-
 def stream_uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniform doubles at absolute positions [start, start + count).
+    """Uniform doubles in [0, 1) at absolute positions [start, start + count).
 
     Chunk c holds positions [c*STREAM_CHUNK, (c+1)*STREAM_CHUNK) and is
     produced by PCG64 seeded from SeedSequence([seed, c]), so any partition
     of the position space reproduces the same concatenated output.
+
+    Raises ValueError for a seed outside [0, 2**64), which SeedSequence would
+    accept silently, and for a negative start or count.
     """
+    if not 0 <= seed < _MAX_SEED:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     out = np.empty(count)
     filled = 0
     while filled < count:
@@ -146,7 +126,7 @@ def stream_uniforms(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def sample_truncated_lognormal(
-    spec: TruncatedLognormalSpec, count: int, stream: SeededStream
+    spec: TruncatedLognormalSpec, count: int, seed: int, start: int
 ) -> np.ndarray:
     """Draw ``count`` transmittance values in (0, 1] from the truncated law.
 
@@ -156,8 +136,8 @@ def sample_truncated_lognormal(
         Location and scale of ln(x); truncation to (0, 1] is implied.
     count : int
         Number of samples (>= 0).
-    stream : SeededStream
-        Uniform source; consumes exactly ``count`` draws.
+    seed, start : int
+        Stream seed and position of the first of the ``count`` uniforms read.
 
     Returns
     -------
@@ -170,7 +150,7 @@ def sample_truncated_lognormal(
     # min(exp(mu + sigma * ndtri(p_hi * (1 - u))), 1): same ufuncs, same bits.
     from scipy.special import ndtr, ndtri
 
-    x = stream.uniforms(count)
+    x = stream_uniforms(seed, start, count)
     # Truncated region in probability space is (0, p_hi] with
     # p_hi = Phi((ln 1 - mu)/sigma).  Mapping through (1 - u) keeps the
     # left edge open: u in [0, 1) lands in (0, p_hi], so no sample can
@@ -190,7 +170,7 @@ def sample_truncated_lognormal(
 
 
 def sample_truncated_gaussian(
-    spec: TruncatedGaussianSpec, count: int, stream: SeededStream
+    spec: TruncatedGaussianSpec, count: int, seed: int, start: int
 ) -> np.ndarray:
     """Draw ``count`` values in [lower, upper] from the truncated Gaussian.
 
@@ -202,7 +182,7 @@ def sample_truncated_gaussian(
     # In place, in the order of mu + sigma * ndtri(p_lo + (p_hi - p_lo) * u).
     from scipy.special import ndtr, ndtri
 
-    x = stream.uniforms(count)
+    x = stream_uniforms(seed, start, count)
     p_lo = ndtr((spec.lower - spec.mu) / spec.sigma)
     p_hi = ndtr((spec.upper - spec.mu) / spec.sigma)
     np.multiply(p_hi - p_lo, x, out=x)
@@ -214,10 +194,10 @@ def sample_truncated_gaussian(
 
 
 def sample_exponential(
-    spec: ExponentialSpec, count: int, stream: SeededStream
+    spec: ExponentialSpec, count: int, seed: int, start: int
 ) -> np.ndarray:
     """Draw ``count`` nonnegative values with inverse CDF -ln(1 - u)/rate."""
-    x = stream.uniforms(count)
+    x = stream_uniforms(seed, start, count)
     # log1p keeps precision for small u; u in [0, 1) keeps the result finite.
     # In place, in the order of -log1p(-u) / rate.
     np.negative(x, out=x)

@@ -10,12 +10,8 @@ thermal photon number >= 0 — this module evaluates:
   seen by a dual-rail qubit, its Pauli error vector [1-3p/4, p/4, p/4, p/4],
   and the hashing-bound rate  R = max(0, 1 - H(pauli vector)).
 
-All functions are elementwise over numpy arrays and also accept floats, but
-a float (eta, nb) pair can differ in the last ulp from the same pair inside
-an array for depolarizing_probability and achievable_rate: scalars use
-numpy's scalar power (libm pow) and arrays its vectorised power loop, which
-disagree on a few percent of inputs.  covertness_constant has no power and
-agrees on both paths.
+All functions are elementwise over numpy arrays and also accept floats,
+which run the same ufunc loops as 0-d arrays and so match array results.
 eta = 1 with nb > 0 yields c_cov = +inf by convention rather than an error,
 so measure-zero boundary samples survive bulk Monte Carlo runs; quantile
 logic downstream treats +inf as a legal upper-tail value.
@@ -85,12 +81,7 @@ def _depolarizing_into(eta_a, nb_a, out):
     np.subtract(1.0, eta_a, out=out)
     np.multiply(out, nb_a, out=out)
     np.add(1.0, out, out=out)
-    if out.ndim:
-        np.power(out, 4, out=out)
-    else:
-        # Scalar inputs keep numpy's scalar power, which can differ from the
-        # array loop in the last ulp.
-        out[()] = out[()] ** 4
+    np.power(out, 4, out=out)
     np.divide(eta_a, out, out=out)
     np.subtract(1.0, out, out=out)
     return np.clip(out, 0.0, 1.0, out=out)
@@ -121,11 +112,6 @@ def _entropy_into(p, tmp):
     np.add(tmp, p, out=p)
     np.negative(p, out=p)
     return np.divide(p, _LN2, out=p)
-
-
-def _entropy_of_depolarizing(p):
-    p_a = np.array(p, dtype=float)
-    return _scalar_or_array(_entropy_into(p_a, np.empty_like(p_a)), p)
 
 
 def achievable_rate(eta, nb):

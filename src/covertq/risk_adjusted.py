@@ -240,7 +240,7 @@ _WEIGHT_COLUMNS = [
 
 def _write_weight_csv(
     columns, matrix, lambda_cov_values, lambda_rel_values, path,
-    *, seed=None, K=None, digest=None,
+    *, seed, K, digest,
 ) -> None:
     # One row per weight pair, row-major like the matrix, cut to the columns.
     rows = (

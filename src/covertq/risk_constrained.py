@@ -190,7 +190,7 @@ def _report_cells(report: OptimumReport):
     )
 
 
-def write_frontier_csv(rows, path, *, seed=None, K=None, digest=None) -> None:
+def write_frontier_csv(rows, path, *, seed, K, digest) -> None:
     write_csv(
         path,
         ["eps", "q_max", "r_max", "t_star", "n_t_star", "q_capped"],
@@ -202,7 +202,7 @@ def write_frontier_csv(rows, path, *, seed=None, K=None, digest=None) -> None:
 
 
 def write_surface_csv(
-    matrix, eps_cov_grid, eps_rel_grid, path, *, seed=None, K=None, digest=None
+    matrix, eps_cov_grid, eps_rel_grid, path, *, seed, K, digest
 ) -> None:
     def rows():
         for i, ec in enumerate(eps_cov_grid):
@@ -219,11 +219,11 @@ def write_surface_csv(
     )
 
 
-def write_scaling_csv(rows, path, *, seed=None, K=None, digest=None) -> None:
+def write_scaling_csv(rows, path, *, seed, K, digest) -> None:
     write_csv(path, ["n", "n_t_star"], rows, seed=seed, K=K, digest=digest)
 
 
-def write_decade_gains_csv(gains, path, *, seed=None, K=None, digest=None) -> None:
+def write_decade_gains_csv(gains, path, *, seed, K, digest) -> None:
     write_csv(
         path,
         ["eps_from", "eps_to", "gain"],

@@ -49,7 +49,6 @@ import numpy as np
 from .distributions import (
     STREAM_CHUNK,
     ExponentialSpec,
-    SeededStream,
     TruncatedGaussianSpec,
     TruncatedLognormalSpec,
     sample_exponential,
@@ -173,10 +172,10 @@ def _draw_span(spec: ChannelSpec, lo: int, hi: int, K: int, seed: int):
     # positions, so both variants share one stream layout.
     count = hi - lo
     if isinstance(spec, StochasticChannelSpec):
-        eta = sample_truncated_lognormal(spec.eta, count, SeededStream(seed, lo))
-        nb = sample_truncated_gaussian(spec.nb, count, SeededStream(seed, K + lo))
+        eta = sample_truncated_lognormal(spec.eta, count, seed, lo)
+        nb = sample_truncated_gaussian(spec.nb, count, seed, K + lo)
         return eta, nb
-    nb = sample_exponential(spec.nb, count, SeededStream(seed, K + lo))
+    nb = sample_exponential(spec.nb, count, seed, K + lo)
     return np.full(count, spec.eta0), nb
 
 
@@ -262,6 +261,9 @@ def load_sample_set(path, expected_digest: bytes | None = None) -> SampleSet:
     payload is then mapped copy-on-write, not read: ``ccov`` and ``rach`` are
     writable views of one private mapping that lives as long as they do, and
     writes into them never reach the file.
+    The mapping holds a duplicate of the file descriptor until the set is
+    garbage collected, so about ``ulimit -n`` live sets make the next open in
+    the process fail with EMFILE.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)

@@ -161,7 +161,7 @@ def sensitivity_formula(
     return float(s_cov), float(s_rel)
 
 
-def write_sensitivity_csv(points, path, *, seed=None, K=None, digest=None) -> None:
+def write_sensitivity_csv(points, path, *, seed, K, digest) -> None:
     write_csv(
         path,
         ["eps", "s_cov", "s_rel", "flags"],

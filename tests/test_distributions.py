@@ -10,13 +10,15 @@ from scipy.stats import norm
 
 from covertq import (
     ExponentialSpec,
-    SeededStream,
+    StochasticChannelSpec,
     TruncatedGaussianSpec,
     TruncatedLognormalSpec,
+    generate_sample_set,
     sample_exponential,
     sample_truncated_gaussian,
     sample_truncated_lognormal,
 )
+from covertq import distributions
 from covertq.distributions import (
     STREAM_CHUNK,
     exponential_cdf,
@@ -103,25 +105,25 @@ def test_inplace_samplers_match_whole_expressions(start, count):
     u = stream_uniforms(9, start, count)
     p_hi = ndtr((0.0 - LN_SPEC.mu_ln) / LN_SPEC.sigma_ln)
     want = np.minimum(np.exp(LN_SPEC.mu_ln + LN_SPEC.sigma_ln * ndtri(p_hi * (1.0 - u))), 1.0)
-    got = sample_truncated_lognormal(LN_SPEC, count, SeededStream(9, start))
+    got = sample_truncated_lognormal(LN_SPEC, count, 9, start)
     assert got.tobytes() == want.tobytes()
 
     p_lo = ndtr((NB_SPEC.lower - NB_SPEC.mu) / NB_SPEC.sigma)
     p_hi = ndtr((NB_SPEC.upper - NB_SPEC.mu) / NB_SPEC.sigma)
     x = NB_SPEC.mu + NB_SPEC.sigma * ndtri(p_lo + (p_hi - p_lo) * u)
     want = np.clip(x, NB_SPEC.lower, NB_SPEC.upper)
-    got = sample_truncated_gaussian(NB_SPEC, count, SeededStream(9, start))
+    got = sample_truncated_gaussian(NB_SPEC, count, 9, start)
     assert got.tobytes() == want.tobytes()
 
     want = -np.log1p(-u) / EXP_SPEC.rate
-    got = sample_exponential(EXP_SPEC, count, SeededStream(9, start))
+    got = sample_exponential(EXP_SPEC, count, 9, start)
     assert got.tobytes() == want.tobytes()
 
 
 def test_stream_call_pattern_independence():
-    one_call = SeededStream(11).uniforms(1000)
-    s = SeededStream(11)
-    pieces = [s.uniforms(n) for n in (1, 99, 400, 500)]
+    one_call = stream_uniforms(11, 0, 1000)
+    pieces = [stream_uniforms(11, start, n)
+              for start, n in ((0, 1), (1, 99), (100, 400), (500, 500))]
     np.testing.assert_array_equal(one_call, np.concatenate(pieces))
 
 
@@ -138,15 +140,19 @@ def test_stream_distinct_seeds_differ():
     assert np.any(a != b)
 
 
-def test_seeded_stream_validation():
+def test_stream_uniforms_validation():
     with pytest.raises(ValueError):
-        SeededStream(-1)
+        stream_uniforms(-1, 0, 1)
     with pytest.raises(ValueError):
-        SeededStream(2**64)
+        stream_uniforms(2**64, 0, 1)
     with pytest.raises(ValueError):
-        SeededStream(0, position=-1)
+        stream_uniforms(0, -1, 1)
     with pytest.raises(ValueError):
-        SeededStream(0).uniforms(-1)
+        stream_uniforms(0, 0, -1)
+    # SeedSequence alone would accept a seed >= 2**64 silently.
+    spec = StochasticChannelSpec(eta=LN_SPEC, nb=NB_SPEC)
+    with pytest.raises(ValueError):
+        generate_sample_set(spec, 10, seed=2**64)
 
 
 # ---------------------------------------------------------------------------
@@ -155,45 +161,43 @@ def test_seeded_stream_validation():
 
 def test_lognormal_support_and_determinism():
     for seed in (0, 1, 17, 2**63):
-        x = sample_truncated_lognormal(LN_SPEC, 10_000, SeededStream(seed))
+        x = sample_truncated_lognormal(LN_SPEC, 10_000, seed, 0)
         assert np.all((x > 0.0) & (x <= 1.0))
-        y = sample_truncated_lognormal(LN_SPEC, 10_000, SeededStream(seed))
+        y = sample_truncated_lognormal(LN_SPEC, 10_000, seed, 0)
         np.testing.assert_array_equal(x, y)
 
 
 def test_lognormal_support_wide_spec():
     # Wide spec stresses the inverse-CDF tails; support must still hold.
     spec = TruncatedLognormalSpec(mu_ln=-5.0, sigma_ln=1.0)
-    x = sample_truncated_lognormal(spec, 50_000, SeededStream(2))
+    x = sample_truncated_lognormal(spec, 50_000, 2, 0)
     assert np.all((x > 0.0) & (x <= 1.0))
 
 
-def test_lognormal_upper_edge_is_exact():
+def test_lognormal_upper_edge_is_exact(monkeypatch):
     # u = 0 maps to the upper support edge; rounding must not overshoot 1.
     spec = TruncatedLognormalSpec(mu_ln=-5.0, sigma_ln=1.0)
 
-    class ZeroStream(SeededStream):
-        def uniforms(self, count):
-            return np.zeros(count)
-
-    x = sample_truncated_lognormal(spec, 4, ZeroStream(0))
+    monkeypatch.setattr(distributions, "stream_uniforms",
+                        lambda seed, start, count: np.zeros(count))
+    x = sample_truncated_lognormal(spec, 4, 0, 0)
     assert np.all(x <= 1.0)
 
 
 def test_lognormal_mean_of_log():
-    x = sample_truncated_lognormal(LN_SPEC, 10**6, SeededStream(1))
+    x = sample_truncated_lognormal(LN_SPEC, 10**6, 1, 0)
     target = truncated_lognormal_mean_of_log(LN_SPEC)
     assert abs(np.mean(np.log(x)) - target) <= 3 * LN_SPEC.sigma_ln / 1000.0
 
 
 def test_lognormal_degenerate_sigma():
     spec = TruncatedLognormalSpec(mu_ln=-0.0126, sigma_ln=1e-9)
-    x = sample_truncated_lognormal(spec, 1000, SeededStream(4))
+    x = sample_truncated_lognormal(spec, 1000, 4, 0)
     np.testing.assert_allclose(x, np.exp(-0.0126), rtol=0, atol=1e-6)
 
 
 def test_lognormal_count_zero():
-    assert sample_truncated_lognormal(LN_SPEC, 0, SeededStream(0)).shape == (0,)
+    assert sample_truncated_lognormal(LN_SPEC, 0, 0, 0).shape == (0,)
 
 
 def test_lognormal_spec_validation():
@@ -208,27 +212,27 @@ def test_lognormal_spec_validation():
 
 
 def test_gaussian_mean():
-    x = sample_truncated_gaussian(NB_SPEC, 10**6, SeededStream(1))
+    x = sample_truncated_gaussian(NB_SPEC, 10**6, 1, 0)
     assert abs(np.mean(x) - truncated_gaussian_mean(NB_SPEC)) <= 5e-5
     assert abs(np.mean(x) - 0.005) <= 5e-5
 
 
 def test_gaussian_support_with_outside_mean():
     spec = TruncatedGaussianSpec(mu=-1.0, sigma=0.1, upper=0.5)
-    x = sample_truncated_gaussian(spec, 10_000, SeededStream(3))
+    x = sample_truncated_gaussian(spec, 10_000, 3, 0)
     assert np.all((x >= 0.0) & (x <= 0.5))
 
 
 def test_gaussian_determinism_and_count_zero():
-    a = sample_truncated_gaussian(NB_SPEC, 5000, SeededStream(9))
-    b = sample_truncated_gaussian(NB_SPEC, 5000, SeededStream(9))
+    a = sample_truncated_gaussian(NB_SPEC, 5000, 9, 0)
+    b = sample_truncated_gaussian(NB_SPEC, 5000, 9, 0)
     np.testing.assert_array_equal(a, b)
-    assert sample_truncated_gaussian(NB_SPEC, 0, SeededStream(9)).shape == (0,)
+    assert sample_truncated_gaussian(NB_SPEC, 0, 9, 0).shape == (0,)
 
 
 def test_gaussian_nonzero_lower_bound():
     spec = TruncatedGaussianSpec(mu=0.2, sigma=0.5, upper=0.3, lower=0.1)
-    x = sample_truncated_gaussian(spec, 20_000, SeededStream(5))
+    x = sample_truncated_gaussian(spec, 20_000, 5, 0)
     assert np.all((x >= 0.1) & (x <= 0.3))
 
 
@@ -246,7 +250,7 @@ def test_gaussian_spec_validation():
 
 
 def test_exponential_mean_and_quantile():
-    x = sample_exponential(EXP_SPEC, 10**6, SeededStream(1))
+    x = sample_exponential(EXP_SPEC, 10**6, 1, 0)
     assert np.all(x >= 0.0)
     assert abs(np.mean(x) - 0.1) <= 5e-4
     q90 = np.quantile(x, 0.9)
@@ -254,7 +258,7 @@ def test_exponential_mean_and_quantile():
 
 
 def test_exponential_count_zero_and_validation():
-    assert sample_exponential(EXP_SPEC, 0, SeededStream(0)).shape == (0,)
+    assert sample_exponential(EXP_SPEC, 0, 0, 0).shape == (0,)
     with pytest.raises(ValueError):
         ExponentialSpec(rate=0.0)
     with pytest.raises(ValueError):
@@ -306,7 +310,7 @@ def dkw_epsilon(k, confidence=0.999):
 )
 def test_dkw_agreement(spec, sampler, cdf, points):
     k = 10**5
-    x = np.sort(sampler(spec, k, SeededStream(12)))
+    x = np.sort(sampler(spec, k, 12, 0))
     for pt in points:
         emp = np.searchsorted(x, pt, side="right") / k
         assert abs(emp - float(cdf(spec, pt))) <= dkw_epsilon(k)

@@ -2,8 +2,9 @@
 
 perfbench/spans.py looks up each traced function where its callers find it
 (``covertq.cli.optimize``, ``covertq.sensitivity.optimize``, ...).  A
-refactor that drops one of those imports breaks every traced benchmark run;
-this test catches it in the tier-1 suite instead.
+refactor that drops one of those imports breaks every traced benchmark run,
+and one that moves a measured argument zeroes its counts; these tests catch
+both in the tier-1 suite instead.
 """
 
 import importlib.util
@@ -34,3 +35,31 @@ def test_tracer_call_sites_exist(monkeypatch):
     finally:
         tracer.uninstall()
     assert covertq.cli.optimize is original
+
+
+def test_tracer_counts_a_traced_pass(monkeypatch, tmp_path):
+    # The tracer reads each sampler's count as positional argument 1 and
+    # write_csv's rows as argument 2; a signature change that moves either
+    # one zeroes or breaks these counts, and this test names the site.
+    spans = load_spans(monkeypatch)
+    K = 70_000  # two 2**16-row generation blocks
+    cache = tmp_path / "s.cqcs"
+    tracer = spans.Tracer(covertq)
+    tracer.install()
+    try:
+        for argv in (["sample", "--k", str(K), "--workers", "1", "--out", str(cache)],
+                     ["optimize", "--cache", str(cache), "--out", str(tmp_path / "o.csv")]):
+            with tracer.span(f"cli.{argv[0]}"):
+                assert covertq.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    t = spans.aggregate(tracer.take())
+    for sampler in ("sample_truncated_lognormal", "sample_truncated_gaussian"):
+        name = f"distributions.{sampler}"
+        assert (t.calls[name], t.rows[name]) == (2, K), name
+    assert t.calls["distributions.stream_uniforms"] == 4
+    assert t.rows["distributions.stream_uniforms"] == 2 * K
+    assert t.rows["csvio.write_csv"] == 1
+    assert t.nbytes["samples.save_sample_set"] == 16 * K + 64
+    assert t.nbytes["samples.load_sample_set"] == 16 * K + 64
+    assert t.worst_root_gap < 1e-6

@@ -10,7 +10,7 @@ from covertq import (
     depolarizing_probability,
     q_ceiling,
 )
-from covertq.physics import _entropy_of_depolarizing
+from covertq.physics import _entropy_into
 
 from conftest import (
     reference_achievable_rate,
@@ -63,16 +63,6 @@ def test_covertness_constant_monotone_in_noise():
         assert np.all(np.diff(c) >= 0.0)
 
 
-def test_covertness_constant_array_matches_scalars():
-    eta = np.array([0.3, 0.6, 0.9])
-    nb = np.array([0.1, 0.2, 0.3])
-    out = covertness_constant(eta, nb)
-    assert out.shape == (3,)
-    for i in range(3):
-        assert out[i] == covertness_constant(eta[i], nb[i])
-    assert isinstance(covertness_constant(0.5, 0.5), float)
-
-
 # ---------------------------------------------------------------------------
 # depolarizing probability and Pauli entropy
 
@@ -99,9 +89,11 @@ def test_depolarizing_probability_monotone_in_noise():
 
 def test_pauli_entropy_values():
     # Entropy in bits of the Pauli vector [1 - 3p/4, p/4, p/4, p/4].
-    assert _entropy_of_depolarizing(0.0) == 0.0
-    assert _entropy_of_depolarizing(1.0) == pytest.approx(2.0)
-    assert _entropy_of_depolarizing(0.17833) == pytest.approx(0.77964, abs=5e-4)
+    p = np.array([0.0, 1.0, 0.17833])
+    h = _entropy_into(p, np.empty_like(p))
+    assert h[0] == 0.0
+    assert h[1] == pytest.approx(2.0)
+    assert h[2] == pytest.approx(0.77964, abs=5e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +154,13 @@ def test_inplace_kernels_match_whole_expressions(kernel, reference):
         got, want = kernel(e, n), reference(e, n)
         assert isinstance(got, np.ndarray) and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    # Scalars return float, bit-identical to the scalar evaluation of the
-    # whole expression (numpy's scalar power can differ from its array loop).
-    for e, n in zip(eta[:2000], nb[:2000]):
-        got = kernel(float(e), float(n))
+    # Scalars return float, bit-identical to the same pair inside an array,
+    # and so to the whole expression.
+    along = kernel(eta, nb)
+    for i in range(2000):
+        got = kernel(float(eta[i]), float(nb[i]))
         assert type(got) is float
-        assert np.float64(got).tobytes() == np.float64(reference(float(e), float(n))).tobytes()
+        assert np.float64(got).tobytes() == along[i].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -454,18 +454,19 @@ def test_write_lambda_sweep_csv(tmp_path):
         [GridMaximum(Strategy(0.0, 0.0), 0.0, True)],
     ]
     path = tmp_path / "sweep.csv"
-    write_lambda_sweep_csv(column, [0.5, 2.0], [1.5], path, seed=3, K=100)
+    write_lambda_sweep_csv(column, [0.5, 2.0], [1.5], path, seed=3, K=100,
+                           digest=b"\x01\xff")
     lines = path.read_text().splitlines()
-    assert lines[0] == "# seed=3 K=100"
+    assert lines[0] == "# seed=3 K=100 channel_digest=01ff"
     assert lines[1] == ("lambda_cov,lambda_rel,q_star,r_star,j_value,"
                         "outside_sparse_regime")
     assert lines[2] == "0.5,1.5,0.25,0.5,0.1,false"
     assert lines[3] == "2.0,1.5,0.0,0.0,0.0,true"
-    # A sweep along lambda_rel is one row; without provenance arguments
-    # there is no comment line.
+    # A sweep along lambda_rel is one row.
     row = [[column[0][0], column[1][0]]]
-    write_lambda_sweep_csv(row, [1.5], [0.5, 2.0], path)
-    assert path.read_text().splitlines()[:2] == [lines[1], "1.5,0.5,0.25,0.5,0.1,false"]
+    write_lambda_sweep_csv(row, [1.5], [0.5, 2.0], path, seed=3, K=100,
+                           digest=b"\x01\xff")
+    assert path.read_text().splitlines()[:3] == [*lines[:2], "1.5,0.5,0.25,0.5,0.1,false"]
 
 
 def test_write_heatmap_csv(tmp_path):
@@ -474,8 +475,10 @@ def test_write_heatmap_csv(tmp_path):
     matrix = [[GridMaximum(Strategy(q[i][j], r[i][j]), 0.0, False) for j in range(2)]
               for i in range(2)]
     path = tmp_path / "heat.csv"
-    write_heatmap_csv(matrix, [1.0, 2.0], [3.0, 4.0], path)
+    write_heatmap_csv(matrix, [1.0, 2.0], [3.0, 4.0], path, seed=0, K=4,
+                      digest=bytes(32))
     lines = path.read_text().splitlines()
-    assert lines[0] == "lambda_cov,lambda_rel,q_star,r_star"
-    assert lines[1] == "1.0,3.0,0.1,0.5"
-    assert lines[4] == "2.0,4.0,0.4,0.8"
+    assert lines[0] == "# seed=0 K=4 channel_digest=" + "00" * 32
+    assert lines[1] == "lambda_cov,lambda_rel,q_star,r_star"
+    assert lines[2] == "1.0,3.0,0.1,0.5"
+    assert lines[5] == "2.0,4.0,0.4,0.8"

@@ -34,13 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantiles import RiskBudgets
-from .risk_constrained import OptimumReport, ProtocolParams, optimize
+from .risk_constrained import InvariantError, OptimumReport, ProtocolParams, optimize
 from .samples import BenchmarkChannelSpec, generate_sample_set
 from .physics import achievable_rate
 from ._csvio import write_csv
 
 __all__ = [
-    "InvariantError",
     "benchmark_qmax",
     "benchmark_rmax",
     "benchmark_ccov_quantile",
@@ -50,10 +49,6 @@ __all__ = [
     "validate",
     "write_validation_csv",
 ]
-
-
-class InvariantError(Exception):
-    """An internal consistency check failed: a bug, not bad input."""
 
 
 def _k(c: BenchmarkChannelSpec) -> float:

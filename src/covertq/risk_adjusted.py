@@ -40,6 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._csvio import write_csv
+from .physics import q_ceiling
 from .quantiles import strict_cdf
 from .risk_constrained import ProtocolParams
 from .samples import SampleSet
@@ -137,7 +138,7 @@ def _sparse_q_bound(s: SampleSet, p: ProtocolParams) -> float:
     # sorted and NaN-free, so averaging its middle one or two entries gives
     # np.median's value bit for bit without its copy and partition.
     mid = s.ccov[(s.K - 1) // 2 : s.K // 2 + 1]
-    return float(2.0 * p.delta * (mid.sum() / mid.size) / np.sqrt(p.n))
+    return q_ceiling(mid.sum() / mid.size, p.delta, p.n)
 
 
 def _grid_kernel(s: SampleSet, p: ProtocolParams, g: GridSpec):
@@ -183,8 +184,7 @@ def _grid_kernel(s: SampleSet, p: ProtocolParams, g: GridSpec):
 def grid_maximize(s: SampleSet, w: RiskWeights, p: ProtocolParams,
                   g: GridSpec = GridSpec()) -> GridMaximum:
     """Maximization of J over the uniform grid, equal to exhaustive evaluation."""
-    with np.errstate(over="ignore"):
-        return _grid_kernel(s, p, g)(w)
+    return heatmap_sweep(s, p, g, [w.lambda_cov], [w.lambda_rel])[0][0]
 
 
 def heatmap_sweep(s: SampleSet, p: ProtocolParams, g: GridSpec,

@@ -10,10 +10,11 @@ rectangle is its upper-right corner,
     r_max = Q<_rach(eps_rel),
     t_star = q_max * r_max          (per-use covert throughput),
 
-with Q< the strict-outage quantile of the cached sample arrays.  Because
-both quantiles are nondecreasing in their budget, t_star is monotone in each
-budget (the Pareto property the sweep tests rely on), and in the uncapped
-regime n * t_star grows exactly like sqrt(n) — the square-root law.
+with Q< the strict-outage quantile of the cached sample arrays.  t_star is
+q_max * r_max by definition: OptimumReport derives it rather than storing it.
+Because both quantiles are nondecreasing in their budget, t_star is monotone
+in each budget (the Pareto property the sweep tests rely on), and in the
+uncapped regime n * t_star grows exactly like sqrt(n) — the square-root law.
 
 r_max = 0 is a legal result meaning the reliability budget cannot be met at
 any positive rate; the report then carries t_star = 0 rather than an error.
@@ -32,8 +33,10 @@ from .quantiles import RiskBudgets, strict_outage_quantile
 from .samples import SampleSet
 
 __all__ = [
+    "InvariantError",
     "ProtocolParams",
     "OptimumReport",
+    "REPORT_COLUMNS",
     "optimize",
     "frontier_sweep",
     "surface_sweep",
@@ -48,6 +51,13 @@ __all__ = [
 
 # Symmetric budgets of the decade-gain table, smallest first.
 DECADE_BUDGETS = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
+
+# CSV columns of OptimumReport.cells(), in order.
+REPORT_COLUMNS = ("q_max", "r_max", "t_star", "n_t_star", "q_capped")
+
+
+class InvariantError(Exception):
+    """An internal consistency check failed: a bug, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -66,22 +76,35 @@ class ProtocolParams:
             raise ValueError(f"delta must lie in (0, 0.5), got {self.delta}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class OptimumReport:
     """Optimizer output: the feasible rectangle's corner and its payload.
 
-    ``q_capped`` records that the covertness bound exceeded 1 and was capped.
-    ``below_resolution`` warns that a budget was finer than 1/K, where the
-    strict-outage order statistic degenerates to the minimum sample and the
-    estimate rests on sparse tail data.
+    ``t_star`` is q_max * r_max by definition, so it is a property, not a
+    field.  ``q_capped`` records that the covertness bound exceeded 1 and was
+    capped.  ``below_resolution`` warns that a budget was finer than 1/K,
+    where the strict-outage order statistic degenerates to the minimum sample
+    and the estimate rests on sparse tail data.  Construction raises
+    InvariantError for a q_max outside [0, 1], under ``python -O`` too.
     """
 
     q_max: float
     r_max: float
-    t_star: float
     total_payload: float
     q_capped: bool
     below_resolution: bool = False
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.q_max <= 1.0:
+            raise InvariantError(f"q_max outside [0, 1]: {self.q_max!r}")
+
+    @property
+    def t_star(self) -> float:
+        return self.q_max * self.r_max
+
+    def cells(self) -> tuple:
+        """The report's CSV cells, one per REPORT_COLUMNS entry."""
+        return (self.q_max, self.r_max, self.t_star, self.total_payload, self.q_capped)
 
 
 def optimize(s: SampleSet, p: ProtocolParams, b: RiskBudgets) -> OptimumReport:
@@ -99,19 +122,17 @@ def optimize(s: SampleSet, p: ProtocolParams, b: RiskBudgets) -> OptimumReport:
     Returns
     -------
     OptimumReport
-        t_star is exactly q_max * r_max; total_payload is n * t_star.
+        total_payload is n * t_star.
     """
     c_quantile = strict_outage_quantile(s.ccov, b.eps_cov)
     q_unc = q_ceiling(c_quantile, p.delta, p.n)
     q_capped = bool(q_unc > 1.0)
     q_max = min(1.0, q_unc)
     r_max = float(strict_outage_quantile(s.rach, b.eps_rel))
-    t_star = q_max * r_max
     return OptimumReport(
         q_max=q_max,
         r_max=r_max,
-        t_star=t_star,
-        total_payload=p.n * t_star,
+        total_payload=p.n * (q_max * r_max),
         q_capped=q_capped,
         below_resolution=min(b.eps_cov, b.eps_rel) * s.K < 1.0,
     )
@@ -180,21 +201,11 @@ def decade_gains(
     return out
 
 
-def _report_cells(report: OptimumReport):
-    return (
-        report.q_max,
-        report.r_max,
-        report.t_star,
-        report.total_payload,
-        report.q_capped,
-    )
-
-
 def write_frontier_csv(rows, path, *, seed, K, digest) -> None:
     write_csv(
         path,
-        ["eps", "q_max", "r_max", "t_star", "n_t_star", "q_capped"],
-        ((eps, *_report_cells(rep)) for eps, rep in rows),
+        ["eps", *REPORT_COLUMNS],
+        ((eps, *rep.cells()) for eps, rep in rows),
         seed=seed,
         K=K,
         digest=digest,
@@ -207,11 +218,11 @@ def write_surface_csv(
     def rows():
         for i, ec in enumerate(eps_cov_grid):
             for j, er in enumerate(eps_rel_grid):
-                yield (ec, er, *_report_cells(matrix[i][j]))
+                yield (ec, er, *matrix[i][j].cells())
 
     write_csv(
         path,
-        ["eps_cov", "eps_rel", "q_max", "r_max", "t_star", "n_t_star", "q_capped"],
+        ["eps_cov", "eps_rel", *REPORT_COLUMNS],
         rows(),
         seed=seed,
         K=K,

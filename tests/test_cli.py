@@ -8,7 +8,6 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ import covertq
 from covertq import (
     BenchmarkChannelSpec,
     ExponentialSpec,
+    OptimumReport,
     ProtocolParams,
     RiskBudgets,
     StochasticChannelSpec,
@@ -27,7 +27,7 @@ from covertq import (
     optimize,
     save_sample_set,
 )
-from covertq import cli
+from covertq import cli, risk_constrained
 from covertq.samples import SampleFileTruncatedError
 
 from conftest import run_fresh
@@ -630,10 +630,8 @@ def test_unwritable_output_is_io_error(tmp_path):
 
 
 def test_internal_invariant_violation_exits_5(tmp_path, monkeypatch, capsys):
-    corrupt = SimpleNamespace(q_max=0.5, r_max=0.5, t_star=0.3,
-                              total_payload=1.0, q_capped=False,
-                              below_resolution=False)
-    monkeypatch.setattr(cli, "optimize", lambda s, p, b: corrupt)
+    monkeypatch.setattr(cli, "optimize", lambda s, p, b: OptimumReport(
+        q_max=1.5, r_max=0.5, total_payload=1.0, q_capped=False))
     rc = run("optimize", "--k", "200", "--out", str(tmp_path / "x.csv"))
     assert rc == 5
     assert "internal invariant violation" in capsys.readouterr().err
@@ -643,12 +641,9 @@ def test_internal_invariant_violation_exits_5_under_optimize_flag(tmp_path):
     # python -O strips assert statements; the invariant check must survive.
     script = (
         "import sys\n"
-        "from types import SimpleNamespace\n"
-        "from covertq import cli\n"
-        "corrupt = SimpleNamespace(q_max=0.5, r_max=0.5, t_star=0.3,\n"
-        "                          total_payload=1.0, q_capped=False,\n"
-        "                          below_resolution=False)\n"
-        "cli.optimize = lambda s, p, b: corrupt\n"
+        "from covertq import OptimumReport, cli\n"
+        "cli.optimize = lambda s, p, b: OptimumReport(\n"
+        "    q_max=1.5, r_max=0.5, total_payload=1.0, q_capped=False)\n"
         "sys.exit(cli.main(['optimize', '--k', '200', '--out', sys.argv[1]]))\n"
     )
     env = {**os.environ,
@@ -658,6 +653,21 @@ def test_internal_invariant_violation_exits_5_under_optimize_flag(tmp_path):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 5, proc.stderr
     assert "internal invariant violation" in proc.stderr
+
+
+@pytest.mark.parametrize("command", [
+    "optimize", "frontier", "surface", "scaling", "decade-gains", "sensitivity",
+    "benchmark-validate",
+])
+def test_every_command_rejects_q_max_outside_unit_interval(tmp_path, monkeypatch,
+                                                          capsys, command):
+    # The report checks itself, so no command can write a corrupt one, and
+    # none needs a check of its own.
+    monkeypatch.setattr(risk_constrained, "q_ceiling", lambda c, delta, n: -1.0)
+    out = tmp_path / "x.csv"
+    assert run(command, "--k", "500", "--out", str(out)) == 5
+    assert "internal invariant violation" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

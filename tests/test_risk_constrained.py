@@ -17,7 +17,7 @@ from covertq import (
     strict_cdf,
     surface_sweep,
 )
-from covertq.risk_constrained import DECADE_BUDGETS
+from covertq.risk_constrained import DECADE_BUDGETS, InvariantError
 
 DIGEST = b"\0" * 32
 
@@ -207,6 +207,13 @@ def test_protocol_params_validation():
 
 
 def test_optimum_report_is_frozen():
-    rep = OptimumReport(0.1, 0.2, 0.02, 200.0, False)
+    rep = OptimumReport(q_max=0.1, r_max=0.2, total_payload=200.0, q_capped=False)
     with pytest.raises(AttributeError):
         rep.q_max = 0.5
+    assert rep.t_star == rep.q_max * rep.r_max
+    with pytest.raises(InvariantError):
+        OptimumReport(q_max=-0.1, r_max=0.2, total_payload=200.0, q_capped=False)
+    # Keyword-only fields: after a change to the field list, positional
+    # arguments would land silently in the wrong fields.
+    with pytest.raises(TypeError):
+        OptimumReport(0.1, 0.2, 0.02, 200.0, False)

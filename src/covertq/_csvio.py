@@ -9,6 +9,12 @@ All emitted files look like
 Floats are written with repr's shortest round-trip form ('.' decimal
 separator, full binary64 fidelity), booleans as true/false, missing values
 as empty fields.  Identical inputs therefore produce byte-identical files.
+
+format_cell defines a cell's text.  write_csv looks each cell's exact type
+up in a table that holds, for the types the writers emit (float,
+numpy.float64, bool, numpy.bool_, int, str), a function returning the same
+string format_cell does without its abstract-base-class checks; any other
+type, subclasses included, goes through format_cell itself.
 """
 
 from __future__ import annotations
@@ -33,11 +39,25 @@ def format_cell(value) -> str:
     return str(value)
 
 
+# float.__repr__ is repr(float(v)) for a float or a numpy.float64 (a float
+# subclass); int.__repr__ is str(int(v)) for an int.
+_BOOL_TEXT = {True: "true", False: "false"}.__getitem__
+_FORMAT_BY_TYPE = {
+    float: float.__repr__,
+    np.float64: float.__repr__,
+    bool: _BOOL_TEXT,
+    np.bool_: _BOOL_TEXT,
+    int: int.__repr__,
+    str: str,
+}
+
+
 def write_csv(path, columns, rows, *, seed, K, digest: bytes) -> None:
     """Write rows (iterables of cells) under a provenance comment + header."""
+    fmt = _FORMAT_BY_TYPE.get
     with open(path, "w", newline="") as fh:
         fh.write(f"# seed={int(seed)} K={int(K)} channel_digest={digest.hex()}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([format_cell(cell) for cell in row])
+            writer.writerow([fmt(type(cell), format_cell)(cell) for cell in row])

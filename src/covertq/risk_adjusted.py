@@ -28,6 +28,13 @@ lambda_rel.  Each weight pair then bounds row i of J by env_i - lambda_cov *
 F<_ccov(q_i) in O(G) and evaluates J only on the rows whose bound lies within
 TIE_TOLERANCE plus a rounding margin of the best one.  Those rows hold every
 cell the tie rule can report, and their J is the full grid's bit for bit.
+The pairs go through in chunks, one batch of array operations per chunk:
+the bounds of all its pairs at once, one np.nonzero for the kept (pair, row)
+cells, and J on those rows in groups of whole pairs.  A segment reduction
+then picks each pair's maximum and its first cell in row-major order within
+TIE_TOLERANCE.  The chunk's work arrays live in the G x G envelope scratch,
+so however many rows tie, a sweep holds q*r, that scratch and arrays of
+O(G) floats, with no other temporary larger than one G x G array of bools.
 Sweeping one weight is a heatmap whose other axis holds one value.
 """
 
@@ -61,6 +68,18 @@ __all__ = [
 # J values this close to the grid maximum count as ties and fall through
 # to the lexicographic rule.
 TIE_TOLERANCE = 1e-12
+
+# Weight pairs per batch of heatmap_sweep (at most G // 2 on a G-point grid,
+# so that a chunk's bounds and penalties fit in the envelope scratch).
+_CHUNK = 32
+
+# Each subtraction in J rounds by at most half an ulp of a value no larger
+# than 1 + lambda_cov + lambda_rel in magnitude, so a row's largest computed J
+# and its computed bound differ by well under margin = _EIGHT_EPS * ((1 +
+# lambda_cov) + lambda_rel).  A row more than TIE_TOLERANCE + 4*margin under
+# the best bound then holds no cell within TIE_TOLERANCE of the maximum (the
+# slack also covers the rounding of the threshold).
+_EIGHT_EPS = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -141,44 +160,14 @@ def _sparse_q_bound(s: SampleSet, p: ProtocolParams) -> float:
     return q_ceiling(mid.sum() / mid.size, p.delta, p.n)
 
 
-def _grid_kernel(s: SampleSet, p: ProtocolParams, g: GridSpec):
-    # The weight-independent terms of J, once; the returned per-pair kernel
-    # evaluates J, in the full grid's operations and order, on the rows the
-    # envelope bound keeps (see heatmap_sweep).
-    axis = g.axis()
-    qr = np.outer(axis, axis)
-    f_cov = strict_cdf(s.ccov, axis * np.sqrt(p.n) / (2.0 * p.delta))
-    f_rel = strict_cdf(s.rach, axis)
-    q_bound = _sparse_q_bound(s, p)
-    scratch = np.empty_like(qr)
-    envelopes: dict[float, np.ndarray] = {}
-
-    def maximize(w: RiskWeights) -> GridMaximum:
-        a = w.lambda_cov * f_cov
-        b = w.lambda_rel * f_rel
-        env = envelopes.get(w.lambda_rel)
-        if env is None:
-            env = envelopes[w.lambda_rel] = np.subtract(qr, b, out=scratch).max(axis=1)
-        ub = env - a
-        # Each subtraction rounds by at most half an ulp of a value no larger
-        # than 1 + lambda_cov + lambda_rel in magnitude, so a row's largest
-        # computed J and its computed bound differ by well under margin.  A
-        # row more than TIE_TOLERANCE + 4*margin under the best bound then
-        # holds no cell within TIE_TOLERANCE of the maximum (the slack also
-        # covers the rounding of the threshold).  An overflowing margin
-        # keeps every row.
-        margin = 8.0 * np.finfo(float).eps * (1.0 + w.lambda_cov + w.lambda_rel)
-        rows = np.flatnonzero(ub >= ub.max() - TIE_TOLERANCE - 4.0 * margin)
-        j = qr[rows] - a[rows, None]
-        j -= b
-        flat = j.reshape(-1)
-        k = int(flat.argmax())  # flat[k] is the maximum: the first tie is at or before k
-        ki, ri = divmod(int(np.argmax(flat[: k + 1] >= flat[k] - TIE_TOLERANCE)), axis.size)
-        qi = int(rows[ki])
-        strategy = Strategy(q=axis[qi], r=axis[ri])
-        return GridMaximum(strategy, float(j[ki, ri]), strategy.q > q_bound)
-
-    return maximize
+def _kept_cells(ub: np.ndarray, lc: np.ndarray, lr: np.ndarray):
+    # The kept (pair, row) cells of a chunk whose row bounds are ub, pair by
+    # pair with rows ascending, and each pair's offset into them: pair k owns
+    # entries start[k]:start[k + 1].
+    margin = _EIGHT_EPS * ((1.0 + lc) + lr)
+    keep = ub >= ((ub.max(axis=1) - TIE_TOLERANCE) - 4.0 * margin)[:, None]
+    owner, rows = np.nonzero(keep)
+    return owner, rows, np.searchsorted(owner, np.arange(lc.size + 1))
 
 
 def grid_maximize(s: SampleSet, w: RiskWeights, p: ProtocolParams,
@@ -194,19 +183,89 @@ def heatmap_sweep(s: SampleSet, p: ProtocolParams, g: GridSpec,
 
     The weight-independent terms of J are computed once per sweep, and the
     row envelope max_j (q*r - lambda_rel * F<_rach(r)) once per distinct
-    lambda_rel.  Per weight pair, the envelope minus the covertness penalty
-    bounds each row of J; only the rows within TIE_TOLERANCE + 4*margin of
-    the best bound are evaluated, where margin = 8*eps*(1 + lambda_cov +
-    lambda_rel) exceeds the rounding gap between a row's bound and its J.
-    The result equals full-grid maximization exactly (an overflowing margin
-    evaluates every row).  A one-axis sweep is a heatmap whose other axis
-    holds a single value.  Weights near the float maximum can overflow J to
-    -inf in cells that cannot win; that is silent, not a warning.
+    lambda_rel.  The weight pairs, in row-major order, then go through in
+    chunks of _CHUNK, each in one batch of array operations.  Per pair, the
+    envelope minus the covertness penalty bounds each row of J; only the rows
+    within TIE_TOLERANCE + 4*margin of the pair's best bound are kept, where
+    margin = 8*eps*((1 + lambda_cov) + lambda_rel) exceeds the rounding gap
+    between a row's bound and its J (an overflowing margin keeps every row).
+    The kept rows are evaluated in groups of whole pairs: at most G // 2
+    rows, or one pair's rows however many it keeps.  A segment reduction gives
+    each pair's maximum, and its first cell in row-major order within
+    TIE_TOLERANCE of it is the reported maximizer.  The chunk's bounds and a
+    group's J and penalty rows are written into the envelope scratch, so
+    memory stays at q*r and that scratch (two G x G arrays) plus O(G)-float
+    arrays and one boolean mask of at most G x G, however many rows tie.
+    J is computed in the full grid's operations and order, so the result
+    equals full-grid maximization exactly.  A one-axis sweep is a heatmap
+    whose other axis holds a single value.  Weights near the float maximum
+    can overflow J to -inf in cells that cannot win; that is silent, not a
+    warning.
     """
-    maximize = _grid_kernel(s, p, g)
+    if len(lambda_cov_values) == 0 or len(lambda_rel_values) == 0:
+        return [[] for _ in lambda_cov_values]
+    # A pair is valid when both its weights are, so checking row 0 and then
+    # column 0 checks every pair and raises for the first bad pair in
+    # row-major order, as checking pair by pair would.
+    lc0, lr0 = lambda_cov_values[0], lambda_rel_values[0]
+    lam_rel = np.array([RiskWeights(lc0, lr).lambda_rel for lr in lambda_rel_values])
+    lam_cov = np.array([RiskWeights(lc, lr0).lambda_cov for lc in lambda_cov_values])
+
+    axis = g.axis()
+    G = axis.size
+    qr = np.outer(axis, axis)
+    f_cov = strict_cdf(s.ccov, axis * np.sqrt(p.n) / (2.0 * p.delta))
+    f_rel = strict_cdf(s.rach, axis)
+    q_bound = _sparse_q_bound(s, p)
+    scratch = np.empty_like(qr)
+    # One envelope per distinct lambda_rel (0.0 and -0.0 are one key).
+    slot: dict[float, int] = {}
+    env_of = np.array([slot.setdefault(lr, len(slot)) for lr in lam_rel.tolist()])
+    env = np.empty((len(slot), G))
+    n_pairs = lam_cov.size * lam_rel.size
+    q_idx = np.empty(n_pairs, dtype=np.intp)
+    r_idx = np.empty(n_pairs, dtype=np.intp)
+    j_best = np.empty(n_pairs)
+    # Past the envelope passes, scratch holds the chunk's work arrays: two
+    # halves of at most G // 2 rows each.
+    half = G // 2
+    chunk = min(_CHUNK, half)
     with np.errstate(over="ignore"):
-        return [[maximize(RiskWeights(lc, lr)) for lr in lambda_rel_values]
-                for lc in lambda_cov_values]
+        for lr, e in slot.items():
+            np.subtract(qr, lr * f_rel, out=scratch).max(axis=1, out=env[e])
+        for lo in range(0, n_pairs, chunk):
+            ci, ri = np.divmod(np.arange(lo, min(lo + chunk, n_pairs)), lam_rel.size)
+            lc, lr = lam_cov[ci], lam_rel[ri]
+            ub = np.take(env, env_of[ri], axis=0, out=scratch[: ci.size], mode="clip")
+            ub -= np.multiply.outer(lc, f_cov, out=scratch[half : half + ci.size])
+            owner, rows, start = _kept_cells(ub, lc, lr)
+            # Groups of whole pairs with at most half kept rows, or one pair.
+            p0 = 0
+            while p0 < ci.size:
+                p1 = max(p0 + 1, int(np.searchsorted(start, start[p0] + half, "right")) - 1)
+                lo_row, hi_row = start[p0], start[p1]
+                grp, own = rows[lo_row:hi_row], owner[lo_row:hi_row]
+                n = grp.size
+                j = np.take(qr, grp, axis=0, out=scratch[:n], mode="clip")
+                j -= (lc[own] * f_cov[grp])[:, None]
+                if p1 - p0 == 1:
+                    j -= lr[p0] * f_rel
+                else:
+                    j -= np.multiply.outer(lr[own], f_rel, out=scratch[half : half + n])
+                seg = start[p0:p1] - lo_row
+                best = np.maximum.reduceat(j.max(axis=1), seg)
+                hit = j >= (best - TIE_TOLERANCE)[own - p0][:, None]
+                col = hit.argmax(axis=1)  # a row's first hit, or 0 if it has none
+                hit_rows = np.flatnonzero(hit[np.arange(n), col])
+                win = hit_rows[np.searchsorted(hit_rows, seg)]
+                q_idx[lo + p0 : lo + p1] = grp[win]
+                r_idx[lo + p0 : lo + p1] = col[win]
+                j_best[lo + p0 : lo + p1] = j[win, col[win]]
+                p0 = p1
+    q, r = axis[q_idx], axis[r_idx]
+    out = [GridMaximum(Strategy(qq, rr), jj, oo) for qq, rr, jj, oo in
+           zip(q.tolist(), r.tolist(), j_best.tolist(), (q > q_bound).tolist())]
+    return [out[i : i + lam_rel.size] for i in range(0, n_pairs, lam_rel.size)]
 
 
 def foc_residual(

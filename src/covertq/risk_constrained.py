@@ -124,11 +124,19 @@ def optimize(s: SampleSet, p: ProtocolParams, b: RiskBudgets) -> OptimumReport:
     OptimumReport
         total_payload is n * t_star.
     """
-    c_quantile = strict_outage_quantile(s.ccov, b.eps_cov)
-    q_unc = q_ceiling(c_quantile, p.delta, p.n)
-    q_capped = bool(q_unc > 1.0)
-    q_max = min(1.0, q_unc)
+    q_max, q_capped = _q_max(s, p, b.eps_cov)
     r_max = float(strict_outage_quantile(s.rach, b.eps_rel))
+    return _corner(s, p, b, q_max, q_capped, r_max)
+
+
+def _q_max(s: SampleSet, p: ProtocolParams, eps_cov: float) -> tuple[float, bool]:
+    # The covertness side of the rectangle: (q_max, q_capped).
+    q_unc = q_ceiling(strict_outage_quantile(s.ccov, eps_cov), p.delta, p.n)
+    return min(1.0, q_unc), bool(q_unc > 1.0)
+
+
+def _corner(s: SampleSet, p: ProtocolParams, b: RiskBudgets,
+            q_max: float, q_capped: bool, r_max: float) -> OptimumReport:
     return OptimumReport(
         q_max=q_max,
         r_max=r_max,
@@ -153,11 +161,20 @@ def surface_sweep(
     eps_cov_grid: Sequence[float],
     eps_rel_grid: Sequence[float],
 ) -> list[list[OptimumReport]]:
-    """Cartesian budget sweep; row index follows eps_cov, column eps_rel."""
-    return [
-        [optimize(s, p, RiskBudgets(ec, er)) for er in eps_rel_grid]
-        for ec in eps_cov_grid
-    ]
+    """Cartesian budget sweep; row index follows eps_cov, column eps_rel.
+
+    The rectangle problem separates, so q_max is solved once per eps_cov and
+    r_max once per eps_rel; each cell equals optimize at its budgets.
+    """
+    budgets = [[RiskBudgets(ec, er) for er in eps_rel_grid] for ec in eps_cov_grid]
+    if not budgets or not budgets[0]:
+        return budgets
+    r_axis = [float(strict_outage_quantile(s.rach, b.eps_rel)) for b in budgets[0]]
+    matrix = []
+    for row in budgets:
+        q_side = _q_max(s, p, row[0].eps_cov)
+        matrix.append([_corner(s, p, b, *q_side, r_max) for b, r_max in zip(row, r_axis)])
+    return matrix
 
 
 def n_scaling_sweep(

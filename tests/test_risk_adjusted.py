@@ -1,5 +1,6 @@
 """Risk-adjusted objective, grid maximization, weight sweeps, and FOC residuals."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from covertq import (
     strict_cdf,
 )
 from covertq.risk_adjusted import (
+    _CHUNK,
     TIE_TOLERANCE,
     GridMaximum,
     _sparse_q_bound,
@@ -364,6 +366,94 @@ def test_pruned_heatmap_matches_full_matrix_on_baseline_set(baseline_set, protoc
     # The CLI's default heatmap: 25 x 25 weights on the 401-point grid.
     values = np.logspace(-6.0, 6.0, 25)
     assert_sweep_matches_full_matrix(baseline_set, protocol, GridSpec(), values, values)
+
+
+@pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+@pytest.mark.parametrize("shape", ["cov_axis", "rel_axis", "heatmap"])
+def test_batched_kernel_chunk_boundaries(count, shape):
+    # Pair counts on each side of one and two whole chunks, swept along
+    # either axis or as a heatmap whose rows straddle the chunk boundaries.
+    # The 81-point grid steps on the lattice and takes whole chunks
+    # (a chunk holds at most G // 2 pairs).
+    g = GridSpec(81)
+    assert g.points_per_axis // 2 >= _CHUNK
+    rng = np.random.default_rng(count)
+    s = lattice_set(rng, 29)
+    p = ProtocolParams(n=10**4, delta=0.05)
+    values = list(rng.choice([0.0, 0.125, 0.5, 1.0, 3.0, 40.0], count) * rng.uniform(0.5, 2.0))
+    if shape == "cov_axis":
+        lc_values, lr_values = values, [0.75]
+    elif shape == "rel_axis":
+        lc_values, lr_values = [0.75], values
+    else:
+        lc_values, lr_values = values[:3], values
+    assert_sweep_matches_full_matrix(s, p, g, lc_values, lr_values)
+
+
+def test_batched_kernel_unsorted_duplicate_and_signed_zero_weights():
+    # Envelopes are shared by equal lambda_rel (0.0 and -0.0 among them) and
+    # looked up for unsorted columns; each pair keeps its own penalties.
+    rng = np.random.default_rng(21)
+    s = lattice_set(rng, 33)
+    p = ProtocolParams(n=10**4, delta=0.05)
+    lc_values = [0.5, -0.0, 2.0, 0.0, 0.5, 1e-3, 7.0]
+    lr_values = [1.0, 0.0, 0.25, -0.0, 1.0, 3.0, 0.25, -0.0, 0.0, 1e-9]
+    matrix = assert_sweep_matches_full_matrix(s, p, GridSpec(41), lc_values, lr_values)
+    assert matrix[0] == matrix[4]
+    assert matrix[1] == matrix[3]
+    assert matrix[2][0] == matrix[2][4] and matrix[2][1] == matrix[2][3] == matrix[2][8]
+
+
+@pytest.mark.parametrize("kind", ["zeros", "far"])
+def test_batched_kernel_row_groups_split_between_pairs(kind):
+    # Pairs that keep all G rows next to pairs that keep one, so a row group
+    # (whole pairs, at most G // 2 rows, or one pair) must close between
+    # them.  "zeros": with lambda_cov = 0,
+    # lambda_rel >= 1 ties every row bound at 0 and lambda_rel < 1 keeps only
+    # q = 1.  "far": F<_ccov = 0 on the whole axis and F<_rach = 0 up to
+    # r = 0.6, so (1, 0.6) or (1, 1) wins in the last row, while a weight of
+    # 1e308 makes the rounding margin keep every row above it.
+    if kind == "zeros":
+        s = synthetic_set(np.zeros(16), np.zeros(16))
+        lc_values = [0.0, 1e-3]
+        lr_values = [0.0, 2.0, 0.5, 1.0, 0.0, 0.0, 3.0, 0.9, 1.0, 1.0, 0.25] * 4
+    else:
+        s = synthetic_set(np.full(16, 2000.0), np.full(16, 0.6))
+        lc_values = [0.0, 1e308, 0.5]
+        lr_values = [0.0, 1e308, 0.5, 2.0, 1e308, 1e308, 0.0, 0.25] * 3
+    p = ProtocolParams(n=10**4, delta=0.05)  # sqrt(n)/(2*delta) = 1000
+    with np.errstate(over="ignore"):
+        assert_sweep_matches_full_matrix(s, p, GridSpec(401), lc_values, lr_values)
+
+
+def heatmap_sweep_peak_bytes(*args):
+    tracemalloc.start()
+    try:
+        result = heatmap_sweep(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_heatmap_memory_on_baseline_set(baseline_set, protocol):
+    # The CLI's 25 x 25 heatmap keeps a row or so per pair: q*r and the
+    # envelope scratch, two G x G arrays, dominate the peak.
+    g = GridSpec()
+    values = np.logspace(-6.0, 6.0, 25)
+    peak, _ = heatmap_sweep_peak_bytes(baseline_set, protocol, g, values, values)
+    assert peak < 3 * 8 * g.points_per_axis**2
+
+
+def test_heatmap_memory_when_every_row_is_kept():
+    # All-zero draws with lambda_cov = 0 and lambda_rel >= 1 tie every row
+    # bound, so each pair evaluates all G rows, each pair in a group of its
+    # own whose J fills the envelope scratch.
+    s = synthetic_set(np.zeros(16), np.zeros(16))
+    p = ProtocolParams(n=10**4, delta=0.05)
+    g = GridSpec()
+    peak, [row] = heatmap_sweep_peak_bytes(s, p, g, [0.0], np.linspace(1.0, 10.0, 25))
+    assert peak < 6 * 8 * g.points_per_axis**2
+    assert all(best.strategy == Strategy(0.0, 0.0) for best in row)
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 1001])

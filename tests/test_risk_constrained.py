@@ -120,6 +120,27 @@ def test_surface_single_cell_matches_optimize(baseline_set, protocol):
     assert matrix[0][0] == optimize(baseline_set, protocol, RiskBudgets(0.02, 0.07))
 
 
+def test_surface_every_cell_matches_optimize():
+    # The surface solves each budget axis once; every cell must still equal
+    # optimize at its own budgets, capped rows and sub-1/K budgets included.
+    rng = np.random.default_rng(3)
+    s = synthetic_set(rng.uniform(0.0, 3000.0, 50),
+                      np.r_[np.zeros(10), rng.uniform(0.0, 1.0, 40)])
+    p = ProtocolParams(n=10**4, delta=0.05)  # q = c_cov / 1000, capped above 1000
+    eps_cov, eps_rel = [0.001, 0.05, 0.3, 0.9], [0.9, 0.001, 0.1, 0.5, 0.1]
+    matrix = surface_sweep(s, p, eps_cov, eps_rel)
+    assert matrix == [[optimize(s, p, RiskBudgets(ec, er)) for er in eps_rel]
+                      for ec in eps_cov]
+    cells = [rep for row in matrix for rep in row]
+    assert {rep.q_capped for rep in cells} == {True, False}
+    assert {rep.below_resolution for rep in cells} == {True, False}
+    assert {rep.r_max == 0.0 for rep in cells} == {True, False}
+    with pytest.raises(ValueError, match="eps_rel must lie in"):
+        surface_sweep(s, p, eps_cov, [0.1, 1.0])
+    assert surface_sweep(s, p, eps_cov, []) == [[], [], [], []]
+    assert surface_sweep(s, p, [], eps_rel) == []
+
+
 def test_surface_collapsed_rate_column():
     s = synthetic_set(np.linspace(1.0, 2.0, 100), [0.0] * 50 + [0.4] * 50)
     p = ProtocolParams(n=10**7, delta=0.05)

@@ -189,6 +189,8 @@ def _coerce_like(name: str, default, value):
             if isinstance(value, str):
                 value = value.split(",")
             return [_coerce_like(name, default[0], v) for v in value]
+        if isinstance(value, bool):  # int() and float() would take JSON true
+            raise TypeError("expected a number")
         if isinstance(default, int):
             if isinstance(value, str):
                 try:

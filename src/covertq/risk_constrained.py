@@ -18,14 +18,15 @@ uncapped regime n * t_star grows exactly like sqrt(n) — the square-root law.
 
 r_max = 0 is a legal result meaning the reliability budget cannot be met at
 any positive rate; the report then carries t_star = 0 rather than an error.
+
+surface_sweep is the one solver: it looks q_max up once per eps_cov and r_max
+once per eps_rel, and optimize is its 1x1 case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from ._csvio import write_csv
 from .physics import q_ceiling
@@ -68,8 +69,10 @@ class ProtocolParams:
     delta: float
 
     def __post_init__(self) -> None:
-        if self.n != int(self.n) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+        # np.sqrt takes an integer n only below 2**64; the range test comes
+        # first so that inf and nan raise ValueError, not int()'s errors.
+        if not 1 <= self.n < 2**64 or self.n != int(self.n):
+            raise ValueError(f"n must be a positive integer below 2**64, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "delta", float(self.delta))
         if not 0 < self.delta < 0.5:
@@ -108,7 +111,7 @@ class OptimumReport:
 
 
 def optimize(s: SampleSet, p: ProtocolParams, b: RiskBudgets) -> OptimumReport:
-    """Solve the rectangle problem on one sample set.
+    """Solve the rectangle problem on one sample set: surface_sweep's 1x1 case.
 
     Parameters
     ----------
@@ -124,26 +127,7 @@ def optimize(s: SampleSet, p: ProtocolParams, b: RiskBudgets) -> OptimumReport:
     OptimumReport
         total_payload is n * t_star.
     """
-    q_max, q_capped = _q_max(s, p, b.eps_cov)
-    r_max = float(strict_outage_quantile(s.rach, b.eps_rel))
-    return _corner(s, p, b, q_max, q_capped, r_max)
-
-
-def _q_max(s: SampleSet, p: ProtocolParams, eps_cov: float) -> tuple[float, bool]:
-    # The covertness side of the rectangle: (q_max, q_capped).
-    q_unc = q_ceiling(strict_outage_quantile(s.ccov, eps_cov), p.delta, p.n)
-    return min(1.0, q_unc), bool(q_unc > 1.0)
-
-
-def _corner(s: SampleSet, p: ProtocolParams, b: RiskBudgets,
-            q_max: float, q_capped: bool, r_max: float) -> OptimumReport:
-    return OptimumReport(
-        q_max=q_max,
-        r_max=r_max,
-        total_payload=p.n * (q_max * r_max),
-        q_capped=q_capped,
-        below_resolution=min(b.eps_cov, b.eps_rel) * s.K < 1.0,
-    )
+    return surface_sweep(s, p, [b.eps_cov], [b.eps_rel])[0][0]
 
 
 def frontier_sweep(
@@ -164,7 +148,7 @@ def surface_sweep(
     """Cartesian budget sweep; row index follows eps_cov, column eps_rel.
 
     The rectangle problem separates, so q_max is solved once per eps_cov and
-    r_max once per eps_rel; each cell equals optimize at its budgets.
+    r_max once per eps_rel.  Every risk-constrained result is built here.
     """
     budgets = [[RiskBudgets(ec, er) for er in eps_rel_grid] for ec in eps_cov_grid]
     if not budgets or not budgets[0]:
@@ -172,8 +156,15 @@ def surface_sweep(
     r_axis = [float(strict_outage_quantile(s.rach, b.eps_rel)) for b in budgets[0]]
     matrix = []
     for row in budgets:
-        q_side = _q_max(s, p, row[0].eps_cov)
-        matrix.append([_corner(s, p, b, *q_side, r_max) for b, r_max in zip(row, r_axis)])
+        q_unc = q_ceiling(strict_outage_quantile(s.ccov, row[0].eps_cov), p.delta, p.n)
+        q_max = min(1.0, q_unc)
+        matrix.append([OptimumReport(
+            q_max=q_max,
+            r_max=r_max,
+            total_payload=p.n * (q_max * r_max),
+            q_capped=bool(q_unc > 1.0),
+            below_resolution=min(b.eps_cov, b.eps_rel) * s.K < 1.0,
+        ) for b, r_max in zip(row, r_axis)])
     return matrix
 
 

@@ -13,7 +13,9 @@ central differences with a relative step h = eps/10: at K = 10^6 and
 eps >= 1e-4 each step spans at least 10 order statistics, which smooths
 the staircase without washing out the local slope.  The step is clipped
 so eps +- h stays inside (0, 1), falling back to a one-sided difference
-against the upper boundary.
+against the upper boundary.  Because the rectangle problem separates, the
+optima at the symmetric budgets eps - h, eps and eps + h hold every factor
+the two differences need, so each point costs three optimize calls.
 
 For channel models with densities there is also the exact form
 
@@ -67,11 +69,6 @@ class SensitivityPoint:
     flags: tuple[str, ...] = ()
 
 
-def _t_star(s: SampleSet, p: ProtocolParams, eps_cov: float, eps_rel: float):
-    report = optimize(s, p, RiskBudgets(eps_cov, eps_rel))
-    return report.t_star, report.q_capped
-
-
 def sensitivities_symmetric(
     s: SampleSet, p: ProtocolParams, eps_grid
 ) -> list[SensitivityPoint]:
@@ -98,28 +95,20 @@ def sensitivities_symmetric(
         if not 0 < eps < 1:
             raise ValueError(f"eps must lie in (0, 1), got {eps}")
         h = eps / 10.0
-        if eps + h < 1.0:
-            lo, hi = eps - h, eps + h
-        else:
-            # One-sided fallback against the upper boundary; eps - h > 0
-            # always holds since h < eps.
-            lo, hi = eps - h, eps
+        # eps - h > 0 always; near 1 the difference is one-sided, up to eps.
+        lo, hi = eps - h, (eps + h if eps + h < 1.0 else eps)
         span = hi - lo
 
-        t_cov_hi, cap_hi = _t_star(s, p, hi, eps)
-        t_cov_lo, cap_lo = _t_star(s, p, lo, eps)
-        s_cov = (t_cov_hi - t_cov_lo) / span
-
-        # The cap depends on eps_cov alone, so the eps_rel stencil's calls
-        # (both at eps_cov = eps) also give the cap state at the midpoint.
-        t_rel_hi, cap_mid = _t_star(s, p, eps, hi)
-        t_rel_lo, _ = _t_star(s, p, eps, lo)
-        s_rel = (t_rel_hi - t_rel_lo) / span
+        # t_star(eps_cov, eps_rel) = q_max(eps_cov) * r_max(eps_rel), so the
+        # three symmetric optima hold both factors of all four stencil points.
+        at_lo, mid, at_hi = (optimize(s, p, RiskBudgets(e, e)) for e in (lo, eps, hi))
+        s_cov = (at_hi.q_max * mid.r_max - at_lo.q_max * mid.r_max) / span
+        s_rel = (mid.q_max * at_hi.r_max - mid.q_max * at_lo.r_max) / span
 
         flags = []
         if zero_atom and strict_outage_quantile(s.rach, lo) == 0.0:
             flags.append("atom_suspected")
-        if not cap_lo == cap_mid == cap_hi:
+        if not at_lo.q_capped == mid.q_capped == at_hi.q_capped:
             flags.append("cap_transition")
         points.append(
             SensitivityPoint(eps=eps, s_cov=s_cov, s_rel=s_rel, flags=tuple(flags))

@@ -519,6 +519,53 @@ def test_unallocatable_size_is_config_error(tmp_path, monkeypatch, capsys):
         assert "Traceback" not in err
 
 
+def no_samples(*args, **kwargs):
+    raise AssertionError("sampled before the inputs were checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ("optimize", "--n", "1e30"),
+    ("scaling", "--n-values", "1e30"),
+    ("risk-adjusted", "--n", "1e30"),
+    ("benchmark-validate", "--n", "1e30"),
+], ids=lambda argv: argv[0])
+def test_frame_length_beyond_uint64_is_config_error(tmp_path, monkeypatch, capsys, argv):
+    # np.sqrt cannot take an integer n >= 2**64; these once ended in a
+    # TypeError traceback after sampling.
+    monkeypatch.setattr(cli, "generate_sample_set", no_samples)
+    monkeypatch.setattr(covertq.benchmark, "generate_sample_set", no_samples)
+    out = tmp_path / "x.csv"
+    assert run(*argv, "--k", "500", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "below 2**64" in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert ProtocolParams(n=2**64 - 1, delta=0.05).n == 2**64 - 1
+    for n in (2**64, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="positive integer below 2"):
+            ProtocolParams(n=n, delta=0.05)
+
+
+@pytest.mark.parametrize("section, command, key", [
+    ({"sampling": {"k": True}}, "optimize", "sampling.k"),
+    ({"channel": {"sigma_ln": True}}, "optimize", "channel.sigma_ln"),
+    ({"scaling": {"n_values": [True, 4]}}, "scaling", "scaling.n_values"),
+    ({"risk_adjusted": {"fixed_other": False}}, "risk-adjusted", "risk_adjusted.fixed_other"),
+], ids=["sampling.k", "channel.sigma_ln", "scaling.n_values", "risk_adjusted.fixed_other"])
+def test_json_boolean_for_a_number_is_config_error(tmp_path, monkeypatch, capsys,
+                                                   section, command, key):
+    # int() and float() take true as 1, so these once ran at K = 1,
+    # sigma_ln = 1.0 or n = 1 and exited 0.
+    monkeypatch.setattr(cli, "generate_sample_set", no_samples)
+    out = tmp_path / "x.csv"
+    assert run(command, "--config", write_config(tmp_path, section),
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"bad value for '{key}'" in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_argparse_errors_and_help(capsys):
     assert run() == 2
     assert run("optimize", "--no-such-flag") == 2

@@ -63,3 +63,28 @@ def test_tracer_counts_a_traced_pass(monkeypatch, tmp_path):
     assert t.nbytes["samples.save_sample_set"] == 16 * K + 64
     assert t.nbytes["samples.load_sample_set"] == 16 * K + 64
     assert t.worst_root_gap < 1e-6
+
+
+def test_tracer_sees_sensitivity_stencil(monkeypatch, tmp_path):
+    # sensitivities_symmetric calls optimize three times per point, and
+    # strict_outage_quantile once more for its atom check; the tracer must
+    # see both call sites through sensitivity's module attributes.
+    spans = load_spans(monkeypatch)
+    cache, config = tmp_path / "s.cqcs", tmp_path / "atom.json"
+    config.write_text('{"channel": {"sigma_ln": 0.1}}')  # r_ach has an atom at 0
+    sample = ["sample", "--k", "20000", "--config", str(config), "--out", str(cache)]
+    assert covertq.cli.main(sample) == 0
+    assert covertq.load_sample_set(cache).rach[0] == 0.0
+    tracer = spans.Tracer(covertq)
+    tracer.install()
+    try:
+        with tracer.span("cli.sensitivity"):
+            assert covertq.cli.main(["sensitivity", "--cache", str(cache), "--config",
+                                     str(config), "--points", "3",
+                                     "--out", str(tmp_path / "s.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    t = spans.aggregate(tracer.take())
+    assert t.sensitivity_optimize_calls == 9
+    assert t.calls["quantiles.strict_outage_quantile"] == 3 * (6 + 1)
+    assert t.worst_root_gap < 1e-6

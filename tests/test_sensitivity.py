@@ -61,20 +61,40 @@ def test_eps_grid_validation(benchmark_set, protocol):
 
 
 def test_one_sided_fallback_at_high_eps():
+    # Each point must equal, bit for bit, the stencil of four asymmetric
+    # optima it stands for: two-sided points, the one-sided fallback, a cap
+    # transition and a rate atom.
     rng = np.random.default_rng(3)
-    s = synthetic_set(rng.uniform(1.0, 20.0, 2000), rng.uniform(0.1, 0.9, 2000))
-    p = ProtocolParams(n=10**7, delta=0.05)
-    (pt,) = sensitivities_symmetric(s, p, [0.95])
-    # eps + eps/10 would leave (0, 1): the difference must be taken between
-    # eps - h and eps itself.
-    h = 0.95 / 10.0
-    lo, hi = 0.95 - h, 0.95
-
-    def t(ec, er):
-        return optimize(s, p, RiskBudgets(ec, er)).t_star
-
-    assert pt.s_cov == (t(hi, 0.95) - t(lo, 0.95)) / (hi - lo)
-    assert pt.s_rel == (t(0.95, hi) - t(0.95, lo)) / (hi - lo)
+    smooth = synthetic_set(rng.uniform(1.0, 20.0, 2000), rng.uniform(0.1, 0.9, 2000))
+    capped = synthetic_set(np.linspace(500.0, 1500.0, 100), np.linspace(0.1, 0.9, 100))
+    atom = synthetic_set(np.linspace(1.0, 20.0, 100),
+                         np.concatenate([np.zeros(30), np.linspace(0.2, 0.8, 70)]))
+    wide, short = ProtocolParams(n=10**7, delta=0.05), ProtocolParams(n=10**4, delta=0.05)
+    cases = [  # (set, protocol, eps, flags)
+        (smooth, wide, 0.01, ()),
+        (smooth, wide, 0.3, ()),
+        (smooth, wide, 0.95, ()),
+        (capped, short, 0.5, ("cap_transition",)),
+        (atom, wide, 0.1, ("atom_suspected",)),
+    ]
+    for s, p, eps, flags in cases:
+        (pt,) = sensitivities_symmetric(s, p, [eps])
+        # At 0.95, eps + eps/10 would leave (0, 1): the difference must be
+        # taken between eps - h and eps itself.
+        h = eps / 10.0
+        lo, hi = eps - h, (eps + h if eps + h < 1.0 else eps)
+        cov_lo, cov_hi, rel_lo, rel_hi = (
+            optimize(s, p, RiskBudgets(ec, er))
+            for ec, er in ((lo, eps), (hi, eps), (eps, lo), (eps, hi)))
+        s_cov = (cov_hi.t_star - cov_lo.t_star) / (hi - lo)
+        s_rel = (rel_hi.t_star - rel_lo.t_star) / (hi - lo)
+        # rel_lo sits at eps_cov = eps, so it carries the midpoint's cap state.
+        stencil_flags = (("atom_suspected",) * (rel_lo.r_max == 0.0)
+                         + ("cap_transition",)
+                         * (not cov_lo.q_capped == rel_lo.q_capped == cov_hi.q_capped))
+        assert pt == SensitivityPoint(eps, s_cov, s_rel, stencil_flags), eps
+        assert (pt.s_cov.hex(), pt.s_rel.hex()) == (s_cov.hex(), s_rel.hex()), eps
+        assert pt.flags == flags, eps
 
 
 def test_fd_matches_closed_forms_on_benchmark(benchmark_set, benchmark_channel,

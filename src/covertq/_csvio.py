@@ -6,6 +6,9 @@ All emitted files look like
     colA,colB
     0.25,true
 
+The comment line is read from the rows' source: the SampleSet they come
+from, or any object with its seed, K and channel_digest (a resolved config).
+
 Floats are written with repr's shortest round-trip form ('.' decimal
 separator, full binary64 fidelity), booleans as true/false, missing values
 as empty fields.  Identical inputs therefore produce byte-identical files.
@@ -52,11 +55,12 @@ _FORMAT_BY_TYPE = {
 }
 
 
-def write_csv(path, columns, rows, *, seed, K, digest: bytes) -> None:
-    """Write rows (iterables of cells) under a provenance comment + header."""
+def write_csv(path, columns, rows, source) -> None:
+    """Write rows (iterables of cells) under source's provenance + a header."""
     fmt = _FORMAT_BY_TYPE.get
     with open(path, "w", newline="") as fh:
-        fh.write(f"# seed={int(seed)} K={int(K)} channel_digest={digest.hex()}\n")
+        fh.write(f"# seed={int(source.seed)} K={int(source.K)} "
+                 f"channel_digest={source.channel_digest.hex()}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:

@@ -158,12 +158,7 @@ def validate(
     return rows
 
 
-def write_validation_csv(rows, path, *, seed, K, digest) -> None:
-    write_csv(
-        path,
-        ["eps", "metric", "theory", "mc", "rel_error_percent"],
-        ((r.eps, r.metric, r.theory, r.mc, r.rel_error_percent) for r in rows),
-        seed=seed,
-        K=K,
-        digest=digest,
-    )
+def write_validation_csv(rows, path, source) -> None:
+    write_csv(path, ["eps", "metric", "theory", "mc", "rel_error_percent"],
+              ((r.eps, r.metric, r.theory, r.mc, r.rel_error_percent) for r in rows),
+              source)

@@ -25,20 +25,22 @@ and takes the same values, a list as comma-separated text.  The default
 output directory can also be set through the environment variable
 COVERTQ_OUTPUT_DIR (flags and config still win over it).
 
-Every CSV artifact starts with a comment line recording the seed, K, and
-the channel digest of the sample set used, so identical configs reproduce
-byte-identical files.
+Every CSV artifact starts with a comment line recording the seed, K and
+channel digest of the sample set its rows come from: a cached run stamps the
+cache's, whatever the flags say, and benchmark-validate its resolved
+config's.  Identical configs reproduce byte-identical files.
 
 Exit codes: 0 success; 2 configuration error: any out-of-range config value
 (sweep bounds and weights included, checked before any sampling; NaN and
 Infinity are out of range for every key), a size (sampling.k, grid_points)
-whose arrays cannot be allocated, an unreadable, undecodable or non-JSON
-config file, argparse errors, and a cache whose channel digest contradicts
-the config; 3 I/O error (missing, malformed, K = 0, unsorted, NaN-holding or
-truncated cache, a cache with a negative c_cov or an r_ach outside [0, 1],
-unwritable output); 4 a decade gain was requested but is infeasible
-(zero-throughput denominator); 5 internal invariant violation, such as a
-risk-constrained report from any command with q_max outside [0, 1].
+whose arrays cannot be allocated, an unreadable, undecodable, non-JSON or
+too deeply nested config file, argparse errors, and a cache whose channel
+digest contradicts the config; 3 I/O error (missing, malformed, K = 0,
+unsorted, NaN-holding or truncated cache, a cache with a negative c_cov or
+an r_ach outside [0, 1], unwritable output); 4 a decade gain was requested
+but is infeasible (zero-throughput denominator); 5 internal invariant
+violation, such as a risk-constrained report from any command with q_max
+outside [0, 1].
 Handlers raise and main() alone maps exceptions to these codes.
 """
 
@@ -164,8 +166,9 @@ class RunConfig:
 
     channel: ChannelSpec
     protocol: ProtocolParams
-    k: int
+    K: int
     seed: int
+    channel_digest: bytes
     workers: int
     budgets: RiskBudgets
     raw: dict
@@ -262,7 +265,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         try:
             with open(args.config) as fh:
                 user = json.load(fh)
-        except (OSError, ValueError) as e:  # unreadable, not UTF-8, not JSON
+        except (OSError, ValueError, RecursionError) as e:  # unreadable or undecodable
             raise ConfigError(f"cannot read config {args.config}: {e}") from e
     flags = {dest: value for dest, value in vars(args).items() if value is not None}
     # benchmark-validate checks the benchmark channel, so that is its default
@@ -287,11 +290,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"sampling.seed must lie in [0, 2**64), got {seed}")
     if workers < 1:
         raise ConfigError(f"sampling.workers must be >= 1, got {workers}")
+    channel = _build_channel(raw["channel"])
     return RunConfig(
-        channel=_build_channel(raw["channel"]),
+        channel=channel,
         protocol=ProtocolParams(n=raw["protocol"]["n"], delta=raw["protocol"]["delta"]),
-        k=k,
+        K=k,
         seed=seed,
+        channel_digest=channel_digest(channel),
         workers=workers,
         budgets=RiskBudgets(
             eps_cov=raw["budgets"]["eps_cov"], eps_rel=raw["budgets"]["eps_rel"]
@@ -303,8 +308,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _obtain_samples(cfg: RunConfig, args: argparse.Namespace) -> SampleSet:
     if args.cache:
-        return load_sample_set(args.cache, expected_digest=channel_digest(cfg.channel))
-    return generate_sample_set(cfg.channel, cfg.k, cfg.seed, workers=cfg.workers)
+        return load_sample_set(args.cache, expected_digest=cfg.channel_digest)
+    return generate_sample_set(cfg.channel, cfg.K, cfg.seed, workers=cfg.workers)
 
 
 def _log_grid(cfg: RunConfig, section: str,
@@ -320,28 +325,25 @@ def _log_grid(cfg: RunConfig, section: str,
 
 
 def _emit(cfg: RunConfig, args, default_name: str, write, summary: str,
-          s: SampleSet | None) -> None:
-    """Write one artifact with its provenance and report it on stdout.
+          source: SampleSet | RunConfig) -> None:
+    """Write one artifact and report it on stdout.
 
-    ``write(path, seed=, K=, digest=)`` does the writing; the provenance comes
-    from the sample set, or from the config when ``s`` is None.
+    ``write(path, source)`` does the writing and stamps the provenance of
+    ``source``: the sample set the rows come from, or the config that fixes it.
     """
     if args.out:
         path = Path(args.out)
     else:
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
         path = cfg.output_dir / default_name
-    if s is None:
-        write(path, seed=cfg.seed, K=cfg.k, digest=channel_digest(cfg.channel))
-    else:
-        write(path, seed=s.seed, K=s.K, digest=s.channel_digest)
+    write(path, source)
     print(f"wrote {path} ({summary})")
 
 
 def _cmd_sample(cfg, args) -> None:
-    s = generate_sample_set(cfg.channel, cfg.k, cfg.seed, workers=cfg.workers)
+    s = generate_sample_set(cfg.channel, cfg.K, cfg.seed, workers=cfg.workers)
     # The cache header records its own provenance.
-    _emit(cfg, args, "samples.cqcs", lambda path, **_: save_sample_set(s, path),
+    _emit(cfg, args, "samples.cqcs", lambda path, _: save_sample_set(s, path),
           f"K={s.K}, seed={s.seed}", s)
     if args.csv:
         export_sample_csv(s, args.csv)
@@ -354,7 +356,7 @@ def _cmd_optimize(cfg, args) -> None:
     row = (cfg.budgets.eps_cov, cfg.budgets.eps_rel, *report.cells(),
            report.r_max > 0, report.below_resolution)
     _emit(cfg, args, "optimize.csv",
-          lambda path, **meta: write_csv(path, columns, [row], **meta),
+          lambda path, source: write_csv(path, columns, [row], source),
           f"t_star={report.t_star!r}, payload={report.total_payload!r}", s)
 
 
@@ -391,10 +393,10 @@ def _cmd_benchmark_validate(cfg, args) -> None:
         raise ConfigError("benchmark-validate needs channel.kind 'benchmark'")
     rows = validate(
         cfg.channel, cfg.protocol, cfg.raw["benchmark"]["eps_list"],
-        cfg.k, cfg.seed, cfg.workers,
+        cfg.K, cfg.seed, cfg.workers,
     )
     _emit(cfg, args, "benchmark_validate.csv", partial(write_validation_csv, rows),
-          f"{len(rows)} rows", None)
+          f"{len(rows)} rows", cfg)
 
 
 def _cmd_decade_gains(cfg, args) -> None:

@@ -298,8 +298,7 @@ _WEIGHT_COLUMNS = [
 
 
 def _write_weight_csv(
-    columns, matrix, lambda_cov_values, lambda_rel_values, path,
-    *, seed, K, digest,
+    columns, matrix, lambda_cov_values, lambda_rel_values, path, source
 ) -> None:
     # One row per weight pair, row-major like the matrix, cut to the columns.
     rows = (
@@ -308,10 +307,10 @@ def _write_weight_csv(
         for lc, row in zip(lambda_cov_values, matrix, strict=True)
         for lr, best in zip(lambda_rel_values, row, strict=True)
     )
-    write_csv(path, columns, rows, seed=seed, K=K, digest=digest)
+    write_csv(path, columns, rows, source)
 
 
-# write_*(matrix, lambda_cov_values, lambda_rel_values, path, *, seed, K, digest):
+# write_*(matrix, lambda_cov_values, lambda_rel_values, path, source):
 # the heatmap CSV drops j_value and the sparse-regime flag.
 write_lambda_sweep_csv = partial(_write_weight_csv, _WEIGHT_COLUMNS)
 write_heatmap_csv = partial(_write_weight_csv, _WEIGHT_COLUMNS[:4])

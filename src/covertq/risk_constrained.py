@@ -209,45 +209,21 @@ def decade_gains(
     return out
 
 
-def write_frontier_csv(rows, path, *, seed, K, digest) -> None:
-    write_csv(
-        path,
-        ["eps", *REPORT_COLUMNS],
-        ((eps, *rep.cells()) for eps, rep in rows),
-        seed=seed,
-        K=K,
-        digest=digest,
-    )
+def write_frontier_csv(rows, path, source) -> None:
+    write_csv(path, ["eps", *REPORT_COLUMNS],
+              ((eps, *rep.cells()) for eps, rep in rows), source)
 
 
-def write_surface_csv(
-    matrix, eps_cov_grid, eps_rel_grid, path, *, seed, K, digest
-) -> None:
-    def rows():
-        for i, ec in enumerate(eps_cov_grid):
-            for j, er in enumerate(eps_rel_grid):
-                yield (ec, er, *matrix[i][j].cells())
-
-    write_csv(
-        path,
-        ["eps_cov", "eps_rel", *REPORT_COLUMNS],
-        rows(),
-        seed=seed,
-        K=K,
-        digest=digest,
-    )
+def write_surface_csv(matrix, eps_cov_grid, eps_rel_grid, path, source) -> None:
+    rows = ((ec, er, *rep.cells())
+            for ec, row in zip(eps_cov_grid, matrix, strict=True)
+            for er, rep in zip(eps_rel_grid, row, strict=True))
+    write_csv(path, ["eps_cov", "eps_rel", *REPORT_COLUMNS], rows, source)
 
 
-def write_scaling_csv(rows, path, *, seed, K, digest) -> None:
-    write_csv(path, ["n", "n_t_star"], rows, seed=seed, K=K, digest=digest)
+def write_scaling_csv(rows, path, source) -> None:
+    write_csv(path, ["n", "n_t_star"], rows, source)
 
 
-def write_decade_gains_csv(gains, path, *, seed, K, digest) -> None:
-    write_csv(
-        path,
-        ["eps_from", "eps_to", "gain"],
-        gains,
-        seed=seed,
-        K=K,
-        digest=digest,
-    )
+def write_decade_gains_csv(gains, path, source) -> None:
+    write_csv(path, ["eps_from", "eps_to", "gain"], gains, source)

@@ -317,11 +317,4 @@ def export_sample_csv(s: SampleSet, path) -> None:
     from ._csvio import write_csv
 
     rows = ((i, s.ccov[i], s.rach[i]) for i in range(s.K))
-    write_csv(
-        path,
-        ["index", "c_cov", "r_ach"],
-        rows,
-        seed=s.seed,
-        K=s.K,
-        digest=s.channel_digest,
-    )
+    write_csv(path, ["index", "c_cov", "r_ach"], rows, s)

@@ -150,12 +150,7 @@ def sensitivity_formula(
     return float(s_cov), float(s_rel)
 
 
-def write_sensitivity_csv(points, path, *, seed, K, digest) -> None:
-    write_csv(
-        path,
-        ["eps", "s_cov", "s_rel", "flags"],
-        ((pt.eps, pt.s_cov, pt.s_rel, ";".join(pt.flags)) for pt in points),
-        seed=seed,
-        K=K,
-        digest=digest,
-    )
+def write_sensitivity_csv(points, path, source) -> None:
+    write_csv(path, ["eps", "s_cov", "s_rel", "flags"],
+              ((pt.eps, pt.s_cov, pt.s_rel, ";".join(pt.flags)) for pt in points),
+              source)

@@ -1,5 +1,7 @@
 """Closed-form benchmark channel and its Monte Carlo validation harness."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -145,7 +147,8 @@ def test_write_validation_csv(tmp_path, chan):
     p = ProtocolParams(n=10**7, delta=0.05)
     rows = validate(chan, p, [1e-3, 0.1], K=1000, seed=1)
     path = tmp_path / "v.csv"
-    write_validation_csv(rows, path, seed=1, K=1000, digest=b"\xab")
+    write_validation_csv(rows, path,
+                         SimpleNamespace(seed=1, K=1000, channel_digest=b"\xab"))
     lines = path.read_text().splitlines()
     assert lines[0] == "# seed=1 K=1000 channel_digest=ab"
     assert lines[1] == "eps,metric,theory,mc,rel_error_percent"

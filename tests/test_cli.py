@@ -188,6 +188,35 @@ def test_benchmark_validate_reads_channel_section(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
 
 
+def test_every_csv_stamps_its_source(tmp_path):
+    # A cached run stamps the cache's seed and K, whatever --seed and --k
+    # say; benchmark-validate, which draws its own set, stamps its config's.
+    cache, export = tmp_path / "s.cqcs", tmp_path / "sample.csv"
+    assert run("sample", "--seed", "3", "--k", "2000", "--out", str(cache),
+               "--csv", str(export)) == 0
+    digest = load_sample_set(cache).channel_digest.hex()
+    stamp = f"# seed=3 K=2000 channel_digest={digest}"
+    assert export.read_text().splitlines()[0] == stamp
+    for i, argv in enumerate((
+        ["optimize"], ["frontier", "--points", "3"], ["surface", "--points", "2"],
+        ["scaling"], ["decade-gains"], ["sensitivity", "--points", "2"],
+        ["risk-adjusted", "--mode", "sweep", "--grid-points", "11"],
+        ["risk-adjusted", "--mode", "heatmap", "--grid-points", "11"],
+    )):
+        out = tmp_path / f"{i}.csv"
+        rc = run(*argv, "--cache", str(cache), "--seed", "7", "--k", "500",
+                 "--out", str(out))
+        # decade-gains writes its CSV even when a gain is infeasible (exit 4).
+        assert rc in ((0, 4) if argv[0] == "decade-gains" else (0,)), argv
+        assert out.read_text().splitlines()[0] == stamp, argv
+
+    out = tmp_path / "val.csv"
+    assert run("benchmark-validate", "--seed", "7", "--k", "500",
+               "--out", str(out)) == 0
+    digest = channel_digest(BenchmarkChannelSpec(0.9, ExponentialSpec(10.0))).hex()
+    assert out.read_text().splitlines()[0] == f"# seed=7 K=500 channel_digest={digest}"
+
+
 def test_decade_gains_feasible(tmp_path):
     out = tmp_path / "gains.csv"
     assert run("decade-gains", "--k", "2000", "--out", str(out)) == 0
@@ -563,6 +592,17 @@ def test_json_boolean_for_a_number_is_config_error(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert err.startswith("config error") and f"bad value for '{key}'" in err, err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_deeply_nested_config_is_config_error(tmp_path, capsys):
+    # json.load raises RecursionError, not ValueError, past its nesting limit.
+    config, out = tmp_path / "deep.json", tmp_path / "x.csv"
+    config.write_text("[" * 100_000 + "]" * 100_000)
+    assert run("optimize", "--config", str(config), "--k", "1000",
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err, err
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,7 +32,7 @@ def test_write_csv_matches_format_cell(tmp_path):
     ]
     columns = [f"c{i}" for i in range(len(CELLS))]
     path = tmp_path / "cells.csv"
-    write_csv(path, columns, rows, seed=2, K=9, digest=b"\xab\x01")
+    write_csv(path, columns, rows, SimpleNamespace(seed=2, K=9, channel_digest=b"\xab\x01"))
     expected = io.StringIO()
     expected.write("# seed=2 K=9 channel_digest=ab01\n")
     writer = csv.writer(expected, lineterminator="\n")

@@ -88,3 +88,31 @@ def test_tracer_sees_sensitivity_stencil(monkeypatch, tmp_path):
     assert t.sensitivity_optimize_calls == 9
     assert t.calls["quantiles.strict_outage_quantile"] == 3 * (6 + 1)
     assert t.worst_root_gap < 1e-6
+
+
+def test_tracer_counts_every_writer(monkeypatch, tmp_path):
+    # Every CSV writer reaches write_csv through a traced call site with its
+    # rows at argument 2: 4 + 9 + 6 + 4 + 3 + 40 + 625 + 10 rows in 8 calls.
+    spans = load_spans(monkeypatch)
+    cache = tmp_path / "s.cqcs"
+    assert covertq.cli.main(["sample", "--k", "2000", "--out", str(cache)]) == 0
+    cached = (["frontier", "--points", "4"], ["surface", "--points", "3"], ["scaling"],
+              ["decade-gains"], ["sensitivity", "--points", "3"],
+              ["risk-adjusted", "--mode", "sweep", "--grid-points", "11"],
+              ["risk-adjusted", "--mode", "heatmap", "--grid-points", "11"])
+    argvs = [*([*argv, "--cache", str(cache)] for argv in cached),
+             ["benchmark-validate", "--k", "2000"]]
+    tracer = spans.Tracer(covertq)
+    tracer.install()
+    try:
+        for i, argv in enumerate(argvs):
+            out = str(tmp_path / f"{i}.csv")
+            with tracer.span(f"cli.{argv[0]}"):
+                # decade-gains writes its CSV even when a gain is infeasible.
+                assert covertq.cli.main([*argv, "--out", out]) in (0, 4)
+    finally:
+        tracer.uninstall()
+    t = spans.aggregate(tracer.take())
+    assert t.calls["csvio.write_csv"] == 8
+    assert t.rows["csvio.write_csv"] == 701
+    assert t.worst_root_gap < 1e-6

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -544,8 +545,8 @@ def test_write_lambda_sweep_csv(tmp_path):
         [GridMaximum(Strategy(0.0, 0.0), 0.0, True)],
     ]
     path = tmp_path / "sweep.csv"
-    write_lambda_sweep_csv(column, [0.5, 2.0], [1.5], path, seed=3, K=100,
-                           digest=b"\x01\xff")
+    write_lambda_sweep_csv(column, [0.5, 2.0], [1.5], path,
+                           SimpleNamespace(seed=3, K=100, channel_digest=b"\x01\xff"))
     lines = path.read_text().splitlines()
     assert lines[0] == "# seed=3 K=100 channel_digest=01ff"
     assert lines[1] == ("lambda_cov,lambda_rel,q_star,r_star,j_value,"
@@ -554,8 +555,8 @@ def test_write_lambda_sweep_csv(tmp_path):
     assert lines[3] == "2.0,1.5,0.0,0.0,0.0,true"
     # A sweep along lambda_rel is one row.
     row = [[column[0][0], column[1][0]]]
-    write_lambda_sweep_csv(row, [1.5], [0.5, 2.0], path, seed=3, K=100,
-                           digest=b"\x01\xff")
+    write_lambda_sweep_csv(row, [1.5], [0.5, 2.0], path,
+                           SimpleNamespace(seed=3, K=100, channel_digest=b"\x01\xff"))
     assert path.read_text().splitlines()[:3] == [*lines[:2], "1.5,0.5,0.25,0.5,0.1,false"]
 
 
@@ -565,8 +566,8 @@ def test_write_heatmap_csv(tmp_path):
     matrix = [[GridMaximum(Strategy(q[i][j], r[i][j]), 0.0, False) for j in range(2)]
               for i in range(2)]
     path = tmp_path / "heat.csv"
-    write_heatmap_csv(matrix, [1.0, 2.0], [3.0, 4.0], path, seed=0, K=4,
-                      digest=bytes(32))
+    write_heatmap_csv(matrix, [1.0, 2.0], [3.0, 4.0], path,
+                      SimpleNamespace(seed=0, K=4, channel_digest=bytes(32)))
     lines = path.read_text().splitlines()
     assert lines[0] == "# seed=0 K=4 channel_digest=" + "00" * 32
     assert lines[1] == "lambda_cov,lambda_rel,q_star,r_star"

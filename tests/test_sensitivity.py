@@ -1,5 +1,7 @@
 """Budget sensitivities: finite differences, analytic formula, and flags."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -227,7 +229,8 @@ def test_write_sensitivity_csv(tmp_path):
         SensitivityPoint(0.2, 0.5, 0.25, ("atom_suspected", "cap_transition")),
     ]
     path = tmp_path / "sens.csv"
-    write_sensitivity_csv(points, path, seed=1, K=10, digest=b"\xab" * 32)
+    write_sensitivity_csv(points, path,
+                          SimpleNamespace(seed=1, K=10, channel_digest=b"\xab" * 32))
     lines = path.read_text().splitlines()
     assert lines[0] == "# seed=1 K=10 channel_digest=" + "ab" * 32
     assert lines[1] == "eps,s_cov,s_rel,flags"

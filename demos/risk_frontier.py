@@ -20,7 +20,6 @@ from covertq import (
     generate_sample_set,
     n_scaling_sweep,
 )
-from covertq.risk_constrained import DECADE_BUDGETS
 
 K = 200_000
 SEED = 1
@@ -49,8 +48,7 @@ def main():
 
     print()
     print("payload gain per decade of symmetric risk:")
-    decade_rows = frontier_sweep(samples, protocol, DECADE_BUDGETS)
-    for lo, hi, gain in decade_gains(decade_rows):
+    for lo, hi, gain in decade_gains(samples, protocol):
         text = "infeasible" if gain is None else f"{gain:.3f}x"
         print(f"  eps {lo:.0e} -> {hi:.0e}: {text}")
 

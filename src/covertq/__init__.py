@@ -22,7 +22,7 @@ from .physics import (
     depolarizing_probability,
     q_ceiling,
 )
-from .quantiles import RiskBudgets, strict_cdf, strict_outage_quantile
+from .quantiles import RiskBudgets, order_index, strict_cdf, strict_outage_quantile
 from .samples import (
     BenchmarkChannelSpec,
     ChannelSpec,

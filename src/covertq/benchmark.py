@@ -56,15 +56,9 @@ def _k(c: BenchmarkChannelSpec) -> float:
     return np.sqrt(2.0 * c.eta0) / (1.0 - c.eta0)
 
 
-def _check_eps(eps: float, name: str) -> float:
-    if not 0 < eps < 1:
-        raise ValueError(f"{name} must lie in (0, 1), got {eps}")
-    return float(eps)
-
-
 def benchmark_ccov_quantile(c: BenchmarkChannelSpec, eps_cov: float) -> float:
     """Exact strict-outage quantile of c_cov: k * sqrt((Z^2 - 1)/(4*eta0))."""
-    eps_cov = _check_eps(eps_cov, "eps_cov")
+    eps_cov = RiskBudgets.check(eps_cov, "eps_cov")
     z = 1.0 - (2.0 * c.eta0 / c.nb.rate) * np.log1p(-eps_cov)
     # ln(1 - eps) < 0 for eps in (0, 1), so Z > 1 and the radicand is
     # positive; check rather than trust the caller's floating point.
@@ -82,7 +76,7 @@ def benchmark_qmax(c: BenchmarkChannelSpec, p: ProtocolParams, eps_cov: float) -
 def benchmark_rmax(c: BenchmarkChannelSpec, eps_rel: float) -> float:
     """Closed-form optimal code rate: the achievable rate at the upper
     exponential noise quantile -ln(eps_rel)/rate."""
-    eps_rel = _check_eps(eps_rel, "eps_rel")
+    eps_rel = RiskBudgets.check(eps_rel, "eps_rel")
     return float(achievable_rate(c.eta0, -np.log(eps_rel) / c.nb.rate))
 
 
@@ -141,7 +135,7 @@ def validate(
     closed-form value is below 1e-12 (the R_max ~ 0 rows) the error is
     recorded as None — agreement there is absolute, not relative.
     """
-    eps_list = [_check_eps(eps, "eps") for eps in eps_list]  # before sampling
+    eps_list = [RiskBudgets.check(eps) for eps in eps_list]  # before sampling
     s = generate_sample_set(c, K, seed, workers=workers)
     rows: list[ValidationRow] = []
     for eps in eps_list:

@@ -71,7 +71,6 @@ from .risk_adjusted import (
     write_lambda_sweep_csv,
 )
 from .risk_constrained import (
-    DECADE_BUDGETS,
     REPORT_COLUMNS,
     InvariantError,
     ProtocolParams,
@@ -401,7 +400,7 @@ def _cmd_benchmark_validate(cfg, args) -> None:
 
 def _cmd_decade_gains(cfg, args) -> None:
     s = _obtain_samples(cfg, args)
-    gains = decade_gains(frontier_sweep(s, cfg.protocol, DECADE_BUDGETS))
+    gains = decade_gains(s, cfg.protocol)
     _emit(cfg, args, "decade_gains.csv", partial(write_decade_gains_csv, gains),
           f"{len(gains)} gains", s)
     infeasible = [(lo, hi) for lo, hi, gain in gains if gain is None]
@@ -445,7 +444,7 @@ _FILE_FLAGS = {
     "config": "JSON config file",
     "out": "explicit output path (overrides --output-dir)",
     "cache": "reuse a sample cache written by 'sample'",
-    "csv": "also export the arrays as CSV",
+    "csv": "also export the sorted arrays as CSV (row i: i-th smallest c_cov and r_ach)",
 }
 
 # Flags every subcommand takes, after --config and --out.

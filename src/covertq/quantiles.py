@@ -15,11 +15,12 @@ makes dense budget sweeps against one cached sample set cheap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RiskBudgets", "strict_cdf", "strict_outage_quantile"]
+__all__ = ["RiskBudgets", "order_index", "strict_cdf", "strict_outage_quantile"]
 
 
 @dataclass(frozen=True)
@@ -31,9 +32,28 @@ class RiskBudgets:
 
     def __post_init__(self) -> None:
         for name in ("eps_cov", "eps_rel"):
-            v = getattr(self, name)
-            if not 0 < v < 1:
-                raise ValueError(f"{name} must lie in (0, 1), got {v}")
+            self.check(getattr(self, name), name)
+
+    @staticmethod
+    def check(eps, name: str = "eps") -> float:
+        """eps as a float; ValueError naming ``name`` unless 0 < eps < 1."""
+        if not 0 < eps < 1:
+            raise ValueError(f"{name} must lie in (0, 1), got {eps}")
+        return float(eps)
+
+
+def order_index(eps: float, K: int) -> int:
+    """m = floor(eps*K): Q<(eps) is x_(m+1), and m = 0 is below 1/K resolution.
+
+    eps*K is evaluated in binary64 (on Python floats, several times cheaper
+    per call than numpy scalars) and snapped to an integer within one ulp
+    before flooring, so 0.3*10 = 2.999... keeps its order statistic.
+    """
+    if not 0 <= eps < 1:
+        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+    t = float(eps) * K
+    nearest = round(t)
+    return nearest if abs(t - nearest) <= math.ulp(t) else math.floor(t)
 
 
 def strict_cdf(samples: np.ndarray, x):
@@ -57,21 +77,11 @@ def strict_cdf(samples: np.ndarray, x):
 def strict_outage_quantile(samples: np.ndarray, eps: float):
     """sup{x : strict_cdf(samples, x) <= eps} of the empirical law.
 
-    Equals the order statistic x_(m+1) with m = floor(eps*K), clamped to the
-    maximum sample when m + 1 > K.  eps*K is evaluated in binary64; a value
-    within one ulp of an integer is snapped to it before flooring, guarding
-    against artifacts like 0.3*10 = 2.999... dropping a full order statistic.
+    Equals the order statistic x_(m+1) with m = order_index(eps, K), clamped
+    to the maximum sample when m + 1 > K.
     """
     samples = np.asarray(samples)
     if samples.size == 0:
         raise ValueError("samples must be nonempty")
-    if not 0 <= eps < 1:
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
     k = samples.size
-    t = eps * k
-    nearest = np.rint(t)
-    if abs(t - nearest) <= np.spacing(t):
-        m = int(nearest)
-    else:
-        m = int(np.floor(t))
-    return samples[min(m, k - 1)]
+    return samples[min(order_index(eps, k), k - 1)]

@@ -23,8 +23,8 @@ once per sweep.  The row envelope
 
     env_i = max_j (q_i*r_j - lambda_rel * F<_rach(r_j))
 
-depends on lambda_rel alone: one pass over the G x G grid per distinct
-lambda_rel.  Each weight pair then bounds row i of J by env_i - lambda_cov *
+depends on lambda_rel alone: one pass over the G x G grid per lambda_rel
+value.  Each weight pair then bounds row i of J by env_i - lambda_cov *
 F<_ccov(q_i) in O(G) and evaluates J only on the rows whose bound lies within
 TIE_TOLERANCE plus a rounding margin of the best one.  Those rows hold every
 cell the tie rule can report, and their J is the full grid's bit for bit.
@@ -182,8 +182,8 @@ def heatmap_sweep(s: SampleSet, p: ProtocolParams, g: GridSpec,
     """Cartesian weight sweep; row index follows lambda_cov, column lambda_rel.
 
     The weight-independent terms of J are computed once per sweep, and the
-    row envelope max_j (q*r - lambda_rel * F<_rach(r)) once per distinct
-    lambda_rel.  The weight pairs, in row-major order, then go through in
+    row envelope max_j (q*r - lambda_rel * F<_rach(r)) once per lambda_rel
+    value.  The weight pairs, in row-major order, then go through in
     chunks of _CHUNK, each in one batch of array operations.  Per pair, the
     envelope minus the covertness penalty bounds each row of J; only the rows
     within TIE_TOLERANCE + 4*margin of the pair's best bound are kept, where
@@ -218,10 +218,7 @@ def heatmap_sweep(s: SampleSet, p: ProtocolParams, g: GridSpec,
     f_rel = strict_cdf(s.rach, axis)
     q_bound = _sparse_q_bound(s, p)
     scratch = np.empty_like(qr)
-    # One envelope per distinct lambda_rel (0.0 and -0.0 are one key).
-    slot: dict[float, int] = {}
-    env_of = np.array([slot.setdefault(lr, len(slot)) for lr in lam_rel.tolist()])
-    env = np.empty((len(slot), G))
+    env = np.empty((lam_rel.size, G))  # row e: the envelope of lambda_rel[e]
     n_pairs = lam_cov.size * lam_rel.size
     q_idx = np.empty(n_pairs, dtype=np.intp)
     r_idx = np.empty(n_pairs, dtype=np.intp)
@@ -231,12 +228,12 @@ def heatmap_sweep(s: SampleSet, p: ProtocolParams, g: GridSpec,
     half = G // 2
     chunk = min(_CHUNK, half)
     with np.errstate(over="ignore"):
-        for lr, e in slot.items():
+        for e, lr in enumerate(lam_rel.tolist()):
             np.subtract(qr, lr * f_rel, out=scratch).max(axis=1, out=env[e])
         for lo in range(0, n_pairs, chunk):
             ci, ri = np.divmod(np.arange(lo, min(lo + chunk, n_pairs)), lam_rel.size)
             lc, lr = lam_cov[ci], lam_rel[ri]
-            ub = np.take(env, env_of[ri], axis=0, out=scratch[: ci.size], mode="clip")
+            ub = np.take(env, ri, axis=0, out=scratch[: ci.size], mode="clip")
             ub -= np.multiply.outer(lc, f_cov, out=scratch[half : half + ci.size])
             owner, rows, start = _kept_cells(ub, lc, lr)
             # Groups of whole pairs with at most half kept rows, or one pair.

@@ -26,11 +26,11 @@ once per eps_rel, and optimize is its 1x1 case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ._csvio import write_csv
 from .physics import q_ceiling
-from .quantiles import RiskBudgets, strict_outage_quantile
+from .quantiles import RiskBudgets, order_index, strict_outage_quantile
 from .samples import SampleSet
 
 __all__ = [
@@ -85,10 +85,10 @@ class OptimumReport:
 
     ``t_star`` is q_max * r_max by definition, so it is a property, not a
     field.  ``q_capped`` records that the covertness bound exceeded 1 and was
-    capped.  ``below_resolution`` warns that a budget was finer than 1/K,
-    where the strict-outage order statistic degenerates to the minimum sample
-    and the estimate rests on sparse tail data.  Construction raises
-    InvariantError for a q_max outside [0, 1], under ``python -O`` too.
+    capped.  ``below_resolution`` is order_index(min budget, K) == 0: the
+    budget is finer than 1/K, its quantile is the minimum sample and the
+    estimate rests on sparse tail data.  Construction raises InvariantError
+    for a q_max outside [0, 1], under ``python -O`` too.
     """
 
     q_max: float
@@ -148,23 +148,28 @@ def surface_sweep(
     """Cartesian budget sweep; row index follows eps_cov, column eps_rel.
 
     The rectangle problem separates, so q_max is solved once per eps_cov and
-    r_max once per eps_rel.  Every risk-constrained result is built here.
+    r_max once per eps_rel, each with its resolution flag: the order index is
+    monotone in the budget, so a cell's smaller budget has index 0 exactly
+    when either budget does.  Every risk-constrained result is built here.
     """
     budgets = [[RiskBudgets(ec, er) for er in eps_rel_grid] for ec in eps_cov_grid]
     if not budgets or not budgets[0]:
         return budgets
-    r_axis = [float(strict_outage_quantile(s.rach, b.eps_rel)) for b in budgets[0]]
+    r_axis = [(float(strict_outage_quantile(s.rach, b.eps_rel)),
+               order_index(b.eps_rel, s.K) == 0) for b in budgets[0]]
     matrix = []
     for row in budgets:
-        q_unc = q_ceiling(strict_outage_quantile(s.ccov, row[0].eps_cov), p.delta, p.n)
+        eps_cov = row[0].eps_cov
+        q_unc = q_ceiling(strict_outage_quantile(s.ccov, eps_cov), p.delta, p.n)
         q_max = min(1.0, q_unc)
+        q_coarse = order_index(eps_cov, s.K) == 0
         matrix.append([OptimumReport(
             q_max=q_max,
             r_max=r_max,
             total_payload=p.n * (q_max * r_max),
             q_capped=bool(q_unc > 1.0),
-            below_resolution=min(b.eps_cov, b.eps_rel) * s.K < 1.0,
-        ) for b, r_max in zip(row, r_axis)])
+            below_resolution=q_coarse or r_coarse,
+        ) for r_max, r_coarse in r_axis])
     return matrix
 
 
@@ -178,35 +183,23 @@ def n_scaling_sweep(
     too: the n-dependence enters only through powers of two once n scales by
     4, leaving the significand untouched).
     """
-    budgets = RiskBudgets(eps, eps)
-    rows = []
-    for n in n_grid:
-        report = optimize(s, ProtocolParams(n=n, delta=delta), budgets)
-        rows.append((int(n), report.total_payload))
-    return rows
+    b = RiskBudgets(eps, eps)
+    return [(int(n), optimize(s, ProtocolParams(n=n, delta=delta), b).total_payload)
+            for n in n_grid]
 
 
 def decade_gains(
-    frontier_rows: Iterable[tuple[float, OptimumReport]]
+    s: SampleSet, p: ProtocolParams
 ) -> list[tuple[float, float, float | None]]:
-    """Multiplicative throughput gains between consecutive decade budgets.
+    """Throughput gains between consecutive DECADE_BUDGETS on the frontier.
 
-    ``frontier_rows`` must contain all five decade budgets (1e-5 .. 1e-1).
     Each output row is (eps_from, eps_to, gain); a zero-throughput
     denominator yields gain None — the infeasible-gain marker — rather
     than an exception.
     """
-    by_eps = {float(eps): rep for eps, rep in frontier_rows}
-    missing = [eps for eps in DECADE_BUDGETS if eps not in by_eps]
-    if missing:
-        raise ValueError(f"frontier rows missing decade budgets {missing}")
-    out: list[tuple[float, float, float | None]] = []
-    for lo, hi in zip(DECADE_BUDGETS, DECADE_BUDGETS[1:]):
-        t_lo = by_eps[lo].t_star
-        t_hi = by_eps[hi].t_star
-        gain = t_hi / t_lo if t_lo > 0 else None
-        out.append((lo, hi, gain))
-    return out
+    t = [rep.t_star for _, rep in frontier_sweep(s, p, DECADE_BUDGETS)]
+    return [(lo, hi, t_hi / t_lo if t_lo > 0 else None) for lo, hi, t_lo, t_hi
+            in zip(DECADE_BUDGETS, DECADE_BUDGETS[1:], t, t[1:])]
 
 
 def write_frontier_csv(rows, path, source) -> None:

@@ -150,19 +150,20 @@ def channel_digest(spec: ChannelSpec) -> bytes:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """K channel realizations reduced to sorted marginal arrays."""
+    """K channel realizations reduced to sorted marginal arrays; K is their length."""
 
     ccov: np.ndarray
     rach: np.ndarray
-    K: int
     seed: int
     channel_digest: bytes
 
     def __post_init__(self) -> None:
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
-        if len(self.ccov) != self.K or len(self.rach) != self.K:
-            raise ValueError("arrays must both have length K")
+        if len(self.ccov) == 0 or len(self.ccov) != len(self.rach):
+            raise ValueError("arrays must be nonempty and of equal length")
+
+    @property
+    def K(self) -> int:
+        return len(self.ccov)
 
 
 def _draw_span(spec: ChannelSpec, lo: int, hi: int, K: int, seed: int):
@@ -224,7 +225,7 @@ def generate_sample_set(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill, blocks))
             list(pool.map(np.ndarray.sort, (ccov, rach)))
-    return SampleSet(ccov=ccov, rach=rach, K=K, seed=seed, channel_digest=digest)
+    return SampleSet(ccov=ccov, rach=rach, seed=seed, channel_digest=digest)
 
 
 def save_sample_set(s: SampleSet, path) -> None:
@@ -309,11 +310,15 @@ def load_sample_set(path, expected_digest: bytes | None = None) -> SampleSet:
             f"r_ach from {float(rach[0])} to {float(rach[-1])}; "
             f"need c_cov >= 0, 0 <= r_ach <= 1)"
         )
-    return SampleSet(ccov=ccov, rach=rach, K=k, seed=seed, channel_digest=digest)
+    return SampleSet(ccov=ccov, rach=rach, seed=seed, channel_digest=digest)
 
 
 def export_sample_csv(s: SampleSet, path) -> None:
-    """Plain-text inspection dump: index, c_cov, r_ach per row."""
+    """Plain-text dump of the sorted arrays: index, c_cov, r_ach per row.
+
+    Row i pairs the i-th smallest c_cov with the i-th smallest r_ach: not a draw.
+    """
+    # Imported per call because perfbench's tracer patches _csvio.write_csv.
     from ._csvio import write_csv
 
     rows = ((i, s.ccov[i], s.rach[i]) for i in range(s.K))

@@ -91,9 +91,7 @@ def sensitivities_symmetric(
     points = []
     zero_atom = bool(s.rach[0] == 0.0)
     for eps in eps_grid:
-        eps = float(eps)
-        if not 0 < eps < 1:
-            raise ValueError(f"eps must lie in (0, 1), got {eps}")
+        eps = RiskBudgets.check(float(eps))
         h = eps / 10.0
         # eps - h > 0 always; near 1 the difference is one-sided, up to eps.
         lo, hi = eps - h, (eps + h if eps + h < 1.0 else eps)
@@ -132,8 +130,7 @@ def sensitivity_formula(
     budget ``eps``.  When the covertness bound is capped at q_max = 1 the
     covertness sensitivity vanishes (the budget is locally slack).
     """
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    RiskBudgets.check(eps)
     if capped:
         s_cov = 0.0
     else:

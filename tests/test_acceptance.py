@@ -39,7 +39,7 @@ from covertq import (
     validate,
 )
 from covertq import cli
-from covertq.risk_constrained import DECADE_BUDGETS, decade_gains, frontier_sweep
+from covertq.risk_constrained import decade_gains
 
 DIGEST = b"\x00" * 32
 
@@ -52,8 +52,7 @@ def _report(num, ok, detail):
 def synthetic_set(ccov, rach, seed=0):
     ccov = np.sort(np.asarray(ccov, dtype=float))
     rach = np.sort(np.asarray(rach, dtype=float))
-    return SampleSet(ccov=ccov, rach=rach, K=len(ccov), seed=seed,
-                     channel_digest=DIGEST)
+    return SampleSet(ccov=ccov, rach=rach, seed=seed, channel_digest=DIGEST)
 
 
 def test_criterion_01_closed_form_values(protocol):
@@ -92,7 +91,7 @@ def test_criterion_03_decade_gains():
     per_seed = []
     for seed in (1, 2, 3):
         s = generate_sample_set(spec, 10**6, seed, workers=4)
-        gains = decade_gains(frontier_sweep(s, p, DECADE_BUDGETS))
+        gains = decade_gains(s, p)
         hit = all(gain is not None and abs(gain - windows[(lo, hi)][0])
                   <= windows[(lo, hi)][1]
                   for lo, hi, gain in gains)

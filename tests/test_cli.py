@@ -23,6 +23,7 @@ from covertq import (
     TruncatedGaussianSpec,
     TruncatedLognormalSpec,
     channel_digest,
+    generate_sample_set,
     load_sample_set,
     optimize,
     save_sample_set,
@@ -112,6 +113,20 @@ def test_sample_csv_export(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[1] == "index,c_cov,r_ach"
     assert len(lines) == 52
+
+
+def test_optimize_budget_of_one_order_statistic_is_resolved(tmp_path):
+    # eps = 1/49 at K = 49 selects x_(2), one order statistic above the
+    # minimum, so the report is not below resolution.
+    out = tmp_path / "opt.csv"
+    eps = repr(1 / 49)
+    assert run("optimize", "--k", "49", "--eps-cov", eps, "--eps-rel", eps,
+               "--out", str(out)) == 0
+    header, row = data_lines(out)
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["below_resolution"] == "false"
+    s = generate_sample_set(default_channel(), 49, seed=1)
+    assert float(cells["r_max"]) == s.rach[1]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,21 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from covertq import RiskBudgets, strict_cdf, strict_outage_quantile
+from covertq import (
+    BenchmarkChannelSpec,
+    ExponentialSpec,
+    ProtocolParams,
+    RiskBudgets,
+    SampleSet,
+    benchmark_ccov_quantile,
+    benchmark_rmax,
+    order_index,
+    sensitivities_symmetric,
+    sensitivity_formula,
+    strict_cdf,
+    strict_outage_quantile,
+    validate,
+)
 
 
 def brute_force_quantile(values, eps_frac):
@@ -88,6 +102,22 @@ def test_quantile_exhaustive_oracle():
             for i, frac in eps_grid:
                 got = strict_outage_quantile(arr, i / 20.0)
                 assert got == brute_force_quantile(combo, frac), (combo, i)
+                m = order_index(i / 20.0, n)
+                assert m == (i * n) // 20 and arr[min(m, n - 1)] == got
+
+
+def test_order_index_snaps_whole_order_statistics():
+    # j/K * K lands within one ulp of j, on either side; the index is j, and
+    # half an order statistic past j still floors to j.
+    for k in range(2, 3000):
+        for j in (1, 2, 3):
+            if j < k:
+                assert order_index(j / k, k) == j, (j, k)
+                assert order_index((j + 0.5) / k, k) == j, (j, k)
+        assert order_index(0.5 / k, k) == 0
+    assert order_index(0.3, 10) == 3
+    with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\), got 1.0"):
+        order_index(1.0, 10)
 
 
 def test_quantile_monotone_in_eps():
@@ -130,6 +160,34 @@ def test_quantile_validation():
 
 # ---------------------------------------------------------------------------
 # budgets container
+
+
+_CHANNEL = BenchmarkChannelSpec(eta0=0.9, nb=ExponentialSpec(10.0))
+_PROTOCOL = ProtocolParams(n=10**7, delta=0.05)
+_SET = SampleSet(np.array([1.0, 2.0]), np.array([0.1, 0.2]), seed=0,
+                 channel_digest=b"\0" * 32)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RiskBudgets(0.0, 0.5), "eps_cov must lie in (0, 1), got 0.0"),
+    (lambda: RiskBudgets(0.5, 1.0), "eps_rel must lie in (0, 1), got 1.0"),
+    (lambda: benchmark_ccov_quantile(_CHANNEL, 1.5), "eps_cov must lie in (0, 1), got 1.5"),
+    (lambda: benchmark_rmax(_CHANNEL, -0.1), "eps_rel must lie in (0, 1), got -0.1"),
+    (lambda: validate(_CHANNEL, _PROTOCOL, [0.5, 2.0], 10, 1),
+     "eps must lie in (0, 1), got 2.0"),
+    (lambda: sensitivities_symmetric(_SET, _PROTOCOL, [1.0]),
+     "eps must lie in (0, 1), got 1.0"),
+    (lambda: sensitivity_formula(0.5, 0.5, _PROTOCOL, eps=0.0,
+                                 density_ccov_at_quantile=1.0,
+                                 density_rach_at_quantile=1.0, capped=False),
+     "eps must lie in (0, 1), got 0.0"),
+], ids=["budgets-cov", "budgets-rel", "ccov-quantile", "rmax", "validate",
+        "sensitivities", "formula"])
+def test_eps_range_message_is_shared(call, message):
+    # Every caller reports an out-of-range budget in the same words.
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_risk_budgets_validation():

@@ -17,6 +17,7 @@ from covertq import (
     strict_cdf,
     surface_sweep,
 )
+from covertq.quantiles import order_index
 from covertq.risk_constrained import DECADE_BUDGETS, InvariantError
 
 DIGEST = b"\0" * 32
@@ -25,7 +26,7 @@ DIGEST = b"\0" * 32
 def synthetic_set(ccov, rach, seed=0):
     ccov = np.sort(np.asarray(ccov, dtype=float))
     rach = np.sort(np.asarray(rach, dtype=float))
-    return SampleSet(ccov=ccov, rach=rach, K=len(ccov), seed=seed, channel_digest=DIGEST)
+    return SampleSet(ccov=ccov, rach=rach, seed=seed, channel_digest=DIGEST)
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +66,24 @@ def test_optimize_below_resolution_flag():
     p = ProtocolParams(n=10**7, delta=0.05)
     assert optimize(s, p, RiskBudgets(1e-3, 0.5)).below_resolution
     assert not optimize(s, p, RiskBudgets(0.5, 0.5)).below_resolution
+
+
+def test_below_resolution_agrees_with_the_quantile():
+    # 1/49 * 49 evaluates to 0.9999999999999999 in binary64.  The quantile
+    # snaps it to one order statistic and takes x_(2), so the flag must not
+    # call that budget below resolution; half of 1/49 is.
+    s = synthetic_set(np.linspace(1, 2, 49), np.linspace(0.1, 0.2, 49))
+    p = ProtocolParams(n=10**7, delta=0.05)
+    one, half = 1 / 49, 0.5 / 49
+    report = optimize(s, p, RiskBudgets(one, one))
+    assert report.r_max == s.rach[1]
+    assert not report.below_resolution
+    assert optimize(s, p, RiskBudgets(half, half)).below_resolution
+    grid = [half, one, 0.3]
+    flags = [[rep.below_resolution for rep in row]
+             for row in surface_sweep(s, p, grid, grid)]
+    assert flags == [[order_index(min(ec, er), 49) == 0 for er in grid] for ec in grid]
+    assert flags == [[True, True, True], [True, False, False], [True, False, False]]
 
 
 def test_optimize_corner_is_feasible_and_optimal():
@@ -183,8 +202,7 @@ def test_scaling_cap_breaks_square_root_law():
 
 
 def test_decade_gains_baseline_windows(baseline_set, protocol):
-    rows = frontier_sweep(baseline_set, protocol, DECADE_BUDGETS)
-    gains = [g for (_, _, g) in decade_gains(rows)]
+    gains = [g for (_, _, g) in decade_gains(baseline_set, protocol)]
     targets = [(2.04, 0.8), (1.74, 0.3), (1.89, 0.3), (2.52, 0.3)]
     for gain, (center, width) in zip(gains, targets):
         assert gain is not None
@@ -193,8 +211,7 @@ def test_decade_gains_baseline_windows(baseline_set, protocol):
 
 def test_decade_gains_constant_throughput_is_unity():
     s = synthetic_set(np.full(10, 2.0), np.full(10, 0.5))
-    rows = frontier_sweep(s, ProtocolParams(n=10**7, delta=0.05), DECADE_BUDGETS)
-    for _, _, gain in decade_gains(rows):
+    for _, _, gain in decade_gains(s, ProtocolParams(n=10**7, delta=0.05)):
         assert gain == 1.0
 
 
@@ -202,17 +219,17 @@ def test_decade_gains_infeasible_marker():
     # 0.1% of rate mass at zero blanks out the eps = 1e-5 and 1e-4 budgets.
     rach = np.concatenate([np.zeros(1), np.full(999, 0.5)])
     s = synthetic_set(np.linspace(1.0, 2.0, 1000), rach)
-    rows = frontier_sweep(s, ProtocolParams(n=10**7, delta=0.05), DECADE_BUDGETS)
-    gains = decade_gains(rows)
+    gains = decade_gains(s, ProtocolParams(n=10**7, delta=0.05))
     assert gains[0][2] is None
     assert gains[1][2] is None
     assert gains[2][2] is not None
 
 
-def test_decade_gains_requires_all_budgets(baseline_set, protocol):
-    rows = frontier_sweep(baseline_set, protocol, DECADE_BUDGETS[1:])
-    with pytest.raises(ValueError):
-        decade_gains(rows)
+def test_decade_gains_windows_are_consecutive_budgets(baseline_set, protocol):
+    gains = decade_gains(baseline_set, protocol)
+    assert [(lo, hi) for lo, hi, _ in gains] == list(zip(DECADE_BUDGETS, DECADE_BUDGETS[1:]))
+    t = [rep.t_star for _, rep in frontier_sweep(baseline_set, protocol, DECADE_BUDGETS)]
+    assert [gain for _, _, gain in gains] == [hi / lo for lo, hi in zip(t, t[1:])]
 
 
 # ---------------------------------------------------------------------------

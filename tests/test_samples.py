@@ -287,9 +287,9 @@ def test_generate_validation():
 
 def test_sample_set_validation():
     with pytest.raises(ValueError):
-        SampleSet(np.zeros(3), np.zeros(2), K=3, seed=0, channel_digest=b"\0" * 32)
+        SampleSet(np.zeros(3), np.zeros(2), seed=0, channel_digest=b"\0" * 32)
     with pytest.raises(ValueError):
-        SampleSet(np.zeros(0), np.zeros(0), K=0, seed=0, channel_digest=b"\0" * 32)
+        SampleSet(np.zeros(0), np.zeros(0), seed=0, channel_digest=b"\0" * 32)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +359,6 @@ def test_load_rejects_unsorted_arrays(tmp_path):
     shuffled = SampleSet(
         ccov=s.ccov[::-1].copy(),
         rach=s.rach,
-        K=s.K,
         seed=s.seed,
         channel_digest=s.channel_digest,
     )
@@ -506,3 +505,9 @@ def test_export_sample_csv(tmp_path):
     assert int(idx) == 0
     assert float(ccov) == s.ccov[0]
     assert float(rach) == s.rach[0]
+    # Row i pairs the i-th smallest of each array: the columns are the two
+    # sorted arrays, not draws.
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+    np.testing.assert_array_equal(table[:, 0], np.arange(50))
+    np.testing.assert_array_equal(table[:, 1], s.ccov)
+    np.testing.assert_array_equal(table[:, 2], s.rach)

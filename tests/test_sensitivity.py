@@ -29,8 +29,7 @@ DIGEST = b"\x00" * 32
 def synthetic_set(ccov, rach, seed=0):
     ccov = np.sort(np.asarray(ccov, dtype=float))
     rach = np.sort(np.asarray(rach, dtype=float))
-    return SampleSet(ccov=ccov, rach=rach, K=len(ccov), seed=seed,
-                     channel_digest=DIGEST)
+    return SampleSet(ccov=ccov, rach=rach, seed=seed, channel_digest=DIGEST)
 
 
 def bench_rach_density(channel, r):

@@ -57,7 +57,8 @@ def main():
     print("block-length scaling at eps = 0.01:")
     rows = n_scaling_sweep(samples, delta=0.05, eps=0.01,
                            n_grid=[10**6, 4 * 10**6, 16 * 10**6])
-    for (n_val, payload), (_, base) in zip(rows, [rows[0]] * len(rows)):
+    base = rows[0][1]
+    for n_val, payload in rows:
         print(f"  n={n_val:>9d}  payload={payload:10.3f}  "
               f"ratio to first = {payload / base:.4f}")
 

@@ -20,7 +20,6 @@ from .physics import (
     achievable_rate,
     covertness_constant,
     depolarizing_probability,
-    q_ceiling,
 )
 from .quantiles import RiskBudgets, order_index, strict_cdf, strict_outage_quantile
 from .samples import (

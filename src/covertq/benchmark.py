@@ -69,8 +69,9 @@ def benchmark_ccov_quantile(c: BenchmarkChannelSpec, eps_cov: float) -> float:
 
 def benchmark_qmax(c: BenchmarkChannelSpec, p: ProtocolParams, eps_cov: float) -> float:
     """Closed-form optimal transmission probability, capped at 1."""
-    q = 2.0 * p.delta / np.sqrt(p.n) * benchmark_ccov_quantile(c, eps_cov)
-    return min(1.0, float(q))
+    # The slope keeps the order (2*delta/sqrt(n)) * Q that the validation CSV
+    # pins; q_ceiling(Q) can differ from it in the last ulp.
+    return min(1.0, p.q_ceiling(1.0) * benchmark_ccov_quantile(c, eps_cov))
 
 
 def benchmark_rmax(c: BenchmarkChannelSpec, eps_rel: float) -> float:
@@ -82,31 +83,29 @@ def benchmark_rmax(c: BenchmarkChannelSpec, eps_rel: float) -> float:
 
 def benchmark_ccov_cdf(c: BenchmarkChannelSpec, x):
     """P[c_cov <= x] = 1 - exp(-rate * x_root(x)), elementwise."""
-    x_a = np.asarray(x, dtype=float)
-    if np.any(x_a < 0):
-        raise ValueError("x must be >= 0")
-    out = -np.expm1(-c.nb.rate * _x_root(c, x_a))
+    _, root, _ = _x_root(c, x)
+    out = -np.expm1(-c.nb.rate * root)
     return float(out) if np.ndim(x) == 0 else out
 
 
 def benchmark_ccov_density(c: BenchmarkChannelSpec, x):
     """Density of c_cov: rate * exp(-rate * x_root(x)) * dx_root/dx."""
-    x_a = np.asarray(x, dtype=float)
-    if np.any(x_a < 0):
-        raise ValueError("x must be >= 0")
+    x_a, root, sqrt_term = _x_root(c, x)
     k = _k(c)
-    u = x_a / k
-    root = np.sqrt(1.0 + 4.0 * c.eta0 * u * u)
-    dxroot = 2.0 * x_a / (k * k * root)
-    out = c.nb.rate * np.exp(-c.nb.rate * _x_root(c, x_a)) * dxroot
+    dxroot = 2.0 * x_a / (k * k * sqrt_term)
+    out = c.nb.rate * np.exp(-c.nb.rate * root) * dxroot
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _x_root(c: BenchmarkChannelSpec, x: np.ndarray) -> np.ndarray:
-    # Positive root of eta0*v^2 + v - (x/k)^2 = 0, i.e. the noise level
-    # whose covertness constant equals x.
-    u = x / _k(c)
-    return (-1.0 + np.sqrt(1.0 + 4.0 * c.eta0 * u * u)) / (2.0 * c.eta0)
+def _x_root(c: BenchmarkChannelSpec, x):
+    # x as a checked float array, the positive root of eta0*v^2 + v - (x/k)^2
+    # = 0 (the noise level whose c_cov is x) and its sqrt(1 + 4*eta0*(x/k)^2).
+    x_a = np.asarray(x, dtype=float)
+    if np.any(x_a < 0):
+        raise ValueError("x must be >= 0")
+    u = x_a / _k(c)
+    sqrt_term = np.sqrt(1.0 + 4.0 * c.eta0 * u * u)
+    return x_a, (-1.0 + sqrt_term) / (2.0 * c.eta0), sqrt_term
 
 
 @dataclass(frozen=True)

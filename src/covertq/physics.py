@@ -30,7 +30,6 @@ __all__ = [
     "covertness_constant",
     "depolarizing_probability",
     "achievable_rate",
-    "q_ceiling",
 ]
 
 _LN2 = np.log(2.0)
@@ -121,16 +120,3 @@ def achievable_rate(eta, nb):
     np.subtract(1.0, entropy, out=out)
     np.maximum(0.0, out, out=out)
     return _scalar_or_array(out, eta, nb)
-
-
-def q_ceiling(c_cov, delta: float, n: int):
-    """Uncapped covertness bound 2*delta*c_cov/sqrt(n) on the transmission probability.
-
-    Capping to 1 is the optimizer's job, not done here; +inf passes through.
-    """
-    if not 0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
-    if not n >= 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    c_a = np.asarray(c_cov, dtype=float)
-    return _scalar_or_array(2.0 * delta * c_a / np.sqrt(n), c_cov)

@@ -47,7 +47,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._csvio import write_csv
-from .physics import q_ceiling
 from .quantiles import strict_cdf
 from .risk_constrained import ProtocolParams
 from .samples import SampleSet
@@ -147,7 +146,7 @@ def objective(
     s: SampleSet, st: Strategy, w: RiskWeights, p: ProtocolParams
 ) -> float:
     """Risk-adjusted throughput J at a single strategy."""
-    cov_outage = strict_cdf(s.ccov, st.q * np.sqrt(p.n) / (2.0 * p.delta))
+    cov_outage = strict_cdf(s.ccov, p.ccov_threshold(st.q))
     rel_outage = strict_cdf(s.rach, st.r)
     return st.q * st.r - w.lambda_cov * cov_outage - w.lambda_rel * rel_outage
 
@@ -157,7 +156,7 @@ def _sparse_q_bound(s: SampleSet, p: ProtocolParams) -> float:
     # sorted and NaN-free, so averaging its middle one or two entries gives
     # np.median's value bit for bit without its copy and partition.
     mid = s.ccov[(s.K - 1) // 2 : s.K // 2 + 1]
-    return q_ceiling(mid.sum() / mid.size, p.delta, p.n)
+    return p.q_ceiling(mid.sum() / mid.size)
 
 
 def _kept_cells(ub: np.ndarray, lc: np.ndarray, lr: np.ndarray):
@@ -214,7 +213,7 @@ def heatmap_sweep(s: SampleSet, p: ProtocolParams, g: GridSpec,
     axis = g.axis()
     G = axis.size
     qr = np.outer(axis, axis)
-    f_cov = strict_cdf(s.ccov, axis * np.sqrt(p.n) / (2.0 * p.delta))
+    f_cov = strict_cdf(s.ccov, p.ccov_threshold(axis))
     f_rel = strict_cdf(s.rach, axis)
     q_bound = _sparse_q_bound(s, p)
     scratch = np.empty_like(qr)
@@ -283,7 +282,7 @@ def foc_residual(
     The caller supplies the density evaluators (analytic for the benchmark
     channel; finite differences of closed-form CDFs otherwise).
     """
-    scale = np.sqrt(p.n) / (2.0 * p.delta)
+    scale = p.ccov_threshold(1.0)
     res_q = st.r - w.lambda_cov * scale * density_ccov(st.q * scale)
     res_r = st.q - w.lambda_rel * density_rach(st.r)
     return float(res_q), float(res_r)

@@ -28,8 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from ._csvio import write_csv
-from .physics import q_ceiling
 from .quantiles import RiskBudgets, order_index, strict_outage_quantile
 from .samples import SampleSet
 
@@ -63,7 +64,12 @@ class InvariantError(Exception):
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Frame length n and covertness threshold delta."""
+    """Frame length n and covertness threshold delta.
+
+    They own the square-root-law map q = 2*delta*c_cov/sqrt(n): q_ceiling is
+    the map and ccov_threshold its inverse.  Each at 1.0 is a slope, and a
+    slope times x has the bits of the product written out in that order.
+    """
 
     n: int
     delta: float
@@ -77,6 +83,14 @@ class ProtocolParams:
         object.__setattr__(self, "delta", float(self.delta))
         if not 0 < self.delta < 0.5:
             raise ValueError(f"delta must lie in (0, 0.5), got {self.delta}")
+
+    def q_ceiling(self, c_cov) -> float:
+        """Uncapped bound 2*delta*c_cov/sqrt(n) as a Python float; +inf passes through."""
+        return float(2.0 * self.delta * c_cov / np.sqrt(self.n))
+
+    def ccov_threshold(self, q):
+        """c_cov = q*sqrt(n)/(2*delta) at which q is the bound, elementwise."""
+        return q * np.sqrt(self.n) / (2.0 * self.delta)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -152,15 +166,18 @@ def surface_sweep(
     monotone in the budget, so a cell's smaller budget has index 0 exactly
     when either budget does.  Every risk-constrained result is built here.
     """
-    budgets = [[RiskBudgets(ec, er) for er in eps_rel_grid] for ec in eps_cov_grid]
-    if not budgets or not budgets[0]:
-        return budgets
-    r_axis = [(float(strict_outage_quantile(s.rach, b.eps_rel)),
-               order_index(b.eps_rel, s.K) == 0) for b in budgets[0]]
+    if len(eps_cov_grid) == 0 or len(eps_rel_grid) == 0:
+        return [[] for _ in eps_cov_grid]
+    # Checking the first eps_cov, then each axis, raises for the first bad
+    # cell in row-major order, as one RiskBudgets per cell would.
+    RiskBudgets.check(eps_cov_grid[0], "eps_cov")
+    eps_rel_axis = [RiskBudgets.check(e, "eps_rel") for e in eps_rel_grid]
+    eps_cov_axis = [RiskBudgets.check(e, "eps_cov") for e in eps_cov_grid]
+    r_axis = [(float(strict_outage_quantile(s.rach, e)), order_index(e, s.K) == 0)
+              for e in eps_rel_axis]
     matrix = []
-    for row in budgets:
-        eps_cov = row[0].eps_cov
-        q_unc = q_ceiling(strict_outage_quantile(s.ccov, eps_cov), p.delta, p.n)
+    for eps_cov in eps_cov_axis:
+        q_unc = p.q_ceiling(strict_outage_quantile(s.ccov, eps_cov))
         q_max = min(1.0, q_unc)
         q_coarse = order_index(eps_cov, s.K) == 0
         matrix.append([OptimumReport(

@@ -31,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._csvio import write_csv
 from .quantiles import RiskBudgets, strict_outage_quantile
 from .risk_constrained import ProtocolParams, optimize
@@ -138,7 +136,7 @@ def sensitivity_formula(
             raise SingularSensitivityError(
                 f"c_cov density is {density_ccov_at_quantile} at the eps={eps} quantile"
             )
-        s_cov = (2.0 * p.delta / np.sqrt(p.n)) * r_max / density_ccov_at_quantile
+        s_cov = p.q_ceiling(1.0) * r_max / density_ccov_at_quantile
     if not density_rach_at_quantile > 0:
         raise SingularSensitivityError(
             f"r_ach density is {density_rach_at_quantile} at the eps={eps} quantile"

@@ -68,6 +68,8 @@ def test_ccov_cdf_edges_and_pinned_value(chan):
     assert benchmark_ccov_cdf(chan, 1.3836) == pytest.approx(0.1, abs=1e-3)
     with pytest.raises(ValueError):
         benchmark_ccov_cdf(chan, -0.5)
+    with pytest.raises(ValueError):
+        benchmark_ccov_density(chan, -0.5)
 
 
 def test_ccov_cdf_quantile_inversion(chan):

@@ -399,6 +399,9 @@ def test_config_error_exits(tmp_path, capsys):
         {"channel": {"nb_sigma": float("inf")}},
         {"channel": {"nb_upper": float("inf")}},
         {"channel": {"kind": "benchmark", "rate": float("inf")}},
+        # The root itself must be an object.
+        [1, 2],
+        7,
     ]
     for i, cfg in enumerate(bad_configs):
         path = write_config(tmp_path, cfg, name=f"bad{i}.json")
@@ -765,7 +768,7 @@ def test_every_command_rejects_q_max_outside_unit_interval(tmp_path, monkeypatch
                                                           capsys, command):
     # The report checks itself, so no command can write a corrupt one, and
     # none needs a check of its own.
-    monkeypatch.setattr(risk_constrained, "q_ceiling", lambda c, delta, n: -1.0)
+    monkeypatch.setattr(risk_constrained.ProtocolParams, "q_ceiling", lambda self, c: -1.0)
     out = tmp_path / "x.csv"
     assert run(command, "--k", "500", "--out", str(out)) == 5
     assert "internal invariant violation" in capsys.readouterr().err

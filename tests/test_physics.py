@@ -8,7 +8,7 @@ from covertq import (
     achievable_rate,
     covertness_constant,
     depolarizing_probability,
-    q_ceiling,
+    ProtocolParams,
 )
 from covertq.physics import _entropy_into
 
@@ -164,22 +164,13 @@ def test_inplace_kernels_match_whole_expressions(kernel, reference):
 
 
 # ---------------------------------------------------------------------------
-# transmission-probability ceiling
-
-
-def test_q_ceiling_pinned_value():
-    assert q_ceiling(1.3836, 0.05, 10**7) == pytest.approx(4.375e-5, abs=1e-8)
-
-
-def test_q_ceiling_edges():
-    assert q_ceiling(0.0, 0.05, 10**7) == 0.0
-    assert q_ceiling(np.inf, 0.05, 10**7) == np.inf
+# transmission-probability ceiling: the (n, delta) check guarding the map
 
 
 def test_q_ceiling_validation():
     with pytest.raises(ValueError):
-        q_ceiling(1.0, 0.0, 100)
+        ProtocolParams(n=100, delta=0.0).q_ceiling(1.0)
     with pytest.raises(ValueError):
-        q_ceiling(1.0, 0.5, 100)
+        ProtocolParams(n=100, delta=0.5).q_ceiling(1.0)
     with pytest.raises(ValueError):
-        q_ceiling(1.0, 0.05, 0)
+        ProtocolParams(n=0, delta=0.05).q_ceiling(1.0)

@@ -239,9 +239,39 @@ def test_decade_gains_windows_are_consecutive_budgets(baseline_set, protocol):
 def test_protocol_params_validation():
     p = ProtocolParams(n=10.0, delta=0.05)
     assert p.n == 10 and isinstance(p.n, int)
-    for n, delta in ((0, 0.05), (10.5, 0.05), (10, 0.0), (10, 0.5), (10, -0.1)):
+    for n, delta in ((0, 0.05), (10.5, 0.05), (10, 0.0), (10, 0.5), (10, -0.1),
+                     (2**64, 0.05), (1e30, 0.05), (np.inf, 0.05), (np.nan, 0.05)):
         with pytest.raises(ValueError):
             ProtocolParams(n=n, delta=delta)
+
+
+# ---------------------------------------------------------------------------
+# covertness map q = 2*delta*c_cov/sqrt(n)
+
+
+def test_q_ceiling_pinned_value():
+    p = ProtocolParams(n=10**7, delta=0.05)
+    assert p.q_ceiling(1.3836) == pytest.approx(4.375e-5, abs=1e-8)
+    assert type(p.q_ceiling(np.float64(1.3836))) is float
+
+
+def test_q_ceiling_edges():
+    p = ProtocolParams(n=10**7, delta=0.05)
+    assert p.q_ceiling(0.0) == 0.0
+    assert p.q_ceiling(np.inf) == np.inf
+
+
+def test_covertness_map_slopes_are_exact():
+    # The validation CSV multiplies by the forward slope and foc_residual
+    # scales by the inverse one; both must equal the written-out forms.
+    rng = np.random.default_rng(3)
+    for n in (1, 10**7, 2**53 + 1, 2**63 + 12345, 2**64 - 1):
+        p = ProtocolParams(n=n, delta=float(rng.uniform(1e-6, 0.49)))
+        assert p.ccov_threshold(1.0) == np.sqrt(p.n) / (2.0 * p.delta)
+        for c in rng.lognormal(0.0, 3.0, 50):
+            assert p.q_ceiling(1.0) * c == 2.0 * p.delta / np.sqrt(p.n) * c
+        axis = np.linspace(0.0, 1.0, 11)
+        assert np.array_equal(p.ccov_threshold(axis), axis * np.sqrt(p.n) / (2.0 * p.delta))
 
 
 def test_optimum_report_is_frozen():

@@ -1,5 +1,7 @@
-"""Shared CSV emission: one comment line of provenance, then header + rows.
+"""CSV emission: one comment line of provenance, then header + rows.
 
+write_csv is the one CSV writer.  covertq.cli alone calls it and declares
+each artifact's columns and rows; the library modules return results only.
 All emitted files look like
 
     # seed=1 K=1000000 channel_digest=ab12...
@@ -14,7 +16,7 @@ separator, full binary64 fidelity), booleans as true/false, missing values
 as empty fields.  Identical inputs therefore produce byte-identical files.
 
 format_cell defines a cell's text.  write_csv looks each cell's exact type
-up in a table that holds, for the types the writers emit (float,
+up in a table that holds, for the types the CLI emits (float,
 numpy.float64, bool, numpy.bool_, int, str), a function returning the same
 string format_cell does without its abstract-base-class checks; any other
 type, subclasses included, goes through format_cell itself.

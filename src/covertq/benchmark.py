@@ -37,7 +37,7 @@ from .quantiles import RiskBudgets
 from .risk_constrained import InvariantError, OptimumReport, ProtocolParams, optimize
 from .samples import BenchmarkChannelSpec, generate_sample_set
 from .physics import achievable_rate
-from ._csvio import write_csv
+from ._csvio import write_csv  # noqa: F401  (uncalled; perfbench/spans.py patches it)
 
 __all__ = [
     "benchmark_qmax",
@@ -47,7 +47,6 @@ __all__ = [
     "benchmark_ccov_density",
     "ValidationRow",
     "validate",
-    "write_validation_csv",
 ]
 
 
@@ -92,8 +91,10 @@ def benchmark_ccov_density(c: BenchmarkChannelSpec, x):
     """Density of c_cov: rate * exp(-rate * x_root(x)) * dx_root/dx."""
     x_a, root, sqrt_term = _x_root(c, x)
     k = _k(c)
-    dxroot = 2.0 * x_a / (k * k * sqrt_term)
-    out = c.nb.rate * np.exp(-c.nb.rate * root) * dxroot
+    with np.errstate(invalid="ignore"):  # inf/inf at x = inf, masked below
+        dxroot = 2.0 * x_a / (k * k * sqrt_term)
+    # Past the overflow the root is +inf, where the density's limit is 0.
+    out = np.where(np.isinf(root), 0.0, c.nb.rate * np.exp(-c.nb.rate * root) * dxroot)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -104,7 +105,9 @@ def _x_root(c: BenchmarkChannelSpec, x):
     if np.any(x_a < 0):
         raise ValueError("x must be >= 0")
     u = x_a / _k(c)
-    sqrt_term = np.sqrt(1.0 + 4.0 * c.eta0 * u * u)
+    # u*u overflows for huge x (past ~1e155 at eta0 = 0.9): the root is +inf, the cdf 1.
+    with np.errstate(over="ignore"):
+        sqrt_term = np.sqrt(1.0 + 4.0 * c.eta0 * u * u)
     return x_a, (-1.0 + sqrt_term) / (2.0 * c.eta0), sqrt_term
 
 
@@ -149,9 +152,3 @@ def validate(
                 err = None
             rows.append(ValidationRow(eps, metric, theory, mc, err))
     return rows
-
-
-def write_validation_csv(rows, path, source) -> None:
-    write_csv(path, ["eps", "metric", "theory", "mc", "rel_error_percent"],
-              ((r.eps, r.metric, r.theory, r.mc, r.rel_error_percent) for r in rows),
-              source)

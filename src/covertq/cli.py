@@ -25,10 +25,12 @@ and takes the same values, a list as comma-separated text.  The default
 output directory can also be set through the environment variable
 COVERTQ_OUTPUT_DIR (flags and config still win over it).
 
-Every CSV artifact starts with a comment line recording the seed, K and
-channel digest of the sample set its rows come from: a cached run stamps the
-cache's, whatever the flags say, and benchmark-validate its resolved
-config's.  Identical configs reproduce byte-identical files.
+Each handler declares its CSV's columns and rows; the library modules
+return results only.  Every CSV artifact starts with a comment line
+recording the seed, K and channel digest of the sample set its rows come
+from: a cached run stamps the cache's, whatever the flags say, and
+benchmark-validate its resolved config's.  Identical configs reproduce
+byte-identical files.
 
 Exit codes: 0 success; 2 configuration error: any out-of-range config value
 (sweep bounds and weights included, checked before any sampling; NaN and
@@ -51,25 +53,19 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
-from .benchmark import validate, write_validation_csv
+from .benchmark import validate
 from .distributions import (
     ExponentialSpec,
     TruncatedGaussianSpec,
     TruncatedLognormalSpec,
 )
 from .quantiles import RiskBudgets
-from .risk_adjusted import (
-    GridSpec,
-    RiskWeights,
-    heatmap_sweep,
-    write_heatmap_csv,
-    write_lambda_sweep_csv,
-)
+from .risk_adjusted import GridSpec, RiskWeights, heatmap_sweep
 from .risk_constrained import (
     REPORT_COLUMNS,
     InvariantError,
@@ -79,10 +75,6 @@ from .risk_constrained import (
     n_scaling_sweep,
     optimize,
     surface_sweep,
-    write_decade_gains_csv,
-    write_frontier_csv,
-    write_scaling_csv,
-    write_surface_csv,
 )
 from .samples import (
     BenchmarkChannelSpec,
@@ -92,12 +84,11 @@ from .samples import (
     SampleSet,
     StochasticChannelSpec,
     channel_digest,
-    export_sample_csv,
     generate_sample_set,
     load_sample_set,
     save_sample_set,
 )
-from .sensitivity import sensitivities_symmetric, write_sensitivity_csv
+from .sensitivity import sensitivities_symmetric
 from ._csvio import write_csv
 
 __all__ = ["main", "ConfigError", "InfeasibleGainError"]
@@ -323,55 +314,63 @@ def _log_grid(cfg: RunConfig, section: str,
     return np.logspace(np.log10(lo), np.log10(hi), points)
 
 
-def _emit(cfg: RunConfig, args, default_name: str, write, summary: str,
-          source: SampleSet | RunConfig) -> None:
-    """Write one artifact and report it on stdout.
-
-    ``write(path, source)`` does the writing and stamps the provenance of
-    ``source``: the sample set the rows come from, or the config that fixes it.
-    """
+def _out_path(cfg: RunConfig, args, default_name: str) -> Path:
     if args.out:
-        path = Path(args.out)
-    else:
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        path = cfg.output_dir / default_name
-    write(path, source)
+        return Path(args.out)
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    return cfg.output_dir / default_name
+
+
+def _emit(cfg: RunConfig, args, default_name: str, columns, rows, summary: str,
+          source: SampleSet | RunConfig) -> None:
+    """Write one CSV artifact and report it on stdout.
+
+    The file stamps the provenance of ``source``: the sample set the rows
+    come from, or the config that fixes it.
+    """
+    path = _out_path(cfg, args, default_name)
+    write_csv(path, columns, rows, source)
     print(f"wrote {path} ({summary})")
 
 
 def _cmd_sample(cfg, args) -> None:
     s = generate_sample_set(cfg.channel, cfg.K, cfg.seed, workers=cfg.workers)
     # The cache header records its own provenance.
-    _emit(cfg, args, "samples.cqcs", lambda path, _: save_sample_set(s, path),
-          f"K={s.K}, seed={s.seed}", s)
+    path = _out_path(cfg, args, "samples.cqcs")
+    save_sample_set(s, path)
+    print(f"wrote {path} (K={s.K}, seed={s.seed})")
     if args.csv:
-        export_sample_csv(s, args.csv)
+        # Row i pairs the i-th smallest c_cov with the i-th smallest r_ach: not a draw.
+        write_csv(args.csv, ["index", "c_cov", "r_ach"],
+                  ((i, s.ccov[i], s.rach[i]) for i in range(s.K)), s)
 
 
 def _cmd_optimize(cfg, args) -> None:
     s = _obtain_samples(cfg, args)
     report = optimize(s, cfg.protocol, cfg.budgets)
-    columns = ["eps_cov", "eps_rel", *REPORT_COLUMNS, "feasible", "below_resolution"]
     row = (cfg.budgets.eps_cov, cfg.budgets.eps_rel, *report.cells(),
            report.r_max > 0, report.below_resolution)
     _emit(cfg, args, "optimize.csv",
-          lambda path, source: write_csv(path, columns, [row], source),
-          f"t_star={report.t_star!r}, payload={report.total_payload!r}", s)
+          ["eps_cov", "eps_rel", *REPORT_COLUMNS, "feasible", "below_resolution"],
+          [row], f"t_star={report.t_star!r}, payload={report.total_payload!r}", s)
 
 
 def _cmd_frontier(cfg, args) -> None:
     grid = _log_grid(cfg, "frontier")
     s = _obtain_samples(cfg, args)
     rows = frontier_sweep(s, cfg.protocol, grid)
-    _emit(cfg, args, "frontier.csv", partial(write_frontier_csv, rows),
-          f"{len(rows)} rows", s)
+    _emit(cfg, args, "frontier.csv", ["eps", *REPORT_COLUMNS],
+          ((eps, *rep.cells()) for eps, rep in rows), f"{len(rows)} rows", s)
 
 
 def _cmd_surface(cfg, args) -> None:
     grid = _log_grid(cfg, "surface")
     s = _obtain_samples(cfg, args)
     matrix = surface_sweep(s, cfg.protocol, grid, grid)
-    _emit(cfg, args, "surface.csv", partial(write_surface_csv, matrix, grid, grid),
+    rows = ((ec, er, *rep.cells())
+            for ec, row in zip(grid, matrix, strict=True)
+            for er, rep in zip(grid, row, strict=True))
+    _emit(cfg, args, "surface.csv", ["eps_cov", "eps_rel", *REPORT_COLUMNS], rows,
           f"{len(grid)}x{len(grid)} grid", s)
 
 
@@ -383,8 +382,7 @@ def _cmd_scaling(cfg, args) -> None:
     RiskBudgets(block["eps"], block["eps"])
     s = _obtain_samples(cfg, args)
     rows = n_scaling_sweep(s, cfg.protocol.delta, block["eps"], block["n_values"])
-    _emit(cfg, args, "scaling.csv", partial(write_scaling_csv, rows),
-          f"{len(rows)} rows", s)
+    _emit(cfg, args, "scaling.csv", ["n", "n_t_star"], rows, f"{len(rows)} rows", s)
 
 
 def _cmd_benchmark_validate(cfg, args) -> None:
@@ -394,14 +392,16 @@ def _cmd_benchmark_validate(cfg, args) -> None:
         cfg.channel, cfg.protocol, cfg.raw["benchmark"]["eps_list"],
         cfg.K, cfg.seed, cfg.workers,
     )
-    _emit(cfg, args, "benchmark_validate.csv", partial(write_validation_csv, rows),
+    _emit(cfg, args, "benchmark_validate.csv",
+          ["eps", "metric", "theory", "mc", "rel_error_percent"],
+          ((r.eps, r.metric, r.theory, r.mc, r.rel_error_percent) for r in rows),
           f"{len(rows)} rows", cfg)
 
 
 def _cmd_decade_gains(cfg, args) -> None:
     s = _obtain_samples(cfg, args)
     gains = decade_gains(s, cfg.protocol)
-    _emit(cfg, args, "decade_gains.csv", partial(write_decade_gains_csv, gains),
+    _emit(cfg, args, "decade_gains.csv", ["eps_from", "eps_to", "gain"], gains,
           f"{len(gains)} gains", s)
     infeasible = [(lo, hi) for lo, hi, gain in gains if gain is None]
     if infeasible:
@@ -413,29 +413,37 @@ def _cmd_decade_gains(cfg, args) -> None:
 def _cmd_risk_adjusted(cfg, args) -> None:
     block = cfg.raw["risk_adjusted"]
     grid = GridSpec(points_per_axis=block["grid_points"])
+    columns = ["lambda_cov", "lambda_rel", "q_star", "r_star", "j_value",
+               "outside_sparse_regime"]
     if block["mode"] == "heatmap":
         values = _log_grid(cfg, "risk_adjusted",
                            ("heatmap_min", "heatmap_max", "heatmap_points"), np.inf)
         cov_values, rel_values = values, values
-        write, summary = write_heatmap_csv, f"{len(values)}x{len(values)} grid"
+        # The heatmap drops j_value and the sparse-regime flag.
+        columns, summary = columns[:4], f"{len(values)}x{len(values)} grid"
     else:
         values = _log_grid(cfg, "risk_adjusted",
                            ("lambda_min", "lambda_max", "lambda_points"), np.inf)
         # RiskWeights checks the fixed weight here, before any sampling.
         fixed = [RiskWeights(block["fixed_other"], 0.0).lambda_cov]
         cov_values, rel_values = (values, fixed) if block["axis"] == "cov" else (fixed, values)
-        write, summary = write_lambda_sweep_csv, f"{len(values)} rows"
+        summary = f"{len(values)} rows"
     s = _obtain_samples(cfg, args)
     matrix = heatmap_sweep(s, cfg.protocol, grid, cov_values, rel_values)
-    _emit(cfg, args, "risk_adjusted.csv",
-          partial(write, matrix, cov_values, rel_values), summary, s)
+    # One row per weight pair, row-major like the matrix, cut to the columns.
+    rows = ((lc, lr, best.strategy.q, best.strategy.r, best.j_value,
+             best.outside_sparse_regime)[: len(columns)]
+            for lc, row in zip(cov_values, matrix, strict=True)
+            for lr, best in zip(rel_values, row, strict=True))
+    _emit(cfg, args, "risk_adjusted.csv", columns, rows, summary, s)
 
 
 def _cmd_sensitivity(cfg, args) -> None:
     grid = _log_grid(cfg, "sensitivity")
     s = _obtain_samples(cfg, args)
     points = sensitivities_symmetric(s, cfg.protocol, grid)
-    _emit(cfg, args, "sensitivity.csv", partial(write_sensitivity_csv, points),
+    _emit(cfg, args, "sensitivity.csv", ["eps", "s_cov", "s_rel", "flags"],
+          ((pt.eps, pt.s_cov, pt.s_rel, ";".join(pt.flags)) for pt in points),
           f"{len(points)} rows", s)
 
 

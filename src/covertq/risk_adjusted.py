@@ -41,12 +41,11 @@ Sweeping one weight is a heatmap whose other axis holds one value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._csvio import write_csv
+from ._csvio import write_csv  # noqa: F401  (uncalled; perfbench/spans.py patches it)
 from .quantiles import strict_cdf
 from .risk_constrained import ProtocolParams
 from .samples import SampleSet
@@ -60,8 +59,6 @@ __all__ = [
     "grid_maximize",
     "heatmap_sweep",
     "foc_residual",
-    "write_lambda_sweep_csv",
-    "write_heatmap_csv",
 ]
 
 # J values this close to the grid maximum count as ties and fall through
@@ -286,27 +283,3 @@ def foc_residual(
     res_q = st.r - w.lambda_cov * scale * density_ccov(st.q * scale)
     res_r = st.q - w.lambda_rel * density_rach(st.r)
     return float(res_q), float(res_r)
-
-
-_WEIGHT_COLUMNS = [
-    "lambda_cov", "lambda_rel", "q_star", "r_star", "j_value", "outside_sparse_regime",
-]
-
-
-def _write_weight_csv(
-    columns, matrix, lambda_cov_values, lambda_rel_values, path, source
-) -> None:
-    # One row per weight pair, row-major like the matrix, cut to the columns.
-    rows = (
-        (lc, lr, best.strategy.q, best.strategy.r, best.j_value,
-         best.outside_sparse_regime)[: len(columns)]
-        for lc, row in zip(lambda_cov_values, matrix, strict=True)
-        for lr, best in zip(lambda_rel_values, row, strict=True)
-    )
-    write_csv(path, columns, rows, source)
-
-
-# write_*(matrix, lambda_cov_values, lambda_rel_values, path, source):
-# the heatmap CSV drops j_value and the sparse-regime flag.
-write_lambda_sweep_csv = partial(_write_weight_csv, _WEIGHT_COLUMNS)
-write_heatmap_csv = partial(_write_weight_csv, _WEIGHT_COLUMNS[:4])

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._csvio import write_csv
+from ._csvio import write_csv  # noqa: F401  (uncalled; perfbench/spans.py patches it)
 from .quantiles import RiskBudgets, order_index, strict_outage_quantile
 from .samples import SampleSet
 
@@ -45,10 +45,6 @@ __all__ = [
     "n_scaling_sweep",
     "decade_gains",
     "DECADE_BUDGETS",
-    "write_frontier_csv",
-    "write_surface_csv",
-    "write_scaling_csv",
-    "write_decade_gains_csv",
 ]
 
 # Symmetric budgets of the decade-gain table, smallest first.
@@ -217,23 +213,3 @@ def decade_gains(
     t = [rep.t_star for _, rep in frontier_sweep(s, p, DECADE_BUDGETS)]
     return [(lo, hi, t_hi / t_lo if t_lo > 0 else None) for lo, hi, t_lo, t_hi
             in zip(DECADE_BUDGETS, DECADE_BUDGETS[1:], t, t[1:])]
-
-
-def write_frontier_csv(rows, path, source) -> None:
-    write_csv(path, ["eps", *REPORT_COLUMNS],
-              ((eps, *rep.cells()) for eps, rep in rows), source)
-
-
-def write_surface_csv(matrix, eps_cov_grid, eps_rel_grid, path, source) -> None:
-    rows = ((ec, er, *rep.cells())
-            for ec, row in zip(eps_cov_grid, matrix, strict=True)
-            for er, rep in zip(eps_rel_grid, row, strict=True))
-    write_csv(path, ["eps_cov", "eps_rel", *REPORT_COLUMNS], rows, source)
-
-
-def write_scaling_csv(rows, path, source) -> None:
-    write_csv(path, ["n", "n_t_star"], rows, source)
-
-
-def write_decade_gains_csv(gains, path, source) -> None:
-    write_csv(path, ["eps_from", "eps_to", "gain"], gains, source)

@@ -71,7 +71,6 @@ __all__ = [
     "generate_sample_set",
     "save_sample_set",
     "load_sample_set",
-    "export_sample_csv",
 ]
 
 _MAGIC = b"CQCS"
@@ -311,15 +310,3 @@ def load_sample_set(path, expected_digest: bytes | None = None) -> SampleSet:
             f"need c_cov >= 0, 0 <= r_ach <= 1)"
         )
     return SampleSet(ccov=ccov, rach=rach, seed=seed, channel_digest=digest)
-
-
-def export_sample_csv(s: SampleSet, path) -> None:
-    """Plain-text dump of the sorted arrays: index, c_cov, r_ach per row.
-
-    Row i pairs the i-th smallest c_cov with the i-th smallest r_ach: not a draw.
-    """
-    # Imported per call because perfbench's tracer patches _csvio.write_csv.
-    from ._csvio import write_csv
-
-    rows = ((i, s.ccov[i], s.rach[i]) for i in range(s.K))
-    write_csv(path, ["index", "c_cov", "r_ach"], rows, s)

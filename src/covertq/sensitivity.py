@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._csvio import write_csv
+from ._csvio import write_csv  # noqa: F401  (uncalled; perfbench/spans.py patches it)
 from .quantiles import RiskBudgets, strict_outage_quantile
 from .risk_constrained import ProtocolParams, optimize
 from .samples import SampleSet
@@ -41,7 +41,6 @@ __all__ = [
     "SingularSensitivityError",
     "sensitivities_symmetric",
     "sensitivity_formula",
-    "write_sensitivity_csv",
 ]
 
 
@@ -143,9 +142,3 @@ def sensitivity_formula(
         )
     s_rel = q_max / density_rach_at_quantile
     return float(s_cov), float(s_rel)
-
-
-def write_sensitivity_csv(points, path, source) -> None:
-    write_csv(path, ["eps", "s_cov", "s_rel", "flags"],
-              ((pt.eps, pt.s_cov, pt.s_rel, ";".join(pt.flags)) for pt in points),
-              source)

@@ -1,7 +1,5 @@
 """Closed-form benchmark channel and its Monte Carlo validation harness."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -14,9 +12,10 @@ from covertq import (
     benchmark_ccov_quantile,
     benchmark_qmax,
     benchmark_rmax,
+    channel_digest,
     validate,
 )
-from covertq.benchmark import write_validation_csv
+from covertq import cli
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +65,13 @@ def test_rmax_monotone(chan):
 def test_ccov_cdf_edges_and_pinned_value(chan):
     assert benchmark_ccov_cdf(chan, 0.0) == 0.0
     assert benchmark_ccov_cdf(chan, 1.3836) == pytest.approx(0.1, abs=1e-3)
+    # Past x ~ 1e155 the root overflows to +inf: the limits, with no warning.
+    huge = [1e200, np.inf]
+    for x in huge:
+        assert benchmark_ccov_cdf(chan, x) == 1.0
+        assert benchmark_ccov_density(chan, x) == 0.0
+    np.testing.assert_array_equal(benchmark_ccov_cdf(chan, np.array(huge)), [1.0, 1.0])
+    np.testing.assert_array_equal(benchmark_ccov_density(chan, np.array(huge)), [0.0, 0.0])
     with pytest.raises(ValueError):
         benchmark_ccov_cdf(chan, -0.5)
     with pytest.raises(ValueError):
@@ -145,14 +151,15 @@ def test_validate_errors_shrink_with_sample_count(chan):
     assert err[10**6] < err[10**3] / 3.0
 
 
-def test_write_validation_csv(tmp_path, chan):
-    p = ProtocolParams(n=10**7, delta=0.05)
-    rows = validate(chan, p, [1e-3, 0.1], K=1000, seed=1)
+def test_write_validation_csv(tmp_path):
+    # The CLI owns the layout; the rows are validate()'s, in its order.
     path = tmp_path / "v.csv"
-    write_validation_csv(rows, path,
-                         SimpleNamespace(seed=1, K=1000, channel_digest=b"\xab"))
+    assert cli.main(["benchmark-validate", "--eta0", "0.9", "--rate", "10",
+                     "--eps-list", "0.001,0.1", "--k", "1000", "--seed", "1",
+                     "--out", str(path)]) == 0
+    digest = channel_digest(BenchmarkChannelSpec(0.9, ExponentialSpec(10.0))).hex()
     lines = path.read_text().splitlines()
-    assert lines[0] == "# seed=1 K=1000 channel_digest=ab"
+    assert lines[0] == f"# seed=1 K=1000 channel_digest={digest}"
     assert lines[1] == "eps,metric,theory,mc,rel_error_percent"
-    assert len(lines) == 2 + len(rows)
-    assert lines[3].split(",")[-1] == ""  # not-applicable error cell
+    assert len(lines) == 2 + 4
+    assert lines[3].split(",")[-1] == ""  # r_max ~ 0 at 1e-3: not-applicable error cell

@@ -19,7 +19,9 @@ from covertq import (
     OptimumReport,
     ProtocolParams,
     RiskBudgets,
+    SensitivityPoint,
     StochasticChannelSpec,
+    Strategy,
     TruncatedGaussianSpec,
     TruncatedLognormalSpec,
     channel_digest,
@@ -29,6 +31,7 @@ from covertq import (
     save_sample_set,
 )
 from covertq import cli, risk_constrained
+from covertq.risk_adjusted import GridMaximum
 from covertq.samples import SampleFileTruncatedError
 
 from conftest import run_fresh
@@ -271,6 +274,21 @@ def test_sensitivity_output(tmp_path):
     assert len(lines) == 3
 
 
+def test_sensitivity_csv_cells(tmp_path, monkeypatch):
+    points = [
+        SensitivityPoint(0.1, 1.5, 2.5, ()),
+        SensitivityPoint(0.2, 0.5, 0.25, ("atom_suspected", "cap_transition")),
+    ]
+    monkeypatch.setattr(cli, "sensitivities_symmetric", lambda s, p, grid: points)
+    out = tmp_path / "sens.csv"
+    assert run("sensitivity", "--k", "10", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == f"# seed=1 K=10 channel_digest={channel_digest(default_channel()).hex()}"
+    assert lines[1] == "eps,s_cov,s_rel,flags"
+    assert lines[2] == "0.1,1.5,2.5,"
+    assert lines[3] == "0.2,0.5,0.25,atom_suspected;cap_transition"
+
+
 def test_risk_adjusted_sweep_and_heatmap(tmp_path):
     cfg = write_config(tmp_path, {
         "sampling": {"k": 500},
@@ -296,6 +314,50 @@ def test_risk_adjusted_sweep_and_heatmap(tmp_path):
     lines = data_lines(heat)
     assert lines[0] == "lambda_cov,lambda_rel,q_star,r_star"
     assert len(lines) == 5
+
+
+# Weight grids of two points whose values logspace produces exactly.
+WEIGHT_GRID = {"lambda_min": 1.0, "lambda_max": 100.0, "lambda_points": 2,
+               "heatmap_min": 1.0, "heatmap_max": 100.0, "heatmap_points": 2}
+
+
+def test_risk_adjusted_sweep_csv_cells(tmp_path, monkeypatch):
+    first = GridMaximum(Strategy(0.25, 0.5), 0.1, False)
+    second = GridMaximum(Strategy(0.0, 0.0), 0.0, True)
+    # Shaped like the real sweep: one row per lambda_cov, one column per lambda_rel.
+    monkeypatch.setattr(cli, "heatmap_sweep", lambda s, p, g, cov, rel: (
+        [[first], [second]] if len(cov) == 2 else [[first, second]]))
+    cfg = write_config(tmp_path, {"risk_adjusted": WEIGHT_GRID})
+    out = tmp_path / "sweep.csv"
+    assert run("risk-adjusted", "--config", cfg, "--fixed-other", "1.5", "--k", "100",
+               "--seed", "3", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == f"# seed=3 K=100 channel_digest={channel_digest(default_channel()).hex()}"
+    assert lines[1] == ("lambda_cov,lambda_rel,q_star,r_star,j_value,"
+                        "outside_sparse_regime")
+    assert lines[2] == "1.0,1.5,0.25,0.5,0.1,false"
+    assert lines[3] == "100.0,1.5,0.0,0.0,0.0,true"
+    # A sweep along lambda_rel is one row.
+    assert run("risk-adjusted", "--config", cfg, "--fixed-other", "1.5", "--axis", "rel",
+               "--k", "100", "--seed", "3", "--out", str(out)) == 0
+    assert out.read_text().splitlines()[:3] == [*lines[:2], "1.5,1.0,0.25,0.5,0.1,false"]
+
+
+def test_risk_adjusted_heatmap_csv_cells(tmp_path, monkeypatch):
+    q = [[0.1, 0.2], [0.3, 0.4]]
+    r = [[0.5, 0.6], [0.7, 0.8]]
+    matrix = [[GridMaximum(Strategy(q[i][j], r[i][j]), 0.0, False) for j in range(2)]
+              for i in range(2)]
+    monkeypatch.setattr(cli, "heatmap_sweep", lambda s, p, g, cov, rel: matrix)
+    cfg = write_config(tmp_path, {"risk_adjusted": WEIGHT_GRID})
+    out = tmp_path / "heat.csv"
+    assert run("risk-adjusted", "--config", cfg, "--mode", "heatmap", "--k", "4",
+               "--seed", "0", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == f"# seed=0 K=4 channel_digest={channel_digest(default_channel()).hex()}"
+    assert lines[1] == "lambda_cov,lambda_rel,q_star,r_star"
+    assert lines[2] == "1.0,1.0,0.1,0.5"
+    assert lines[5] == "100.0,100.0,0.4,0.8"
 
 
 def test_risk_adjusted_extreme_weights_print_no_warning(tmp_path, capsys):

@@ -2,7 +2,6 @@
 
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,10 +27,7 @@ from covertq import (
 from covertq.risk_adjusted import (
     _CHUNK,
     TIE_TOLERANCE,
-    GridMaximum,
     _sparse_q_bound,
-    write_heatmap_csv,
-    write_lambda_sweep_csv,
 )
 
 DIGEST = b"\x00" * 32
@@ -193,6 +189,9 @@ def test_heatmap_corners_match_grid_maximize(baseline_set, protocol):
             assert matrix[i][j].strategy.q == best.strategy.q
             assert matrix[i][j].strategy.r == best.strategy.r
     assert matrix[0][0].strategy == Strategy(1.0, 1.0)
+    # An empty axis gives one empty row per lambda_cov value.
+    assert heatmap_sweep(baseline_set, protocol, g, lc_values, []) == [[], []]
+    assert heatmap_sweep(baseline_set, protocol, g, [], [0.0]) == []
 
 
 def test_heatmap_shows_silent_and_aggressive_regimes(volatile_set, protocol):
@@ -532,43 +531,3 @@ def test_foc_residual_matches_smooth_objective_gradient():
         fd_r = (j_smooth(st.q, st.r + hr, w) - j_smooth(st.q, st.r - hr, w)) / (2 * hr)
         assert abs(res_q - fd_q) <= 1e-4
         assert abs(res_r - fd_r) <= 1e-4
-
-
-# ---------------------------------------------------------------------------
-# CSV writers
-
-
-def test_write_lambda_sweep_csv(tmp_path):
-    column = [
-        [GridMaximum(Strategy(0.25, 0.5), 0.1, False)],
-        [GridMaximum(Strategy(0.0, 0.0), 0.0, True)],
-    ]
-    path = tmp_path / "sweep.csv"
-    write_lambda_sweep_csv(column, [0.5, 2.0], [1.5], path,
-                           SimpleNamespace(seed=3, K=100, channel_digest=b"\x01\xff"))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# seed=3 K=100 channel_digest=01ff"
-    assert lines[1] == ("lambda_cov,lambda_rel,q_star,r_star,j_value,"
-                        "outside_sparse_regime")
-    assert lines[2] == "0.5,1.5,0.25,0.5,0.1,false"
-    assert lines[3] == "2.0,1.5,0.0,0.0,0.0,true"
-    # A sweep along lambda_rel is one row.
-    row = [[column[0][0], column[1][0]]]
-    write_lambda_sweep_csv(row, [1.5], [0.5, 2.0], path,
-                           SimpleNamespace(seed=3, K=100, channel_digest=b"\x01\xff"))
-    assert path.read_text().splitlines()[:3] == [*lines[:2], "1.5,0.5,0.25,0.5,0.1,false"]
-
-
-def test_write_heatmap_csv(tmp_path):
-    q = [[0.1, 0.2], [0.3, 0.4]]
-    r = [[0.5, 0.6], [0.7, 0.8]]
-    matrix = [[GridMaximum(Strategy(q[i][j], r[i][j]), 0.0, False) for j in range(2)]
-              for i in range(2)]
-    path = tmp_path / "heat.csv"
-    write_heatmap_csv(matrix, [1.0, 2.0], [3.0, 4.0], path,
-                      SimpleNamespace(seed=0, K=4, channel_digest=bytes(32)))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# seed=0 K=4 channel_digest=" + "00" * 32
-    assert lines[1] == "lambda_cov,lambda_rel,q_star,r_star"
-    assert lines[2] == "1.0,3.0,0.1,0.5"
-    assert lines[5] == "2.0,4.0,0.4,0.8"

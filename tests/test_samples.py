@@ -24,13 +24,12 @@ from covertq import (
     load_sample_set,
     save_sample_set,
 )
-from covertq import samples
+from covertq import cli, samples
 from covertq.samples import (
     SampleFileDigestError,
     SampleFileFormatError,
     SampleFileTruncatedError,
     SampleFileVersionError,
-    export_sample_csv,
 )
 from covertq.distributions import (
     sample_exponential,
@@ -494,9 +493,10 @@ def test_save_unlinks_only_regular_files(tmp_path, monkeypatch):
 
 
 def test_export_sample_csv(tmp_path):
-    s = generate_sample_set(make_baseline_spec(), 50, seed=2)
-    path = tmp_path / "s.csv"
-    export_sample_csv(s, path)
+    cache, path = tmp_path / "s.bin", tmp_path / "s.csv"
+    assert cli.main(["sample", "--k", "50", "--seed", "2", "--out", str(cache),
+                     "--csv", str(path)]) == 0
+    s = load_sample_set(cache)
     lines = path.read_text().splitlines()
     assert lines[0] == f"# seed=2 K=50 channel_digest={s.channel_digest.hex()}"
     assert lines[1] == "index,c_cov,r_ach"

@@ -1,7 +1,5 @@
 """Budget sensitivities: finite differences, analytic formula, and flags."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -21,7 +19,6 @@ from covertq import (
     sensitivities_symmetric,
     sensitivity_formula,
 )
-from covertq.sensitivity import write_sensitivity_csv
 
 DIGEST = b"\x00" * 32
 
@@ -216,22 +213,3 @@ def test_cap_transition_flag():
     assert "atom_suspected" not in pt.flags
     (pt,) = sensitivities_symmetric(s, p, [0.05])
     assert "cap_transition" not in pt.flags
-
-
-# ---------------------------------------------------------------------------
-# CSV
-
-
-def test_write_sensitivity_csv(tmp_path):
-    points = [
-        SensitivityPoint(0.1, 1.5, 2.5, ()),
-        SensitivityPoint(0.2, 0.5, 0.25, ("atom_suspected", "cap_transition")),
-    ]
-    path = tmp_path / "sens.csv"
-    write_sensitivity_csv(points, path,
-                          SimpleNamespace(seed=1, K=10, channel_digest=b"\xab" * 32))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# seed=1 K=10 channel_digest=" + "ab" * 32
-    assert lines[1] == "eps,s_cov,s_rel,flags"
-    assert lines[2] == "0.1,1.5,2.5,"
-    assert lines[3] == "0.2,0.5,0.25,atom_suspected;cap_transition"

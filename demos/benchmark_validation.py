@@ -15,6 +15,7 @@ from covertq import (
     ProtocolParams,
     benchmark_qmax,
     benchmark_rmax,
+    generate_sample_set,
     validate,
 )
 
@@ -31,7 +32,8 @@ def main():
     print(f"K={K} draws, seed={SEED}, n={protocol.n:.0e}, delta={protocol.delta}")
     print()
     print(f"{'eps':>8} {'metric':>6} {'theory':>12} {'monte carlo':>12} {'rel err':>9}")
-    for row in validate(channel, protocol, eps_list, K=K, seed=SEED, workers=1):
+    samples = generate_sample_set(channel, K=K, seed=SEED, workers=1)
+    for row in validate(samples, channel, protocol, eps_list):
         err = "-" if row.rel_error_percent is None else f"{row.rel_error_percent:.3f}%"
         print(f"{row.eps:8.3g} {row.metric:>6} {row.theory:12.6g} "
               f"{row.mc:12.6g} {err:>9}")

@@ -8,8 +8,7 @@ All emitted files look like
     colA,colB
     0.25,true
 
-The comment line is read from the rows' source: the SampleSet they come
-from, or any object with its seed, K and channel_digest (a resolved config).
+The comment line is read from the SampleSet the rows come from.
 
 Floats are written with repr's shortest round-trip form ('.' decimal
 separator, full binary64 fidelity), booleans as true/false, missing values

@@ -26,11 +26,11 @@ output directory can also be set through the environment variable
 COVERTQ_OUTPUT_DIR (flags and config still win over it).
 
 Each handler declares its CSV's columns and rows; the library modules
-return results only.  Every CSV artifact starts with a comment line
-recording the seed, K and channel digest of the sample set its rows come
-from: a cached run stamps the cache's, whatever the flags say, and
-benchmark-validate its resolved config's.  Identical configs reproduce
-byte-identical files.
+take a sample set and return results only, and _obtain_samples is the
+one place a set is drawn or loaded.  Every CSV artifact starts with a
+comment line recording the seed, K and channel digest of the sample set
+its rows come from: a cached run stamps the cache's, whatever the flags
+say.  Identical configs reproduce byte-identical files.
 
 Exit codes: 0 success; 2 configuration error: any out-of-range config value
 (sweep bounds and weights included, checked before any sampling; NaN and
@@ -296,9 +296,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _obtain_samples(cfg: RunConfig, args: argparse.Namespace) -> SampleSet:
-    if args.cache:
-        return load_sample_set(args.cache, expected_digest=cfg.channel_digest)
+def _obtain_samples(cfg: RunConfig, cache=None) -> SampleSet:
+    if cache:
+        return load_sample_set(cache, expected_digest=cfg.channel_digest)
     return generate_sample_set(cfg.channel, cfg.K, cfg.seed, workers=cfg.workers)
 
 
@@ -322,19 +322,15 @@ def _out_path(cfg: RunConfig, args, default_name: str) -> Path:
 
 
 def _emit(cfg: RunConfig, args, default_name: str, columns, rows, summary: str,
-          source: SampleSet | RunConfig) -> None:
-    """Write one CSV artifact and report it on stdout.
-
-    The file stamps the provenance of ``source``: the sample set the rows
-    come from, or the config that fixes it.
-    """
+          source: SampleSet) -> None:
+    """Write one CSV artifact, stamped with its rows' sample set, and report it."""
     path = _out_path(cfg, args, default_name)
     write_csv(path, columns, rows, source)
     print(f"wrote {path} ({summary})")
 
 
 def _cmd_sample(cfg, args) -> None:
-    s = generate_sample_set(cfg.channel, cfg.K, cfg.seed, workers=cfg.workers)
+    s = _obtain_samples(cfg)
     # The cache header records its own provenance.
     path = _out_path(cfg, args, "samples.cqcs")
     save_sample_set(s, path)
@@ -346,7 +342,7 @@ def _cmd_sample(cfg, args) -> None:
 
 
 def _cmd_optimize(cfg, args) -> None:
-    s = _obtain_samples(cfg, args)
+    s = _obtain_samples(cfg, args.cache)
     report = optimize(s, cfg.protocol, cfg.budgets)
     row = (cfg.budgets.eps_cov, cfg.budgets.eps_rel, *report.cells(),
            report.r_max > 0, report.below_resolution)
@@ -357,7 +353,7 @@ def _cmd_optimize(cfg, args) -> None:
 
 def _cmd_frontier(cfg, args) -> None:
     grid = _log_grid(cfg, "frontier")
-    s = _obtain_samples(cfg, args)
+    s = _obtain_samples(cfg, args.cache)
     rows = frontier_sweep(s, cfg.protocol, grid)
     _emit(cfg, args, "frontier.csv", ["eps", *REPORT_COLUMNS],
           ((eps, *rep.cells()) for eps, rep in rows), f"{len(rows)} rows", s)
@@ -365,7 +361,7 @@ def _cmd_frontier(cfg, args) -> None:
 
 def _cmd_surface(cfg, args) -> None:
     grid = _log_grid(cfg, "surface")
-    s = _obtain_samples(cfg, args)
+    s = _obtain_samples(cfg, args.cache)
     matrix = surface_sweep(s, cfg.protocol, grid, grid)
     rows = ((ec, er, *rep.cells())
             for ec, row in zip(grid, matrix, strict=True)
@@ -380,7 +376,7 @@ def _cmd_scaling(cfg, args) -> None:
     for n in block["n_values"]:
         ProtocolParams(n=n, delta=cfg.protocol.delta)
     RiskBudgets(block["eps"], block["eps"])
-    s = _obtain_samples(cfg, args)
+    s = _obtain_samples(cfg, args.cache)
     rows = n_scaling_sweep(s, cfg.protocol.delta, block["eps"], block["n_values"])
     _emit(cfg, args, "scaling.csv", ["n", "n_t_star"], rows, f"{len(rows)} rows", s)
 
@@ -388,18 +384,19 @@ def _cmd_scaling(cfg, args) -> None:
 def _cmd_benchmark_validate(cfg, args) -> None:
     if not isinstance(cfg.channel, BenchmarkChannelSpec):
         raise ConfigError("benchmark-validate needs channel.kind 'benchmark'")
-    rows = validate(
-        cfg.channel, cfg.protocol, cfg.raw["benchmark"]["eps_list"],
-        cfg.K, cfg.seed, cfg.workers,
-    )
+    eps_list = cfg.raw["benchmark"]["eps_list"]
+    for eps in eps_list:  # checked here, before any sampling
+        RiskBudgets.check(eps)
+    s = _obtain_samples(cfg)
+    rows = validate(s, cfg.channel, cfg.protocol, eps_list)
     _emit(cfg, args, "benchmark_validate.csv",
           ["eps", "metric", "theory", "mc", "rel_error_percent"],
           ((r.eps, r.metric, r.theory, r.mc, r.rel_error_percent) for r in rows),
-          f"{len(rows)} rows", cfg)
+          f"{len(rows)} rows", s)
 
 
 def _cmd_decade_gains(cfg, args) -> None:
-    s = _obtain_samples(cfg, args)
+    s = _obtain_samples(cfg, args.cache)
     gains = decade_gains(s, cfg.protocol)
     _emit(cfg, args, "decade_gains.csv", ["eps_from", "eps_to", "gain"], gains,
           f"{len(gains)} gains", s)
@@ -428,7 +425,7 @@ def _cmd_risk_adjusted(cfg, args) -> None:
         fixed = [RiskWeights(block["fixed_other"], 0.0).lambda_cov]
         cov_values, rel_values = (values, fixed) if block["axis"] == "cov" else (fixed, values)
         summary = f"{len(values)} rows"
-    s = _obtain_samples(cfg, args)
+    s = _obtain_samples(cfg, args.cache)
     matrix = heatmap_sweep(s, cfg.protocol, grid, cov_values, rel_values)
     # One row per weight pair, row-major like the matrix, cut to the columns.
     rows = ((lc, lr, best.strategy.q, best.strategy.r, best.j_value,
@@ -440,7 +437,7 @@ def _cmd_risk_adjusted(cfg, args) -> None:
 
 def _cmd_sensitivity(cfg, args) -> None:
     grid = _log_grid(cfg, "sensitivity")
-    s = _obtain_samples(cfg, args)
+    s = _obtain_samples(cfg, args.cache)
     points = sensitivities_symmetric(s, cfg.protocol, grid)
     _emit(cfg, args, "sensitivity.csv", ["eps", "s_cov", "s_rel", "flags"],
           ((pt.eps, pt.s_cov, pt.s_rel, ";".join(pt.flags)) for pt in points),

@@ -12,6 +12,11 @@ into fixed chunks and chunk c is generated from a PCG64 generator keyed by
 (seed, c).  Requesting positions [a, b) therefore yields the same bits
 whether done in one call, many calls, or from parallel workers.
 
+A truncated Gaussian above its mean is sampled through the upper tail's
+probabilities: Phi(alpha) rounds to 1 about 8 sigma out, Phi(-alpha) does
+not.  A law whose tail mass is below the smallest normal double (about
+37.5 sigma out) cannot be sampled; its sampler and CDF raise ValueError.
+
 scipy.special (ndtr, ndtri) is imported inside the samplers and CDFs that
 call it, not at module scope: its import takes about 0.3 s (half of a cold
 `import covertq.cli` on a 2-core Xeon VM), and a query on a cached sample
@@ -125,6 +130,30 @@ def stream_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return out
 
 
+def _representable(mass: float, spec) -> float:
+    # The tail mass an inverse-CDF map reads.  Below the smallest normal
+    # double every draw would land on an edge of the support.
+    if not mass >= np.finfo(float).tiny:
+        raise ValueError(f"{spec} has no representable mass on its support")
+    return mass
+
+
+def _gaussian_tail_map(spec: TruncatedGaussianSpec):
+    # (p_lo, p_hi, sign): the interval maps to [p_lo, p_hi] in the
+    # probabilities of sign*(x - mu)/sigma.  An interval above the mean
+    # (alpha > 0) is mirrored into the lower tail, where the probabilities
+    # keep their precision instead of rounding to 1.
+    from scipy.special import ndtr
+
+    alpha = (spec.lower - spec.mu) / spec.sigma
+    beta = (spec.upper - spec.mu) / spec.sigma
+    if alpha > 0:
+        p_lo, p_hi, sign = ndtr(-beta), ndtr(-alpha), -1.0
+    else:
+        p_lo, p_hi, sign = ndtr(alpha), ndtr(beta), 1.0
+    return p_lo, _representable(p_hi, spec), sign
+
+
 def sample_truncated_lognormal(
     spec: TruncatedLognormalSpec, count: int, seed: int, start: int
 ) -> np.ndarray:
@@ -155,7 +184,7 @@ def sample_truncated_lognormal(
     # p_hi = Phi((ln 1 - mu)/sigma).  Mapping through (1 - u) keeps the
     # left edge open: u in [0, 1) lands in (0, p_hi], so no sample can
     # collapse to 0 while exact 1.0 stays reachable at u = 0.
-    p_hi = ndtr((0.0 - spec.mu_ln) / spec.sigma_ln)
+    p_hi = _representable(ndtr((0.0 - spec.mu_ln) / spec.sigma_ln), spec)
     np.subtract(1.0, x, out=x)
     np.multiply(p_hi, x, out=x)
     # ndtri is SciPy's Cephes rational-approximation normal quantile,
@@ -175,20 +204,21 @@ def sample_truncated_gaussian(
     """Draw ``count`` values in [lower, upper] from the truncated Gaussian.
 
     Inverse-CDF on the truncated interval: the uniform draw is mapped into
-    [Phi(alpha), Phi(beta)] and pushed through the normal quantile.  The
-    final clip only absorbs last-ulp rounding; the mathematical image is
+    [Phi(alpha), Phi(beta)] and pushed through the normal quantile.  An
+    interval above the mean (alpha > 0) is mapped through the upper tail
+    instead, x = mu - sigma * ndtri(Phi(-beta) + (Phi(-alpha) - Phi(-beta)) * u).
+    The final clip only absorbs last-ulp rounding; the mathematical image is
     already inside the interval.
     """
-    # In place, in the order of mu + sigma * ndtri(p_lo + (p_hi - p_lo) * u).
-    from scipy.special import ndtr, ndtri
+    # In place, in the order of mu + sign*sigma * ndtri(p_lo + (p_hi - p_lo) * u).
+    from scipy.special import ndtri
 
     x = stream_uniforms(seed, start, count)
-    p_lo = ndtr((spec.lower - spec.mu) / spec.sigma)
-    p_hi = ndtr((spec.upper - spec.mu) / spec.sigma)
+    p_lo, p_hi, sign = _gaussian_tail_map(spec)
     np.multiply(p_hi - p_lo, x, out=x)
     np.add(p_lo, x, out=x)
     ndtri(x, out=x)
-    np.multiply(spec.sigma, x, out=x)
+    np.multiply(sign * spec.sigma, x, out=x)
     np.add(spec.mu, x, out=x)
     return np.clip(x, spec.lower, spec.upper, out=x)
 
@@ -211,7 +241,7 @@ def truncated_lognormal_cdf(spec: TruncatedLognormalSpec, x) -> np.ndarray:
     from scipy.special import ndtr
 
     x = np.asarray(x, dtype=float)
-    p_hi = ndtr((0.0 - spec.mu_ln) / spec.sigma_ln)
+    p_hi = _representable(ndtr((0.0 - spec.mu_ln) / spec.sigma_ln), spec)
     with np.errstate(divide="ignore"):
         raw = ndtr((np.log(np.maximum(x, np.finfo(float).tiny)) - spec.mu_ln) / spec.sigma_ln)
     out = np.clip(raw / p_hi, 0.0, 1.0)
@@ -223,9 +253,11 @@ def truncated_gaussian_cdf(spec: TruncatedGaussianSpec, x) -> np.ndarray:
     from scipy.special import ndtr
 
     x = np.asarray(x, dtype=float)
-    p_lo = ndtr((spec.lower - spec.mu) / spec.sigma)
-    p_hi = ndtr((spec.upper - spec.mu) / spec.sigma)
-    raw = (ndtr((x - spec.mu) / spec.sigma) - p_lo) / (p_hi - p_lo)
+    p_lo, p_hi, sign = _gaussian_tail_map(spec)
+    if sign > 0:
+        raw = (ndtr((x - spec.mu) / spec.sigma) - p_lo) / (p_hi - p_lo)
+    else:
+        raw = (p_hi - ndtr((spec.mu - x) / spec.sigma)) / (p_hi - p_lo)
     out = np.clip(raw, 0.0, 1.0)
     return np.where(x < spec.lower, 0.0, np.where(x >= spec.upper, 1.0, out))
 

@@ -14,7 +14,10 @@ All functions are elementwise over numpy arrays and also accept floats,
 which run the same ufunc loops as 0-d arrays and so match array results.
 eta = 1 with nb > 0 yields c_cov = +inf by convention rather than an error,
 so measure-zero boundary samples survive bulk Monte Carlo runs; quantile
-logic downstream treats +inf as a legal upper-tail value.
+logic downstream treats +inf as a legal upper-tail value.  An intermediate
+that overflows at extreme finite nb (past about 1e154) becomes +inf with no
+warning: c_cov is then +inf, which caps q at 1 as its true value would, and
+the depolarizing probability is 1, its limit.
 
 scipy.special.xlogy is imported inside the entropy kernel, not at module
 scope, as in distributions: only achievable_rate needs it (sample
@@ -62,11 +65,12 @@ def covertness_constant(eta, nb):
     """
     eta_a, nb_a, out = _operands(eta, nb)
     tmp = np.empty_like(out)
-    np.multiply(2.0, eta_a, out=out)
-    np.multiply(out, nb_a, out=out)
-    np.multiply(eta_a, nb_a, out=tmp)
-    np.add(1.0, tmp, out=tmp)
-    np.multiply(out, tmp, out=out)
+    with np.errstate(over="ignore"):
+        np.multiply(2.0, eta_a, out=out)
+        np.multiply(out, nb_a, out=out)
+        np.multiply(eta_a, nb_a, out=tmp)
+        np.add(1.0, tmp, out=tmp)
+        np.multiply(out, tmp, out=out)
     np.sqrt(out, out=out)
     np.subtract(1.0, eta_a, out=tmp)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -80,7 +84,8 @@ def _depolarizing_into(eta_a, nb_a, out):
     np.subtract(1.0, eta_a, out=out)
     np.multiply(out, nb_a, out=out)
     np.add(1.0, out, out=out)
-    np.power(out, 4, out=out)
+    with np.errstate(over="ignore"):
+        np.power(out, 4, out=out)
     np.divide(eta_a, out, out=out)
     np.subtract(1.0, out, out=out)
     return np.clip(out, 0.0, 1.0, out=out)

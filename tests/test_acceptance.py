@@ -68,8 +68,8 @@ def test_criterion_01_closed_form_values(protocol):
 
 
 def test_criterion_02_monte_carlo_agreement(benchmark_channel, protocol):
-    rows = validate(benchmark_channel, protocol, [1e-3, 1e-2, 1e-1, 0.2, 0.5],
-                    K=10**6, seed=1, workers=4)
+    s = generate_sample_set(benchmark_channel, 10**6, seed=1, workers=4)
+    rows = validate(s, benchmark_channel, protocol, [1e-3, 1e-2, 1e-1, 0.2, 0.5])
     errors = [r.rel_error_percent for r in rows if r.rel_error_percent is not None]
     tiny = [r for r in rows if r.eps == 1e-3 and r.metric == "r_max"]
     ok = (max(errors) < 5.0

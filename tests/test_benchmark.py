@@ -1,5 +1,7 @@
 """Closed-form benchmark channel and its Monte Carlo validation harness."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from covertq import (
     benchmark_qmax,
     benchmark_rmax,
     channel_digest,
+    generate_sample_set,
     validate,
 )
 from covertq import cli
@@ -78,6 +81,18 @@ def test_ccov_cdf_edges_and_pinned_value(chan):
         benchmark_ccov_density(chan, -0.5)
 
 
+def test_ccov_law_at_a_huge_rate_is_silent():
+    # rate * root overflows past the float range at rate 1e300, x = 1e10;
+    # the limits 1 and 0 are the values, and numpy must not warn about them.
+    c = BenchmarkChannelSpec(eta0=0.9, nb=ExponentialSpec(1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert benchmark_ccov_cdf(c, 1e10) == 1.0
+        assert benchmark_ccov_density(c, 1e10) == 0.0
+        np.testing.assert_array_equal(benchmark_ccov_cdf(c, np.array([0.0, 1e10])),
+                                      [0.0, 1.0])
+
+
 def test_ccov_cdf_quantile_inversion(chan):
     for eps in np.arange(0.01, 1.0, 0.02):
         q = benchmark_ccov_quantile(chan, eps)
@@ -121,7 +136,8 @@ def test_channel_validation():
 
 def test_validate_row_structure_and_errors(chan):
     p = ProtocolParams(n=10**7, delta=0.05)
-    rows = validate(chan, p, [1e-3, 0.1, 0.5], K=10**6, seed=1, workers=4)
+    s = generate_sample_set(chan, 10**6, seed=1, workers=4)
+    rows = validate(s, chan, p, [1e-3, 0.1, 0.5])
     assert [(r.eps, r.metric) for r in rows] == [
         (1e-3, "q_max"), (1e-3, "r_max"),
         (0.1, "q_max"), (0.1, "r_max"),
@@ -139,13 +155,22 @@ def test_validate_row_structure_and_errors(chan):
     assert by_key[(0.5, "r_max")].rel_error_percent < 1.0
 
 
+def test_validate_rejects_a_set_from_another_channel(chan):
+    p = ProtocolParams(n=10**7, delta=0.05)
+    other = BenchmarkChannelSpec(eta0=0.9, nb=ExponentialSpec(5.0))
+    s = generate_sample_set(other, 1000, seed=1)
+    with pytest.raises(ValueError, match="not drawn from the benchmark channel"):
+        validate(s, chan, p, [0.1])
+    assert len(validate(s, other, p, [0.1])) == 2
+
+
 def test_validate_errors_shrink_with_sample_count(chan):
     p = ProtocolParams(n=10**7, delta=0.05)
     err = {}
     for k in (10**3, 10**6):
         errs = []
         for seed in range(1, 6):
-            rows = validate(chan, p, [0.1], K=k, seed=seed)
+            rows = validate(generate_sample_set(chan, k, seed), chan, p, [0.1])
             errs.append(abs(rows[0].rel_error_percent))
         err[k] = np.mean(errs)
     assert err[10**6] < err[10**3] / 3.0

@@ -376,6 +376,43 @@ def test_risk_adjusted_extreme_weights_print_no_warning(tmp_path, capsys):
     assert len(data_lines(heat)) == 10
 
 
+@pytest.mark.parametrize("argv, section", [
+    (("benchmark-validate", "--rate", "1e-300"), {}),
+    (("optimize",), {"channel": {"nb_mu": 1e299, "nb_sigma": 1e298, "nb_upper": 1e300}}),
+], ids=["benchmark-validate", "optimize"])
+def test_extreme_finite_channel_prints_no_warning(tmp_path, capsys, argv, section):
+    # Products in the physics kernels and the benchmark quantile overflow to
+    # +inf, the right limit (q caps at 1, r_max is 0); numpy must not warn.
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(*argv, "--config", write_config(tmp_path, section), "--k", "1000",
+                 "--out", str(out))
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    if argv[0] == "benchmark-validate":
+        rows = [line.split(",") for line in data_lines(out)[1:]]
+        assert {(metric, theory, mc) for _, metric, theory, mc, _ in rows} == {
+            ("q_max", "1.0", "1.0"), ("r_max", "0.0", "0.0")}
+
+
+@pytest.mark.parametrize("section", [
+    {"nb_mu": -0.04},                 # [0, 0.5] lies 40 sigma above the mean
+    {"nb_mu": 10.0, "nb_sigma": 0.1},  # ... and 95 sigma below it
+    {"mu_ln": 2.0},                   # (0, 1] lies 40 sigma below the lognormal's mean
+], ids=["nb-above", "nb-below", "eta"])
+def test_channel_beyond_the_float_tail_is_config_error(tmp_path, capsys, section):
+    # Its truncated law has no representable mass; the draws once all sat
+    # at one interval edge (or at eta = 0) and the run exited 0.
+    out = tmp_path / "x.csv"
+    rc = run("optimize", "--config", write_config(tmp_path, {"channel": section}),
+             "--k", "1000", "--out", str(out))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error") and "no representable mass" in err, err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # precedence
 
@@ -584,13 +621,12 @@ def test_sweep_inputs_checked_before_sampling(tmp_path, monkeypatch, capsys):
 def test_scaling_and_validate_inputs_checked_before_sampling(tmp_path, monkeypatch,
                                                              capsys):
     # A bad frame length or budget must fail before any sample set is
-    # generated or loaded, by the CLI or by benchmark.validate.
+    # generated or loaded.
     def no_samples(*args, **kwargs):
         raise AssertionError("sampled before the inputs were checked")
 
     monkeypatch.setattr(cli, "generate_sample_set", no_samples)
     monkeypatch.setattr(cli, "load_sample_set", no_samples)
-    monkeypatch.setattr(covertq.benchmark, "generate_sample_set", no_samples)
     cache = str(tmp_path / "never-read.cqcs")
     cases = [
         ({"scaling": {"n_values": [0]}}, "scaling", "n must be a positive integer"),
@@ -620,7 +656,7 @@ def test_unallocatable_size_is_config_error(tmp_path, monkeypatch, capsys):
         raise MemoryError(f"Unable to allocate {16 * K} bytes")
 
     monkeypatch.setattr(cli, "generate_sample_set", too_big)
-    for command in ("sample", "optimize", "risk-adjusted"):
+    for command in ("sample", "optimize", "risk-adjusted", "benchmark-validate"):
         rc = run(command, "--k", "1e12", "--out", str(tmp_path / "x.out"))
         err = capsys.readouterr().err
         assert rc == 2, command
@@ -642,7 +678,6 @@ def test_frame_length_beyond_uint64_is_config_error(tmp_path, monkeypatch, capsy
     # np.sqrt cannot take an integer n >= 2**64; these once ended in a
     # TypeError traceback after sampling.
     monkeypatch.setattr(cli, "generate_sample_set", no_samples)
-    monkeypatch.setattr(covertq.benchmark, "generate_sample_set", no_samples)
     out = tmp_path / "x.csv"
     assert run(*argv, "--k", "500", "--out", str(out)) == 2
     err = capsys.readouterr().err

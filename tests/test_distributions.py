@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
-from scipy.stats import norm
+from scipy.stats import norm, truncnorm
 
 from covertq import (
     ExponentialSpec,
@@ -218,9 +218,39 @@ def test_gaussian_mean():
 
 
 def test_gaussian_support_with_outside_mean():
-    spec = TruncatedGaussianSpec(mu=-1.0, sigma=0.1, upper=0.5)
-    x = sample_truncated_gaussian(spec, 10_000, 3, 0)
-    assert np.all((x >= 0.0) & (x <= 0.5))
+    # alpha = 10 and 20: Phi(alpha) rounds to 1 there, and the draws once all
+    # sat at the upper edge.  Draws and CDF must follow the law.
+    for spec in (TruncatedGaussianSpec(mu=-1.0, sigma=0.1, upper=0.5),
+                 TruncatedGaussianSpec(mu=-0.02, sigma=1e-3, upper=0.5)):
+        law = truncnorm((spec.lower - spec.mu) / spec.sigma,
+                        (spec.upper - spec.mu) / spec.sigma, loc=spec.mu, scale=spec.sigma)
+        k = 10_000
+        x = np.sort(sample_truncated_gaussian(spec, k, 3, 0))
+        assert np.all((x >= 0.0) & (x <= 0.5))
+        points = law.ppf([0.01, 0.1, 0.5, 0.9, 0.99])
+        emp = np.searchsorted(x, points, side="right") / k
+        assert np.all(np.abs(emp - law.cdf(points)) <= dkw_epsilon(k)), spec
+        np.testing.assert_allclose(truncated_gaussian_cdf(spec, points), law.cdf(points),
+                                   rtol=1e-12)
+
+
+def test_laws_beyond_the_float_tail_raise():
+    # Tail mass below the smallest normal double: no sample can be drawn.
+    for spec in (TruncatedGaussianSpec(mu=-0.04, sigma=1e-3, upper=0.5),
+                 TruncatedGaussianSpec(mu=10.0, sigma=0.1, upper=0.5)):
+        with pytest.raises(ValueError, match=r"mu=.*sigma=.*\) has no representable mass"):
+            sample_truncated_gaussian(spec, 10, 1, 0)
+        with pytest.raises(ValueError, match="no representable mass"):
+            truncated_gaussian_cdf(spec, 0.1)
+    spec = TruncatedLognormalSpec(mu_ln=2.0, sigma_ln=0.05)
+    with pytest.raises(ValueError, match=r"mu_ln=2.0, sigma_ln=0.05\) has no representable"):
+        sample_truncated_lognormal(spec, 10, 1, 0)
+    with pytest.raises(ValueError, match="no representable mass"):
+        truncated_lognormal_cdf(spec, 0.5)
+    # 36 sigma out the lognormal still samples, inside (0, 1].
+    x = sample_truncated_lognormal(TruncatedLognormalSpec(mu_ln=1.8, sigma_ln=0.05),
+                                   10_000, 1, 0)
+    assert np.all((x > 0.0) & (x <= 1.0))
 
 
 def test_gaussian_determinism_and_count_zero():

@@ -20,6 +20,7 @@ from covertq import (
     SampleSet,
     benchmark_ccov_quantile,
     benchmark_rmax,
+    generate_sample_set,
     order_index,
     sensitivities_symmetric,
     sensitivity_formula,
@@ -173,7 +174,8 @@ _SET = SampleSet(np.array([1.0, 2.0]), np.array([0.1, 0.2]), seed=0,
     (lambda: RiskBudgets(0.5, 1.0), "eps_rel must lie in (0, 1), got 1.0"),
     (lambda: benchmark_ccov_quantile(_CHANNEL, 1.5), "eps_cov must lie in (0, 1), got 1.5"),
     (lambda: benchmark_rmax(_CHANNEL, -0.1), "eps_rel must lie in (0, 1), got -0.1"),
-    (lambda: validate(_CHANNEL, _PROTOCOL, [0.5, 2.0], 10, 1),
+    (lambda: validate(generate_sample_set(_CHANNEL, 10, 1), _CHANNEL, _PROTOCOL,
+                      [0.5, 2.0]),
      "eps must lie in (0, 1), got 2.0"),
     (lambda: sensitivities_symmetric(_SET, _PROTOCOL, [1.0]),
      "eps must lie in (0, 1), got 1.0"),

@@ -10,6 +10,12 @@ All emitted files look like
 
 The comment line is read from the SampleSet the rows come from.
 
+An existing regular file at the path (symlinks resolved) is unlinked and a
+new one created, as save_sample_set does for caches: the new file gets
+default permissions, a hard link to the old one keeps the old bytes, and
+the directory must be writable.  Anything else, such as /dev/null or a FIFO,
+is opened for writing as it is.
+
 Floats are written with repr's shortest round-trip form ('.' decimal
 separator, full binary64 fidelity), booleans as true/false, missing values
 as empty fields.  Identical inputs therefore produce byte-identical files.
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import numbers
+import os
 
 import numpy as np
 
@@ -56,9 +63,22 @@ _FORMAT_BY_TYPE = {
 }
 
 
+def unlink_regular_file(path) -> None:
+    """Unlink the regular file at path, symlinks resolved, if there is one.
+
+    A writer that calls this before it opens path creates a new file instead
+    of truncating the old one in place: a set loaded from it may map the old
+    inode, and ext4 flushes a truncated non-empty file on close (a rename
+    over it would flush too).  Devices and FIFOs are left alone.
+    """
+    if os.path.isfile(path):
+        os.unlink(os.path.realpath(path))
+
+
 def write_csv(path, columns, rows, source) -> None:
     """Write rows (iterables of cells) under source's provenance + a header."""
     fmt = _FORMAT_BY_TYPE.get
+    unlink_regular_file(path)
     with open(path, "w", newline="") as fh:
         fh.write(f"# seed={int(source.seed)} K={int(source.K)} "
                  f"channel_digest={source.channel_digest.hex()}\n")

@@ -19,23 +19,26 @@ provided for smooth (closed-form) channel models, where densities exist.
 heatmap_sweep is the one weight sweep and grid_maximize its one-pair case.
 The axis, q*r, both strict CDFs (one binary search per grid coordinate) and
 the sparse-regime bound do not depend on the weights, so they are computed
-once per sweep.  The row envelope
+once per sweep.  So is the upper hull of the G points (F<_rach(r_j), r_j)
+(Andrew's monotone chain), from which the row envelope
 
     env_i = max_j (q_i*r_j - lambda_rel * F<_rach(r_j))
 
-depends on lambda_rel alone: one pass over the G x G grid per lambda_rel
-value.  Each weight pair then bounds row i of J by env_i - lambda_cov *
-F<_ccov(q_i) in O(G) and evaluates J only on the rows whose bound lies within
-TIE_TOLERANCE plus a rounding margin of the best one.  Those rows hold every
-cell the tie rule can report, and their J is the full grid's bit for bit.
+is read for every lambda_rel: row i's maximum sits at the hull vertex whose
+edges bracket the slope lambda_rel/q_i, one binary search per row, so no
+lambda_rel value pays a pass over the G x G grid.  Each weight pair then
+bounds row i of J by env_i - lambda_cov * F<_ccov(q_i) in O(G) and evaluates
+J only on the rows whose bound lies within TIE_TOLERANCE plus a rounding
+margin of the best one.  Those rows hold every cell the tie rule can report,
+and their J is the full grid's bit for bit.
 The pairs go through in chunks, one batch of array operations per chunk:
 the bounds of all its pairs at once, one np.nonzero for the kept (pair, row)
 cells, and J on those rows in groups of whole pairs.  A segment reduction
 then picks each pair's maximum and its first cell in row-major order within
-TIE_TOLERANCE.  The chunk's work arrays live in the G x G envelope scratch,
+TIE_TOLERANCE.  The chunk's work arrays live in one G x G scratch array,
 so however many rows tie, a sweep holds q*r, that scratch and arrays of
-O(G) floats, with no other temporary larger than one G x G array of bools.
-Sweeping one weight is a heatmap whose other axis holds one value.
+O(G) floats per weight, with no other temporary larger than one G x G array
+of bools.  Sweeping one weight is a heatmap whose other axis holds one value.
 """
 
 from __future__ import annotations
@@ -66,15 +69,31 @@ __all__ = [
 TIE_TOLERANCE = 1e-12
 
 # Weight pairs per batch of heatmap_sweep (at most G // 2 on a G-point grid,
-# so that a chunk's bounds and penalties fit in the envelope scratch).
+# so that a chunk's bounds and penalties fit in the scratch array).
 _CHUNK = 32
 
 # Each subtraction in J rounds by at most half an ulp of a value no larger
 # than 1 + lambda_cov + lambda_rel in magnitude, so a row's largest computed J
-# and its computed bound differ by well under margin = _EIGHT_EPS * ((1 +
-# lambda_cov) + lambda_rel).  A row more than TIE_TOLERANCE + 4*margin under
-# the best bound then holds no cell within TIE_TOLERANCE of the maximum (the
-# slack also covers the rounding of the threshold).
+# and its bound from the exact float envelope differ by well under margin =
+# _EIGHT_EPS * ((1 + lambda_cov) + lambda_rel).  The bound starts instead
+# from the hull envelope, the float value of one real cell of the row, so it
+# lies at or below the exact float envelope, and under it by less than
+# _hull_slack(lambda_rel) = _EIGHT_EPS * (1 + lambda_rel):
+#   - within a plateau of equal F<_rach only the largest r can win, because
+#     fl(q*r) and fl(a - b) are monotone, so the hull keeps one point per
+#     plateau and loses nothing by it;
+#   - a cell's float value lies within about eps * (1 + lambda_rel) of its
+#     real one (q*r <= 1 and lambda_rel * F< <= lambda_rel), which the two
+#     cells compared pay once each;
+#   - a vertex taken off by rounding, in the hull's slope comparisons or in
+#     the search for lambda_rel/q, sits across edges whose slopes s equal
+#     t = lambda_rel/q to a few eps.  Moving along an edge changes the real
+#     value by q*dF*(s - t), so the loss is a few eps times the sum of q*dr
+#     and lambda_rel*dF over those edges, at most 1 + lambda_rel in total.
+# A row more than TIE_TOLERANCE + 4*(margin + slack) under the best bound
+# then holds no cell within TIE_TOLERANCE of the maximum (the factor also
+# covers the rounding of the threshold).  A larger slack only keeps more
+# rows, so overestimating it is always safe.
 _EIGHT_EPS = 8.0 * np.finfo(float).eps
 
 
@@ -156,11 +175,52 @@ def _sparse_q_bound(s: SampleSet, p: ProtocolParams) -> float:
     return p.q_ceiling(mid.sum() / mid.size)
 
 
+def _upper_hull(f: np.ndarray, r: np.ndarray):
+    # Columns of the upper hull vertices of the points (f[j], r[j]), left to
+    # right, and minus the slopes of its edges, ascending; f is nondecreasing
+    # and r increasing.  A run of equal f contributes its last column, the
+    # only one that can win.  A vertex is popped while its incoming edge is
+    # no steeper than the edge on to the next point, compared on the computed
+    # slopes, so those come out strictly decreasing however they round.
+    ends = np.flatnonzero(np.append(f[1:] != f[:-1], True))
+    hull, slopes = [], []  # slopes[k]: the edge from hull[k] to hull[k + 1]
+    for j, x, y in zip(ends.tolist(), f[ends].tolist(), r[ends].tolist()):
+        while hull:
+            _, x0, y0 = hull[-1]
+            s = (y - y0) / (x - x0)
+            if not slopes or s < slopes[-1]:
+                slopes.append(s)
+                break
+            hull.pop()
+            slopes.pop()
+        hull.append((j, x, y))
+    return np.array([j for j, _, _ in hull]), np.negative(slopes)
+
+
+def _row_envelopes(qr: np.ndarray, f_rel: np.ndarray, axis: np.ndarray,
+                   lam_rel: np.ndarray) -> np.ndarray:
+    # env[e, i]: the float value of row i's hull cell under lambda_rel[e],
+    # qr[i, j] - lambda_rel[e] * f_rel[j], at most max_j of the same
+    # expression and at most _hull_slack below it.  For q > 0 the cell
+    # maximizes r - (lambda_rel/q) * F<, so it is the vertex after the edges
+    # steeper than lambda_rel/q; the q = 0 row takes vertex 0, the least F<.
+    cols, neg_slopes = _upper_hull(f_rel, axis)
+    vertex = np.zeros((lam_rel.size, axis.size), dtype=np.intp)
+    vertex[:, 1:] = np.searchsorted(neg_slopes, np.divide.outer(-lam_rel, axis[1:]))
+    j = cols[vertex]
+    return qr[np.arange(axis.size), j] - lam_rel[:, None] * f_rel[j]
+
+
+def _hull_slack(lr):
+    # How far a row's exact float envelope can lie above its hull envelope.
+    return _EIGHT_EPS * (1.0 + lr)
+
+
 def _kept_cells(ub: np.ndarray, lc: np.ndarray, lr: np.ndarray):
     # The kept (pair, row) cells of a chunk whose row bounds are ub, pair by
     # pair with rows ascending, and each pair's offset into them: pair k owns
     # entries start[k]:start[k + 1].
-    margin = _EIGHT_EPS * ((1.0 + lc) + lr)
+    margin = _EIGHT_EPS * ((1.0 + lc) + lr) + _hull_slack(lr)
     keep = ub >= ((ub.max(axis=1) - TIE_TOLERANCE) - 4.0 * margin)[:, None]
     owner, rows = np.nonzero(keep)
     return owner, rows, np.searchsorted(owner, np.arange(lc.size + 1))
@@ -177,21 +237,27 @@ def heatmap_sweep(s: SampleSet, p: ProtocolParams, g: GridSpec,
                   lambda_rel_values: Sequence[float]) -> list[list[GridMaximum]]:
     """Cartesian weight sweep; row index follows lambda_cov, column lambda_rel.
 
-    The weight-independent terms of J are computed once per sweep, and the
-    row envelope max_j (q*r - lambda_rel * F<_rach(r)) once per lambda_rel
-    value.  The weight pairs, in row-major order, then go through in
-    chunks of _CHUNK, each in one batch of array operations.  Per pair, the
-    envelope minus the covertness penalty bounds each row of J; only the rows
-    within TIE_TOLERANCE + 4*margin of the pair's best bound are kept, where
-    margin = 8*eps*((1 + lambda_cov) + lambda_rel) exceeds the rounding gap
-    between a row's bound and its J (an overflowing margin keeps every row).
-    The kept rows are evaluated in groups of whole pairs: at most G // 2
-    rows, or one pair's rows however many it keeps.  A segment reduction gives
-    each pair's maximum, and its first cell in row-major order within
-    TIE_TOLERANCE of it is the reported maximizer.  The chunk's bounds and a
-    group's J and penalty rows are written into the envelope scratch, so
-    memory stays at q*r and that scratch (two G x G arrays) plus O(G)-float
-    arrays and one boolean mask of at most G x G, however many rows tie.
+    The weight-independent terms of J are computed once per sweep, the
+    upper hull of the points (F<_rach(r), r) among them.  The row envelope
+    max_j (q*r - lambda_rel * F<_rach(r)) is read off that hull for every
+    lambda_rel value at once, one binary search per (lambda_rel, row), as
+    the float value of one cell of the row: it is at most the exact float
+    envelope and at most slack = 8*eps*(1 + lambda_rel) under it.  The
+    weight pairs, in row-major order, then go through in chunks of _CHUNK,
+    each in one batch of array operations.  Per pair, the envelope minus the
+    covertness penalty bounds each row of J; only the rows within
+    TIE_TOLERANCE + 4*(margin + slack) of the pair's best bound are kept,
+    where margin = 8*eps*((1 + lambda_cov) + lambda_rel) exceeds the
+    rounding gap between a row's exact bound and its J (an overflowing
+    margin keeps every row).  The kept rows are evaluated in groups of whole
+    pairs: at most G // 2 rows, or one pair's rows however many it keeps.  A
+    segment reduction gives each pair's maximum, and its first cell in
+    row-major order within TIE_TOLERANCE of it is the reported maximizer.
+    The chunk's bounds and a group's J and penalty rows are written into one
+    G x G scratch array, so memory stays at q*r and that scratch (two G x G
+    arrays) plus O(G)-float arrays per weight and one boolean mask of at
+    most G x G, however many rows tie.  Pairs won by the same cell share
+    one Strategy.
     J is computed in the full grid's operations and order, so the result
     equals full-grid maximization exactly.  A one-axis sweep is a heatmap
     whose other axis holds a single value.  Weights near the float maximum
@@ -214,18 +280,16 @@ def heatmap_sweep(s: SampleSet, p: ProtocolParams, g: GridSpec,
     f_rel = strict_cdf(s.rach, axis)
     q_bound = _sparse_q_bound(s, p)
     scratch = np.empty_like(qr)
-    env = np.empty((lam_rel.size, G))  # row e: the envelope of lambda_rel[e]
     n_pairs = lam_cov.size * lam_rel.size
     q_idx = np.empty(n_pairs, dtype=np.intp)
     r_idx = np.empty(n_pairs, dtype=np.intp)
     j_best = np.empty(n_pairs)
-    # Past the envelope passes, scratch holds the chunk's work arrays: two
-    # halves of at most G // 2 rows each.
+    # scratch holds the chunk's work arrays: two halves of at most G // 2
+    # rows each.
     half = G // 2
     chunk = min(_CHUNK, half)
     with np.errstate(over="ignore"):
-        for e, lr in enumerate(lam_rel.tolist()):
-            np.subtract(qr, lr * f_rel, out=scratch).max(axis=1, out=env[e])
+        env = _row_envelopes(qr, f_rel, axis, lam_rel)  # row e: of lambda_rel[e]
         for lo in range(0, n_pairs, chunk):
             ci, ri = np.divmod(np.arange(lo, min(lo + chunk, n_pairs)), lam_rel.size)
             lc, lr = lam_cov[ci], lam_rel[ri]
@@ -256,8 +320,10 @@ def heatmap_sweep(s: SampleSet, p: ProtocolParams, g: GridSpec,
                 j_best[lo + p0 : lo + p1] = j[win, col[win]]
                 p0 = p1
     q, r = axis[q_idx], axis[r_idx]
-    out = [GridMaximum(Strategy(qq, rr), jj, oo) for qq, rr, jj, oo in
-           zip(q.tolist(), r.tolist(), j_best.tolist(), (q > q_bound).tolist())]
+    cells = list(zip(q.tolist(), r.tolist()))
+    strategy = {cell: Strategy(*cell) for cell in set(cells)}  # frozen, so shared
+    out = [GridMaximum(strategy[cell], jj, oo) for cell, jj, oo in
+           zip(cells, j_best.tolist(), (q > q_bound).tolist())]
     return [out[i : i + lam_rel.size] for i in range(0, n_pairs, lam_rel.size)]
 
 

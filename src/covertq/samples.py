@@ -46,6 +46,7 @@ from typing import Union
 
 import numpy as np
 
+from ._csvio import unlink_regular_file
 from .distributions import (
     STREAM_CHUNK,
     ExponentialSpec,
@@ -237,10 +238,7 @@ def save_sample_set(s: SampleSet, path) -> None:
     as a device or a FIFO, is opened for writing as it is.
     """
     header = _HEADER.pack(_MAGIC, _VERSION, s.K, s.seed, s.channel_digest)
-    if os.path.isfile(path):
-        # Unlinking also spares ext4 the flush that truncating a non-empty
-        # file triggers; a rename over the file would trigger one too.
-        os.unlink(os.path.realpath(path))
+    unlink_regular_file(path)
     with open(path, "wb") as fh:
         fh.write(header)
         # A contiguous little-endian float64 array is written from its own

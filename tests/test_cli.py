@@ -98,6 +98,26 @@ def test_reruns_are_byte_identical(tmp_path):
     assert out[0].read_bytes() == out[1].read_bytes()
 
 
+def test_csv_written_over_a_file_replaces_it(tmp_path, monkeypatch):
+    # A hard link to the old CSV keeps the old bytes, a symlinked --out stays
+    # a symlink to the new file, and a device is written as it is.
+    out, old, link = tmp_path / "o.csv", tmp_path / "old.csv", tmp_path / "link.csv"
+    assert run("optimize", "--k", "200", "--seed", "1", "--out", str(out)) == 0
+    first = out.read_bytes()
+    os.link(out, old)
+    link.symlink_to(out)
+    assert run("optimize", "--k", "200", "--seed", "2", "--out", str(link)) == 0
+    assert old.read_bytes() == first
+    assert link.is_symlink() and link.resolve() == out.resolve()
+    assert out.read_text().startswith("# seed=2 ")
+
+    def refuse(path):
+        raise AssertionError(f"unlinked {path}")
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    assert run("optimize", "--k", "200", "--out", os.devnull) == 0
+
+
 def test_worker_count_does_not_change_cache(tmp_path):
     caches = []
     for workers in ("1", "3"):

@@ -27,6 +27,9 @@ from covertq import (
 from covertq.risk_adjusted import (
     _CHUNK,
     TIE_TOLERANCE,
+    _hull_slack,
+    _kept_cells,
+    _row_envelopes,
     _sparse_q_bound,
 )
 
@@ -266,8 +269,30 @@ def lattice_set(rng, K):
     return synthetic_set(rng.integers(0, 9, K) * 125.0, rng.integers(0, 9, K) / 8.0)
 
 
-@pytest.mark.parametrize("points", [2, 3, 41])
-@pytest.mark.parametrize("kind", ["zeros", "uniform", "inf_ccov", "lattice"])
+def degenerate_set(kind, rng, K, points):
+    # Sets that make the hull of (F<_rach(r), r) degenerate, with lattice
+    # c_cov: r_ach on the grid's points (runs of collinear plateau ends),
+    # all r_ach at 1 (F<_rach = 0 on the whole axis: a one-vertex hull), a
+    # single draw, and two draws whose plateau ends tie exactly at
+    # lambda_rel = 1 on the 11-point grid, where the hull's vertex rounds
+    # 2**-54 below the other one.
+    ccov = rng.integers(0, 9, K) * 125.0
+    if kind == "on_grid":
+        rach = rng.choice(np.linspace(0.0, 1.0, points), K)
+    elif kind == "all_one":
+        rach = np.ones(K)
+    elif kind == "single":
+        ccov, rach = ccov[:1], rng.uniform(0.0, 1.0, 1)
+    else:
+        ccov, rach = ccov[:2], np.array([0.25, 0.75])
+    return synthetic_set(ccov, rach)
+
+
+DEGENERATE = ["on_grid", "all_one", "single", "tie"]
+
+
+@pytest.mark.parametrize("points", [2, 3, 11, 41])
+@pytest.mark.parametrize("kind", ["zeros", "uniform", "inf_ccov", "lattice", *DEGENERATE])
 def test_pruned_kernel_extreme_weights(points, kind):
     # Subnormal and huge weights; 1e308 with 1e308 overflows the rounding
     # margin (and J itself) to infinity, which keeps every row.
@@ -277,6 +302,8 @@ def test_pruned_kernel_extreme_weights(points, kind):
         s = synthetic_set(np.zeros(K), np.zeros(K))
     elif kind == "lattice":
         s = lattice_set(rng, K)
+    elif kind in DEGENERATE:
+        s = degenerate_set(kind, rng, K, points)
     else:
         ccov = rng.uniform(0.0, 1500.0, K)
         if kind == "inf_ccov":
@@ -393,14 +420,15 @@ def test_batched_kernel_unsorted_duplicate_and_signed_zero_weights():
     # Envelopes are shared by equal lambda_rel (0.0 and -0.0 among them) and
     # looked up for unsorted columns; each pair keeps its own penalties.
     rng = np.random.default_rng(21)
-    s = lattice_set(rng, 33)
+    sets = [lattice_set(rng, 33)] + [degenerate_set(kind, rng, 33, 41) for kind in DEGENERATE]
     p = ProtocolParams(n=10**4, delta=0.05)
     lc_values = [0.5, -0.0, 2.0, 0.0, 0.5, 1e-3, 7.0]
     lr_values = [1.0, 0.0, 0.25, -0.0, 1.0, 3.0, 0.25, -0.0, 0.0, 1e-9]
-    matrix = assert_sweep_matches_full_matrix(s, p, GridSpec(41), lc_values, lr_values)
-    assert matrix[0] == matrix[4]
-    assert matrix[1] == matrix[3]
-    assert matrix[2][0] == matrix[2][4] and matrix[2][1] == matrix[2][3] == matrix[2][8]
+    for s in sets:
+        matrix = assert_sweep_matches_full_matrix(s, p, GridSpec(41), lc_values, lr_values)
+        assert matrix[0] == matrix[4]
+        assert matrix[1] == matrix[3]
+        assert matrix[2][0] == matrix[2][4] and matrix[2][1] == matrix[2][3] == matrix[2][8]
 
 
 @pytest.mark.parametrize("kind", ["zeros", "far"])
@@ -423,6 +451,59 @@ def test_batched_kernel_row_groups_split_between_pairs(kind):
     p = ProtocolParams(n=10**4, delta=0.05)  # sqrt(n)/(2*delta) = 1000
     with np.errstate(over="ignore"):
         assert_sweep_matches_full_matrix(s, p, GridSpec(401), lc_values, lr_values)
+
+
+@pytest.mark.parametrize("points", [2, 11, 401])
+@pytest.mark.parametrize("kind", ["baseline", "volatile", *DEGENERATE])
+def test_hull_envelope_within_slack_of_exact_envelope(kind, points, request):
+    # The keep rule's premise: the hull's envelope is the float value of one
+    # cell of each row, so it lies at or below the exact float envelope (the
+    # G x G pass it replaced), and at most _hull_slack(lambda_rel) under it.
+    if kind in ("baseline", "volatile"):
+        s = request.getfixturevalue(f"{kind}_set")
+    else:
+        s = degenerate_set(kind, np.random.default_rng(points), 17, points)
+    axis = GridSpec(points).axis()
+    qr, f_rel = np.outer(axis, axis), strict_cdf(s.rach, axis)
+    weights = [0.0, -0.0, 1e-9, 1.0, 1e6, 1e308]
+    with np.errstate(over="ignore"):
+        env = _row_envelopes(qr, f_rel, axis, np.array(weights))
+    for lr, hull in zip(weights, env, strict=True):
+        exact = np.subtract(qr, lr * f_rel).max(axis=1)
+        assert np.all(hull <= exact), lr
+        assert np.all(exact <= hull + _hull_slack(lr)), lr
+    if (kind, points) == ("tie", 11):
+        # The slack is needed: the hull's cell rounds below the row maximum.
+        assert np.any(env[3] < np.subtract(qr, f_rel).max(axis=1))
+
+
+def test_hull_bounds_keep_every_row_the_exact_bounds_keep():
+    # The keep rule before the hull read exact float envelopes and had no
+    # slack.  On the "tie" set the q = 1 row's hull envelope is 2**-54 under
+    # its exact one; lambda_cov steps that row's exact bound across the old
+    # rule's threshold (row 0's bound, 0, is the best one), and wherever the
+    # old rule keeps a row, the hull bounds through _kept_cells keep it too.
+    s = synthetic_set(np.zeros(2), [0.25, 0.75])
+    p = ProtocolParams(n=10**4, delta=0.05)
+    axis = GridSpec(11).axis()
+    qr, f_rel = np.outer(axis, axis), strict_cdf(s.rach, axis)
+    f_cov = strict_cdf(s.ccov, p.ccov_threshold(axis))  # 0, then 1 for q > 0
+    lr = np.array([1.0])
+    hull = _row_envelopes(qr, f_rel, axis, lr)[0]
+    exact = np.subtract(qr, f_rel).max(axis=1)
+    assert exact[-1] - hull[-1] == 2.0**-54
+    eight_eps = 8.0 * np.finfo(float).eps
+    edge = exact[-1] + TIE_TOLERANCE + 4.0 * eight_eps * ((1.0 + exact[-1]) + 1.0)
+    old_keeps_last_row = set()
+    for k in range(-4, 5):
+        lc = edge + k * 2.0**-55
+        ub_exact = exact - lc * f_cov
+        margin = eight_eps * ((1.0 + lc) + 1.0)
+        kept_exact = np.flatnonzero(ub_exact >= (ub_exact.max() - TIE_TOLERANCE) - 4.0 * margin)
+        _, kept_hull, _ = _kept_cells((hull - lc * f_cov)[None, :], np.array([lc]), lr)
+        assert set(kept_exact.tolist()) <= set(kept_hull.tolist()), k
+        old_keeps_last_row.add(10 in kept_exact)
+    assert old_keeps_last_row == {True, False}
 
 
 def heatmap_sweep_peak_bytes(*args):

@@ -7,9 +7,12 @@ Acceptance criterion 10 fails on purpose: the paper's dominance claim is
 false on the reference channel (see README).  So pytest's own exit code is
 always 1, and this gate decides instead.  It exits 1 and names the problem
 unless the failed and errored tests are exactly EXPECTED_FAILURES, no test
-was skipped and both reference-bytes cases ran.  CI installs the versions
-perfbench/reference.json records, so nothing should skip there: a skip can
-only be a check dropped silently, such as a skipif whose condition drifted.
+was skipped, both reference-bytes cases ran and so did the four tracer-site
+guards, which keep traced benchmark runs counting the layers they name
+(renaming or deleting one must fail here, not pass silently).  CI installs
+the versions perfbench/reference.json records, so nothing should skip
+there: a skip can only be a check dropped silently, such as a skipif whose
+condition drifted.
 """
 
 from __future__ import annotations
@@ -21,6 +24,11 @@ EXPECTED_FAILURES = {"tests.test_acceptance::test_criterion_10_sensitivity_domin
 REFERENCE_BYTES = {
     "tests.test_reference_bytes::test_artifacts_match_reference_hashes[query-sweeps]",
     "tests.test_reference_bytes::test_artifacts_match_reference_hashes[cli-cold]",
+}
+TRACER_SITES = {
+    f"tests.test_perfbench_sites::{name}"
+    for name in ("test_tracer_call_sites_exist", "test_tracer_counts_a_traced_pass",
+                 "test_tracer_sees_sensitivity_stencil", "test_tracer_counts_every_writer")
 }
 
 
@@ -39,6 +47,8 @@ def main(report: str) -> int:
                  for test, result in sorted(outcome.items()) if result == "skipped"]
     problems += [f"reference bytes not checked: {test} missing"
                  for test in sorted(REFERENCE_BYTES - outcome.keys())]
+    problems += [f"tracer sites not checked: {test} missing"
+                 for test in sorted(TRACER_SITES - outcome.keys())]
     for problem in problems:
         print(problem)
     passed = sum(result == "passed" for result in outcome.values())

@@ -181,6 +181,8 @@ def _coerce_like(name: str, default, value):
         if isinstance(default, list):
             if isinstance(value, str):
                 value = value.split(",")
+            if not isinstance(value, list) or not value:
+                raise TypeError("expected a non-empty list or comma-separated text")
             return [_coerce_like(name, default[0], v) for v in value]
         if isinstance(value, bool):  # int() and float() would take JSON true
             raise TypeError("expected a number")

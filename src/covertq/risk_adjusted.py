@@ -17,7 +17,7 @@ regime.  First-order-condition residuals for interior maximizers are
 provided for smooth (closed-form) channel models, where densities exist.
 
 heatmap_sweep is the one weight sweep and grid_maximize its one-pair case.
-The axis, q*r, both strict CDFs (one binary search per grid coordinate) and
+The axis, both strict CDFs (one binary search per grid coordinate) and
 the sparse-regime bound do not depend on the weights, so they are computed
 once per sweep.  So is the upper hull of the G points (F<_rach(r_j), r_j)
 (Andrew's monotone chain), from which the row envelope
@@ -25,20 +25,20 @@ once per sweep.  So is the upper hull of the G points (F<_rach(r_j), r_j)
     env_i = max_j (q_i*r_j - lambda_rel * F<_rach(r_j))
 
 is read for every lambda_rel: row i's maximum sits at the hull vertex whose
-edges bracket the slope lambda_rel/q_i, one binary search per row, so no
-lambda_rel value pays a pass over the G x G grid.  Each weight pair then
-bounds row i of J by env_i - lambda_cov * F<_ccov(q_i) in O(G) and evaluates
-J only on the rows whose bound lies within TIE_TOLERANCE plus a rounding
-margin of the best one.  Those rows hold every cell the tie rule can report,
-and their J is the full grid's bit for bit.
-The pairs go through in chunks, one batch of array operations per chunk:
-the bounds of all its pairs at once, one np.nonzero for the kept (pair, row)
-cells, and J on those rows in groups of whole pairs.  A segment reduction
-then picks each pair's maximum and its first cell in row-major order within
-TIE_TOLERANCE.  The chunk's work arrays live in one G x G scratch array,
-so however many rows tie, a sweep holds q*r, that scratch and arrays of
-O(G) floats per weight, with no other temporary larger than one G x G array
-of bools.  Sweeping one weight is a heatmap whose other axis holds one value.
+edges bracket the slope lambda_rel/q_i, one binary search per row.  Each
+weight pair then bounds row i of J by env_i - lambda_cov * F<_ccov(q_i) in
+O(G) and evaluates J only on the rows whose bound lies within TIE_TOLERANCE
+plus a rounding margin of the best one.  Those rows hold every cell the tie
+rule can report, and their J is the full grid's bit for bit.
+The pairs go through in chunks of G // 2, one batch of array operations per
+chunk: the bounds of all its pairs at once, one np.nonzero for the kept
+(pair, row) cells, and J on those rows in groups of whole pairs.  A segment
+reduction then picks each pair's maximum and its first cell in row-major
+order within TIE_TOLERANCE.  The chunk's work arrays live in one G x G
+scratch array, the sweep's only G x G float array: however many rows tie,
+it holds that scratch and arrays of O(G) floats per weight, with no other
+temporary larger than one G x G array of bools.  Sweeping one weight is a
+heatmap whose other axis holds one value.
 """
 
 from __future__ import annotations
@@ -67,10 +67,6 @@ __all__ = [
 # J values this close to the grid maximum count as ties and fall through
 # to the lexicographic rule.
 TIE_TOLERANCE = 1e-12
-
-# Weight pairs per batch of heatmap_sweep (at most G // 2 on a G-point grid,
-# so that a chunk's bounds and penalties fit in the scratch array).
-_CHUNK = 32
 
 # Each subtraction in J rounds by at most half an ulp of a value no larger
 # than 1 + lambda_cov + lambda_rel in magnitude, so a row's largest computed J
@@ -197,18 +193,20 @@ def _upper_hull(f: np.ndarray, r: np.ndarray):
     return np.array([j for j, _, _ in hull]), np.negative(slopes)
 
 
-def _row_envelopes(qr: np.ndarray, f_rel: np.ndarray, axis: np.ndarray,
+def _row_envelopes(f_rel: np.ndarray, axis: np.ndarray,
                    lam_rel: np.ndarray) -> np.ndarray:
     # env[e, i]: the float value of row i's hull cell under lambda_rel[e],
-    # qr[i, j] - lambda_rel[e] * f_rel[j], at most max_j of the same
-    # expression and at most _hull_slack below it.  For q > 0 the cell
-    # maximizes r - (lambda_rel/q) * F<, so it is the vertex after the edges
-    # steeper than lambda_rel/q; the q = 0 row takes vertex 0, the least F<.
+    # axis[i]*axis[j] - lambda_rel[e] * f_rel[j], at most max_j of the same
+    # expression and at most _hull_slack below it.  Its q*r is the product
+    # J's rows take from the axis too, with no G x G array.  For q > 0 the
+    # cell maximizes r - (lambda_rel/q) * F<, so it is the vertex after the
+    # edges steeper than lambda_rel/q; the q = 0 row takes vertex 0, the
+    # least F<.
     cols, neg_slopes = _upper_hull(f_rel, axis)
     vertex = np.zeros((lam_rel.size, axis.size), dtype=np.intp)
     vertex[:, 1:] = np.searchsorted(neg_slopes, np.divide.outer(-lam_rel, axis[1:]))
     j = cols[vertex]
-    return qr[np.arange(axis.size), j] - lam_rel[:, None] * f_rel[j]
+    return axis * axis[j] - lam_rel[:, None] * f_rel[j]
 
 
 def _hull_slack(lr):
@@ -243,7 +241,7 @@ def heatmap_sweep(s: SampleSet, p: ProtocolParams, g: GridSpec,
     lambda_rel value at once, one binary search per (lambda_rel, row), as
     the float value of one cell of the row: it is at most the exact float
     envelope and at most slack = 8*eps*(1 + lambda_rel) under it.  The
-    weight pairs, in row-major order, then go through in chunks of _CHUNK,
+    weight pairs, in row-major order, then go through in chunks of G // 2,
     each in one batch of array operations.  Per pair, the envelope minus the
     covertness penalty bounds each row of J; only the rows within
     TIE_TOLERANCE + 4*(margin + slack) of the pair's best bound are kept,
@@ -254,10 +252,10 @@ def heatmap_sweep(s: SampleSet, p: ProtocolParams, g: GridSpec,
     segment reduction gives each pair's maximum, and its first cell in
     row-major order within TIE_TOLERANCE of it is the reported maximizer.
     The chunk's bounds and a group's J and penalty rows are written into one
-    G x G scratch array, so memory stays at q*r and that scratch (two G x G
-    arrays) plus O(G)-float arrays per weight and one boolean mask of at
-    most G x G, however many rows tie.  Pairs won by the same cell share
-    one Strategy.
+    G x G scratch array, the sweep's only G x G float array, so memory
+    stays at that scratch plus O(G)-float arrays per weight and one boolean
+    mask of at most G x G, however many rows tie.  Pairs won by the same
+    cell share one Strategy.
     J is computed in the full grid's operations and order, so the result
     equals full-grid maximization exactly.  A one-axis sweep is a heatmap
     whose other axis holds a single value.  Weights near the float maximum
@@ -275,23 +273,21 @@ def heatmap_sweep(s: SampleSet, p: ProtocolParams, g: GridSpec,
 
     axis = g.axis()
     G = axis.size
-    qr = np.outer(axis, axis)
     f_cov = strict_cdf(s.ccov, p.ccov_threshold(axis))
     f_rel = strict_cdf(s.rach, axis)
     q_bound = _sparse_q_bound(s, p)
-    scratch = np.empty_like(qr)
+    scratch = np.empty((G, G))
     n_pairs = lam_cov.size * lam_rel.size
     q_idx = np.empty(n_pairs, dtype=np.intp)
     r_idx = np.empty(n_pairs, dtype=np.intp)
     j_best = np.empty(n_pairs)
-    # scratch holds the chunk's work arrays: two halves of at most G // 2
-    # rows each.
+    # scratch, the one G x G float array, holds the chunk's work arrays:
+    # two halves of at most G // 2 rows each, so a chunk is G // 2 pairs.
     half = G // 2
-    chunk = min(_CHUNK, half)
     with np.errstate(over="ignore"):
-        env = _row_envelopes(qr, f_rel, axis, lam_rel)  # row e: of lambda_rel[e]
-        for lo in range(0, n_pairs, chunk):
-            ci, ri = np.divmod(np.arange(lo, min(lo + chunk, n_pairs)), lam_rel.size)
+        env = _row_envelopes(f_rel, axis, lam_rel)  # row e: of lambda_rel[e]
+        for lo in range(0, n_pairs, half):
+            ci, ri = np.divmod(np.arange(lo, min(lo + half, n_pairs)), lam_rel.size)
             lc, lr = lam_cov[ci], lam_rel[ri]
             ub = np.take(env, ri, axis=0, out=scratch[: ci.size], mode="clip")
             ub -= np.multiply.outer(lc, f_cov, out=scratch[half : half + ci.size])
@@ -303,7 +299,7 @@ def heatmap_sweep(s: SampleSet, p: ProtocolParams, g: GridSpec,
                 lo_row, hi_row = start[p0], start[p1]
                 grp, own = rows[lo_row:hi_row], owner[lo_row:hi_row]
                 n = grp.size
-                j = np.take(qr, grp, axis=0, out=scratch[:n], mode="clip")
+                j = np.multiply.outer(axis[grp], axis, out=scratch[:n])
                 j -= (lc[own] * f_cov[grp])[:, None]
                 if p1 - p0 == 1:
                     j -= lr[p0] * f_rel

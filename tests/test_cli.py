@@ -655,6 +655,15 @@ def test_scaling_and_validate_inputs_checked_before_sampling(tmp_path, monkeypat
         ({"channel": {"kind": "benchmark", "eta0": 0.9, "rate": 10.0},
           "benchmark": {"eps_list": [0.1, 1.5]}},
          "benchmark-validate", "eps must lie in (0, 1)"),
+        # A list key takes a JSON array or comma-separated text, not an
+        # object's keys, and at least one value.
+        ({"scaling": {"n_values": {"100000": 0, "400000": 1}}}, "scaling",
+         "bad value for 'scaling.n_values'"),
+        ({"scaling": {"n_values": []}}, "scaling", "bad value for 'scaling.n_values'"),
+        ({"benchmark": {"eps_list": {"0.1": None}}}, "benchmark-validate",
+         "bad value for 'benchmark.eps_list'"),
+        ({"benchmark": {"eps_list": []}}, "benchmark-validate",
+         "bad value for 'benchmark.eps_list'"),
     ]
     for i, (section, command, message) in enumerate(cases):
         cfg = write_config(tmp_path, section, name=f"c{i}.json")

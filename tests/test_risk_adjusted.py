@@ -25,7 +25,6 @@ from covertq import (
     strict_cdf,
 )
 from covertq.risk_adjusted import (
-    _CHUNK,
     TIE_TOLERANCE,
     _hull_slack,
     _kept_cells,
@@ -394,15 +393,16 @@ def test_pruned_heatmap_matches_full_matrix_on_baseline_set(baseline_set, protoc
     assert_sweep_matches_full_matrix(baseline_set, protocol, GridSpec(), values, values)
 
 
-@pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+HALF = 65 // 2  # pairs per chunk on the 65-point grid
+
+
+@pytest.mark.parametrize("count", [1, HALF - 1, HALF, HALF + 1, 2 * HALF + 1])
 @pytest.mark.parametrize("shape", ["cov_axis", "rel_axis", "heatmap"])
 def test_batched_kernel_chunk_boundaries(count, shape):
     # Pair counts on each side of one and two whole chunks, swept along
     # either axis or as a heatmap whose rows straddle the chunk boundaries.
-    # The 81-point grid steps on the lattice and takes whole chunks
-    # (a chunk holds at most G // 2 pairs).
-    g = GridSpec(81)
-    assert g.points_per_axis // 2 >= _CHUNK
+    # The 65-point grid steps on the lattice; a chunk holds G // 2 pairs.
+    g = GridSpec(2 * HALF + 1)
     rng = np.random.default_rng(count)
     s = lattice_set(rng, 29)
     p = ProtocolParams(n=10**4, delta=0.05)
@@ -467,7 +467,7 @@ def test_hull_envelope_within_slack_of_exact_envelope(kind, points, request):
     qr, f_rel = np.outer(axis, axis), strict_cdf(s.rach, axis)
     weights = [0.0, -0.0, 1e-9, 1.0, 1e6, 1e308]
     with np.errstate(over="ignore"):
-        env = _row_envelopes(qr, f_rel, axis, np.array(weights))
+        env = _row_envelopes(f_rel, axis, np.array(weights))
     for lr, hull in zip(weights, env, strict=True):
         exact = np.subtract(qr, lr * f_rel).max(axis=1)
         assert np.all(hull <= exact), lr
@@ -489,7 +489,7 @@ def test_hull_bounds_keep_every_row_the_exact_bounds_keep():
     qr, f_rel = np.outer(axis, axis), strict_cdf(s.rach, axis)
     f_cov = strict_cdf(s.ccov, p.ccov_threshold(axis))  # 0, then 1 for q > 0
     lr = np.array([1.0])
-    hull = _row_envelopes(qr, f_rel, axis, lr)[0]
+    hull = _row_envelopes(f_rel, axis, lr)[0]
     exact = np.subtract(qr, f_rel).max(axis=1)
     assert exact[-1] - hull[-1] == 2.0**-54
     eight_eps = 8.0 * np.finfo(float).eps
@@ -516,23 +516,24 @@ def heatmap_sweep_peak_bytes(*args):
 
 
 def test_heatmap_memory_on_baseline_set(baseline_set, protocol):
-    # The CLI's 25 x 25 heatmap keeps a row or so per pair: q*r and the
-    # envelope scratch, two G x G arrays, dominate the peak.
+    # The CLI's 25 x 25 heatmap keeps a row or so per pair: the scratch,
+    # the sweep's one G x G float array, dominates the peak.
     g = GridSpec()
     values = np.logspace(-6.0, 6.0, 25)
     peak, _ = heatmap_sweep_peak_bytes(baseline_set, protocol, g, values, values)
-    assert peak < 3 * 8 * g.points_per_axis**2
+    assert peak < 2 * 8 * g.points_per_axis**2
 
 
 def test_heatmap_memory_when_every_row_is_kept():
     # All-zero draws with lambda_cov = 0 and lambda_rel >= 1 tie every row
     # bound, so each pair evaluates all G rows, each pair in a group of its
-    # own whose J fills the envelope scratch.
+    # own whose J fills the scratch: that one G x G float array dominates
+    # the peak.
     s = synthetic_set(np.zeros(16), np.zeros(16))
     p = ProtocolParams(n=10**4, delta=0.05)
     g = GridSpec()
     peak, [row] = heatmap_sweep_peak_bytes(s, p, g, [0.0], np.linspace(1.0, 10.0, 25))
-    assert peak < 6 * 8 * g.points_per_axis**2
+    assert peak < 2 * 8 * g.points_per_axis**2
     assert all(best.strategy == Strategy(0.0, 0.0) for best in row)
 
 

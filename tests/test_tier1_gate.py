@@ -1,7 +1,8 @@
 """The CI gate reads the tier-1 junit report and gives the suite's verdict.
 
 .github/scripts/tier1_gate.py passes only when acceptance criterion 10 is
-the sole failure, nothing was skipped and both reference-bytes cases ran.
+the sole failure, nothing was skipped and both reference-bytes cases and
+the four tracer-site guards ran.
 These tests feed it small hand-written reports.
 """
 
@@ -16,6 +17,10 @@ CRITERION_10 = ("tests.test_acceptance", "test_criterion_10_sensitivity_dominanc
 REFERENCE = [("tests.test_reference_bytes",
               f"test_artifacts_match_reference_hashes[{workload}]")
              for workload in ("query-sweeps", "cli-cold")]
+TRACER_SITES = [("tests.test_perfbench_sites", name)
+                for name in ("test_tracer_call_sites_exist", "test_tracer_counts_a_traced_pass",
+                             "test_tracer_sees_sensitivity_stencil",
+                             "test_tracer_counts_every_writer")]
 PASSING = ("tests.test_cli", "test_config_error_exits")
 
 
@@ -42,7 +47,7 @@ def report(tmp_path, cases):
 
 def expected_cases():
     return [(*CRITERION_10, "failure"), *((*ref, None) for ref in REFERENCE),
-            (*PASSING, None)]
+            *((*site, None) for site in TRACER_SITES), (*PASSING, None)]
 
 
 def verdict(gate, tmp_path, capsys, cases):
@@ -53,7 +58,7 @@ def verdict(gate, tmp_path, capsys, cases):
 def test_only_criterion_10_failing_passes(gate, tmp_path, capsys):
     rc, out = verdict(gate, tmp_path, capsys, expected_cases())
     assert rc == 0, out
-    assert out.splitlines()[-1] == "4 tests, 3 passed, 1 failed: gate passed"
+    assert out.splitlines()[-1] == "8 tests, 7 passed, 1 failed: gate passed"
 
 
 @pytest.mark.parametrize("tag", ["failure", "error"])
@@ -85,3 +90,11 @@ def test_a_missing_reference_case_fails(gate, tmp_path, capsys, missing):
     rc, out = verdict(gate, tmp_path, capsys, cases)
     assert rc == 1
     assert f"reference bytes not checked: {missing[0]}::{missing[1]} missing" in out
+
+
+@pytest.mark.parametrize("missing", TRACER_SITES, ids=lambda case: case[1])
+def test_a_missing_tracer_site_case_fails(gate, tmp_path, capsys, missing):
+    cases = [case for case in expected_cases() if case[:2] != missing]
+    rc, out = verdict(gate, tmp_path, capsys, cases)
+    assert rc == 1
+    assert f"tracer sites not checked: {missing[0]}::{missing[1]} missing" in out

@@ -8,8 +8,10 @@ false on the reference channel (see README).  So pytest's own exit code is
 always 1, and this gate decides instead.  It exits 1 and names the problem
 unless the failed and errored tests are exactly EXPECTED_FAILURES, no test
 was skipped, both reference-bytes cases ran and so did the four tracer-site
-guards, which keep traced benchmark runs counting the layers they name
-(renaming or deleting one must fail here, not pass silently).  CI installs
+guards, which keep traced benchmark runs counting the layers they name, and
+the two writer-equivalence cases, which compare write_csv's float memo and
+joined rows with csv.writer (renaming or deleting one must fail here, not
+pass silently).  CI installs
 the versions perfbench/reference.json records, so nothing should skip
 there: a skip can only be a check dropped silently, such as a skipif whose
 condition drifted.
@@ -30,6 +32,11 @@ TRACER_SITES = {
     for name in ("test_tracer_call_sites_exist", "test_tracer_counts_a_traced_pass",
                  "test_tracer_sees_sensitivity_stencil", "test_tracer_counts_every_writer")
 }
+WRITER_EQUIVALENCE = {
+    f"tests.test_csvio::{name}"
+    for name in ("test_write_csv_matches_format_cell",
+                 "test_write_csv_memo_and_joined_rows_match_csv_writer")
+}
 
 
 def main(report: str) -> int:
@@ -49,6 +56,8 @@ def main(report: str) -> int:
                  for test in sorted(REFERENCE_BYTES - outcome.keys())]
     problems += [f"tracer sites not checked: {test} missing"
                  for test in sorted(TRACER_SITES - outcome.keys())]
+    problems += [f"writer equivalence not checked: {test} missing"
+                 for test in sorted(WRITER_EQUIVALENCE - outcome.keys())]
     for problem in problems:
         print(problem)
     passed = sum(result == "passed" for result in outcome.values())

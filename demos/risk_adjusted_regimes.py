@@ -49,13 +49,13 @@ def main():
 
     values = np.logspace(-2, 6, 17)
     # A one-weight sweep: the lambda_rel axis holds the single value 1.0.
-    sweep = [row[0] for row in heatmap_sweep(samples, protocol, grid, values, [1.0])]
+    sweep = heatmap_sweep(samples, protocol, grid, values, [1.0])
     print(f"{'lambda_cov':>11} {'q*':>8} {'r*':>8} {'J':>12} {'sparse?':>8}")
-    for lam, best in zip(values, sweep):
-        print(f"{lam:11.3e} {best.strategy.q:8.4f} {best.strategy.r:8.4f} "
-              f"{best.j_value:12.6f} {str(best.outside_sparse_regime):>8}")
+    for lam, q, r, j, sparse in zip(values, sweep.q_star[:, 0], sweep.r_star[:, 0],
+                                    sweep.j_value[:, 0], sweep.outside_sparse_regime[:, 0]):
+        print(f"{lam:11.3e} {q:8.4f} {r:8.4f} {j:12.6f} {str(sparse):>8}")
 
-    on = [lam for lam, best in zip(values, sweep) if best.strategy.q > 0]
+    on = [lam for lam, q in zip(values, sweep.q_star[:, 0]) if q > 0]
     if on and len(on) < len(values):
         print()
         print(f"transmission shuts off between lambda_cov = {max(on):.3e} "

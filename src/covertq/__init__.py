@@ -51,6 +51,7 @@ from .benchmark import (
 )
 from .risk_adjusted import (
     GridSpec,
+    HeatmapResult,
     RiskWeights,
     Strategy,
     foc_residual,

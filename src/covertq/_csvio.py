@@ -25,6 +25,17 @@ up in a table that holds, for the types the CLI emits (float,
 numpy.float64, bool, numpy.bool_, int, str), a function returning the same
 string format_cell does without its abstract-base-class checks; any other
 type, subclasses included, goes through format_cell itself.
+
+Sweeps repeat few distinct floats (weights, grid points, budgets) across
+many rows, so write_csv formats each one once: a float or numpy.float64
+cell takes its text from a memo keyed by value that lives for one call.
+Zeros are never stored (0.0 and -0.0 are equal keys with different texts),
+and the memo is cleared when it holds _MEMO_TEXTS texts, so a large export
+of distinct values keeps at most that many.  A row whose cells are all
+float, numpy.float64, int, bool or numpy.bool_ is written as its texts
+joined by commas: such text holds no delimiter, quote or line break, so
+csv.writer would write the same bytes.  Any other row goes through
+csv.writer.
 """
 
 from __future__ import annotations
@@ -62,6 +73,13 @@ _FORMAT_BY_TYPE = {
     str: str,
 }
 
+# Types whose text never needs quoting: a row of these is joined directly.
+_PLAIN = frozenset({float, np.float64, int, bool, np.bool_})
+
+# The memo's bound.  Every default CSV holds fewer distinct floats: the
+# 20 x 20 surface, the largest, holds under 900.
+_MEMO_TEXTS = 4096
+
 
 def unlink_regular_file(path) -> None:
     """Unlink the regular file at path, symlinks resolved, if there is one.
@@ -76,13 +94,39 @@ def unlink_regular_file(path) -> None:
 
 
 def write_csv(path, columns, rows, source) -> None:
-    """Write rows (iterables of cells) under source's provenance + a header."""
+    """Write rows (iterables of cells) under source's provenance + a header.
+
+    Rows are read once, in order.  Float texts come from a per-call memo of
+    at most _MEMO_TEXTS entries, and a row of plain numbers and booleans is
+    joined without csv.writer; the bytes are csv.writer's either way.
+    """
     fmt = _FORMAT_BY_TYPE.get
+    memo = {}
+    cached = memo.get
     unlink_regular_file(path)
     with open(path, "w", newline="") as fh:
         fh.write(f"# seed={int(source.seed)} K={int(source.K)} "
                  f"channel_digest={source.channel_digest.hex()}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
+        write = fh.write
         for row in rows:
-            writer.writerow([fmt(type(cell), format_cell)(cell) for cell in row])
+            texts, plain = [], True
+            for cell in row:
+                kind = type(cell)
+                if kind is float or kind is np.float64:
+                    text = cached(cell)
+                    if text is None:
+                        text = float.__repr__(cell)
+                        if cell:
+                            if len(memo) == _MEMO_TEXTS:
+                                memo.clear()
+                            memo[cell] = text
+                else:
+                    plain = plain and kind in _PLAIN
+                    text = fmt(kind, format_cell)(cell)
+                texts.append(text)
+            if plain:
+                write(",".join(texts) + "\n")
+            else:
+                writer.writerow(texts)

@@ -36,13 +36,14 @@ Exit codes: 0 success; 2 configuration error: any out-of-range config value
 (sweep bounds and weights included, checked before any sampling; NaN and
 Infinity are out of range for every key), a size (sampling.k, grid_points)
 whose arrays cannot be allocated, an unreadable, undecodable, non-JSON or
-too deeply nested config file, argparse errors, and a cache whose channel
-digest contradicts the config; 3 I/O error (missing, malformed, K = 0,
-unsorted, NaN-holding or truncated cache, a cache with a negative c_cov or
-an r_ach outside [0, 1], unwritable output); 4 a decade gain was requested
-but is infeasible (zero-throughput denominator); 5 internal invariant
-violation, such as a risk-constrained report from any command with q_max
-outside [0, 1].
+too deeply nested config file, argparse errors, a cache whose channel
+digest contradicts the config, and an output path that names the --cache
+file, or sample's --csv file (checked before any load or sampling); 3 I/O
+error (missing, malformed, K = 0, unsorted, NaN-holding or truncated cache,
+a cache with a negative c_cov or an r_ach outside [0, 1], unwritable
+output); 4 a decade gain was requested but is infeasible (zero-throughput
+denominator); 5 internal invariant violation, such as a risk-constrained
+report from any command with q_max outside [0, 1].
 Handlers raise and main() alone maps exceptions to these codes.
 """
 
@@ -316,17 +317,35 @@ def _log_grid(cfg: RunConfig, section: str,
     return np.logspace(np.log10(lo), np.log10(hi), points)
 
 
-def _out_path(cfg: RunConfig, args, default_name: str) -> Path:
+def _out_path(cfg: RunConfig, args, mkdir: bool = True) -> Path:
+    # --out, else the command's default name in the output directory.
     if args.out:
         return Path(args.out)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    return cfg.output_dir / default_name
+    if mkdir:
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    return cfg.output_dir / _COMMANDS[args.command][1]
 
 
-def _emit(cfg: RunConfig, args, default_name: str, columns, rows, summary: str,
-          source: SampleSet) -> None:
+def _same_file(a, b) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist (yet)
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_distinct_files(cfg: RunConfig, args) -> None:
+    # Writing the output over the --cache it reads, or sample's cache over its
+    # --csv (or the other way round), would replace one file with the other.
+    out = _out_path(cfg, args, mkdir=False)
+    for flag in ("cache", "csv"):
+        path = getattr(args, flag, None)
+        if path and _same_file(out, path):
+            raise ConfigError(f"--{flag} and the output name the same file: {path}")
+
+
+def _emit(cfg: RunConfig, args, columns, rows, summary: str, source: SampleSet) -> None:
     """Write one CSV artifact, stamped with its rows' sample set, and report it."""
-    path = _out_path(cfg, args, default_name)
+    path = _out_path(cfg, args)
     write_csv(path, columns, rows, source)
     print(f"wrote {path} ({summary})")
 
@@ -334,7 +353,7 @@ def _emit(cfg: RunConfig, args, default_name: str, columns, rows, summary: str,
 def _cmd_sample(cfg, args) -> None:
     s = _obtain_samples(cfg)
     # The cache header records its own provenance.
-    path = _out_path(cfg, args, "samples.cqcs")
+    path = _out_path(cfg, args)
     save_sample_set(s, path)
     print(f"wrote {path} (K={s.K}, seed={s.seed})")
     if args.csv:
@@ -348,8 +367,7 @@ def _cmd_optimize(cfg, args) -> None:
     report = optimize(s, cfg.protocol, cfg.budgets)
     row = (cfg.budgets.eps_cov, cfg.budgets.eps_rel, *report.cells(),
            report.r_max > 0, report.below_resolution)
-    _emit(cfg, args, "optimize.csv",
-          ["eps_cov", "eps_rel", *REPORT_COLUMNS, "feasible", "below_resolution"],
+    _emit(cfg, args, ["eps_cov", "eps_rel", *REPORT_COLUMNS, "feasible", "below_resolution"],
           [row], f"t_star={report.t_star!r}, payload={report.total_payload!r}", s)
 
 
@@ -357,7 +375,7 @@ def _cmd_frontier(cfg, args) -> None:
     grid = _log_grid(cfg, "frontier")
     s = _obtain_samples(cfg, args.cache)
     rows = frontier_sweep(s, cfg.protocol, grid)
-    _emit(cfg, args, "frontier.csv", ["eps", *REPORT_COLUMNS],
+    _emit(cfg, args, ["eps", *REPORT_COLUMNS],
           ((eps, *rep.cells()) for eps, rep in rows), f"{len(rows)} rows", s)
 
 
@@ -368,7 +386,7 @@ def _cmd_surface(cfg, args) -> None:
     rows = ((ec, er, *rep.cells())
             for ec, row in zip(grid, matrix, strict=True)
             for er, rep in zip(grid, row, strict=True))
-    _emit(cfg, args, "surface.csv", ["eps_cov", "eps_rel", *REPORT_COLUMNS], rows,
+    _emit(cfg, args, ["eps_cov", "eps_rel", *REPORT_COLUMNS], rows,
           f"{len(grid)}x{len(grid)} grid", s)
 
 
@@ -380,7 +398,7 @@ def _cmd_scaling(cfg, args) -> None:
     RiskBudgets(block["eps"], block["eps"])
     s = _obtain_samples(cfg, args.cache)
     rows = n_scaling_sweep(s, cfg.protocol.delta, block["eps"], block["n_values"])
-    _emit(cfg, args, "scaling.csv", ["n", "n_t_star"], rows, f"{len(rows)} rows", s)
+    _emit(cfg, args, ["n", "n_t_star"], rows, f"{len(rows)} rows", s)
 
 
 def _cmd_benchmark_validate(cfg, args) -> None:
@@ -391,8 +409,7 @@ def _cmd_benchmark_validate(cfg, args) -> None:
         RiskBudgets.check(eps)
     s = _obtain_samples(cfg)
     rows = validate(s, cfg.channel, cfg.protocol, eps_list)
-    _emit(cfg, args, "benchmark_validate.csv",
-          ["eps", "metric", "theory", "mc", "rel_error_percent"],
+    _emit(cfg, args, ["eps", "metric", "theory", "mc", "rel_error_percent"],
           ((r.eps, r.metric, r.theory, r.mc, r.rel_error_percent) for r in rows),
           f"{len(rows)} rows", s)
 
@@ -400,8 +417,7 @@ def _cmd_benchmark_validate(cfg, args) -> None:
 def _cmd_decade_gains(cfg, args) -> None:
     s = _obtain_samples(cfg, args.cache)
     gains = decade_gains(s, cfg.protocol)
-    _emit(cfg, args, "decade_gains.csv", ["eps_from", "eps_to", "gain"], gains,
-          f"{len(gains)} gains", s)
+    _emit(cfg, args, ["eps_from", "eps_to", "gain"], gains, f"{len(gains)} gains", s)
     infeasible = [(lo, hi) for lo, hi, gain in gains if gain is None]
     if infeasible:
         raise InfeasibleGainError(
@@ -428,20 +444,19 @@ def _cmd_risk_adjusted(cfg, args) -> None:
         cov_values, rel_values = (values, fixed) if block["axis"] == "cov" else (fixed, values)
         summary = f"{len(values)} rows"
     s = _obtain_samples(cfg, args.cache)
-    matrix = heatmap_sweep(s, cfg.protocol, grid, cov_values, rel_values)
-    # One row per weight pair, row-major like the matrix, cut to the columns.
-    rows = ((lc, lr, best.strategy.q, best.strategy.r, best.j_value,
-             best.outside_sparse_regime)[: len(columns)]
-            for lc, row in zip(cov_values, matrix, strict=True)
-            for lr, best in zip(rel_values, row, strict=True))
-    _emit(cfg, args, "risk_adjusted.csv", columns, rows, summary, s)
+    res = heatmap_sweep(s, cfg.protocol, grid, cov_values, rel_values)
+    # One row per weight pair, row-major like the result's arrays, cut to the columns.
+    cols = (*np.meshgrid(cov_values, rel_values, indexing="ij"), res.q_star,
+            res.r_star, res.j_value, res.outside_sparse_regime)[: len(columns)]
+    rows = zip(*(col.ravel().tolist() for col in cols), strict=True)
+    _emit(cfg, args, columns, rows, summary, s)
 
 
 def _cmd_sensitivity(cfg, args) -> None:
     grid = _log_grid(cfg, "sensitivity")
     s = _obtain_samples(cfg, args.cache)
     points = sensitivities_symmetric(s, cfg.protocol, grid)
-    _emit(cfg, args, "sensitivity.csv", ["eps", "s_cov", "s_rel", "flags"],
+    _emit(cfg, args, ["eps", "s_cov", "s_rel", "flags"],
           ((pt.eps, pt.s_cov, pt.s_rel, ";".join(pt.flags)) for pt in points),
           f"{len(points)} rows", s)
 
@@ -460,24 +475,29 @@ _COMMON_FLAGS = (
     "sampling.k", "sampling.seed", "sampling.workers",
 )
 
-# name: (handler, help, further flags: file flags and config keys)
+# name: (handler, default output name, help, further flags: file flags and
+# config keys)
 _COMMANDS = {
-    "sample": (_cmd_sample, "generate and persist a sample cache", ("csv",)),
-    "optimize": (_cmd_optimize, "single risk-constrained optimum",
+    "sample": (_cmd_sample, "samples.cqcs", "generate and persist a sample cache",
+               ("csv",)),
+    "optimize": (_cmd_optimize, "optimize.csv", "single risk-constrained optimum",
                  ("cache", "budgets.eps_cov", "budgets.eps_rel")),
-    "frontier": (_cmd_frontier, "symmetric budget sweep",
+    "frontier": (_cmd_frontier, "frontier.csv", "symmetric budget sweep",
                  ("cache", "frontier.eps_min", "frontier.eps_max", "frontier.points")),
-    "surface": (_cmd_surface, "budget grid sweep",
+    "surface": (_cmd_surface, "surface.csv", "budget grid sweep",
                 ("cache", "surface.eps_min", "surface.eps_max", "surface.points")),
-    "scaling": (_cmd_scaling, "payload vs frame length",
+    "scaling": (_cmd_scaling, "scaling.csv", "payload vs frame length",
                 ("cache", "scaling.eps", "scaling.n_values")),
-    "benchmark-validate": (_cmd_benchmark_validate, "closed forms vs Monte Carlo",
+    "benchmark-validate": (_cmd_benchmark_validate, "benchmark_validate.csv",
+                           "closed forms vs Monte Carlo",
                            ("channel.eta0", "channel.rate", "benchmark.eps_list")),
-    "decade-gains": (_cmd_decade_gains, "gains across decade budgets", ("cache",)),
-    "risk-adjusted": (_cmd_risk_adjusted, "weighted-penalty grid maximization",
+    "decade-gains": (_cmd_decade_gains, "decade_gains.csv", "gains across decade budgets",
+                     ("cache",)),
+    "risk-adjusted": (_cmd_risk_adjusted, "risk_adjusted.csv",
+                      "weighted-penalty grid maximization",
                       ("cache", "risk_adjusted.mode", "risk_adjusted.axis",
                        "risk_adjusted.grid_points", "risk_adjusted.fixed_other")),
-    "sensitivity": (_cmd_sensitivity, "finite-difference sensitivities",
+    "sensitivity": (_cmd_sensitivity, "sensitivity.csv", "finite-difference sensitivities",
                     ("cache", "sensitivity.eps_min", "sensitivity.eps_max",
                      "sensitivity.points")),
 }
@@ -493,7 +513,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Risk-aware operating points for covert quantum links.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, flags) in _COMMANDS.items():
+    for name, (_, _, help_text, flags) in _COMMANDS.items():
         p = subs.add_parser(
             name, help=help_text,
             epilog="A flag shown as --key SECTION.KEY sets that config key and "
@@ -516,7 +536,9 @@ def main(argv=None) -> int:
     # library argument comes from the config, the flags or a cache that
     # load_sample_set has checked, so a ValueError is a bad config value.
     try:
-        _COMMANDS[args.command][0](resolve_config(args), args)
+        cfg = resolve_config(args)
+        _check_distinct_files(cfg, args)
+        _COMMANDS[args.command][0](cfg, args)
         return EXIT_OK
     except (ConfigError, SampleFileDigestError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)

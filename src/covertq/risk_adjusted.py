@@ -31,14 +31,19 @@ O(G) and evaluates J only on the rows whose bound lies within TIE_TOLERANCE
 plus a rounding margin of the best one.  Those rows hold every cell the tie
 rule can report, and their J is the full grid's bit for bit.
 The pairs go through in chunks of G // 2, one batch of array operations per
-chunk: the bounds of all its pairs at once, one np.nonzero for the kept
-(pair, row) cells, and J on those rows in groups of whole pairs.  A segment
-reduction then picks each pair's maximum and its first cell in row-major
-order within TIE_TOLERANCE.  The chunk's work arrays live in one G x G
-scratch array, the sweep's only G x G float array: however many rows tie,
-it holds that scratch and arrays of O(G) floats per weight, with no other
-temporary larger than one G x G array of bools.  Sweeping one weight is a
-heatmap whose other axis holds one value.
+chunk: the bounds of all its pairs at once, one flat scan of the keep mask
+for the kept (pair, row) cells, and J on those rows in groups of whole
+pairs.  A segment reduction then picks each pair's maximum and its first
+cell in row-major order within TIE_TOLERANCE.  The chunk's work arrays live
+in one G x G scratch array, the sweep's only G x G float array: however
+many rows tie, it holds that scratch and arrays of O(G) floats per weight,
+with no other temporary larger than one G x G array of bools.  Sweeping one
+weight is a heatmap whose other axis holds one value.
+
+The sweep returns columns, not objects: one HeatmapResult of four arrays
+shaped (len(lambda_cov), len(lambda_rel)), filled straight from each pair's
+winning grid indices and J.  grid_maximize builds the one GridMaximum of its
+single pair from cell [0, 0].
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ __all__ = [
     "Strategy",
     "GridSpec",
     "GridMaximum",
+    "HeatmapResult",
     "objective",
     "grid_maximize",
     "heatmap_sweep",
@@ -154,6 +160,28 @@ class GridMaximum:
     outside_sparse_regime: bool
 
 
+@dataclass(frozen=True, eq=False)
+class HeatmapResult:
+    """Grid maxima of a weight sweep, one array per field.
+
+    Each array is shaped (len(lambda_cov), len(lambda_rel)).  Cell [i, j]
+    holds the maximizer (q_star, r_star), its objective value j_value and
+    the sparse-regime flag (see GridMaximum) of the weight pair
+    (lambda_cov[i], lambda_rel[j]).
+    """
+
+    q_star: np.ndarray
+    r_star: np.ndarray
+    j_value: np.ndarray
+    outside_sparse_regime: np.ndarray
+
+    def maximum(self, i: int, j: int) -> GridMaximum:
+        """Cell [i, j] as one GridMaximum."""
+        return GridMaximum(Strategy(self.q_star[i, j], self.r_star[i, j]),
+                           float(self.j_value[i, j]),
+                           bool(self.outside_sparse_regime[i, j]))
+
+
 def objective(
     s: SampleSet, st: Strategy, w: RiskWeights, p: ProtocolParams
 ) -> float:
@@ -217,22 +245,26 @@ def _hull_slack(lr):
 def _kept_cells(ub: np.ndarray, lc: np.ndarray, lr: np.ndarray):
     # The kept (pair, row) cells of a chunk whose row bounds are ub, pair by
     # pair with rows ascending, and each pair's offset into them: pair k owns
-    # entries start[k]:start[k + 1].
+    # entries start[k]:start[k + 1].  One scan of the C-contiguous mask gives
+    # its flat indices in row-major order; the divmod by G splits them into
+    # np.nonzero's two index arrays, the owner computed in place.
     margin = _EIGHT_EPS * ((1.0 + lc) + lr) + _hull_slack(lr)
     keep = ub >= ((ub.max(axis=1) - TIE_TOLERANCE) - 4.0 * margin)[:, None]
-    owner, rows = np.nonzero(keep)
+    flat = np.flatnonzero(keep)
+    rows = flat % ub.shape[1]
+    owner = np.floor_divide(flat, ub.shape[1], out=flat)
     return owner, rows, np.searchsorted(owner, np.arange(lc.size + 1))
 
 
 def grid_maximize(s: SampleSet, w: RiskWeights, p: ProtocolParams,
                   g: GridSpec = GridSpec()) -> GridMaximum:
     """Maximization of J over the uniform grid, equal to exhaustive evaluation."""
-    return heatmap_sweep(s, p, g, [w.lambda_cov], [w.lambda_rel])[0][0]
+    return heatmap_sweep(s, p, g, [w.lambda_cov], [w.lambda_rel]).maximum(0, 0)
 
 
 def heatmap_sweep(s: SampleSet, p: ProtocolParams, g: GridSpec,
                   lambda_cov_values: Sequence[float],
-                  lambda_rel_values: Sequence[float]) -> list[list[GridMaximum]]:
+                  lambda_rel_values: Sequence[float]) -> HeatmapResult:
     """Cartesian weight sweep; row index follows lambda_cov, column lambda_rel.
 
     The weight-independent terms of J are computed once per sweep, the
@@ -254,16 +286,21 @@ def heatmap_sweep(s: SampleSet, p: ProtocolParams, g: GridSpec,
     The chunk's bounds and a group's J and penalty rows are written into one
     G x G scratch array, the sweep's only G x G float array, so memory
     stays at that scratch plus O(G)-float arrays per weight and one boolean
-    mask of at most G x G, however many rows tie.  Pairs won by the same
-    cell share one Strategy.
+    mask of at most G x G, however many rows tie.  The mask's kept cells
+    come from one flat scan in row-major order.
+    The result holds four arrays shaped (len(lambda_cov), len(lambda_rel)),
+    q_star, r_star, j_value and outside_sparse_regime, built from each
+    pair's winning grid indices and J; no per-pair object is made.
     J is computed in the full grid's operations and order, so the result
     equals full-grid maximization exactly.  A one-axis sweep is a heatmap
     whose other axis holds a single value.  Weights near the float maximum
     can overflow J to -inf in cells that cannot win; that is silent, not a
     warning.
     """
-    if len(lambda_cov_values) == 0 or len(lambda_rel_values) == 0:
-        return [[] for _ in lambda_cov_values]
+    shape = (len(lambda_cov_values), len(lambda_rel_values))
+    if 0 in shape:
+        empty = np.empty(shape)
+        return HeatmapResult(empty, empty, empty, np.empty(shape, dtype=bool))
     # A pair is valid when both its weights are, so checking row 0 and then
     # column 0 checks every pair and raises for the first bad pair in
     # row-major order, as checking pair by pair would.
@@ -315,12 +352,8 @@ def heatmap_sweep(s: SampleSet, p: ProtocolParams, g: GridSpec,
                 r_idx[lo + p0 : lo + p1] = col[win]
                 j_best[lo + p0 : lo + p1] = j[win, col[win]]
                 p0 = p1
-    q, r = axis[q_idx], axis[r_idx]
-    cells = list(zip(q.tolist(), r.tolist()))
-    strategy = {cell: Strategy(*cell) for cell in set(cells)}  # frozen, so shared
-    out = [GridMaximum(strategy[cell], jj, oo) for cell, jj, oo in
-           zip(cells, j_best.tolist(), (q > q_bound).tolist())]
-    return [out[i : i + lam_rel.size] for i in range(0, n_pairs, lam_rel.size)]
+    q = axis[q_idx].reshape(shape)
+    return HeatmapResult(q, axis[r_idx].reshape(shape), j_best.reshape(shape), q > q_bound)
 
 
 def foc_residual(

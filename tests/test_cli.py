@@ -21,7 +21,6 @@ from covertq import (
     RiskBudgets,
     SensitivityPoint,
     StochasticChannelSpec,
-    Strategy,
     TruncatedGaussianSpec,
     TruncatedLognormalSpec,
     channel_digest,
@@ -31,7 +30,7 @@ from covertq import (
     save_sample_set,
 )
 from covertq import cli, risk_constrained
-from covertq.risk_adjusted import GridMaximum
+from covertq.risk_adjusted import HeatmapResult
 from covertq.samples import SampleFileTruncatedError
 
 from conftest import run_fresh
@@ -341,12 +340,17 @@ WEIGHT_GRID = {"lambda_min": 1.0, "lambda_max": 100.0, "lambda_points": 2,
                "heatmap_min": 1.0, "heatmap_max": 100.0, "heatmap_points": 2}
 
 
+def heatmap_result(q, r, j, outside):
+    return HeatmapResult(*(np.array(col) for col in (q, r, j, outside)))
+
+
 def test_risk_adjusted_sweep_csv_cells(tmp_path, monkeypatch):
-    first = GridMaximum(Strategy(0.25, 0.5), 0.1, False)
-    second = GridMaximum(Strategy(0.0, 0.0), 0.0, True)
-    # Shaped like the real sweep: one row per lambda_cov, one column per lambda_rel.
-    monkeypatch.setattr(cli, "heatmap_sweep", lambda s, p, g, cov, rel: (
-        [[first], [second]] if len(cov) == 2 else [[first, second]]))
+    # The pairs (q, r, j, outside) = (0.25, 0.5, 0.1, False), then
+    # (0.0, 0.0, 0.0, True), shaped like the real sweep: one row per
+    # lambda_cov, one column per lambda_rel.
+    columns = ([0.25, 0.0], [0.5, 0.0], [0.1, 0.0], [False, True])
+    monkeypatch.setattr(cli, "heatmap_sweep", lambda s, p, g, cov, rel: heatmap_result(
+        *([[a], [b]] if len(cov) == 2 else [[a, b]] for a, b in columns)))
     cfg = write_config(tmp_path, {"risk_adjusted": WEIGHT_GRID})
     out = tmp_path / "sweep.csv"
     assert run("risk-adjusted", "--config", cfg, "--fixed-other", "1.5", "--k", "100",
@@ -366,9 +370,8 @@ def test_risk_adjusted_sweep_csv_cells(tmp_path, monkeypatch):
 def test_risk_adjusted_heatmap_csv_cells(tmp_path, monkeypatch):
     q = [[0.1, 0.2], [0.3, 0.4]]
     r = [[0.5, 0.6], [0.7, 0.8]]
-    matrix = [[GridMaximum(Strategy(q[i][j], r[i][j]), 0.0, False) for j in range(2)]
-              for i in range(2)]
-    monkeypatch.setattr(cli, "heatmap_sweep", lambda s, p, g, cov, rel: matrix)
+    result = heatmap_result(q, r, [[0.0, 0.0]] * 2, [[False, False]] * 2)
+    monkeypatch.setattr(cli, "heatmap_sweep", lambda s, p, g, cov, rel: result)
     cfg = write_config(tmp_path, {"risk_adjusted": WEIGHT_GRID})
     out = tmp_path / "heat.csv"
     assert run("risk-adjusted", "--config", cfg, "--mode", "heatmap", "--k", "4",
@@ -797,6 +800,83 @@ def test_cache_io_errors(tmp_path, capsys):
              "--out", str(tmp_path / "x.csv"))
     assert rc == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+CACHE_COMMANDS = [("optimize", "optimize.csv"), ("frontier", "frontier.csv"),
+                  ("surface", "surface.csv"), ("scaling", "scaling.csv"),
+                  ("decade-gains", "decade_gains.csv"), ("risk-adjusted", "risk_adjusted.csv"),
+                  ("sensitivity", "sensitivity.csv")]
+
+
+def refuse_to_sample(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a set was loaded or drawn")
+    monkeypatch.setattr(cli, "load_sample_set", fail)
+    monkeypatch.setattr(cli, "generate_sample_set", fail)
+
+
+@pytest.mark.parametrize("how", ["out", "symlink", "default_name", "missing_cache"])
+@pytest.mark.parametrize("command, default_name", CACHE_COMMANDS)
+def test_output_naming_the_cache_is_config_error(tmp_path, capsys, monkeypatch,
+                                                 command, default_name, how):
+    # Writing the CSV would replace the cache it reads.  The same file named
+    # by --out, through a symlink, as the command's default name in the
+    # output directory, or as a path that does not exist yet: exit 2 before
+    # any load, and the cache keeps its bytes.
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    cache = out_dir / default_name
+    if how != "missing_cache":
+        assert run("sample", "--k", "200", "--out", str(cache)) == 0
+    before = cache.read_bytes() if cache.exists() else None
+    refuse_to_sample(monkeypatch)
+    capsys.readouterr()
+    if how == "default_name":
+        argv = ["--output-dir", str(out_dir)]
+    elif how == "symlink":
+        (tmp_path / "link.csv").symlink_to(cache)
+        argv = ["--out", str(tmp_path / "link.csv")]
+    else:
+        argv = ["--out", os.path.relpath(cache)]
+    assert run(command, "--cache", str(cache), *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --cache and the output name the same file")
+    assert (cache.read_bytes() if cache.exists() else None) == before
+
+
+@pytest.mark.parametrize("how", ["out", "default_name", "existing"])
+def test_sample_csv_naming_the_cache_is_config_error(tmp_path, capsys, monkeypatch, how):
+    # sample writes its cache and then the CSV: the same path for both would
+    # leave only the CSV.  Refused before any sampling, nothing is written.
+    out_dir = tmp_path / "out"
+    path = out_dir / "samples.cqcs"
+    argv = ["--csv", str(path)]
+    if how == "default_name":
+        argv += ["--output-dir", str(out_dir)]
+    else:
+        argv += ["--out", str(path)]
+    if how == "existing":
+        out_dir.mkdir()
+        path.write_bytes(b"old")
+    refuse_to_sample(monkeypatch)
+    assert run("sample", "--k", "100", *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: --csv and the output name the same file")
+    if how == "existing":
+        assert path.read_bytes() == b"old"
+    else:
+        assert not out_dir.exists()
+
+
+def test_distinct_outputs_and_caches_still_run(tmp_path):
+    # Files that differ only in name, or share a directory, are still fine.
+    cache = tmp_path / "c.cqcs"
+    assert run("sample", "--k", "200", "--out", str(cache),
+               "--csv", str(tmp_path / "c.csv")) == 0
+    assert run("optimize", "--cache", str(cache), "--out", str(tmp_path / "c.cqcs.csv")) == 0
+    assert run("optimize", "--cache", str(cache), "--output-dir", str(tmp_path)) == 0
+    assert (tmp_path / "optimize.csv").exists()
 
 
 @pytest.mark.parametrize("left", [0, 100])

@@ -158,22 +158,23 @@ def test_weights_and_strategy_validation():
 
 def test_lambda_sweep_single_value_matches_grid_maximize(baseline_set, protocol):
     g = GridSpec(21)
-    matrix = heatmap_sweep(baseline_set, protocol, g, [0.3], [0.7])
-    assert matrix == [[grid_maximize(baseline_set, RiskWeights(0.3, 0.7),
-                                     protocol, g)]]
-    matrix = heatmap_sweep(baseline_set, protocol, g, [0.7], [0.3])
-    assert matrix == [[grid_maximize(baseline_set, RiskWeights(0.7, 0.3),
-                                     protocol, g)]]
+    res = heatmap_sweep(baseline_set, protocol, g, [0.3], [0.7])
+    assert all(col.shape == (1, 1) for col in columns(res))
+    assert res.maximum(0, 0) == grid_maximize(baseline_set, RiskWeights(0.3, 0.7),
+                                              protocol, g)
+    res = heatmap_sweep(baseline_set, protocol, g, [0.7], [0.3])
+    assert res.maximum(0, 0) == grid_maximize(baseline_set, RiskWeights(0.7, 0.3),
+                                              protocol, g)
 
 
 def test_lambda_sweep_rel_axis_under_heavy_cov_weight(volatile_set, protocol):
     # With the covertness weight pinned high, transmission is already shut
     # off; sweeping the reliability weight upward can then only push the
     # rate toward zero as well.
-    [row] = heatmap_sweep(volatile_set, protocol, GridSpec(101), [10.0],
-                          np.logspace(-2.0, 1.0, 8))
-    q_star = [best.strategy.q for best in row]
-    r_star = [best.strategy.r for best in row]
+    res = heatmap_sweep(volatile_set, protocol, GridSpec(101), [10.0],
+                        np.logspace(-2.0, 1.0, 8))
+    assert res.q_star.shape == (1, 8)
+    [q_star], [r_star] = res.q_star.tolist(), res.r_star.tolist()
     assert all(q < 0.01 for q in q_star)
     assert all(np.diff(r_star) <= 0.0)
     assert r_star[-1] == 0.0
@@ -183,23 +184,24 @@ def test_heatmap_corners_match_grid_maximize(baseline_set, protocol):
     g = GridSpec(21)
     lc_values = [0.0, 1e6]
     lr_values = [0.0, 1e6]
-    matrix = heatmap_sweep(baseline_set, protocol, g, lc_values, lr_values)
-    assert len(matrix) == 2 and all(len(row) == 2 for row in matrix)
+    res = heatmap_sweep(baseline_set, protocol, g, lc_values, lr_values)
+    assert all(col.shape == (2, 2) for col in columns(res))
     for i, lc in enumerate(lc_values):
         for j, lr in enumerate(lr_values):
             best = grid_maximize(baseline_set, RiskWeights(lc, lr), protocol, g)
-            assert matrix[i][j].strategy.q == best.strategy.q
-            assert matrix[i][j].strategy.r == best.strategy.r
-    assert matrix[0][0].strategy == Strategy(1.0, 1.0)
-    # An empty axis gives one empty row per lambda_cov value.
-    assert heatmap_sweep(baseline_set, protocol, g, lc_values, []) == [[], []]
-    assert heatmap_sweep(baseline_set, protocol, g, [], [0.0]) == []
+            assert res.q_star[i, j] == best.strategy.q
+            assert res.r_star[i, j] == best.strategy.r
+    assert res.maximum(0, 0).strategy == Strategy(1.0, 1.0)
+    # An empty axis gives empty columns of the sweep's shape.
+    for lc, lr in [(lc_values, []), ([], [0.0])]:
+        res = heatmap_sweep(baseline_set, protocol, g, lc, lr)
+        assert [col.shape for col in columns(res)] == [(len(lc), len(lr))] * 4
+        assert res.outside_sparse_regime.dtype == bool
 
 
 def test_heatmap_shows_silent_and_aggressive_regimes(volatile_set, protocol):
     values = np.logspace(-6.0, 6.0, 25)
-    matrix = heatmap_sweep(volatile_set, protocol, GridSpec(101), values, values)
-    q_star = np.array([[best.strategy.q for best in row] for row in matrix])
+    q_star = heatmap_sweep(volatile_set, protocol, GridSpec(101), values, values).q_star
     assert np.any(q_star == 0.0)
     assert np.any(q_star > 0.5)
 
@@ -221,6 +223,20 @@ def fields(best):
     return (best.strategy.q, best.strategy.r, best.j_value, best.outside_sparse_regime)
 
 
+def columns(res):
+    return (res.q_star, res.r_star, res.j_value, res.outside_sparse_regime)
+
+
+def cell_fields(res, i, j):
+    # Cell [i, j] of the four columns, as the Python scalars fields() gives.
+    return tuple(col[i, j].item() for col in columns(res))
+
+
+def same_cells(res, a, b):
+    # Cells a and b (index expressions) are equal in all four columns.
+    return all(np.array_equal(col[a], col[b]) for col in columns(res))
+
+
 @pytest.mark.parametrize("K", [1, 2, 1001])
 @pytest.mark.parametrize("points", [2, 3, 401])
 @pytest.mark.parametrize("kind", ["zeros", "inf_ccov"])
@@ -240,26 +256,27 @@ def test_sweep_and_grid_maximize_match_full_matrix_tie_rule(K, points, kind):
     p = ProtocolParams(n=10**4, delta=0.05)  # sqrt(n)/(2*delta) = 1000
     g = GridSpec(points)
     weights = [0.0, 1.0 - 1e-13, 1.0, 1e6]
-    matrix = heatmap_sweep(s, p, g, weights, weights)
-    for lc, row in zip(weights, matrix, strict=True):
-        for lr, best in zip(weights, row, strict=True):
+    res = heatmap_sweep(s, p, g, weights, weights)
+    for i, lc in enumerate(weights):
+        for j, lr in enumerate(weights):
             w = RiskWeights(lc, lr)
             expected = full_matrix_grid_maximum(s, w, p, g)
-            assert fields(best) == expected, (lc, lr)
+            assert cell_fields(res, i, j) == expected, (lc, lr)
             assert fields(grid_maximize(s, w, p, g)) == expected, (lc, lr)
 
 
 def assert_sweep_matches_full_matrix(s, p, g, lc_values, lr_values):
-    # Field for field and exact, the j_value included: the row bound may only
-    # skip rows that cannot hold the reported cell.
-    matrix = heatmap_sweep(s, p, g, lc_values, lr_values)
-    for lc, row in zip(lc_values, matrix, strict=True):
-        for lr, best in zip(lr_values, row, strict=True):
+    # Column for column, cell by cell and exact, the j_value included: the
+    # row bound may only skip rows that cannot hold the reported cell.
+    res = heatmap_sweep(s, p, g, lc_values, lr_values)
+    assert [col.shape for col in columns(res)] == [(len(lc_values), len(lr_values))] * 4
+    for i, lc in enumerate(lc_values):
+        for j, lr in enumerate(lr_values):
             w = RiskWeights(lc, lr)
             expected = full_matrix_grid_maximum(s, w, p, g)
-            assert fields(best) == expected, (lc, lr)
+            assert cell_fields(res, i, j) == expected, (lc, lr)
             assert fields(grid_maximize(s, w, p, g)) == expected, (lc, lr)
-    return matrix
+    return res
 
 
 def lattice_set(rng, K):
@@ -330,14 +347,14 @@ def test_extreme_weights_overflow_silently(kind):
     weights = [1.0, 1e154, 1e308, np.finfo(float).max]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        matrix = heatmap_sweep(s, p, g, weights, weights)
+        res = heatmap_sweep(s, p, g, weights, weights)
         singles = [[grid_maximize(s, RiskWeights(lc, lr), p, g) for lr in weights]
                    for lc in weights]
     with np.errstate(over="ignore"):
-        for lc, row, single_row in zip(weights, matrix, singles, strict=True):
-            for lr, best, single in zip(weights, row, single_row, strict=True):
+        for i, (lc, single_row) in enumerate(zip(weights, singles, strict=True)):
+            for j, (lr, single) in enumerate(zip(weights, single_row, strict=True)):
                 expected = full_matrix_grid_maximum(s, RiskWeights(lc, lr), p, g)
-                assert fields(best) == fields(single) == expected, (lc, lr)
+                assert cell_fields(res, i, j) == fields(single) == expected, (lc, lr)
 
 
 def test_pruned_kernel_duplicate_weights():
@@ -348,10 +365,10 @@ def test_pruned_kernel_duplicate_weights():
     p = ProtocolParams(n=10**4, delta=0.05)
     lc_values = [0.5, 2.0, 0.5, 0.5]
     lr_values = [1.0, 0.25, 1.0, 0.25, 1.0]
-    matrix = assert_sweep_matches_full_matrix(s, p, GridSpec(41), lc_values, lr_values)
-    assert matrix[0] == matrix[2] == matrix[3]
-    assert matrix[0][0] == matrix[0][2] == matrix[0][4]
-    assert matrix[1][1] == matrix[1][3]
+    res = assert_sweep_matches_full_matrix(s, p, GridSpec(41), lc_values, lr_values)
+    assert same_cells(res, 0, 2) and same_cells(res, 0, 3)
+    assert same_cells(res, (0, 0), (0, 2)) and same_cells(res, (0, 0), (0, 4))
+    assert same_cells(res, (1, 1), (1, 3))
 
 
 def test_pruned_kernel_rel_axis_sweep(volatile_set, protocol):
@@ -383,8 +400,8 @@ def test_pruned_kernel_rounding_boundary():
     lambda_rel = 0.699999999999
     assert (1.0 - 0.3) - lambda_rel == 9007 * 2.0**-53 < TIE_TOLERANCE
     assert (1.0 - lambda_rel) - 0.3 - TIE_TOLERANCE > 0.0
-    [[best]] = assert_sweep_matches_full_matrix(s, p, GridSpec(2), [0.3], [lambda_rel])
-    assert best.strategy == Strategy(0.0, 0.0)
+    res = assert_sweep_matches_full_matrix(s, p, GridSpec(2), [0.3], [lambda_rel])
+    assert res.maximum(0, 0).strategy == Strategy(0.0, 0.0)
 
 
 def test_pruned_heatmap_matches_full_matrix_on_baseline_set(baseline_set, protocol):
@@ -425,10 +442,11 @@ def test_batched_kernel_unsorted_duplicate_and_signed_zero_weights():
     lc_values = [0.5, -0.0, 2.0, 0.0, 0.5, 1e-3, 7.0]
     lr_values = [1.0, 0.0, 0.25, -0.0, 1.0, 3.0, 0.25, -0.0, 0.0, 1e-9]
     for s in sets:
-        matrix = assert_sweep_matches_full_matrix(s, p, GridSpec(41), lc_values, lr_values)
-        assert matrix[0] == matrix[4]
-        assert matrix[1] == matrix[3]
-        assert matrix[2][0] == matrix[2][4] and matrix[2][1] == matrix[2][3] == matrix[2][8]
+        res = assert_sweep_matches_full_matrix(s, p, GridSpec(41), lc_values, lr_values)
+        assert same_cells(res, 0, 4)
+        assert same_cells(res, 1, 3)
+        assert same_cells(res, (2, 0), (2, 4))
+        assert same_cells(res, (2, 1), (2, 3)) and same_cells(res, (2, 1), (2, 8))
 
 
 @pytest.mark.parametrize("kind", ["zeros", "far"])
@@ -506,6 +524,35 @@ def test_hull_bounds_keep_every_row_the_exact_bounds_keep():
     assert old_keeps_last_row == {True, False}
 
 
+@pytest.mark.parametrize("kind", ["random", "all_true", "all_false", "one_cell", "one_row"])
+@pytest.mark.parametrize("shape", [(7, 41), (200, 401)])
+def test_kept_cells_are_the_nonzero_indices_of_the_keep_mask(kind, shape):
+    # Bounds of 0 on the mask's cells and -1 elsewhere keep exactly the mask
+    # under zero weights; a pair that keeps nothing has NaN bounds.  The flat
+    # scan must give np.nonzero's (pair, row) indices in the same order.
+    rng = np.random.default_rng(shape[0])
+    mask = np.zeros(shape, dtype=bool)
+    if kind == "random":
+        mask = rng.random(shape) < 0.3
+        mask[rng.random(shape[0]) < 0.2] = False
+    elif kind == "all_true":
+        mask[:] = True
+    elif kind == "one_cell":
+        mask[shape[0] // 2, shape[1] - 1] = True
+    elif kind == "one_row":
+        mask = mask[:1]
+        mask[0, 3] = True
+    ub = np.where(mask, 0.0, -1.0)
+    ub[~mask.any(axis=1)] = np.nan
+    zero = np.zeros(mask.shape[0])
+    owner, rows, start = _kept_cells(ub, zero, zero)
+    expected_owner, expected_rows = np.nonzero(mask)
+    assert owner.dtype == rows.dtype == expected_owner.dtype
+    assert np.array_equal(owner, expected_owner)
+    assert np.array_equal(rows, expected_rows)
+    assert np.array_equal(start, np.searchsorted(expected_owner, np.arange(mask.shape[0] + 1)))
+
+
 def heatmap_sweep_peak_bytes(*args):
     tracemalloc.start()
     try:
@@ -532,9 +579,10 @@ def test_heatmap_memory_when_every_row_is_kept():
     s = synthetic_set(np.zeros(16), np.zeros(16))
     p = ProtocolParams(n=10**4, delta=0.05)
     g = GridSpec()
-    peak, [row] = heatmap_sweep_peak_bytes(s, p, g, [0.0], np.linspace(1.0, 10.0, 25))
+    peak, res = heatmap_sweep_peak_bytes(s, p, g, [0.0], np.linspace(1.0, 10.0, 25))
     assert peak < 2 * 8 * g.points_per_axis**2
-    assert all(best.strategy == Strategy(0.0, 0.0) for best in row)
+    assert res.q_star.shape == (1, 25)
+    assert not res.q_star.any() and not res.r_star.any()
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 1001])

@@ -1,8 +1,8 @@
 """The CI gate reads the tier-1 junit report and gives the suite's verdict.
 
 .github/scripts/tier1_gate.py passes only when acceptance criterion 10 is
-the sole failure, nothing was skipped and both reference-bytes cases and
-the four tracer-site guards ran.
+the sole failure, nothing was skipped and both reference-bytes cases, the
+four tracer-site guards and the two writer-equivalence cases ran.
 These tests feed it small hand-written reports.
 """
 
@@ -21,6 +21,9 @@ TRACER_SITES = [("tests.test_perfbench_sites", name)
                 for name in ("test_tracer_call_sites_exist", "test_tracer_counts_a_traced_pass",
                              "test_tracer_sees_sensitivity_stencil",
                              "test_tracer_counts_every_writer")]
+WRITER_EQUIVALENCE = [("tests.test_csvio", name)
+                      for name in ("test_write_csv_matches_format_cell",
+                                   "test_write_csv_memo_and_joined_rows_match_csv_writer")]
 PASSING = ("tests.test_cli", "test_config_error_exits")
 
 
@@ -47,7 +50,8 @@ def report(tmp_path, cases):
 
 def expected_cases():
     return [(*CRITERION_10, "failure"), *((*ref, None) for ref in REFERENCE),
-            *((*site, None) for site in TRACER_SITES), (*PASSING, None)]
+            *((*site, None) for site in TRACER_SITES),
+            *((*case, None) for case in WRITER_EQUIVALENCE), (*PASSING, None)]
 
 
 def verdict(gate, tmp_path, capsys, cases):
@@ -58,7 +62,7 @@ def verdict(gate, tmp_path, capsys, cases):
 def test_only_criterion_10_failing_passes(gate, tmp_path, capsys):
     rc, out = verdict(gate, tmp_path, capsys, expected_cases())
     assert rc == 0, out
-    assert out.splitlines()[-1] == "8 tests, 7 passed, 1 failed: gate passed"
+    assert out.splitlines()[-1] == "10 tests, 9 passed, 1 failed: gate passed"
 
 
 @pytest.mark.parametrize("tag", ["failure", "error"])
@@ -98,3 +102,11 @@ def test_a_missing_tracer_site_case_fails(gate, tmp_path, capsys, missing):
     rc, out = verdict(gate, tmp_path, capsys, cases)
     assert rc == 1
     assert f"tracer sites not checked: {missing[0]}::{missing[1]} missing" in out
+
+
+@pytest.mark.parametrize("missing", WRITER_EQUIVALENCE, ids=lambda case: case[1])
+def test_a_missing_writer_equivalence_case_fails(gate, tmp_path, capsys, missing):
+    cases = [case for case in expected_cases() if case[:2] != missing]
+    rc, out = verdict(gate, tmp_path, capsys, cases)
+    assert rc == 1
+    assert f"writer equivalence not checked: {missing[0]}::{missing[1]} missing" in out

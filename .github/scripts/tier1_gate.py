@@ -7,11 +7,11 @@ Acceptance criterion 10 fails on purpose: the paper's dominance claim is
 false on the reference channel (see README).  So pytest's own exit code is
 always 1, and this gate decides instead.  It exits 1 and names the problem
 unless the failed and errored tests are exactly EXPECTED_FAILURES, no test
-was skipped, both reference-bytes cases ran and so did the four tracer-site
-guards, which keep traced benchmark runs counting the layers they name, and
-the two writer-equivalence cases, which compare write_csv's float memo and
-joined rows with csv.writer (renaming or deleting one must fail here, not
-pass silently).  CI installs
+was skipped and every REQUIRED case ran: both reference-bytes cases, the
+four tracer-site guards, which keep traced benchmark runs counting the
+layers they name, and the two writer-equivalence cases, which compare
+write_csv's float memo and joined rows with csv.writer (renaming or
+deleting one must fail here, not pass silently).  CI installs
 the versions perfbench/reference.json records, so nothing should skip
 there: a skip can only be a check dropped silently, such as a skipif whose
 condition drifted.
@@ -23,19 +23,16 @@ import sys
 import xml.etree.ElementTree as ET
 
 EXPECTED_FAILURES = {"tests.test_acceptance::test_criterion_10_sensitivity_dominance"}
-REFERENCE_BYTES = {
-    "tests.test_reference_bytes::test_artifacts_match_reference_hashes[query-sweeps]",
-    "tests.test_reference_bytes::test_artifacts_match_reference_hashes[cli-cold]",
-}
-TRACER_SITES = {
-    f"tests.test_perfbench_sites::{name}"
-    for name in ("test_tracer_call_sites_exist", "test_tracer_counts_a_traced_pass",
-                 "test_tracer_sees_sensitivity_stencil", "test_tracer_counts_every_writer")
-}
-WRITER_EQUIVALENCE = {
-    f"tests.test_csvio::{name}"
-    for name in ("test_write_csv_matches_format_cell",
-                 "test_write_csv_memo_and_joined_rows_match_csv_writer")
+# Cases that must have run, each with the check it guards.
+REQUIRED = {
+    **{f"tests.test_reference_bytes::test_artifacts_match_reference_hashes[{workload}]":
+       "reference bytes" for workload in ("cli-cold", "query-sweeps")},
+    **{f"tests.test_perfbench_sites::{name}": "tracer sites"
+       for name in ("test_tracer_call_sites_exist", "test_tracer_counts_a_traced_pass",
+                    "test_tracer_counts_every_writer", "test_tracer_sees_sensitivity_stencil")},
+    **{f"tests.test_csvio::{name}": "writer equivalence"
+       for name in ("test_write_csv_matches_format_cell",
+                    "test_write_csv_memo_and_joined_rows_match_csv_writer")},
 }
 
 
@@ -52,12 +49,8 @@ def main(report: str) -> int:
                  for test in sorted(EXPECTED_FAILURES - failed)]
     problems += [f"skipped: {test}"
                  for test, result in sorted(outcome.items()) if result == "skipped"]
-    problems += [f"reference bytes not checked: {test} missing"
-                 for test in sorted(REFERENCE_BYTES - outcome.keys())]
-    problems += [f"tracer sites not checked: {test} missing"
-                 for test in sorted(TRACER_SITES - outcome.keys())]
-    problems += [f"writer equivalence not checked: {test} missing"
-                 for test in sorted(WRITER_EQUIVALENCE - outcome.keys())]
+    problems += [f"{guard} not checked: {test} missing"
+                 for test, guard in REQUIRED.items() if test not in outcome]
     for problem in problems:
         print(problem)
     passed = sum(result == "passed" for result in outcome.values())

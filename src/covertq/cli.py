@@ -37,8 +37,9 @@ Exit codes: 0 success; 2 configuration error: any out-of-range config value
 Infinity are out of range for every key), a size (sampling.k, grid_points)
 whose arrays cannot be allocated, an unreadable, undecodable, non-JSON or
 too deeply nested config file, argparse errors, a cache whose channel
-digest contradicts the config, and an output path that names the --cache
-file, or sample's --csv file (checked before any load or sampling); 3 I/O
+digest contradicts the config, and an output (--out or the default name,
+and sample's --csv) that names an input (--config, --cache) or the other
+output (checked before any load or sampling); 3 I/O
 error (missing, malformed, K = 0, unsorted, NaN-holding or truncated cache,
 a cache with a negative c_cov or an r_ach outside [0, 1], unwritable
 output); 4 a decade gain was requested but is infeasible (zero-throughput
@@ -50,6 +51,7 @@ Handlers raise and main() alone maps exceptions to these codes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -334,13 +336,15 @@ def _same_file(a, b) -> bool:
 
 
 def _check_distinct_files(cfg: RunConfig, args) -> None:
-    # Writing the output over the --cache it reads, or sample's cache over its
-    # --csv (or the other way round), would replace one file with the other.
-    out = _out_path(cfg, args, mkdir=False)
-    for flag in ("cache", "csv"):
-        path = getattr(args, flag, None)
-        if path and _same_file(out, path):
-            raise ConfigError(f"--{flag} and the output name the same file: {path}")
+    # An output written over an input, or over the other output, would
+    # replace that file.  "out" is the resolved output path.
+    paths = {flag: getattr(args, flag, None) for flag in _FILE_FLAGS}
+    paths["out"] = _out_path(cfg, args, mkdir=False)
+    named = [flag for flag in _FILE_FLAGS if paths[flag]]
+    for a, b in itertools.combinations(named, 2):
+        if "output" in (_FILE_FLAGS[a][0], _FILE_FLAGS[b][0]) and _same_file(paths[a], paths[b]):
+            second = "the output" if b == "out" else f"--{b}"
+            raise ConfigError(f"--{a} and {second} name the same file: {paths[a]}")
 
 
 def _emit(cfg: RunConfig, args, columns, rows, summary: str, source: SampleSet) -> None:
@@ -461,12 +465,15 @@ def _cmd_sensitivity(cfg, args) -> None:
           f"{len(points)} rows", s)
 
 
-# Flags that name files, not config keys.
+# Flags that name files, not config keys: (role, help).  No output may name
+# an input or the other output; "out" comes last, so a clash with it reads
+# "--<flag> and the output".
 _FILE_FLAGS = {
-    "config": "JSON config file",
-    "out": "explicit output path (overrides --output-dir)",
-    "cache": "reuse a sample cache written by 'sample'",
-    "csv": "also export the sorted arrays as CSV (row i: i-th smallest c_cov and r_ach)",
+    "config": ("input", "JSON config file"),
+    "cache": ("input", "reuse a sample cache written by 'sample'"),
+    "csv": ("output",
+            "also export the sorted arrays as CSV (row i: i-th smallest c_cov and r_ach)"),
+    "out": ("output", "explicit output path (overrides --output-dir)"),
 }
 
 # Flags every subcommand takes, after --config and --out.
@@ -521,7 +528,7 @@ def _parser() -> argparse.ArgumentParser:
         )
         for flag in ("config", "out", *_COMMON_FLAGS, *flags):
             if flag in _FILE_FLAGS:
-                p.add_argument(f"--{flag}", help=_FILE_FLAGS[flag])
+                p.add_argument(f"--{flag}", help=_FILE_FLAGS[flag][1])
             else:
                 p.add_argument("--" + flag.rpartition(".")[2].replace("_", "-"), dest=flag)
     return parser

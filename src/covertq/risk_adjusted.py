@@ -267,33 +267,14 @@ def heatmap_sweep(s: SampleSet, p: ProtocolParams, g: GridSpec,
                   lambda_rel_values: Sequence[float]) -> HeatmapResult:
     """Cartesian weight sweep; row index follows lambda_cov, column lambda_rel.
 
-    The weight-independent terms of J are computed once per sweep, the
-    upper hull of the points (F<_rach(r), r) among them.  The row envelope
-    max_j (q*r - lambda_rel * F<_rach(r)) is read off that hull for every
-    lambda_rel value at once, one binary search per (lambda_rel, row), as
-    the float value of one cell of the row: it is at most the exact float
-    envelope and at most slack = 8*eps*(1 + lambda_rel) under it.  The
-    weight pairs, in row-major order, then go through in chunks of G // 2,
-    each in one batch of array operations.  Per pair, the envelope minus the
-    covertness penalty bounds each row of J; only the rows within
-    TIE_TOLERANCE + 4*(margin + slack) of the pair's best bound are kept,
-    where margin = 8*eps*((1 + lambda_cov) + lambda_rel) exceeds the
-    rounding gap between a row's exact bound and its J (an overflowing
-    margin keeps every row).  The kept rows are evaluated in groups of whole
-    pairs: at most G // 2 rows, or one pair's rows however many it keeps.  A
-    segment reduction gives each pair's maximum, and its first cell in
-    row-major order within TIE_TOLERANCE of it is the reported maximizer.
-    The chunk's bounds and a group's J and penalty rows are written into one
-    G x G scratch array, the sweep's only G x G float array, so memory
-    stays at that scratch plus O(G)-float arrays per weight and one boolean
-    mask of at most G x G, however many rows tie.  The mask's kept cells
-    come from one flat scan in row-major order.
-    The result holds four arrays shaped (len(lambda_cov), len(lambda_rel)),
-    q_star, r_star, j_value and outside_sparse_regime, built from each
-    pair's winning grid indices and J; no per-pair object is made.
-    J is computed in the full grid's operations and order, so the result
-    equals full-grid maximization exactly.  A one-axis sweep is a heatmap
-    whose other axis holds a single value.  Weights near the float maximum
+    Maximizes J of the sample set s under protocol p on grid g for every
+    pair of the two weight sequences; the first pair that is not a valid
+    RiskWeights, in row-major order, raises its ValueError.  Returns one
+    HeatmapResult of four arrays shaped (len(lambda_cov_values),
+    len(lambda_rel_values)): q_star, r_star, j_value and
+    outside_sparse_regime of each pair's grid maximum (empty if either
+    sequence is).  Each equals exhaustive evaluation of J on the full grid
+    exactly; the module docstring says how.  Weights near the float maximum
     can overflow J to -inf in cells that cannot win; that is silent, not a
     warning.
     """

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import xlogy
 
 import covertq
@@ -19,9 +20,11 @@ from covertq import (
     BenchmarkChannelSpec,
     ExponentialSpec,
     ProtocolParams,
+    SampleSet,
     StochasticChannelSpec,
     TruncatedGaussianSpec,
     TruncatedLognormalSpec,
+    achievable_rate,
     generate_sample_set,
 )
 
@@ -56,6 +59,33 @@ def make_volatile_spec() -> StochasticChannelSpec:
         ),
         nb=TruncatedGaussianSpec(mu=0.01, sigma=0.005, upper=0.5),
     )
+
+
+def synthetic_set(ccov, rach, seed=0):
+    """A sample set holding the given draws, sorted, with an all-zero digest."""
+    ccov = np.sort(np.asarray(ccov, dtype=float))
+    rach = np.sort(np.asarray(rach, dtype=float))
+    return SampleSet(ccov=ccov, rach=rach, seed=seed, channel_digest=b"\x00" * 32)
+
+
+def bench_rach_inverse(channel, r):
+    """The noise level at which the benchmark channel's rate equals r."""
+    return brentq(lambda x: achievable_rate(channel.eta0, x) - r, 1e-12, 10.0)
+
+
+def bench_rach_cdf(channel, r):
+    # P[R_ach < r] = P[nb > the inverse at r] for a strictly decreasing rate.
+    return np.exp(-channel.nb.rate * bench_rach_inverse(channel, r))
+
+
+def bench_rach_density(channel, r):
+    # R_ach(nb) is strictly decreasing, so the density of the rate at r is
+    # the exponential density at the inverted noise level over |dR/dnb|.
+    x = bench_rach_inverse(channel, r)
+    h = 1e-7
+    slope = (achievable_rate(channel.eta0, x + h)
+             - achievable_rate(channel.eta0, x - h)) / (2 * h)
+    return channel.nb.rate * np.exp(-channel.nb.rate * x) / abs(slope)
 
 
 def reference_covertness_constant(eta, nb):

@@ -8,9 +8,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.optimize import brentq
 
-from conftest import make_baseline_spec
+from conftest import (bench_rach_cdf, bench_rach_density, make_baseline_spec,
+                      synthetic_set)
 from covertq import (
     BenchmarkChannelSpec,
     ExponentialSpec,
@@ -18,9 +18,7 @@ from covertq import (
     ProtocolParams,
     RiskBudgets,
     RiskWeights,
-    SampleSet,
     Strategy,
-    achievable_rate,
     benchmark_ccov_cdf,
     benchmark_ccov_density,
     benchmark_ccov_quantile,
@@ -41,18 +39,10 @@ from covertq import (
 from covertq import cli
 from covertq.risk_constrained import decade_gains
 
-DIGEST = b"\x00" * 32
-
 
 def _report(num, ok, detail):
     print(f"ACCEPTANCE {num:02d} {'PASS' if ok else 'FAIL'}: {detail}")
     return ok
-
-
-def synthetic_set(ccov, rach, seed=0):
-    ccov = np.sort(np.asarray(ccov, dtype=float))
-    rach = np.sort(np.asarray(rach, dtype=float))
-    return SampleSet(ccov=ccov, rach=rach, seed=seed, channel_digest=DIGEST)
 
 
 def test_criterion_01_closed_form_values(protocol):
@@ -198,24 +188,11 @@ def test_criterion_09_first_order_conditions():
 
     c = BenchmarkChannelSpec(eta0=0.9, nb=ExponentialSpec(10.0))
     p = ProtocolParams(n=10**7, delta=0.05)
-    scale = np.sqrt(p.n) / (2.0 * p.delta)
-
-    def x_inv(r):
-        return brentq(lambda x: achievable_rate(c.eta0, x) - r, 1e-12, 10.0)
-
-    def rach_cdf(r):
-        return np.exp(-c.nb.rate * x_inv(r))
-
-    def rach_density(r):
-        x = x_inv(r)
-        h = 1e-7
-        slope = (achievable_rate(c.eta0, x + h)
-                 - achievable_rate(c.eta0, x - h)) / (2 * h)
-        return c.nb.rate * np.exp(-c.nb.rate * x) / abs(slope)
+    scale = p.ccov_threshold(1.0)
 
     def j_smooth(q, r, w):
         return (q * r - w.lambda_cov * benchmark_ccov_cdf(c, q * scale)
-                - w.lambda_rel * rach_cdf(r))
+                - w.lambda_rel * bench_rach_cdf(c, r))
 
     rng = np.random.default_rng(42)
     worst = 0.0
@@ -224,7 +201,7 @@ def test_criterion_09_first_order_conditions():
         w = RiskWeights(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
         res_q, res_r = foc_residual(st, w, p,
                                     lambda x: benchmark_ccov_density(c, x),
-                                    rach_density)
+                                    lambda r: bench_rach_density(c, r))
         hq, hr = st.q * 1e-4, st.r * 1e-4
         fd_q = (j_smooth(st.q + hq, st.r, w) - j_smooth(st.q - hq, st.r, w)) / (2 * hq)
         fd_r = (j_smooth(st.q, st.r + hr, w) - j_smooth(st.q, st.r - hr, w)) / (2 * hr)
@@ -241,14 +218,6 @@ def test_criterion_10_sensitivity_dominance(baseline_set, benchmark_set,
     dominance = all(pt.s_cov >= 100.0 * pt.s_rel for pt in points)
     min_ratio = min(pt.s_cov / pt.s_rel for pt in points if pt.s_rel > 0)
 
-    def bench_rach_density(r):
-        x = brentq(lambda v: achievable_rate(benchmark_channel.eta0, v) - r,
-                   1e-12, 10.0)
-        h = 1e-7
-        slope = (achievable_rate(benchmark_channel.eta0, x + h)
-                 - achievable_rate(benchmark_channel.eta0, x - h)) / (2 * h)
-        return benchmark_channel.nb.rate * np.exp(-benchmark_channel.nb.rate * x) / abs(slope)
-
     worst = 0.0
     for pt in sensitivities_symmetric(benchmark_set, protocol,
                                       [0.05, 0.1, 0.2, 0.35, 0.5]):
@@ -258,7 +227,7 @@ def test_criterion_10_sensitivity_dominance(baseline_set, benchmark_set,
             benchmark_channel,
             benchmark_ccov_quantile(benchmark_channel, pt.eps))
         s_cov, s_rel = sensitivity_formula(q_max, r_max, protocol, pt.eps,
-                                           f_cov, bench_rach_density(r_max),
+                                           f_cov, bench_rach_density(benchmark_channel, r_max),
                                            capped=False)
         worst = max(worst, abs(pt.s_cov - s_cov) / s_cov,
                     abs(pt.s_rel - s_rel) / s_rel)

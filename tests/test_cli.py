@@ -869,6 +869,33 @@ def test_sample_csv_naming_the_cache_is_config_error(tmp_path, capsys, monkeypat
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command, how", [
+    ("optimize", "out"), ("optimize", "default_name"), ("sample", "out"), ("sample", "csv"),
+])
+def test_output_naming_the_config_is_config_error(tmp_path, capsys, monkeypatch,
+                                                  command, how):
+    # Writing an output over the config it was read from would destroy the
+    # config.  Refused before any sampling: exit 2, the config keeps its
+    # bytes and nothing is written.
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    config = out_dir / "optimize.csv"
+    config.write_text('{"sampling": {"k": 100}}')
+    before = config.read_bytes()
+    if how == "default_name":
+        argv = ["--output-dir", str(out_dir)]
+    else:
+        argv = [f"--{how}", str(config)]
+    refuse_to_sample(monkeypatch)
+    assert run(command, "--config", str(config), *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    second = "--csv" if how == "csv" else "the output"
+    assert captured.err.startswith(f"config error: --config and {second} name the same file")
+    assert config.read_bytes() == before
+    assert list(out_dir.iterdir()) == [config]
+
+
 def test_distinct_outputs_and_caches_still_run(tmp_path):
     # Files that differ only in name, or share a directory, are still fine.
     cache = tmp_path / "c.cqcs"
@@ -877,6 +904,9 @@ def test_distinct_outputs_and_caches_still_run(tmp_path):
     assert run("optimize", "--cache", str(cache), "--out", str(tmp_path / "c.cqcs.csv")) == 0
     assert run("optimize", "--cache", str(cache), "--output-dir", str(tmp_path)) == 0
     assert (tmp_path / "optimize.csv").exists()
+    config = tmp_path / "c.json"
+    config.write_text('{"sampling": {"k": 100}}')
+    assert run("optimize", "--config", str(config), "--out", str(tmp_path / "c.json.csv")) == 0
 
 
 @pytest.mark.parametrize("left", [0, 100])

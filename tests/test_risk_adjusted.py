@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from covertq import (
     BenchmarkChannelSpec,
@@ -13,9 +12,7 @@ from covertq import (
     GridSpec,
     ProtocolParams,
     RiskWeights,
-    SampleSet,
     Strategy,
-    achievable_rate,
     benchmark_ccov_cdf,
     benchmark_ccov_density,
     foc_residual,
@@ -32,13 +29,7 @@ from covertq.risk_adjusted import (
     _sparse_q_bound,
 )
 
-DIGEST = b"\x00" * 32
-
-
-def synthetic_set(ccov, rach, seed=0):
-    ccov = np.sort(np.asarray(ccov, dtype=float))
-    rach = np.sort(np.asarray(rach, dtype=float))
-    return SampleSet(ccov=ccov, rach=rach, seed=seed, channel_digest=DIGEST)
+from conftest import bench_rach_cdf, bench_rach_density, synthetic_set
 
 
 # ---------------------------------------------------------------------------
@@ -627,24 +618,11 @@ def test_foc_residual_matches_smooth_objective_gradient():
     # must agree with central finite differences of J itself.
     c = BenchmarkChannelSpec(eta0=0.9, nb=ExponentialSpec(10.0))
     p = ProtocolParams(n=10**7, delta=0.05)
-    scale = np.sqrt(p.n) / (2.0 * p.delta)
-
-    def x_inv(r):
-        return brentq(lambda x: achievable_rate(c.eta0, x) - r, 1e-12, 10.0)
-
-    def rach_cdf(r):
-        # P[R_ach < r] = P[nb > x_inv(r)] for a strictly decreasing rate.
-        return np.exp(-c.nb.rate * x_inv(r))
-
-    def rach_density(r):
-        x = x_inv(r)
-        h = 1e-7
-        slope = (achievable_rate(c.eta0, x + h) - achievable_rate(c.eta0, x - h)) / (2 * h)
-        return c.nb.rate * np.exp(-c.nb.rate * x) / abs(slope)
+    scale = p.ccov_threshold(1.0)
 
     def j_smooth(q, r, w):
         return (q * r - w.lambda_cov * benchmark_ccov_cdf(c, q * scale)
-                - w.lambda_rel * rach_cdf(r))
+                - w.lambda_rel * bench_rach_cdf(c, r))
 
     rng = np.random.default_rng(42)
     for _ in range(10):
@@ -653,7 +631,7 @@ def test_foc_residual_matches_smooth_objective_gradient():
         res_q, res_r = foc_residual(
             st, w, p,
             lambda x: benchmark_ccov_density(c, x),
-            rach_density,
+            lambda r: bench_rach_density(c, r),
         )
         hq = st.q * 1e-4
         hr = st.r * 1e-4

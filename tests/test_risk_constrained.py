@@ -7,7 +7,6 @@ from covertq import (
     OptimumReport,
     ProtocolParams,
     RiskBudgets,
-    SampleSet,
     benchmark_qmax,
     benchmark_rmax,
     decade_gains,
@@ -20,13 +19,7 @@ from covertq import (
 from covertq.quantiles import order_index
 from covertq.risk_constrained import DECADE_BUDGETS, InvariantError
 
-DIGEST = b"\0" * 32
-
-
-def synthetic_set(ccov, rach, seed=0):
-    ccov = np.sort(np.asarray(ccov, dtype=float))
-    rach = np.sort(np.asarray(rach, dtype=float))
-    return SampleSet(ccov=ccov, rach=rach, seed=seed, channel_digest=DIGEST)
+from conftest import synthetic_set
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,12 @@
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from covertq import (
     ProtocolParams,
     RiskBudgets,
-    SampleSet,
     SensitivityPoint,
     SingularSensitivityError,
-    achievable_rate,
     benchmark_ccov_density,
     benchmark_ccov_quantile,
     benchmark_qmax,
@@ -20,23 +17,7 @@ from covertq import (
     sensitivity_formula,
 )
 
-DIGEST = b"\x00" * 32
-
-
-def synthetic_set(ccov, rach, seed=0):
-    ccov = np.sort(np.asarray(ccov, dtype=float))
-    rach = np.sort(np.asarray(rach, dtype=float))
-    return SampleSet(ccov=ccov, rach=rach, seed=seed, channel_digest=DIGEST)
-
-
-def bench_rach_density(channel, r):
-    # R_ach(nb) is strictly decreasing, so the density of the rate at r is
-    # the exponential density at the inverted noise level over |dR/dnb|.
-    x = brentq(lambda v: achievable_rate(channel.eta0, v) - r, 1e-12, 10.0)
-    h = 1e-7
-    slope = (achievable_rate(channel.eta0, x + h)
-             - achievable_rate(channel.eta0, x - h)) / (2 * h)
-    return channel.nb.rate * np.exp(-channel.nb.rate * x) / abs(slope)
+from conftest import bench_rach_density, synthetic_set
 
 
 # ---------------------------------------------------------------------------

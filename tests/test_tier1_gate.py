@@ -14,16 +14,17 @@ import pytest
 GATE = Path(__file__).resolve().parents[1] / ".github" / "scripts" / "tier1_gate.py"
 
 CRITERION_10 = ("tests.test_acceptance", "test_criterion_10_sensitivity_dominance")
-REFERENCE = [("tests.test_reference_bytes",
-              f"test_artifacts_match_reference_hashes[{workload}]")
-             for workload in ("query-sweeps", "cli-cold")]
-TRACER_SITES = [("tests.test_perfbench_sites", name)
-                for name in ("test_tracer_call_sites_exist", "test_tracer_counts_a_traced_pass",
-                             "test_tracer_sees_sensitivity_stencil",
-                             "test_tracer_counts_every_writer")]
-WRITER_EQUIVALENCE = [("tests.test_csvio", name)
-                      for name in ("test_write_csv_matches_format_cell",
-                                   "test_write_csv_memo_and_joined_rows_match_csv_writer")]
+# Each case the gate requires by name, with the check it guards.
+REQUIRED = {
+    **{("tests.test_reference_bytes", f"test_artifacts_match_reference_hashes[{workload}]"):
+       "reference bytes" for workload in ("query-sweeps", "cli-cold")},
+    **{("tests.test_perfbench_sites", name): "tracer sites"
+       for name in ("test_tracer_call_sites_exist", "test_tracer_counts_a_traced_pass",
+                    "test_tracer_sees_sensitivity_stencil", "test_tracer_counts_every_writer")},
+    **{("tests.test_csvio", name): "writer equivalence"
+       for name in ("test_write_csv_matches_format_cell",
+                    "test_write_csv_memo_and_joined_rows_match_csv_writer")},
+}
 PASSING = ("tests.test_cli", "test_config_error_exits")
 
 
@@ -49,9 +50,8 @@ def report(tmp_path, cases):
 
 
 def expected_cases():
-    return [(*CRITERION_10, "failure"), *((*ref, None) for ref in REFERENCE),
-            *((*site, None) for site in TRACER_SITES),
-            *((*case, None) for case in WRITER_EQUIVALENCE), (*PASSING, None)]
+    return [(*CRITERION_10, "failure"), *((*case, None) for case in REQUIRED),
+            (*PASSING, None)]
 
 
 def verdict(gate, tmp_path, capsys, cases):
@@ -88,25 +88,30 @@ def test_a_skip_fails_and_is_named(gate, tmp_path, capsys):
     assert "skipped: tests.test_cli::test_skipped_one" in out
 
 
-@pytest.mark.parametrize("missing", REFERENCE, ids=lambda case: case[1])
+def guarding(check):
+    return pytest.mark.parametrize(
+        "missing", [case for case, guard in REQUIRED.items() if guard == check],
+        ids=lambda case: case[1])
+
+
+def assert_missing_case_fails(gate, tmp_path, capsys, missing):
+    cases = [case for case in expected_cases() if case[:2] != missing]
+    rc, out = verdict(gate, tmp_path, capsys, cases)
+    assert rc == 1
+    assert f"{REQUIRED[missing]} not checked: {missing[0]}::{missing[1]} missing" in out
+
+
+# One test per check, so each keeps its name in the suite's reports.
+@guarding("reference bytes")
 def test_a_missing_reference_case_fails(gate, tmp_path, capsys, missing):
-    cases = [case for case in expected_cases() if case[:2] != missing]
-    rc, out = verdict(gate, tmp_path, capsys, cases)
-    assert rc == 1
-    assert f"reference bytes not checked: {missing[0]}::{missing[1]} missing" in out
+    assert_missing_case_fails(gate, tmp_path, capsys, missing)
 
 
-@pytest.mark.parametrize("missing", TRACER_SITES, ids=lambda case: case[1])
+@guarding("tracer sites")
 def test_a_missing_tracer_site_case_fails(gate, tmp_path, capsys, missing):
-    cases = [case for case in expected_cases() if case[:2] != missing]
-    rc, out = verdict(gate, tmp_path, capsys, cases)
-    assert rc == 1
-    assert f"tracer sites not checked: {missing[0]}::{missing[1]} missing" in out
+    assert_missing_case_fails(gate, tmp_path, capsys, missing)
 
 
-@pytest.mark.parametrize("missing", WRITER_EQUIVALENCE, ids=lambda case: case[1])
+@guarding("writer equivalence")
 def test_a_missing_writer_equivalence_case_fails(gate, tmp_path, capsys, missing):
-    cases = [case for case in expected_cases() if case[:2] != missing]
-    rc, out = verdict(gate, tmp_path, capsys, cases)
-    assert rc == 1
-    assert f"writer equivalence not checked: {missing[0]}::{missing[1]} missing" in out
+    assert_missing_case_fails(gate, tmp_path, capsys, missing)

@@ -16,15 +16,12 @@ default permissions, a hard link to the old one keeps the old bytes, and
 the directory must be writable.  Anything else, such as /dev/null or a FIFO,
 is opened for writing as it is.
 
-Floats are written with repr's shortest round-trip form ('.' decimal
-separator, full binary64 fidelity), booleans as true/false, missing values
-as empty fields.  Identical inputs therefore produce byte-identical files.
-
-format_cell defines a cell's text.  write_csv looks each cell's exact type
-up in a table that holds, for the types the CLI emits (float,
-numpy.float64, bool, numpy.bool_, int, str), a function returning the same
-string format_cell does without its abstract-base-class checks; any other
-type, subclasses included, goes through format_cell itself.
+_TEXT_BY_TYPE defines a cell's text, keyed by the cell's exact type: floats
+and numpy.float64 in repr's shortest round-trip form ('.' decimal separator,
+full binary64 fidelity), ints in decimal, booleans as true/false, strings as
+they are and None as an empty field.  Identical inputs therefore produce
+byte-identical files.  A cell of any other type, a subclass or another numpy
+scalar included, raises TypeError naming its type.
 
 Sweeps repeat few distinct floats (weights, grid points, budgets) across
 many rows, so write_csv formats each one once: a float or numpy.float64
@@ -32,49 +29,35 @@ cell takes its text from a memo keyed by value that lives for one call.
 Zeros are never stored (0.0 and -0.0 are equal keys with different texts),
 and the memo is cleared when it holds _MEMO_TEXTS texts, so a large export
 of distinct values keeps at most that many.  A row whose cells are all
-float, numpy.float64, int, bool or numpy.bool_ is written as its texts
-joined by commas: such text holds no delimiter, quote or line break, so
-csv.writer would write the same bytes.  Any other row goes through
-csv.writer.
+float, numpy.float64, int or bool is written as its texts joined by commas:
+such text holds no delimiter, quote or line break, so csv.writer would write
+the same bytes.  A row that holds a str or None goes through csv.writer.
 """
 
 from __future__ import annotations
 
 import csv
-import numbers
 import os
 
 import numpy as np
 
-__all__ = ["format_cell", "write_csv"]
-
-
-def format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, numbers.Integral):
-        return str(int(value))
-    if isinstance(value, numbers.Real):
-        return repr(float(value))
-    return str(value)
+__all__ = ["write_csv"]
 
 
 # float.__repr__ is repr(float(v)) for a float or a numpy.float64 (a float
 # subclass); int.__repr__ is str(int(v)) for an int.
-_BOOL_TEXT = {True: "true", False: "false"}.__getitem__
-_FORMAT_BY_TYPE = {
+_TEXT_BY_TYPE = {
     float: float.__repr__,
     np.float64: float.__repr__,
-    bool: _BOOL_TEXT,
-    np.bool_: _BOOL_TEXT,
     int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
     str: str,
+    type(None): lambda _: "",
 }
 
-# Types whose text never needs quoting: a row of these is joined directly.
-_PLAIN = frozenset({float, np.float64, int, bool, np.bool_})
+# The non-float types whose text never needs quoting: a row of these and
+# floats is joined directly.
+_PLAIN = frozenset({int, bool})
 
 # The memo's bound.  Every default CSV holds fewer distinct floats: the
 # 20 x 20 surface, the largest, holds under 900.
@@ -96,11 +79,12 @@ def unlink_regular_file(path) -> None:
 def write_csv(path, columns, rows, source) -> None:
     """Write rows (iterables of cells) under source's provenance + a header.
 
-    Rows are read once, in order.  Float texts come from a per-call memo of
-    at most _MEMO_TEXTS entries, and a row of plain numbers and booleans is
-    joined without csv.writer; the bytes are csv.writer's either way.
+    Rows are read once, in order.  Each cell's text comes from _TEXT_BY_TYPE
+    (TypeError for a type it lacks), float texts through a per-call memo of
+    at most _MEMO_TEXTS entries, and a row of numbers and booleans is joined
+    without csv.writer; the bytes are csv.writer's either way.
     """
-    fmt = _FORMAT_BY_TYPE.get
+    text_of = _TEXT_BY_TYPE.get
     memo = {}
     cached = memo.get
     unlink_regular_file(path)
@@ -123,8 +107,12 @@ def write_csv(path, columns, rows, source) -> None:
                                 memo.clear()
                             memo[cell] = text
                 else:
+                    to_text = text_of(kind)
+                    if to_text is None:
+                        raise TypeError("no CSV text for a cell of type "
+                                        f"{kind.__module__}.{kind.__qualname__}")
                     plain = plain and kind in _PLAIN
-                    text = fmt(kind, format_cell)(cell)
+                    text = to_text(cell)
                 texts.append(text)
             if plain:
                 write(",".join(texts) + "\n")

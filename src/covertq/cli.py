@@ -35,7 +35,7 @@ say.  Identical configs reproduce byte-identical files.
 Exit codes: 0 success; 2 configuration error: any out-of-range config value
 (sweep bounds and weights included, checked before any sampling; NaN and
 Infinity are out of range for every key), a size (sampling.k, grid_points)
-whose arrays cannot be allocated, an unreadable, undecodable, non-JSON or
+whose arrays numpy refuses to allocate, an unreadable, undecodable, non-JSON or
 too deeply nested config file, argparse errors, a cache whose channel
 digest contradicts the config, and an output (--out or the default name,
 and sample's --csv) that names an input (--config, --cache) or the other
@@ -159,10 +159,6 @@ class RunConfig:
 
     channel: ChannelSpec
     protocol: ProtocolParams
-    K: int
-    seed: int
-    channel_digest: bytes
-    workers: int
     budgets: RiskBudgets
     raw: dict
     output_dir: Path
@@ -276,23 +272,17 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if out_dir is None:
         out_dir = os.environ.get(OUTPUT_DIR_ENV, ".")
 
-    k = raw["sampling"]["k"]
-    seed = raw["sampling"]["seed"]
-    workers = raw["sampling"]["workers"]
+    # Checked here, before any load; _obtain_samples reads them.
+    k, seed, workers = (raw["sampling"][key] for key in ("k", "seed", "workers"))
     if k < 1:
         raise ConfigError(f"sampling.k must be >= 1, got {k}")
     if not 0 <= seed < 2**64:
         raise ConfigError(f"sampling.seed must lie in [0, 2**64), got {seed}")
     if workers < 1:
         raise ConfigError(f"sampling.workers must be >= 1, got {workers}")
-    channel = _build_channel(raw["channel"])
     return RunConfig(
-        channel=channel,
+        channel=_build_channel(raw["channel"]),
         protocol=ProtocolParams(n=raw["protocol"]["n"], delta=raw["protocol"]["delta"]),
-        K=k,
-        seed=seed,
-        channel_digest=channel_digest(channel),
-        workers=workers,
         budgets=RiskBudgets(
             eps_cov=raw["budgets"]["eps_cov"], eps_rel=raw["budgets"]["eps_rel"]
         ),
@@ -303,8 +293,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _obtain_samples(cfg: RunConfig, cache=None) -> SampleSet:
     if cache:
-        return load_sample_set(cache, expected_digest=cfg.channel_digest)
-    return generate_sample_set(cfg.channel, cfg.K, cfg.seed, workers=cfg.workers)
+        return load_sample_set(cache, expected_digest=channel_digest(cfg.channel))
+    sampling = cfg.raw["sampling"]
+    return generate_sample_set(cfg.channel, sampling["k"], sampling["seed"],
+                               workers=sampling["workers"])
 
 
 def _log_grid(cfg: RunConfig, section: str,

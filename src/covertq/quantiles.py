@@ -51,6 +51,8 @@ def order_index(eps: float, K: int) -> int:
     """
     if not 0 <= eps < 1:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     t = float(eps) * K
     nearest = round(t)
     return nearest if abs(t - nearest) <= math.ulp(t) else math.floor(t)
@@ -64,12 +66,16 @@ def strict_cdf(samples: np.ndarray, x):
     samples : ndarray
         Nonempty array sorted ascending (+inf entries allowed at the top).
     x : float or ndarray
-        Threshold(s); -inf gives 0, anything above the maximum gives 1.
+        Threshold(s); -inf gives 0, anything above the maximum gives 1, and
+        NaN raises ValueError.
     """
     samples = np.asarray(samples)
     if samples.size == 0:
         raise ValueError("samples must be nonempty")
-    counts = np.searchsorted(samples, np.asarray(x), side="left")
+    x = np.asarray(x)
+    if np.isnan(x).any():
+        raise ValueError("thresholds must not be NaN")
+    counts = np.searchsorted(samples, x, side="left")
     out = counts / samples.size
     return float(out) if np.ndim(x) == 0 else out
 

@@ -593,14 +593,17 @@ def test_config_error_exits(tmp_path, capsys):
                "--out", str(tmp_path / "x.csv")) == 2
 
 
+def refuse_to_sample(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a set was loaded or drawn")
+    monkeypatch.setattr(cli, "load_sample_set", fail)
+    monkeypatch.setattr(cli, "generate_sample_set", fail)
+
+
 def test_sweep_inputs_checked_before_sampling(tmp_path, monkeypatch, capsys):
     # A bad sweep bound, grid size or fixed weight must fail before any
     # sample set is generated or loaded.
-    def no_samples(*args, **kwargs):
-        raise AssertionError("sampled before the sweep inputs were checked")
-
-    monkeypatch.setattr(cli, "generate_sample_set", no_samples)
-    monkeypatch.setattr(cli, "load_sample_set", no_samples)
+    refuse_to_sample(monkeypatch)
     cases = [
         (("frontier", "--eps-min", "0"), "frontier.eps_min <= frontier.eps_max"),
         (("frontier", "--eps-min", "0.5", "--eps-max", "0.1"),
@@ -645,11 +648,7 @@ def test_scaling_and_validate_inputs_checked_before_sampling(tmp_path, monkeypat
                                                              capsys):
     # A bad frame length or budget must fail before any sample set is
     # generated or loaded.
-    def no_samples(*args, **kwargs):
-        raise AssertionError("sampled before the inputs were checked")
-
-    monkeypatch.setattr(cli, "generate_sample_set", no_samples)
-    monkeypatch.setattr(cli, "load_sample_set", no_samples)
+    refuse_to_sample(monkeypatch)
     cache = str(tmp_path / "never-read.cqcs")
     cases = [
         ({"scaling": {"n_values": [0]}}, "scaling", "n must be a positive integer"),
@@ -696,10 +695,6 @@ def test_unallocatable_size_is_config_error(tmp_path, monkeypatch, capsys):
         assert "Traceback" not in err
 
 
-def no_samples(*args, **kwargs):
-    raise AssertionError("sampled before the inputs were checked")
-
-
 @pytest.mark.parametrize("argv", [
     ("optimize", "--n", "1e30"),
     ("scaling", "--n-values", "1e30"),
@@ -709,7 +704,7 @@ def no_samples(*args, **kwargs):
 def test_frame_length_beyond_uint64_is_config_error(tmp_path, monkeypatch, capsys, argv):
     # np.sqrt cannot take an integer n >= 2**64; these once ended in a
     # TypeError traceback after sampling.
-    monkeypatch.setattr(cli, "generate_sample_set", no_samples)
+    refuse_to_sample(monkeypatch)
     out = tmp_path / "x.csv"
     assert run(*argv, "--k", "500", "--out", str(out)) == 2
     err = capsys.readouterr().err
@@ -732,7 +727,7 @@ def test_json_boolean_for_a_number_is_config_error(tmp_path, monkeypatch, capsys
                                                    section, command, key):
     # int() and float() take true as 1, so these once ran at K = 1,
     # sigma_ln = 1.0 or n = 1 and exited 0.
-    monkeypatch.setattr(cli, "generate_sample_set", no_samples)
+    refuse_to_sample(monkeypatch)
     out = tmp_path / "x.csv"
     assert run(command, "--config", write_config(tmp_path, section),
                "--out", str(out)) == 2
@@ -806,13 +801,6 @@ CACHE_COMMANDS = [("optimize", "optimize.csv"), ("frontier", "frontier.csv"),
                   ("surface", "surface.csv"), ("scaling", "scaling.csv"),
                   ("decade-gains", "decade_gains.csv"), ("risk-adjusted", "risk_adjusted.csv"),
                   ("sensitivity", "sensitivity.csv")]
-
-
-def refuse_to_sample(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("a set was loaded or drawn")
-    monkeypatch.setattr(cli, "load_sample_set", fail)
-    monkeypatch.setattr(cli, "generate_sample_set", fail)
 
 
 @pytest.mark.parametrize("how", ["out", "symlink", "default_name", "missing_cache"])

@@ -74,6 +74,11 @@ def test_strict_cdf_infinite_samples():
 def test_strict_cdf_empty_rejected():
     with pytest.raises(ValueError):
         strict_cdf(np.array([]), 1.0)
+    # A NaN threshold, alone or inside an array, is refused too: every
+    # sample would otherwise count as below it.
+    for x in (float("nan"), np.float64("nan"), np.array([0.5, np.nan, 2.0])):
+        with pytest.raises(ValueError, match="NaN"):
+            strict_cdf(np.array([1.0, 2.0]), x)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +162,9 @@ def test_quantile_validation():
         strict_outage_quantile(np.array([1.0]), 1.0)
     with pytest.raises(ValueError):
         strict_outage_quantile(np.array([1.0]), -0.1)
+    for K in (0, -5):
+        with pytest.raises(ValueError, match=f"K must be >= 1, got {K}"):
+            order_index(0.1, K)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,9 @@ probabilities: Phi(alpha) rounds to 1 about 8 sigma out, Phi(-alpha) does
 not.  A law whose tail mass is below the smallest normal double (about
 37.5 sigma out) cannot be sampled; its sampler and CDF raise ValueError.
 
-scipy.special (ndtr, ndtri) is imported inside the samplers and CDFs that
-call it, not at module scope: its import takes about 0.3 s (half of a cold
-`import covertq.cli` on a 2-core Xeon VM), and a query on a cached sample
-set never draws.
+The samplers and CDFs read scipy's ndtr and ndtri through `_special`,
+which loads them on first use without scipy.special's package init: a
+query on a cached sample set never draws, and loads neither.
 """
 
 from __future__ import annotations
@@ -28,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _special
 
 __all__ = [
     "TruncatedLognormalSpec",
@@ -143,14 +144,12 @@ def _gaussian_tail_map(spec: TruncatedGaussianSpec):
     # probabilities of sign*(x - mu)/sigma.  An interval above the mean
     # (alpha > 0) is mirrored into the lower tail, where the probabilities
     # keep their precision instead of rounding to 1.
-    from scipy.special import ndtr
-
     alpha = (spec.lower - spec.mu) / spec.sigma
     beta = (spec.upper - spec.mu) / spec.sigma
     if alpha > 0:
-        p_lo, p_hi, sign = ndtr(-beta), ndtr(-alpha), -1.0
+        p_lo, p_hi, sign = _special.ndtr(-beta), _special.ndtr(-alpha), -1.0
     else:
-        p_lo, p_hi, sign = ndtr(alpha), ndtr(beta), 1.0
+        p_lo, p_hi, sign = _special.ndtr(alpha), _special.ndtr(beta), 1.0
     return p_lo, _representable(p_hi, spec), sign
 
 
@@ -177,21 +176,19 @@ def sample_truncated_lognormal(
     """
     # Each step below overwrites the uniforms in place, in the order of
     # min(exp(mu + sigma * ndtri(p_hi * (1 - u))), 1): same ufuncs, same bits.
-    from scipy.special import ndtr, ndtri
-
     x = stream_uniforms(seed, start, count)
     # Truncated region in probability space is (0, p_hi] with
     # p_hi = Phi((ln 1 - mu)/sigma).  Mapping through (1 - u) keeps the
     # left edge open: u in [0, 1) lands in (0, p_hi], so no sample can
     # collapse to 0 while exact 1.0 stays reachable at u = 0.
-    p_hi = _representable(ndtr((0.0 - spec.mu_ln) / spec.sigma_ln), spec)
+    p_hi = _representable(_special.ndtr((0.0 - spec.mu_ln) / spec.sigma_ln), spec)
     np.subtract(1.0, x, out=x)
     np.multiply(p_hi, x, out=x)
     # ndtri is SciPy's Cephes rational-approximation normal quantile,
     # accurate to well below 1e-9 relative error over (1e-12, 1 - 1e-12).
     # The minimum absorbs the last-ulp excess of the ndtri/ndtr roundtrip
     # at u = 0; values strictly inside (0, 1) are untouched.
-    ndtri(x, out=x)
+    _special.ndtri(x, out=x)
     np.multiply(spec.sigma_ln, x, out=x)
     np.add(spec.mu_ln, x, out=x)
     np.exp(x, out=x)
@@ -211,13 +208,11 @@ def sample_truncated_gaussian(
     already inside the interval.
     """
     # In place, in the order of mu + sign*sigma * ndtri(p_lo + (p_hi - p_lo) * u).
-    from scipy.special import ndtri
-
     x = stream_uniforms(seed, start, count)
     p_lo, p_hi, sign = _gaussian_tail_map(spec)
     np.multiply(p_hi - p_lo, x, out=x)
     np.add(p_lo, x, out=x)
-    ndtri(x, out=x)
+    _special.ndtri(x, out=x)
     np.multiply(sign * spec.sigma, x, out=x)
     np.add(spec.mu, x, out=x)
     return np.clip(x, spec.lower, spec.upper, out=x)
@@ -238,26 +233,23 @@ def sample_exponential(
 
 def truncated_lognormal_cdf(spec: TruncatedLognormalSpec, x) -> np.ndarray:
     """CDF of the truncated law on (0, 1]; 0 below support, 1 above."""
-    from scipy.special import ndtr
-
     x = np.asarray(x, dtype=float)
-    p_hi = _representable(ndtr((0.0 - spec.mu_ln) / spec.sigma_ln), spec)
+    p_hi = _representable(_special.ndtr((0.0 - spec.mu_ln) / spec.sigma_ln), spec)
     with np.errstate(divide="ignore"):
-        raw = ndtr((np.log(np.maximum(x, np.finfo(float).tiny)) - spec.mu_ln) / spec.sigma_ln)
+        raw = _special.ndtr(
+            (np.log(np.maximum(x, np.finfo(float).tiny)) - spec.mu_ln) / spec.sigma_ln)
     out = np.clip(raw / p_hi, 0.0, 1.0)
     return np.where(x <= 0, 0.0, np.where(x >= 1, 1.0, out))
 
 
 def truncated_gaussian_cdf(spec: TruncatedGaussianSpec, x) -> np.ndarray:
     """CDF of the Gaussian truncated to [lower, upper]."""
-    from scipy.special import ndtr
-
     x = np.asarray(x, dtype=float)
     p_lo, p_hi, sign = _gaussian_tail_map(spec)
     if sign > 0:
-        raw = (ndtr((x - spec.mu) / spec.sigma) - p_lo) / (p_hi - p_lo)
+        raw = (_special.ndtr((x - spec.mu) / spec.sigma) - p_lo) / (p_hi - p_lo)
     else:
-        raw = (p_hi - ndtr((spec.mu - x) / spec.sigma)) / (p_hi - p_lo)
+        raw = (p_hi - _special.ndtr((spec.mu - x) / spec.sigma)) / (p_hi - p_lo)
     out = np.clip(raw, 0.0, 1.0)
     return np.where(x < spec.lower, 0.0, np.where(x >= spec.upper, 1.0, out))
 

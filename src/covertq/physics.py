@@ -19,15 +19,17 @@ that overflows at extreme finite nb (past about 1e154) becomes +inf with no
 warning: c_cov is then +inf, which caps q at 1 as its true value would, and
 the depolarizing probability is 1, its limit.
 
-scipy.special.xlogy is imported inside the entropy kernel, not at module
-scope, as in distributions: only achievable_rate needs it (sample
-generation and the benchmark closed forms), and a query on a cached sample
-set should not pay for the import.
+scipy's xlogy is read through `_special`, which loads it on first use
+without scipy.special's package init, as in distributions: only
+achievable_rate needs it (sample generation and the benchmark closed
+forms), and a query on a cached sample set loads no scipy.special module.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import _special
 
 __all__ = [
     "covertness_constant",
@@ -105,13 +107,11 @@ def _entropy_into(p, tmp):
     # Shannon entropy in bits of the Pauli vector [1-3p/4, p/4, p/4, p/4],
     # -(xlogy(a, a) + 3*xlogy(b, b))/ln 2, written over p with a in tmp;
     # xlogy supplies the 0*log 0 = 0 convention at p = 0.
-    from scipy.special import xlogy
-
     np.multiply(0.75, p, out=tmp)
     np.subtract(1.0, tmp, out=tmp)
     np.multiply(0.25, p, out=p)
-    xlogy(tmp, tmp, out=tmp)
-    xlogy(p, p, out=p)
+    _special.xlogy(tmp, tmp, out=tmp)
+    _special.xlogy(p, p, out=p)
     np.multiply(3.0, p, out=p)
     np.add(tmp, p, out=p)
     np.negative(p, out=p)

@@ -14,7 +14,9 @@ write_csv's float memo and joined rows with csv.writer, and the
 fresh-process cases of the scipy.special ufunc load: no load on import or a
 cached query, the same ufuncs as the full package, its fallback, a
 concurrent `import scipy.special`, and the same bytes as an in-process
-generation (renaming or deleting one must fail here, not pass silently).
+generation; and the three memory-bound cases, which keep a cache load free of
+K-sized temporaries and generation within three block arrays per worker
+(renaming or deleting one must fail here, not pass silently).
 CI installs the versions perfbench/reference.json records, so nothing
 should skip there: a skip can only be a check dropped silently, such as a
 skipif whose condition drifted.
@@ -48,6 +50,10 @@ REQUIRED = {
                     "test_generating_run_loads_only_the_ufuncs_and_writes_the_same_bytes",
                     *(f"tests.test_cli::test_first_generation_in_two_threads_matches_one[{kind}]"
                       for kind in ("stochastic", "benchmark")))},
+    **{f"tests.test_samples::{name}": "memory bound"
+       for name in ("test_load_peak_memory_is_not_k_sized",
+                    *(f"test_generation_peak_memory_per_worker[{workers}]"
+                      for workers in (1, 2)))},
 }
 
 

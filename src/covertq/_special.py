@@ -13,8 +13,13 @@ loads numpy.f2py and numpy.testing.  The ufuncs live in the compiled
   throughout, so an `import scipy.special` in another thread waits and then
   runs the real package init.  That init reuses the loaded `_ufuncs` and so
   exports the same objects.  The compiled modules `_ufuncs` itself imports
-  (`_ufuncs_cxx` and three more in scipy 1.17.1) stay in sys.modules, but
-  are not attributes of the real package.
+  (`_ufuncs_cxx` and three more in scipy 1.17.1) stay in sys.modules.
+  importlib made them attributes of the placeholder only, so a one-shot
+  finder, put on sys.meta_path while the lock is held, hands them to the
+  real package when it is imported later: it finds the package's spec
+  through the other finders and sets each submodule already loaded as an
+  attribute just before the package init runs, where a clean import would
+  have set it.
 * **Fallback.** If the placeholder load raises ImportError, as it may on a
   scipy layout other than 1.17.1's, the plain import is used.
 
@@ -63,6 +68,33 @@ def _ufuncs_module():
         del sys.modules[_PACKAGE]
 
 
+class _AdoptSubmodules:
+    # The one-shot finder described in the module docstring.
+
+    def find_spec(self, fullname, path=None, target=None):
+        if fullname != _PACKAGE:
+            return None
+        sys.meta_path.remove(self)
+        spec = importlib.util.find_spec(fullname)
+        if spec is None:
+            return None
+        loader = spec.loader
+        prefix = _PACKAGE + "."
+        submodules = {name[len(prefix):]: module for name, module in sys.modules.items()
+                      if name.startswith(prefix) and "." not in name[len(prefix):]}
+
+        def exec_module(module):
+            del loader.exec_module  # back to the loader's own method
+            vars(module).update(submodules)
+            loader.exec_module(module)
+
+        loader.exec_module = exec_module
+        return spec
+
+
+_ADOPT = _AdoptSubmodules()
+
+
 def _exported(module) -> dict:
     return {name: getattr(module, name) for name in __all__}
 
@@ -71,9 +103,13 @@ def _load() -> dict:
     with _bootstrap._ModuleLockManager(_PACKAGE):
         if _PACKAGE not in sys.modules:
             try:
-                return _exported(_ufuncs_module())
+                exported = _exported(_ufuncs_module())
             except ImportError:
                 pass
+            else:
+                if _ADOPT not in sys.meta_path:
+                    sys.meta_path.insert(0, _ADOPT)
+                return exported
     return _exported(importlib.import_module(_PACKAGE))
 
 

@@ -34,8 +34,9 @@ say.  Identical configs reproduce byte-identical files.
 
 Exit codes: 0 success; 2 configuration error: any out-of-range config value
 (sweep bounds and weights included, checked before any sampling; NaN and
-Infinity are out of range for every key), a size (sampling.k, grid_points)
-whose arrays numpy refuses to allocate, an unreadable, undecodable, non-JSON or
+Infinity are out of range for every key), a size (sampling.k, a points
+key, grid_points) whose arrays need more than the machine's physical memory
+or that numpy refuses to allocate, an unreadable, undecodable, non-JSON or
 too deeply nested config file, argparse errors, a cache whose channel
 digest contradicts the config, and an output (--out or the default name,
 and sample's --csv) that names an input (--config, --cache) or the other
@@ -151,6 +152,32 @@ DEFAULTS = {
     "sensitivity": {"eps_min": 1e-4, "eps_max": 1e-1, "points": 20},
     "output_dir": None,
 }
+
+
+# Bytes the arrays and result objects of each size key take per cell, and
+# the power of the key that counts cells.  A K-row sample set is two float64
+# arrays and the risk-adjusted grid one G x G float64 array; a surface or
+# heatmap of P points has P**2 cells, each a result object or a row of
+# Python floats.  The per-point figures are a command's tracemalloc peak per
+# added cell on a K = 1000 cache, rounded down, so a refusal never turns
+# away a size that fits.
+_SIZE_BYTES = {
+    "sampling.k": (16, 1),
+    "frontier.points": (310, 1),
+    "surface.points": (170, 2),
+    "sensitivity.points": (400, 1),
+    "risk_adjusted.grid_points": (8, 2),
+    "risk_adjusted.lambda_points": (240, 1),
+    "risk_adjusted.heatmap_points": (160, 2),
+}
+
+
+def _physical_memory() -> int | None:
+    # Bytes of physical memory, or None where the platform cannot say.
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 @dataclass(frozen=True)
@@ -280,6 +307,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"sampling.seed must lie in [0, 2**64), got {seed}")
     if workers < 1:
         raise ConfigError(f"sampling.workers must be >= 1, got {workers}")
+    # A size whose arrays cannot fit in memory is refused here, before any
+    # load or sampling: numpy might reserve it, and the kernel end the run.
+    memory = _physical_memory()
+    for key, (per_cell, power) in _SIZE_BYTES.items():
+        section, name = key.split(".")
+        size = raw[section][name]
+        need = per_cell * max(size, 0) ** power
+        if memory is not None and need > memory:
+            raise ConfigError(f"{key}={size} needs about {need} bytes, more than "
+                              f"the {memory} bytes of physical memory")
     return RunConfig(
         channel=_build_channel(raw["channel"]),
         protocol=ProtocolParams(n=raw["protocol"]["n"], delta=raw["protocol"]["delta"]),

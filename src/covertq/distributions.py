@@ -5,7 +5,9 @@ a Gaussian truncated to [0, b] (thermal photon number), and an exponential
 (benchmark noise).  A sampler call (spec, count, seed, start) reads the
 uniforms at stream positions [start, start + count) and maps each through
 the inverse CDF of the truncated law, so output i depends only on (spec,
-seed, start + i), never on the call pattern or the thread.
+seed, start + i), never on the call pattern or the thread.  Every sampler
+computes in place over its uniforms, so with ``out=`` a call fills a
+caller's buffer and allocates no array of its own.
 
 The uniform source is a counter-addressed stream: position space is split
 into fixed chunks and chunk c is generated from a PCG64 generator keyed by
@@ -101,15 +103,19 @@ class ExponentialSpec:
             raise ValueError(f"rate must be > 0, got {self.rate}")
 
 
-def stream_uniforms(seed: int, start: int, count: int) -> np.ndarray:
+def stream_uniforms(seed: int, start: int, count: int, out=None) -> np.ndarray:
     """Uniform doubles in [0, 1) at absolute positions [start, start + count).
 
     Chunk c holds positions [c*STREAM_CHUNK, (c+1)*STREAM_CHUNK) and is
     produced by PCG64 seeded from SeedSequence([seed, c]), so any partition
     of the position space reproduces the same concatenated output.
 
+    ``out``, if given, is a C-contiguous float64 array of shape (count,)
+    that is filled and returned instead of a new array.
+
     Raises ValueError for a seed outside [0, 2**64), which SeedSequence would
-    accept silently, and for a negative start or count.
+    accept silently, for a negative start or count, and for an ``out`` of
+    another shape, dtype or layout.
     """
     if not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
@@ -117,7 +123,12 @@ def stream_uniforms(seed: int, start: int, count: int) -> np.ndarray:
         raise ValueError(f"start must be >= 0, got {start}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    out = np.empty(count)
+    if out is None:
+        out = np.empty(count)
+    elif (out.shape != (count,) or out.dtype != np.float64
+          or not out.flags.c_contiguous or not out.flags.writeable):
+        raise ValueError(f"out must be a writable contiguous float64 array of "
+                         f"shape ({count},), got {out.dtype} {out.shape}")
     filled = 0
     while filled < count:
         c, offset = divmod(start + filled, STREAM_CHUNK)
@@ -154,7 +165,7 @@ def _gaussian_tail_map(spec: TruncatedGaussianSpec):
 
 
 def sample_truncated_lognormal(
-    spec: TruncatedLognormalSpec, count: int, seed: int, start: int
+    spec: TruncatedLognormalSpec, count: int, seed: int, start: int, out=None
 ) -> np.ndarray:
     """Draw ``count`` transmittance values in (0, 1] from the truncated law.
 
@@ -166,17 +177,21 @@ def sample_truncated_lognormal(
         Number of samples (>= 0).
     seed, start : int
         Stream seed and position of the first of the ``count`` uniforms read.
+    out : ndarray, optional
+        Contiguous float64 array of shape (count,) to fill, as in
+        stream_uniforms; the samples are computed in it and it is returned.
 
     Returns
     -------
     ndarray
-        Samples in (0, 1].  A value of exactly 1.0 can occur through
-        rounding and is kept: it is legal support and downstream code
-        treats the induced +inf covertness constant explicitly.
+        Samples in (0, 1], in ``out`` if given.  A value of exactly 1.0 can
+        occur through rounding and is kept: it is legal support and
+        downstream code treats the induced +inf covertness constant
+        explicitly.
     """
     # Each step below overwrites the uniforms in place, in the order of
     # min(exp(mu + sigma * ndtri(p_hi * (1 - u))), 1): same ufuncs, same bits.
-    x = stream_uniforms(seed, start, count)
+    x = stream_uniforms(seed, start, count, out=out)
     # Truncated region in probability space is (0, p_hi] with
     # p_hi = Phi((ln 1 - mu)/sigma).  Mapping through (1 - u) keeps the
     # left edge open: u in [0, 1) lands in (0, p_hi], so no sample can
@@ -196,7 +211,7 @@ def sample_truncated_lognormal(
 
 
 def sample_truncated_gaussian(
-    spec: TruncatedGaussianSpec, count: int, seed: int, start: int
+    spec: TruncatedGaussianSpec, count: int, seed: int, start: int, out=None
 ) -> np.ndarray:
     """Draw ``count`` values in [lower, upper] from the truncated Gaussian.
 
@@ -205,10 +220,11 @@ def sample_truncated_gaussian(
     interval above the mean (alpha > 0) is mapped through the upper tail
     instead, x = mu - sigma * ndtri(Phi(-beta) + (Phi(-alpha) - Phi(-beta)) * u).
     The final clip only absorbs last-ulp rounding; the mathematical image is
-    already inside the interval.
+    already inside the interval.  ``out`` is filled and returned as in
+    sample_truncated_lognormal.
     """
     # In place, in the order of mu + sign*sigma * ndtri(p_lo + (p_hi - p_lo) * u).
-    x = stream_uniforms(seed, start, count)
+    x = stream_uniforms(seed, start, count, out=out)
     p_lo, p_hi, sign = _gaussian_tail_map(spec)
     np.multiply(p_hi - p_lo, x, out=x)
     np.add(p_lo, x, out=x)
@@ -219,10 +235,13 @@ def sample_truncated_gaussian(
 
 
 def sample_exponential(
-    spec: ExponentialSpec, count: int, seed: int, start: int
+    spec: ExponentialSpec, count: int, seed: int, start: int, out=None
 ) -> np.ndarray:
-    """Draw ``count`` nonnegative values with inverse CDF -ln(1 - u)/rate."""
-    x = stream_uniforms(seed, start, count)
+    """Draw ``count`` nonnegative values with inverse CDF -ln(1 - u)/rate.
+
+    ``out`` is filled and returned as in sample_truncated_lognormal.
+    """
+    x = stream_uniforms(seed, start, count, out=out)
     # log1p keeps precision for small u; u in [0, 1) keeps the result finite.
     # In place, in the order of -log1p(-u) / rate.
     np.negative(x, out=x)

@@ -12,6 +12,9 @@ thermal photon number >= 0 — this module evaluates:
 
 All functions are elementwise over numpy arrays and also accept floats,
 which run the same ufunc loops as 0-d arrays and so match array results.
+covertness_constant and achievable_rate also write into a caller's array
+(``out=``), which is how sample generation fills its K-row results without
+a temporary per block.
 eta = 1 with nb > 0 yields c_cov = +inf by convention rather than an error,
 so measure-zero boundary samples survive bulk Monte Carlo runs; quantile
 logic downstream treats +inf as a legal upper-tail value.  An intermediate
@@ -40,45 +43,59 @@ __all__ = [
 _LN2 = np.log(2.0)
 
 
-def _scalar_or_array(out: np.ndarray, *inputs):
-    if all(np.ndim(v) == 0 for v in inputs):
-        return float(out)
-    return out
+def _result(res: np.ndarray, out, *inputs):
+    # The array written into, or a float when the caller gave no out and
+    # every input is a scalar.
+    if out is None and all(np.ndim(v) == 0 for v in inputs):
+        return float(res)
+    return res
 
 
-def _operands(eta, nb):
+def _operands(eta, nb, out=None):
     # Float views of the inputs and an output array of their broadcast
-    # shape.  The kernels below apply their ufuncs with out= into it and at
-    # most one scratch array, in the order the closed forms in the
-    # docstrings read, so results are bit-identical to the whole-expression
-    # forms while a call allocates two arrays, not one per operation.
-    # Reordering a step (x**4 as x*x*x*x, or xlogy as x*log) changes
-    # last-ulp bits.
+    # shape: the caller's out, or a new one.  The kernels below apply their
+    # ufuncs with out= into it and at most one scratch array, in the order
+    # the closed forms in the docstrings read, so results are bit-identical
+    # to the whole-expression forms while a call allocates at most two
+    # arrays, not one per operation.  Reordering a step (x**4 as x*x*x*x,
+    # or xlogy as x*log) changes last-ulp bits.
     eta_a = np.asarray(eta, dtype=float)
     nb_a = np.asarray(nb, dtype=float)
-    return eta_a, nb_a, np.empty(np.broadcast_shapes(eta_a.shape, nb_a.shape))
+    shape = np.broadcast_shapes(eta_a.shape, nb_a.shape)
+    if out is None:
+        return eta_a, nb_a, np.empty(shape)
+    if out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {shape}, "
+                         f"got {out.dtype} {out.shape}")
+    # The kernels read eta and nb after their first write into out.
+    if np.may_share_memory(out, eta_a) or np.may_share_memory(out, nb_a):
+        raise ValueError("out must not overlap eta or nb")
+    return eta_a, nb_a, out
 
 
-def covertness_constant(eta, nb):
+def covertness_constant(eta, nb, out=None):
     """Covertness constant sqrt(2*eta*nb*(1 + eta*nb)) / (1 - eta).
 
     Elementwise over arrays.  Returns 0 whenever nb = 0 (including the
-    0/0 corner at eta = 1) and +inf when eta = 1 with nb > 0.
+    0/0 corner at eta = 1) and +inf when eta = 1 with nb > 0.  ``out``, if
+    given, is a float64 array of the inputs' broadcast shape that does not
+    overlap them; the result is written into it and it is returned, and the
+    call allocates one scratch array of that shape.
     """
-    eta_a, nb_a, out = _operands(eta, nb)
-    tmp = np.empty_like(out)
+    eta_a, nb_a, res = _operands(eta, nb, out)
+    tmp = np.empty_like(res)
     with np.errstate(over="ignore"):
-        np.multiply(2.0, eta_a, out=out)
-        np.multiply(out, nb_a, out=out)
+        np.multiply(2.0, eta_a, out=res)
+        np.multiply(res, nb_a, out=res)
         np.multiply(eta_a, nb_a, out=tmp)
         np.add(1.0, tmp, out=tmp)
-        np.multiply(out, tmp, out=out)
-    np.sqrt(out, out=out)
+        np.multiply(res, tmp, out=res)
+    np.sqrt(res, out=res)
     np.subtract(1.0, eta_a, out=tmp)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(out, tmp, out=out)
-    np.copyto(out, 0.0, where=nb_a == 0.0)
-    return _scalar_or_array(out, eta, nb)
+        np.divide(res, tmp, out=res)
+    np.copyto(res, 0.0, where=nb_a == 0.0)
+    return _result(res, out, eta, nb)
 
 
 def _depolarizing_into(eta_a, nb_a, out):
@@ -99,8 +116,8 @@ def depolarizing_probability(eta, nb):
     Mathematically in [0, 1] for eta in (0, 1], nb >= 0; the clip only
     removes last-ulp excursions.
     """
-    eta_a, nb_a, out = _operands(eta, nb)
-    return _scalar_or_array(_depolarizing_into(eta_a, nb_a, out), eta, nb)
+    eta_a, nb_a, res = _operands(eta, nb)
+    return _result(_depolarizing_into(eta_a, nb_a, res), None, eta, nb)
 
 
 def _entropy_into(p, tmp):
@@ -118,10 +135,14 @@ def _entropy_into(p, tmp):
     return np.divide(p, _LN2, out=p)
 
 
-def achievable_rate(eta, nb):
-    """Hashing-bound rate max(0, 1 - H(pauli vector)) in qubits per use."""
-    eta_a, nb_a, out = _operands(eta, nb)
-    entropy = _entropy_into(_depolarizing_into(eta_a, nb_a, out), np.empty_like(out))
-    np.subtract(1.0, entropy, out=out)
-    np.maximum(0.0, out, out=out)
-    return _scalar_or_array(out, eta, nb)
+def achievable_rate(eta, nb, out=None):
+    """Hashing-bound rate max(0, 1 - H(pauli vector)) in qubits per use.
+
+    ``out`` is written into and returned as in covertness_constant, with
+    one scratch array per call.
+    """
+    eta_a, nb_a, res = _operands(eta, nb, out)
+    entropy = _entropy_into(_depolarizing_into(eta_a, nb_a, res), np.empty_like(res))
+    np.subtract(1.0, entropy, out=res)
+    np.maximum(0.0, res, out=res)
+    return _result(res, out, eta, nb)

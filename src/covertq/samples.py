@@ -12,15 +12,20 @@ stream is counter-addressed (see distributions), eta consumes positions
 [0, K) and nb positions [K, 2K), and parallel workers fill disjoint index
 ranges of the same virtual sequence.
 
-Generation runs in fixed blocks of rows small enough for a core's L2 cache:
-each block draws its span of the stream, reduces it to (c_cov, r_ach) and
-writes the result into the two K-row output arrays, which are then sorted in
-place.  Peak memory is therefore close to 16 bytes x K plus a few block-sized
-scratch arrays per worker.  The cache is written from those arrays directly,
-and a load maps the file copy-on-write instead of reading it: the loaded
-arrays are views of a private mapping, so a write into them stays in memory
-and never reaches the file.  A save replaces the file and never rewrites it
-in place, so a set already mapped from it keeps the bytes it was validated on.
+Generation runs in fixed blocks of rows small enough for a core's L2 cache.
+Each worker owns one pair of block buffers: for every block it takes, the
+samplers draw its span of the stream into them in place, and the physics
+kernels reduce it to (c_cov, r_ach) straight into the block's rows of the
+two K-row output arrays, which are then sorted in place.  Peak memory is
+therefore 16 bytes x K plus three block arrays per worker (its two buffers
+and the one scratch array a physics call allocates), and a block reuses
+memory instead of faulting in fresh pages.  The cache is written from those
+arrays directly, and a load maps the file copy-on-write instead of reading
+it: the loaded arrays are views of a private mapping, so a write into them
+stays in memory and never reaches the file.  A load allocates nothing of K
+rows: it checks sortedness one block of pairs at a time, in one reused
+buffer.  A save replaces the file and never rewrites it in place, so a set
+already mapped from it keeps the bytes it was validated on.
 
 Cache file layout (little endian), version 1:
 
@@ -166,18 +171,28 @@ class SampleSet:
         return len(self.ccov)
 
 
-def _draw_span(spec: ChannelSpec, lo: int, hi: int, K: int, seed: int):
-    # Draw output rows [lo, hi) of a K-row run: eta uniforms live at stream
-    # positions [lo, hi) and nb uniforms at [K + lo, K + hi).  The benchmark
-    # channel's constant eta draws nothing, but its nb keeps the same
-    # positions, so both variants share one stream layout.
+def _workspace(spec: ChannelSpec, rows: int):
+    # One worker's block buffers: eta and nb for up to ``rows`` rows.  The
+    # benchmark channel's constant eta is written here, once per worker.
+    if isinstance(spec, BenchmarkChannelSpec):
+        return np.full(rows, spec.eta0), np.empty(rows)
+    return np.empty(rows), np.empty(rows)
+
+
+def _draw_span(spec: ChannelSpec, lo: int, hi: int, K: int, seed: int, eta, nb):
+    # Draw output rows [lo, hi) of a K-row run into the first hi - lo rows
+    # of a workspace's buffers and return those views: eta uniforms live at
+    # stream positions [lo, hi) and nb uniforms at [K + lo, K + hi).  The
+    # benchmark channel's constant eta draws nothing, but its nb keeps the
+    # same positions, so both variants share one stream layout.
     count = hi - lo
+    eta, nb = eta[:count], nb[:count]
     if isinstance(spec, StochasticChannelSpec):
-        eta = sample_truncated_lognormal(spec.eta, count, seed, lo)
-        nb = sample_truncated_gaussian(spec.nb, count, seed, K + lo)
-        return eta, nb
-    nb = sample_exponential(spec.nb, count, seed, K + lo)
-    return np.full(count, spec.eta0), nb
+        sample_truncated_lognormal(spec.eta, count, seed, lo, out=eta)
+        sample_truncated_gaussian(spec.nb, count, seed, K + lo, out=nb)
+    else:
+        sample_exponential(spec.nb, count, seed, K + lo, out=nb)
+    return eta, nb
 
 
 def generate_sample_set(
@@ -197,6 +212,9 @@ def generate_sample_set(
         Worker threads pulling row blocks, at most one per CPU and one per
         block.  The result is bit-identical for every worker count because
         block contents are position-addressed.
+
+    Peak memory is the 16 * K bytes of the result plus three block arrays
+    per worker: its eta and nb buffers and one physics scratch array.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
@@ -208,22 +226,28 @@ def generate_sample_set(
 
     ccov = np.empty(K)
     rach = np.empty(K)
+    pending = iter(blocks)
 
-    def fill(lo: int) -> None:
-        hi = min(lo + _BLOCK, K)
-        eta, nb = _draw_span(spec, lo, hi, K, seed)
-        ccov[lo:hi] = covertness_constant(eta, nb)
-        rach[lo:hi] = achievable_rate(eta, nb)
+    def work(_) -> None:
+        # One worker: its own block buffers, filled in place for each block
+        # it takes from the shared iterator (next() on a range iterator is
+        # atomic under the GIL).  The physics kernels write each block's
+        # results straight into its rows of the two outputs.
+        workspace = _workspace(spec, min(_BLOCK, K))
+        for lo in pending:
+            hi = min(lo + _BLOCK, K)
+            eta, nb = _draw_span(spec, lo, hi, K, seed, *workspace)
+            covertness_constant(eta, nb, out=ccov[lo:hi])
+            achievable_rate(eta, nb, out=rach[lo:hi])
 
     if threads == 1:
-        for lo in blocks:
-            fill(lo)
+        work(0)
         ccov.sort()
         rach.sort()
     else:
         # numpy's sort releases the GIL, so the two arrays sort in parallel.
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, blocks))
+            list(pool.map(work, range(threads)))
             list(pool.map(np.ndarray.sort, (ccov, rach)))
     return SampleSet(ccov=ccov, rach=rach, seed=seed, channel_digest=digest)
 
@@ -247,6 +271,23 @@ def save_sample_set(s: SampleSet, path) -> None:
         fh.write(np.ascontiguousarray(s.rach, dtype="<f8"))
 
 
+def _ascending(arr: np.ndarray, scratch: np.ndarray) -> bool:
+    # True when arr holds no NaN and never descends.  The pairs
+    # (arr[i], arr[i + 1]) are compared in pieces of len(scratch) pairs, the
+    # last pair of a piece sharing its second element with the first pair
+    # of the next, so every pair is compared once; the first bad piece ends
+    # the check.  Any comparison with NaN is False, so this also rejects a
+    # NaN anywhere but in a single-element array, checked on its own.
+    if np.isnan(arr[0]):
+        return False
+    last = len(arr) - 1
+    for lo in range(0, last, len(scratch)):
+        hi = min(lo + len(scratch), last)
+        if not np.greater_equal(arr[lo + 1 : hi + 1], arr[lo:hi], out=scratch[: hi - lo]).all():
+            return False
+    return True
+
+
 def load_sample_set(path, expected_digest: bytes | None = None) -> SampleSet:
     """Read a cache written by save_sample_set.
 
@@ -258,7 +299,10 @@ def load_sample_set(path, expected_digest: bytes | None = None) -> SampleSet:
     The header and the file size are checked before anything is mapped.  The
     payload is then mapped copy-on-write, not read: ``ccov`` and ``rach`` are
     writable views of one private mapping that lives as long as they do, and
-    writes into them never reach the file.
+    writes into them never reach the file.  The NaN and sortedness check
+    compares adjacent pairs in pieces of _BLOCK pairs, in one reused bool
+    buffer, and stops at the first bad piece, so a load allocates nothing
+    K-sized; a pair that straddles two pieces is compared like any other.
     The mapping holds a duplicate of the file descriptor until the set is
     garbage collected, so about ``ulimit -n`` live sets make the next open in
     the process fail with EMFILE.
@@ -294,10 +338,9 @@ def load_sample_set(path, expected_digest: bytes | None = None) -> SampleSet:
             raise SampleFileTruncatedError(f"{path}: file changed size while loading K={k} rows")
     ccov = np.frombuffer(buf, "<f8", count=k, offset=_HEADER.size)
     rach = np.frombuffer(buf, "<f8", count=k, offset=_HEADER.size + 8 * k)
+    scratch = np.empty(min(_BLOCK, k), dtype=bool)  # one piece's comparisons
     for name, arr in (("ccov", ccov), ("rach", rach)):
-        # Any comparison with NaN is False, so this also rejects a NaN
-        # anywhere but in a single-element array, checked on its own.
-        if np.isnan(arr[:1]).any() or not np.all(arr[1:] >= arr[:-1]):
+        if not _ascending(arr, scratch):
             raise SampleFileFormatError(f"{path}: {name} array is not sorted or holds NaN")
     # Sorted, so the ends bound every value: c_cov >= 0 (+inf is legal) and
     # r_ach in [0, 1].

@@ -2,6 +2,7 @@
 
 import errno
 import json
+import math
 import mmap
 import os
 import subprocess
@@ -682,17 +683,72 @@ def test_scaling_and_validate_inputs_checked_before_sampling(tmp_path, monkeypat
 
 def test_unallocatable_size_is_config_error(tmp_path, monkeypatch, capsys):
     # Stands in for numpy's allocation failure at a K no machine can hold;
-    # nothing here asks the allocator for that much memory.
+    # nothing here asks the allocator for that much memory.  The memory
+    # figure is lifted so that the physical-memory check lets K through.
     def too_big(channel, K, seed, workers=1):
         raise MemoryError(f"Unable to allocate {16 * K} bytes")
 
     monkeypatch.setattr(cli, "generate_sample_set", too_big)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2**62)
     for command in ("sample", "optimize", "risk-adjusted", "benchmark-validate"):
         rc = run(command, "--k", "1e12", "--out", str(tmp_path / "x.out"))
         err = capsys.readouterr().err
         assert rc == 2, command
         assert err.startswith("config error") and "cannot allocate" in err, err
         assert "Traceback" not in err
+
+
+# Each size key with the command that reads it and its name in its section.
+SIZE_KEYS = {
+    "sampling.k": (("sample",), "k"),
+    "frontier.points": (("frontier",), "points"),
+    "surface.points": (("surface",), "points"),
+    "sensitivity.points": (("sensitivity",), "points"),
+    "risk_adjusted.grid_points": (("risk-adjusted",), "grid_points"),
+    "risk_adjusted.lambda_points": (("risk-adjusted",), "lambda_points"),
+    "risk_adjusted.heatmap_points": (("risk-adjusted", "--mode", "heatmap"),
+                                     "heatmap_points"),
+}
+
+
+def test_size_costs_of_arrays():
+    # A K-row set is two float64 arrays; the risk-adjusted grid is G x G.
+    assert cli._SIZE_BYTES["sampling.k"] == (16, 1)
+    assert cli._SIZE_BYTES["risk_adjusted.grid_points"] == (8, 2)
+    assert set(cli._SIZE_BYTES) == set(SIZE_KEYS)
+
+
+@pytest.mark.parametrize("key", SIZE_KEYS)
+def test_size_beyond_physical_memory_is_refused_before_sampling(key, tmp_path,
+                                                                monkeypatch, capsys):
+    # The machine is made to report 16 MiB, which the default K of 1e6 fits,
+    # and no set is drawn or loaded: the refusal comes from the size alone.
+    memory = 16 << 20
+    monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+    refuse_to_sample(monkeypatch)
+    argv, name = SIZE_KEYS[key]
+    per_cell, power = cli._SIZE_BYTES[key]
+    # The largest size that fits, and one more.
+    fits = memory // per_cell if power == 1 else math.isqrt(memory // per_cell)
+    too_big = fits + 1
+    section = key.split(".")[0]
+    cfg = write_config(tmp_path, {section: {name: too_big}})
+    rc = run(*argv, "--config", cfg, "--out", str(tmp_path / "x.out"))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"config error: {key}={too_big} needs about "
+                   f"{per_cell * too_big**power} bytes, more than the "
+                   f"{memory} bytes of physical memory\n")
+    assert not (tmp_path / "x.out").exists()
+    # The largest size that fits gets past the check to the sampling.
+    cfg = write_config(tmp_path, {section: {name: fits}})
+    with pytest.raises(AssertionError, match="a set was loaded or drawn"):
+        run(*argv, "--config", cfg, "--out", str(tmp_path / "x.out"))
+
+
+def test_physical_memory_is_the_machine_figure():
+    memory = cli._physical_memory()
+    assert memory == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") > 0
 
 
 @pytest.mark.parametrize("argv", [

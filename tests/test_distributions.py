@@ -155,6 +155,31 @@ def test_stream_uniforms_validation():
         generate_sample_set(spec, 10, seed=2**64)
 
 
+def test_stream_uniforms_refuses_a_bad_out():
+    buf = np.empty(20)
+    for out in (buf[:9], buf[::2], np.empty(10, dtype=np.float32), np.empty((10, 1))):
+        with pytest.raises(ValueError, match="out must be a writable contiguous"):
+            stream_uniforms(0, 0, 10, out=out)
+    buf.flags.writeable = False
+    with pytest.raises(ValueError, match="out must be a writable contiguous"):
+        stream_uniforms(0, 0, 20, out=buf)
+
+
+@pytest.mark.parametrize("sampler, spec", [
+    (sample_truncated_lognormal, LN_SPEC),
+    (sample_truncated_gaussian, NB_SPEC),
+    (sample_exponential, EXP_SPEC),
+], ids=["lognormal", "gaussian", "exponential"])
+def test_samplers_fill_out_in_place(sampler, spec):
+    # The span straddles a stream chunk; out is a view into a larger buffer.
+    start, count = STREAM_CHUNK - 100, 300
+    buf = np.full(count + 10, -1.0)
+    got = sampler(spec, count, 5, start, out=buf[:count])
+    assert got.base is buf
+    assert buf[:count].tobytes() == sampler(spec, count, 5, start).tobytes()
+    assert np.all(buf[count:] == -1.0)
+
+
 # ---------------------------------------------------------------------------
 # truncated lognormal
 
@@ -179,7 +204,7 @@ def test_lognormal_upper_edge_is_exact(monkeypatch):
     spec = TruncatedLognormalSpec(mu_ln=-5.0, sigma_ln=1.0)
 
     monkeypatch.setattr(distributions, "stream_uniforms",
-                        lambda seed, start, count: np.zeros(count))
+                        lambda seed, start, count, out=None: np.zeros(count))
     x = sample_truncated_lognormal(spec, 4, 0, 0)
     assert np.all(x <= 1.0)
 

@@ -163,6 +163,37 @@ def test_inplace_kernels_match_whole_expressions(kernel, reference):
         assert np.float64(got).tobytes() == along[i].tobytes()
 
 
+@pytest.mark.parametrize("kernel", [covertness_constant, achievable_rate],
+                         ids=["c_cov", "r_ach"])
+def test_kernels_write_into_out(kernel):
+    # out= fills a slice of a larger array with the same bits and returns
+    # it; a scalar pair with out= returns the 0-d array.
+    rng = np.random.default_rng(4)
+    eta = rng.uniform(1e-6, 1.0, 3000)
+    nb = rng.uniform(0.0, 0.5, 3000)
+    eta[:5], nb[3:8] = 1.0, 0.0
+    rows = np.full(4000, -1.0)
+    got = kernel(eta, nb, out=rows[500:3500])
+    assert got.base is rows
+    assert rows[500:3500].tobytes() == kernel(eta, nb).tobytes()
+    assert np.all(rows[:500] == -1.0) and np.all(rows[3500:] == -1.0)
+    cell = np.empty(())
+    assert kernel(0.9, 0.1, out=cell) is cell and float(cell) == kernel(0.9, 0.1)
+
+
+@pytest.mark.parametrize("kernel", [covertness_constant, achievable_rate],
+                         ids=["c_cov", "r_ach"])
+def test_kernels_refuse_a_bad_out(kernel):
+    eta, nb = np.full(10, 0.9), np.full(10, 0.1)
+    for out in (np.empty(9), np.empty((10, 1)), np.empty(10, dtype=np.float32)):
+        with pytest.raises(ValueError, match="out must be a float64 array"):
+            kernel(eta, nb, out=out)
+    # The kernels read eta and nb after writing into out.
+    for out in (eta, nb[::-1]):
+        with pytest.raises(ValueError, match="must not overlap"):
+            kernel(eta, nb, out=out)
+
+
 # ---------------------------------------------------------------------------
 # transmission-probability ceiling: the (n, delta) check guarding the map
 

@@ -49,6 +49,13 @@ def small_benchmark_spec():
     return BenchmarkChannelSpec(eta0=0.9, nb=ExponentialSpec(rate=10.0))
 
 
+def ramp_set(K):
+    # Strictly ascending values in [0, 1): legal for both arrays.
+    values = np.arange(K) / K
+    return SampleSet(ccov=values, rach=values.copy(), seed=1,
+                     channel_digest=channel_digest(make_baseline_spec()))
+
+
 # ---------------------------------------------------------------------------
 # digests
 
@@ -85,7 +92,7 @@ def test_draw_span_stochastic_stream_layout():
     # Rows [lo, hi) of a K-row run draw eta at stream positions [lo, hi)
     # and nb at [K + lo, K + hi).
     spec = make_baseline_spec()
-    eta, nb = samples._draw_span(spec, 40, 100, 100, 5)
+    eta, nb = samples._draw_span(spec, 40, 100, 100, 5, *samples._workspace(spec, 60))
     np.testing.assert_array_equal(
         eta, sample_truncated_lognormal(spec.eta, 60, 5, 40)
     )
@@ -98,7 +105,7 @@ def test_draw_span_benchmark_skips_eta_span():
     # eta is constant for the benchmark variant, but nb must occupy the same
     # stream positions as in the stochastic case.
     spec = small_benchmark_spec()
-    eta, nb = samples._draw_span(spec, 40, 100, 100, 5)
+    eta, nb = samples._draw_span(spec, 40, 100, 100, 5, *samples._workspace(spec, 60))
     assert eta.shape == (60,) and np.all(eta == 0.9)
     np.testing.assert_array_equal(
         nb, sample_exponential(spec.nb, 60, 5, 140)
@@ -144,7 +151,7 @@ def test_blocked_generation_matches_whole_array(spec, monkeypatch):
     # so its blocks straddle stream chunks.  The reference draws all rows in
     # one span, reduces them with the whole-expression physics and sorts.
     K, seed = 3 * 2**16 + 12_345, 13
-    eta, nb = samples._draw_span(spec, 0, K, K, seed)
+    eta, nb = samples._draw_span(spec, 0, K, K, seed, *samples._workspace(spec, K))
     ccov = np.sort(reference_covertness_constant(eta, nb))
     rach = np.sort(reference_achievable_rate(eta, nb))
 
@@ -191,6 +198,34 @@ def test_generation_peak_memory_near_payload(workers):
     assert peak < 1.5 * 16 * K, peak / (16 * K)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_generation_peak_memory_per_worker(workers):
+    # Beyond the 16 * K bytes of the result, each worker holds its eta and
+    # nb block buffers and one physics scratch array at a time: three block
+    # arrays, under a bound of three and a half.  Several blocks and a
+    # partial last one; the warm-up call keeps lazy imports out of the trace.
+    K = 3 * 2**16 + 12_345
+    spec = make_baseline_spec()
+    generate_sample_set(spec, K, seed=1, workers=workers)
+    peak, s = _peak_bytes(lambda: generate_sample_set(spec, K, seed=1, workers=workers))
+    assert s.K == K
+    threads = min(workers, os.cpu_count() or 1)
+    blocks = (peak - 16 * K) / (8 * samples._BLOCK)
+    assert blocks < 3.5 * threads, blocks
+
+
+def test_load_peak_memory_is_not_k_sized(tmp_path):
+    # The payload is mapped, and the sortedness check reuses one piece's
+    # comparison buffer (_BLOCK bools): nothing of K rows is allocated.
+    K = 2**20
+    path = tmp_path / "s.cqcs"
+    save_sample_set(ramp_set(K), path)
+    load_sample_set(path)
+    peak, s = _peak_bytes(lambda: load_sample_set(path))
+    assert s.K == K
+    assert peak < 256 << 10, peak
+
+
 def test_cache_round_trip_peak_memory_near_payload(tmp_path):
     K = 2**20
     path, copy = tmp_path / "s.cqcs", tmp_path / "copy.cqcs"
@@ -213,7 +248,7 @@ def test_cache_round_trip_peak_memory_near_payload(tmp_path):
     assert load_sample_set(copy).ccov.tobytes() == t.ccov.tobytes()
 
     # The payload is mapped, not copied: a load alone holds no heap copy of
-    # its 16 * K bytes, and its peak is the K-byte sortedness temporary.
+    # its 16 * K bytes, and its peak is the sortedness check's piece buffer.
     tracemalloc.start()
     try:
         u = load_sample_set(path)
@@ -376,6 +411,69 @@ def test_load_rejects_nan(tmp_path, K, index):
     save_sample_set(s, path)
     with pytest.raises(SampleFileFormatError):
         load_sample_set(path)
+
+
+# The sortedness check compares pairs in pieces of _BLOCK pairs: piece m
+# holds the pairs (i, i + 1) for i in [m * B, (m + 1) * B), so element
+# m * B is the seam the two pieces share.  Three pieces at this K, the last
+# one short.
+B = samples._BLOCK
+K_PIECES = 2 * B + 5
+
+
+def saved(tmp_path, s):
+    path = tmp_path / "s.cqcs"
+    save_sample_set(s, path)
+    return path
+
+
+@pytest.mark.parametrize("pair", [B - 2, B - 1, B, 2 * B - 1, 2 * B, K_PIECES - 2],
+                         ids=["before-seam-1", "into-seam-1", "out-of-seam-1",
+                              "into-seam-2", "out-of-seam-2", "last-pair"])
+@pytest.mark.parametrize("name", ["ccov", "rach"])
+def test_load_rejects_an_inversion_at_every_piece_seam(tmp_path, name, pair):
+    s = ramp_set(K_PIECES)
+    arr = getattr(s, name)
+    arr[pair], arr[pair + 1] = arr[pair + 1], arr[pair]
+    assert load_sample_set(saved(tmp_path, ramp_set(K_PIECES))).K == K_PIECES
+    with pytest.raises(SampleFileFormatError, match=f"{name} array is not sorted"):
+        load_sample_set(saved(tmp_path, s))
+
+
+@pytest.mark.parametrize("index", [0, B - 1, B, 2 * B - 1, 2 * B, K_PIECES - 1],
+                         ids=["first-of-piece-1", "last-of-piece-1", "first-of-piece-2",
+                              "last-of-piece-2", "first-of-piece-3", "last-of-piece-3"])
+def test_load_rejects_nan_at_each_end_of_a_piece(tmp_path, index):
+    s = ramp_set(K_PIECES)
+    s.rach[index] = np.nan
+    with pytest.raises(SampleFileFormatError, match="rach array is not sorted or holds NaN"):
+        load_sample_set(saved(tmp_path, s))
+
+
+@pytest.mark.parametrize("K", [1, B + 1], ids=["one-row", "one-full-piece"])
+def test_load_checks_one_row_and_one_full_piece(tmp_path, K):
+    # K = 1 has no pair; K = B + 1 has exactly one full piece of pairs.
+    assert load_sample_set(saved(tmp_path, ramp_set(K))).K == K
+    for index in {0, K - 1}:
+        s = ramp_set(K)
+        s.ccov[index] = np.nan
+        with pytest.raises(SampleFileFormatError, match="ccov array"):
+            load_sample_set(saved(tmp_path, s))
+    if K > 1:
+        s = ramp_set(K)
+        s.ccov[-2], s.ccov[-1] = s.ccov[-1], s.ccov[-2]
+        with pytest.raises(SampleFileFormatError, match="ccov array"):
+            load_sample_set(saved(tmp_path, s))
+
+
+def test_seam_inversion_in_a_cache_exits_3(tmp_path, capsys):
+    s = ramp_set(K_PIECES)
+    s.ccov[B - 1], s.ccov[B] = s.ccov[B], s.ccov[B - 1]
+    path = saved(tmp_path, s)
+    rc = cli.main(["optimize", "--cache", str(path), "--out", str(tmp_path / "o.csv")])
+    assert rc == 3
+    assert "ccov array is not sorted or holds NaN" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("name, index, value", [

@@ -71,6 +71,19 @@ def test_later_scipy_special_import_exports_the_same_ufuncs():
     assert digest == in_process_digest()
 
 
+def test_later_scipy_special_import_has_a_clean_imports_submodules():
+    # importlib made the compiled modules that _ufuncs imports attributes of
+    # the placeholder; the real package imported afterwards has them too.
+    names = ("import sys, types\n"
+             "import scipy.special\n"
+             "print(sorted(name for name, value in vars(scipy.special).items()\n"
+             "             if isinstance(value, types.ModuleType)))\n")
+    after_draw = run_fresh(GENERATE + names).splitlines()[-1]
+    clean = run_fresh(names).splitlines()[-1]
+    assert after_draw == clean
+    assert "'_ufuncs_cxx'" in clean and "'_ellip_harm_2'" in clean
+
+
 def test_placeholder_import_error_falls_back_to_the_package():
     # A scipy whose _ufuncs cannot load under a bare parent package.
     script = (

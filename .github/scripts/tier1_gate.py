@@ -14,8 +14,10 @@ write_csv's float memo and joined rows with csv.writer, and the
 fresh-process cases of the scipy.special ufunc load: no load on import or a
 cached query, the same ufuncs as the full package, its fallback, a
 concurrent `import scipy.special`, and the same bytes as an in-process
-generation; and the three memory-bound cases, which keep a cache load free of
-K-sized temporaries and generation within three block arrays per worker
+generation; the three memory-bound cases, which keep a cache load free of
+K-sized temporaries and generation within three block arrays per worker; and
+the three cache-record cases, which keep a load that skips the sortedness
+check from missing an in-place rewrite or a cache that failed a check
 (renaming or deleting one must fail here, not pass silently).
 CI installs the versions perfbench/reference.json records, so nothing
 should skip there: a skip can only be a check dropped silently, such as a
@@ -54,6 +56,10 @@ REQUIRED = {
        for name in ("test_load_peak_memory_is_not_k_sized",
                     *(f"test_generation_peak_memory_per_worker[{workers}]"
                       for workers in (1, 2)))},
+    **{f"tests.test_samples::{name}": "cache record"
+       for name in ("test_in_place_rewrite_after_the_check_is_caught",
+                    *(f"test_failing_cache_is_never_recorded[{fault}]"
+                      for fault in ("unsorted", "outside-domain")))},
 }
 
 

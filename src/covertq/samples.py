@@ -27,6 +27,21 @@ rows: it checks sortedness one block of pairs at a time, in one reused
 buffer.  A save replaces the file and never rewrites it in place, so a set
 already mapped from it keeps the bytes it was validated on.
 
+Every load checks the header (magic, version, K >= 1), the exact file size,
+the channel digest when one is expected, the mapped length and the domain
+ends of both arrays.  The O(K) NaN and sortedness check runs once per file
+version per process: a version whose payload passed is recorded under its
+(st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns) and its 64 header bytes,
+and a later load of the same version skips that pass.  A version is recorded
+only once its last change (the later of mtime and ctime) is more than
+_SETTLE_NS (2 s, FAT's timestamp granularity, the coarsest common one) older
+than a clock reading taken at the load's fstat, so any later write gives the
+file a later ctime and a new key (git's "racily clean" rule).  The record is
+cleared when it holds _CHECKED_VERSIONS keys.  Two writers escape it: one
+that changes the bytes through a shared mapping without the file getting a
+new ctime, and a network file system whose server clock runs more than the
+window behind this host's.
+
 Cache file layout (little endian), version 1:
 
     offset  0  magic  b"CQCS"
@@ -45,6 +60,8 @@ import hashlib
 import mmap
 import os
 import struct
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Union
@@ -88,6 +105,14 @@ assert _HEADER.size == 64
 # (a few arrays of _BLOCK doubles) stay in a core's L2 cache.  A multiple of
 # STREAM_CHUNK so eta spans stay chunk-aligned; output does not depend on it.
 _BLOCK = 2 * STREAM_CHUNK
+
+# The record of checked cache file versions (see the module docstring).  The
+# lock keeps concurrent loads from each passing the size test before either
+# adds its key.
+_checked = set()
+_checked_lock = threading.Lock()
+_CHECKED_VERSIONS = 256
+_SETTLE_NS = 2_000_000_000
 
 
 class SampleFileError(Exception):
@@ -303,6 +328,13 @@ def load_sample_set(path, expected_digest: bytes | None = None) -> SampleSet:
     compares adjacent pairs in pieces of _BLOCK pairs, in one reused bool
     buffer, and stops at the first bad piece, so a load allocates nothing
     K-sized; a pair that straddles two pieces is compared like any other.
+    The header, size, digest, mapped-length and domain checks run on every
+    load.  The NaN and sortedness check runs on the first load of each file
+    version in the process; a version that passed every check and whose last
+    change is more than 2 s old is recorded (see the module docstring), and
+    a repeat load of it skips the check.  A writer that changes the bytes
+    through a shared mapping without a new ctime, or a network file system
+    whose server clock lags this host's by more than 2 s, can go unseen.
     The mapping holds a duplicate of the file descriptor until the set is
     garbage collected, so about ``ulimit -n`` live sets make the next open in
     the process fail with EMFILE.
@@ -318,7 +350,9 @@ def load_sample_set(path, expected_digest: bytes | None = None) -> SampleSet:
             raise SampleFileVersionError(f"{path}: unsupported version {version}")
         if k < 1:
             raise SampleFileFormatError(f"{path}: header declares K={k}, need K >= 1")
-        size = os.fstat(fh.fileno()).st_size
+        now = time.time_ns()
+        st = os.fstat(fh.fileno())
+        size = st.st_size
         expected_len = _HEADER.size + 2 * 8 * k
         if size < expected_len:
             raise SampleFileTruncatedError(
@@ -338,10 +372,14 @@ def load_sample_set(path, expected_digest: bytes | None = None) -> SampleSet:
             raise SampleFileTruncatedError(f"{path}: file changed size while loading K={k} rows")
     ccov = np.frombuffer(buf, "<f8", count=k, offset=_HEADER.size)
     rach = np.frombuffer(buf, "<f8", count=k, offset=_HEADER.size + 8 * k)
-    scratch = np.empty(min(_BLOCK, k), dtype=bool)  # one piece's comparisons
-    for name, arr in (("ccov", ccov), ("rach", rach)):
-        if not _ascending(arr, scratch):
-            raise SampleFileFormatError(f"{path}: {name} array is not sorted or holds NaN")
+    # One file version: a later write changes the size, mtime or ctime.
+    key = (st.st_dev, st.st_ino, size, st.st_mtime_ns, st.st_ctime_ns, head)
+    checked = key in _checked
+    if not checked:
+        scratch = np.empty(min(_BLOCK, k), dtype=bool)  # one piece's comparisons
+        for name, arr in (("ccov", ccov), ("rach", rach)):
+            if not _ascending(arr, scratch):
+                raise SampleFileFormatError(f"{path}: {name} array is not sorted or holds NaN")
     # Sorted, so the ends bound every value: c_cov >= 0 (+inf is legal) and
     # r_ach in [0, 1].
     if ccov[0] < 0.0 or rach[0] < 0.0 or rach[-1] > 1.0:
@@ -350,4 +388,9 @@ def load_sample_set(path, expected_digest: bytes | None = None) -> SampleSet:
             f"r_ach from {float(rach[0])} to {float(rach[-1])}; "
             f"need c_cov >= 0, 0 <= r_ach <= 1)"
         )
+    if not checked and max(st.st_mtime_ns, st.st_ctime_ns) < now - _SETTLE_NS:
+        with _checked_lock:
+            if len(_checked) >= _CHECKED_VERSIONS:
+                _checked.clear()
+            _checked.add(key)
     return SampleSet(ccov=ccov, rach=rach, seed=seed, channel_digest=digest)

@@ -6,7 +6,10 @@ the query-sweeps and cli-cold workloads, as perfbench/run.py lists them,
 in-process through ``covertq.cli.main`` and checks every artifact against
 those hashes.  The K = 1e7 sample-large cache is left to the benchmark.
 The hashes hold for the numpy and scipy versions recorded beside them; under
-other versions the test is skipped.
+other versions the test is skipped.  They also hold only on hosts where numpy
+dispatches its X86_V4 (AVX-512) kernels, whose float64 exp, log1p and power
+round differently from numpy's other paths; a failure names the features
+numpy dispatched, so a host without them reads as that known limit.
 """
 
 import contextlib
@@ -37,6 +40,12 @@ def load_run(monkeypatch):
     return module
 
 
+def dispatched_cpu_features():
+    # The optimised kernels numpy picked at run time on this host.
+    umath = numpy._core._multiarray_umath
+    return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+
+
 @pytest.mark.skipif(
     (numpy.__version__, scipy.__version__) != (REFERENCE["numpy"], REFERENCE["scipy"]),
     reason="reference hashes were recorded under other numpy/scipy versions",
@@ -53,4 +62,6 @@ def test_artifacts_match_reference_hashes(monkeypatch, tmp_path, workload):
             assert cli.main(list(op.argv)) == 0, op.argv
         for key, path in op.outputs:
             hashes[key] = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert hashes == REFERENCE["workloads"][workload]
+    assert hashes == REFERENCE["workloads"][workload], (
+        f"numpy dispatches {dispatched_cpu_features()}; the reference hashes hold "
+        "where it dispatches X86_V4")

@@ -5,6 +5,7 @@ import hashlib
 import os
 import struct
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -584,6 +585,159 @@ def test_save_unlinks_only_regular_files(tmp_path, monkeypatch):
     # out of reach: tests may run as root).
     monkeypatch.setattr(os, "unlink", refuse)
     save_sample_set(s, os.devnull)
+
+
+# ---------------------------------------------------------------------------
+# the record of checked file versions
+
+SETTLE_S = 0.05
+
+
+@pytest.fixture
+def order_checks(monkeypatch):
+    # An empty record, a 50 ms settling window instead of 2 s, and a list
+    # that grows by one entry per array the NaN/sortedness pass checks.
+    calls = []
+    ascending = samples._ascending
+    monkeypatch.setattr(samples, "_checked", set())
+    monkeypatch.setattr(samples, "_SETTLE_NS", int(SETTLE_S * 1e9))
+    monkeypatch.setattr(samples, "_ascending",
+                        lambda arr, scratch: calls.append(len(arr)) or ascending(arr, scratch))
+    return calls
+
+
+def settled(path):
+    time.sleep(2 * SETTLE_S)
+    return path
+
+
+def settled_caches(tmp_path, n):
+    # n caches of different K, each last changed before the window.
+    paths = [tmp_path / f"s{i}.cqcs" for i in range(n)]
+    for i, path in enumerate(paths):
+        save_sample_set(ramp_set(10 + i), path)
+    settled(tmp_path)
+    return paths
+
+
+def test_repeat_load_of_a_settled_cache_skips_the_order_check(tmp_path, order_checks):
+    s = ramp_set(1000)
+    path = settled(saved(tmp_path, s))
+    first = load_sample_set(path)
+    assert order_checks == [1000, 1000]
+    for _ in range(3):
+        again = load_sample_set(path)
+        assert again.ccov.tobytes() + again.rach.tobytes() == s.ccov.tobytes() + s.rach.tobytes()
+    assert order_checks == [1000, 1000]
+    assert (again.K, again.seed, again.channel_digest) == (first.K, first.seed,
+                                                           first.channel_digest)
+
+
+def test_unsettled_cache_is_checked_on_every_load(tmp_path, order_checks, monkeypatch):
+    # Last changed inside the window (an hour here), so never recorded.
+    monkeypatch.setattr(samples, "_SETTLE_NS", 3600 * 10**9)
+    path = saved(tmp_path, ramp_set(100))
+    for _ in range(3):
+        load_sample_set(path)
+    assert order_checks == [100] * 6
+    assert not samples._checked
+
+
+def test_settling_window_is_two_seconds():
+    assert samples._SETTLE_NS == 2 * 10**9
+
+
+@pytest.mark.parametrize("fault, message", [("unsorted", "ccov array is not sorted"),
+                                            ("outside-domain", "outside their domain")],
+                         ids=["unsorted", "outside-domain"])
+def test_failing_cache_is_never_recorded(tmp_path, capsys, order_checks, fault, message):
+    # The domain check runs after the order check, so a sorted cache with a
+    # bad end passes that pass and must still not be recorded.
+    s = ramp_set(100)
+    if fault == "unsorted":
+        s.ccov[10], s.ccov[11] = s.ccov[11], s.ccov[10]
+    else:
+        s.rach[-1] = 5.0
+    path = settled(saved(tmp_path, s))
+    for _ in range(3):
+        with pytest.raises(SampleFileFormatError, match=message):
+            load_sample_set(path)
+    assert not samples._checked
+    checks = len(order_checks)
+    for _ in range(3):
+        rc = cli.main(["optimize", "--cache", str(path), "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+    assert len(order_checks) > checks and not samples._checked
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_cache_replaced_by_save_is_checked_again(tmp_path, order_checks):
+    path = settled(saved(tmp_path, ramp_set(100)))
+    load_sample_set(path)
+    load_sample_set(path)
+    assert order_checks == [100, 100]
+    other = generate_sample_set(small_benchmark_spec(), 100, seed=2)
+    save_sample_set(other, path)
+    t = load_sample_set(path)
+    assert order_checks == [100] * 4
+    assert t.ccov.tobytes() + t.rach.tobytes() == other.ccov.tobytes() + other.rach.tobytes()
+
+
+def test_in_place_rewrite_after_the_check_is_caught(tmp_path, order_checks):
+    # A writer that reuses the inode and keeps the size: only the new
+    # mtime and ctime, one timestamp tick after the recorded ones, tell the
+    # versions apart.
+    path = settled(saved(tmp_path, ramp_set(100)))
+    load_sample_set(path)
+    load_sample_set(path)
+    assert order_checks == [100, 100]
+    time.sleep(2 * SETTLE_S)
+    with open(path, "r+b") as fh:
+        fh.seek(samples._HEADER.size)
+        fh.write(struct.pack("<d", 0.5))  # ccov[0] above ccov[1] = 0.01
+    with pytest.raises(SampleFileFormatError, match="ccov array is not sorted"):
+        load_sample_set(path)
+
+
+def test_record_of_checked_versions_stays_within_its_bound(tmp_path, order_checks,
+                                                          monkeypatch):
+    monkeypatch.setattr(samples, "_CHECKED_VERSIONS", 3)
+    paths = settled_caches(tmp_path, 7)
+    sizes = []
+    for path in paths:
+        load_sample_set(path)
+        sizes.append(len(samples._checked))
+    assert sizes == [1, 2, 3, 1, 2, 3, 1]
+    # The last version stays recorded and skips the check.
+    checks = len(order_checks)
+    load_sample_set(paths[-1])
+    assert len(order_checks) == checks
+
+
+def test_concurrent_loads_keep_the_record_within_its_bound(tmp_path, order_checks,
+                                                           monkeypatch):
+    # More threads than cores load six settled caches under a bound of two,
+    # so versions are recorded and evicted all the time.
+    sizes = []
+
+    class Watched(set):
+        def add(self, key):
+            super().add(key)
+            sizes.append(len(self))
+
+    monkeypatch.setattr(samples, "_checked", Watched())
+    monkeypatch.setattr(samples, "_CHECKED_VERSIONS", 2)
+    paths = settled_caches(tmp_path, 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with samples.ThreadPoolExecutor(max_workers=8) as pool:
+            ks = list(pool.map(lambda path: load_sample_set(path).K, paths * 200, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert ks == [10 + i for i in range(6)] * 200
+    assert sizes and max(sizes) <= 2
 
 
 # ---------------------------------------------------------------------------

@@ -7,18 +7,9 @@ Acceptance criterion 10 fails on purpose: the paper's dominance claim is
 false on the reference channel (see README).  So pytest's own exit code is
 always 1, and this gate decides instead.  It exits 1 and names the problem
 unless the failed and errored tests are exactly EXPECTED_FAILURES, no test
-was skipped and every REQUIRED case ran: both reference-bytes cases, the
-four tracer-site guards, which keep traced benchmark runs counting the
-layers they name, the two writer-equivalence cases, which compare
-write_csv's float memo and joined rows with csv.writer, and the
-fresh-process cases of the scipy.special ufunc load: no load on import or a
-cached query, the same ufuncs as the full package, its fallback, a
-concurrent `import scipy.special`, and the same bytes as an in-process
-generation; the three memory-bound cases, which keep a cache load free of
-K-sized temporaries and generation within three block arrays per worker; and
-the three cache-record cases, which keep a load that skips the sortedness
-check from missing an in-place rewrite or a cache that failed a check
-(renaming or deleting one must fail here, not pass silently).
+was skipped and every REQUIRED case ran.  REQUIRED pairs each case with the
+label of the check it guards, which the report of a missing case names:
+renaming or deleting a required case must fail here, not pass silently.
 CI installs the versions perfbench/reference.json records, so nothing
 should skip there: a skip can only be a check dropped silently, such as a
 skipif whose condition drifted.

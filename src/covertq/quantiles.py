@@ -87,7 +87,5 @@ def strict_outage_quantile(samples: np.ndarray, eps: float):
     to the maximum sample when m + 1 > K.
     """
     samples = np.asarray(samples)
-    if samples.size == 0:
-        raise ValueError("samples must be nonempty")
     k = samples.size
     return samples[min(order_index(eps, k), k - 1)]

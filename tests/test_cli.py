@@ -7,6 +7,7 @@ import mmap
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from covertq import (
     optimize,
     save_sample_set,
 )
-from covertq import cli, risk_constrained
+from covertq import cli, risk_constrained, samples
 from covertq.risk_adjusted import HeatmapResult
 from covertq.samples import SampleFileTruncatedError
 
@@ -276,22 +277,18 @@ def test_decade_gains_infeasible_still_writes_csv(tmp_path, capsys):
     assert all(l.split(",")[2] == "" for l in lines[1:])
 
 
-def test_surface_grid_output(tmp_path):
-    out = tmp_path / "surface.csv"
-    assert run("surface", "--k", "500", "--eps-min", "0.01", "--eps-max", "0.1",
-               "--points", "2", "--out", str(out)) == 0
+@pytest.mark.parametrize("command, flags, header, rows", [
+    ("surface", ("--k", "500", "--eps-min", "0.01"),
+     "eps_cov,eps_rel,q_max,r_max,t_star,n_t_star,q_capped", 4),
+    ("sensitivity", ("--k", "1000", "--eps-min", "0.05"), "eps,s_cov,s_rel,flags", 2),
+], ids=["surface", "sensitivity"])
+def test_two_point_sweep_output(tmp_path, command, flags, header, rows):
+    # Two points: a 2 x 2 budget grid for surface, two budgets for sensitivity.
+    out = tmp_path / f"{command}.csv"
+    assert run(command, *flags, "--eps-max", "0.1", "--points", "2", "--out", str(out)) == 0
     lines = data_lines(out)
-    assert lines[0] == "eps_cov,eps_rel,q_max,r_max,t_star,n_t_star,q_capped"
-    assert len(lines) == 5
-
-
-def test_sensitivity_output(tmp_path):
-    out = tmp_path / "sens.csv"
-    assert run("sensitivity", "--k", "1000", "--eps-min", "0.05",
-               "--eps-max", "0.1", "--points", "2", "--out", str(out)) == 0
-    lines = data_lines(out)
-    assert lines[0] == "eps,s_cov,s_rel,flags"
-    assert len(lines) == 3
+    assert lines[0] == header
+    assert len(lines) == 1 + rows
 
 
 def test_sensitivity_csv_cells(tmp_path, monkeypatch):
@@ -716,6 +713,47 @@ def test_size_costs_of_arrays():
     assert cli._SIZE_BYTES["sampling.k"] == (16, 1)
     assert cli._SIZE_BYTES["risk_adjusted.grid_points"] == (8, 2)
     assert set(cli._SIZE_BYTES) == set(SIZE_KEYS)
+
+
+# Two sizes of each points key, and flags that pin the risk-adjusted grid to
+# 11 points so its G x G array does not swamp the per-point cost.
+MEASURED_SIZES = {
+    "frontier.points": ((), (500, 1000)),
+    "surface.points": ((), (30, 60)),
+    "sensitivity.points": ((), (500, 1000)),
+    "risk_adjusted.lambda_points": (("--grid-points", "11"), (500, 1000)),
+    "risk_adjusted.heatmap_points": (("--grid-points", "11"), (30, 60)),
+}
+
+
+@pytest.mark.parametrize("key", MEASURED_SIZES)
+def test_size_cost_per_point_is_at_most_the_measured_cost(key, tmp_path, monkeypatch):
+    # A per-point figure is a command's tracemalloc peak per added cell on a
+    # K = 1000 cache, rounded down, so that a refusal never turns away a size
+    # that fits.
+    cache = tmp_path / "s.cqcs"
+    assert run("sample", "--k", "1000", "--out", str(cache)) == 0
+    argv, name = SIZE_KEYS[key]
+    flags, sizes = MEASURED_SIZES[key]
+    per_cell, power = cli._SIZE_BYTES[key]
+
+    def peak(size):
+        # A fresh cache record, so every load runs the same checks whether
+        # or not the file has settled.
+        monkeypatch.setattr(samples, "_checked", set())
+        cfg = write_config(tmp_path, {key.split(".")[0]: {name: size}})
+        tracemalloc.start()
+        try:
+            assert run(*argv, *flags, "--config", cfg, "--cache", str(cache),
+                       "--out", str(tmp_path / "x.csv")) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(sizes[0])  # builds what a process builds once, such as the parser
+    small, large = peak(sizes[0]), peak(sizes[1])
+    cost = (large - small) / (sizes[1] ** power - sizes[0] ** power)
+    assert per_cell <= cost, cost
 
 
 @pytest.mark.parametrize("key", SIZE_KEYS)

@@ -11,6 +11,7 @@ from covertq import (
     ExponentialSpec,
     GridSpec,
     ProtocolParams,
+    RiskBudgets,
     RiskWeights,
     Strategy,
     benchmark_ccov_cdf,
@@ -19,6 +20,7 @@ from covertq import (
     grid_maximize,
     heatmap_sweep,
     objective,
+    optimize,
     strict_cdf,
 )
 from covertq.risk_adjusted import (
@@ -195,6 +197,33 @@ def test_heatmap_shows_silent_and_aggressive_regimes(volatile_set, protocol):
     q_star = heatmap_sweep(volatile_set, protocol, GridSpec(101), values, values).q_star
     assert np.any(q_star == 0.0)
     assert np.any(q_star > 0.5)
+
+
+@pytest.mark.parametrize("kind", ["baseline", "volatile"])
+def test_heatmap_maxima_bracket_the_risk_constrained_optimum(kind, protocol, request):
+    # Everett (Oper. Res. 11(3), 1963): a maximizer (q*, r*) of J also
+    # maximizes q*r among the strategies whose outages are at most its own.
+    # So at its attained outages t_star is at least q* r*, and below
+    # (q* + d)(r* + d) for grid step d, or a cell one step up would beat it.
+    # An attained outage of 0 is asked for as 0.5/K, which keeps its order
+    # statistic.  Every cell checked here has q* = 1; a cell with q* < 1 goes
+    # through the covertness map's q -> c_cov -> q round trip, and its lower
+    # bound could need a few ulps of slack.
+    s = request.getfixturevalue(f"{kind}_set")
+    d = 1.0 / 400
+    weights = np.logspace(-3.0, 1.0, 25)
+    res = heatmap_sweep(s, protocol, GridSpec(401), weights, weights)
+    checked = 0
+    for q, r in zip(res.q_star.ravel().tolist(), res.r_star.ravel().tolist()):
+        eps_cov = strict_cdf(s.ccov, protocol.ccov_threshold(q))
+        eps_rel = strict_cdf(s.rach, r)
+        if q == 0 or r == 0 or max(eps_cov, eps_rel) >= 1:
+            continue
+        budgets = RiskBudgets(eps_cov or 0.5 / s.K, eps_rel or 0.5 / s.K)
+        t_star = optimize(s, protocol, budgets).t_star
+        assert q * r <= t_star < (q + d) * (r + d), (q, r, t_star)
+        checked += 1
+    assert checked > 0
 
 
 def full_matrix_grid_maximum(s, w, p, g):

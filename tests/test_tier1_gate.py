@@ -1,19 +1,21 @@
 """The CI gate reads the tier-1 junit report and gives the suite's verdict.
 
 .github/scripts/tier1_gate.py passes only when acceptance criterion 10 is
-the sole failure, nothing was skipped and both reference-bytes cases, the
-four tracer-site guards, the two writer-equivalence cases, the
-fresh-process cold-start, import-race and bit-identity cases, the three
-memory-bound cases and the three cache-record cases ran.
-These tests feed it small hand-written reports.
+the sole failure, nothing was skipped and every case in its REQUIRED table
+ran; REQUIRED below mirrors that table, each case with its guard label.
+These tests feed the gate small hand-written reports, and check that every
+required case is still collected from the test files.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-GATE = Path(__file__).resolve().parents[1] / ".github" / "scripts" / "tier1_gate.py"
+ROOT = Path(__file__).resolve().parents[1]
+GATE = ROOT / ".github" / "scripts" / "tier1_gate.py"
 
 CRITERION_10 = ("tests.test_acceptance", "test_criterion_10_sensitivity_dominance")
 # Each case the gate requires by name, with the check it guards.
@@ -88,7 +90,8 @@ def verdict(gate, tmp_path, capsys, cases):
 def test_only_criterion_10_failing_passes(gate, tmp_path, capsys):
     rc, out = verdict(gate, tmp_path, capsys, expected_cases())
     assert rc == 0, out
-    assert out.splitlines()[-1] == "25 tests, 24 passed, 1 failed: gate passed"
+    total = len(expected_cases())
+    assert out.splitlines()[-1] == f"{total} tests, {total - 1} passed, 1 failed: gate passed"
 
 
 @pytest.mark.parametrize("tag", ["failure", "error"])
@@ -114,55 +117,24 @@ def test_a_skip_fails_and_is_named(gate, tmp_path, capsys):
     assert "skipped: tests.test_cli::test_skipped_one" in out
 
 
-def guarding(check):
-    return pytest.mark.parametrize(
-        "missing", [case for case, guard in REQUIRED.items() if guard == check],
-        ids=lambda case: case[1])
-
-
-def assert_missing_case_fails(gate, tmp_path, capsys, missing):
+@pytest.mark.parametrize("missing", REQUIRED,
+                         ids=[f"{guard}-{case[1]}" for case, guard in REQUIRED.items()])
+def test_a_missing_required_case_fails(gate, tmp_path, capsys, missing):
     cases = [case for case in expected_cases() if case[:2] != missing]
     rc, out = verdict(gate, tmp_path, capsys, cases)
     assert rc == 1
     assert f"{REQUIRED[missing]} not checked: {missing[0]}::{missing[1]} missing" in out
 
 
-# One test per check, so each keeps its name in the suite's reports.
-@guarding("reference bytes")
-def test_a_missing_reference_case_fails(gate, tmp_path, capsys, missing):
-    assert_missing_case_fails(gate, tmp_path, capsys, missing)
-
-
-@guarding("tracer sites")
-def test_a_missing_tracer_site_case_fails(gate, tmp_path, capsys, missing):
-    assert_missing_case_fails(gate, tmp_path, capsys, missing)
-
-
-@guarding("writer equivalence")
-def test_a_missing_writer_equivalence_case_fails(gate, tmp_path, capsys, missing):
-    assert_missing_case_fails(gate, tmp_path, capsys, missing)
-
-
-@guarding("cold start")
-def test_a_missing_cold_start_case_fails(gate, tmp_path, capsys, missing):
-    assert_missing_case_fails(gate, tmp_path, capsys, missing)
-
-
-@guarding("import race")
-def test_a_missing_import_race_case_fails(gate, tmp_path, capsys, missing):
-    assert_missing_case_fails(gate, tmp_path, capsys, missing)
-
-
-@guarding("bit identity")
-def test_a_missing_bit_identity_case_fails(gate, tmp_path, capsys, missing):
-    assert_missing_case_fails(gate, tmp_path, capsys, missing)
-
-
-@guarding("memory bound")
-def test_a_missing_memory_bound_case_fails(gate, tmp_path, capsys, missing):
-    assert_missing_case_fails(gate, tmp_path, capsys, missing)
-
-
-@guarding("cache record")
-def test_a_missing_cache_record_case_fails(gate, tmp_path, capsys, missing):
-    assert_missing_case_fails(gate, tmp_path, capsys, missing)
+def test_every_required_case_exists(gate):
+    # A fresh collection of the files the gate names: a required case that
+    # was renamed or deleted fails here, not only in CI's gate step.
+    nodes = {f"{module.replace('.', '/')}.py::{name}"
+             for module, _, name in (test.partition("::") for test in gate.REQUIRED)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         *sorted({node.partition("::")[0] for node in nodes})],
+        cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    missing = sorted(nodes - set(proc.stdout.splitlines()))
+    assert not missing, f"required cases not collected: {missing}"

@@ -118,7 +118,7 @@ def test_a_skip_fails_and_is_named(gate, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("missing", REQUIRED,
-                         ids=[f"{guard}-{case[1]}" for case, guard in REQUIRED.items()])
+                         ids=[f"{case[1]}-{guard}" for case, guard in REQUIRED.items()])
 def test_a_missing_required_case_fails(gate, tmp_path, capsys, missing):
     cases = [case for case in expected_cases() if case[:2] != missing]
     rc, out = verdict(gate, tmp_path, capsys, cases)

@@ -12,20 +12,23 @@ stream is counter-addressed (see distributions), eta consumes positions
 [0, K) and nb positions [K, 2K), and parallel workers fill disjoint index
 ranges of the same virtual sequence.
 
-Generation runs in fixed blocks of rows small enough for a core's L2 cache.
-Each worker owns one pair of block buffers: for every block it takes, the
-samplers draw its span of the stream into them in place, and the physics
-kernels reduce it to (c_cov, r_ach) straight into the block's rows of the
-two K-row output arrays, which are then sorted in place.  Peak memory is
-therefore 16 bytes x K plus three block arrays per worker (its two buffers
-and the one scratch array a physics call allocates), and a block reuses
-memory instead of faulting in fresh pages.  The cache is written from those
-arrays directly, and a load maps the file copy-on-write instead of reading
-it: the loaded arrays are views of a private mapping, so a write into them
-stays in memory and never reaches the file.  A load allocates nothing of K
-rows: it checks sortedness one block of pairs at a time, in one reused
-buffer.  A save replaces the file and never rewrites it in place, so a set
-already mapped from it keeps the bytes it was validated on.
+Generation runs in blocks of one stream chunk (STREAM_CHUNK rows), so a
+block's eta span is one PCG64 chunk and a worker's block working set (its
+two buffers, one physics scratch array, the two output slices: five arrays
+of 256 KiB) stays inside a core's 2 MiB L2 cache.  Each worker owns one
+pair of block buffers: for every block it takes, the samplers draw its span
+of the stream into them in place, and the physics kernels reduce it to
+(c_cov, r_ach) straight into the block's rows of the two K-row output
+arrays, which are then sorted in place.  Peak memory is therefore 16 bytes
+x K plus three block arrays per worker (its two buffers and the one scratch
+array a physics call allocates), and a block reuses memory instead of
+faulting in fresh pages.  The cache is written from those arrays directly,
+and a load maps the file copy-on-write instead of reading it: the loaded
+arrays are views of a private mapping, so a write into them stays in
+memory and never reaches the file.  A load allocates nothing of K rows: it
+checks sortedness _CHECK_PAIRS pairs at a time, in one reused buffer.  A
+save replaces the file and never rewrites it in place, so a set already
+mapped from it keeps the bytes it was validated on.
 
 Every load checks the header (magic, version, K >= 1), the exact file size,
 the channel digest when one is expected, the mapped length and the domain
@@ -101,10 +104,18 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sIQQ32s8x")
 assert _HEADER.size == 64
 
-# Rows per generation block.  Each block's draws and physics temporaries
-# (a few arrays of _BLOCK doubles) stay in a core's L2 cache.  A multiple of
-# STREAM_CHUNK so eta spans stay chunk-aligned; output does not depend on it.
-_BLOCK = 2 * STREAM_CHUNK
+# Rows per generation block: one stream chunk, so each eta span is one
+# PCG64 chunk and the five 256 KiB arrays a block touches (two buffers, one
+# physics scratch, two output slices) fit a core's 2 MiB L2 cache.  Blocks
+# of 2 * STREAM_CHUNK rows filled L2 and, in a process running one cold
+# command after another, faulted in 743 fresh pages per command where these
+# fault in none (BENCH_31.json).  Output does not depend on it.
+_BLOCK = STREAM_CHUNK
+
+# Adjacent pairs per piece of a load's NaN and sortedness check, set apart
+# from _BLOCK: a check in 16,384-pair pieces took 21.5 ms per K = 10^7 load
+# against 18 ms in pieces of this size.
+_CHECK_PAIRS = 1 << 16
 
 # The record of checked cache file versions (see the module docstring).  The
 # lock keeps concurrent loads from each passing the size test before either
@@ -196,6 +207,14 @@ class SampleSet:
         return len(self.ccov)
 
 
+def _usable_cpus() -> int:
+    # The CPUs this process may run on (a taskset or cpuset can allow fewer
+    # than the machine has), where the platform reports them.
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _workspace(spec: ChannelSpec, rows: int):
     # One worker's block buffers: eta and nb for up to ``rows`` rows.  The
     # benchmark channel's constant eta is written here, once per worker.
@@ -234,9 +253,9 @@ def generate_sample_set(
     seed : int
         64-bit stream seed; fully determines the output.
     workers : int
-        Worker threads pulling row blocks, at most one per CPU and one per
-        block.  The result is bit-identical for every worker count because
-        block contents are position-addressed.
+        Worker threads pulling row blocks, at most one per CPU this process
+        may run on and one per block.  The result is bit-identical for
+        every worker count because block contents are position-addressed.
 
     Peak memory is the 16 * K bytes of the result plus three block arrays
     per worker: its eta and nb buffers and one physics scratch array.
@@ -247,7 +266,7 @@ def generate_sample_set(
         raise ValueError(f"workers must be >= 1, got {workers}")
     digest = channel_digest(spec)  # validates the spec type up front
     blocks = range(0, K, _BLOCK)
-    threads = min(workers, os.cpu_count() or 1, len(blocks))
+    threads = min(workers, _usable_cpus(), len(blocks))
 
     ccov = np.empty(K)
     rach = np.empty(K)
@@ -325,9 +344,10 @@ def load_sample_set(path, expected_digest: bytes | None = None) -> SampleSet:
     payload is then mapped copy-on-write, not read: ``ccov`` and ``rach`` are
     writable views of one private mapping that lives as long as they do, and
     writes into them never reach the file.  The NaN and sortedness check
-    compares adjacent pairs in pieces of _BLOCK pairs, in one reused bool
-    buffer, and stops at the first bad piece, so a load allocates nothing
-    K-sized; a pair that straddles two pieces is compared like any other.
+    compares adjacent pairs in pieces of _CHECK_PAIRS pairs, in one reused
+    bool buffer, and stops at the first bad piece, so a load allocates
+    nothing K-sized; a pair that straddles two pieces is compared like any
+    other.
     The header, size, digest, mapped-length and domain checks run on every
     load.  The NaN and sortedness check runs on the first load of each file
     version in the process; a version that passed every check and whose last
@@ -376,7 +396,7 @@ def load_sample_set(path, expected_digest: bytes | None = None) -> SampleSet:
     key = (st.st_dev, st.st_ino, size, st.st_mtime_ns, st.st_ctime_ns, head)
     checked = key in _checked
     if not checked:
-        scratch = np.empty(min(_BLOCK, k), dtype=bool)  # one piece's comparisons
+        scratch = np.empty(min(_CHECK_PAIRS, k), dtype=bool)  # one piece's comparisons
         for name, arr in (("ccov", ccov), ("rach", rach)):
             if not _ascending(arr, scratch):
                 raise SampleFileFormatError(f"{path}: {name} array is not sorted or holds NaN")

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import covertq
 import covertq.cli  # noqa: F401  (the tracer patches cli call sites too)
+from covertq import samples
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -42,7 +43,7 @@ def test_tracer_counts_a_traced_pass(monkeypatch, tmp_path):
     # write_csv's rows as argument 2; a signature change that moves either
     # one zeroes or breaks these counts, and this test names the site.
     spans = load_spans(monkeypatch)
-    K = 70_000  # two 2**16-row generation blocks
+    K = samples._BLOCK + 4_464  # two generation blocks, the second partial
     cache = tmp_path / "s.cqcs"
     tracer = spans.Tracer(covertq)
     tracer.install()

@@ -33,6 +33,7 @@ from covertq.samples import (
     SampleFileVersionError,
 )
 from covertq.distributions import (
+    STREAM_CHUNK,
     sample_exponential,
     sample_truncated_gaussian,
     sample_truncated_lognormal,
@@ -145,6 +146,21 @@ def test_generate_worker_count_invariance():
         np.testing.assert_array_equal(ref.rach, alt.rach)
 
 
+@pytest.mark.parametrize("block", [STREAM_CHUNK, 2 * STREAM_CHUNK, 40_000, 1_000],
+                         ids=["one-chunk", "two-chunks", "unaligned-40000", "unaligned-1000"])
+@pytest.mark.parametrize("spec", [make_baseline_spec(), small_benchmark_spec()],
+                         ids=["stochastic", "benchmark"])
+def test_output_bytes_do_not_depend_on_the_block_size(spec, block, monkeypatch):
+    # Blocks of any size, chunk-aligned or not, at one and two workers.
+    K, seed = 3 * STREAM_CHUNK + 7, 11
+    ref = generate_sample_set(spec, K, seed)
+    monkeypatch.setattr(samples, "_BLOCK", block)
+    for workers in (1, 2):
+        s = generate_sample_set(spec, K, seed, workers=workers)
+        assert s.ccov.tobytes() == ref.ccov.tobytes(), workers
+        assert s.rach.tobytes() == ref.rach.tobytes(), workers
+
+
 @pytest.mark.parametrize("spec", [make_baseline_spec(), small_benchmark_spec()],
                          ids=["stochastic", "benchmark"])
 def test_blocked_generation_matches_whole_array(spec, monkeypatch):
@@ -174,7 +190,7 @@ def test_blocked_generation_matches_whole_array(spec, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     n_blocks = -(-K // samples._BLOCK)
-    threads = [min(w, os.cpu_count() or 1, n_blocks) for w in (1, 2, 3)]
+    threads = [min(w, samples._usable_cpus(), n_blocks) for w in (1, 2, 3)]
     assert pool_sizes == [t for t in threads if t > 1]
 
 
@@ -210,14 +226,14 @@ def test_generation_peak_memory_per_worker(workers):
     generate_sample_set(spec, K, seed=1, workers=workers)
     peak, s = _peak_bytes(lambda: generate_sample_set(spec, K, seed=1, workers=workers))
     assert s.K == K
-    threads = min(workers, os.cpu_count() or 1)
+    threads = min(workers, samples._usable_cpus())
     blocks = (peak - 16 * K) / (8 * samples._BLOCK)
     assert blocks < 3.5 * threads, blocks
 
 
 def test_load_peak_memory_is_not_k_sized(tmp_path):
     # The payload is mapped, and the sortedness check reuses one piece's
-    # comparison buffer (_BLOCK bools): nothing of K rows is allocated.
+    # comparison buffer (_CHECK_PAIRS bools): nothing of K rows is allocated.
     K = 2**20
     path = tmp_path / "s.cqcs"
     save_sample_set(ramp_set(K), path)
@@ -264,7 +280,8 @@ def test_load_checks_size_before_allocating(tmp_path):
 
 
 def test_generate_pool_bounded_by_cpu_count(monkeypatch):
-    # A serial stand-in records the pool size and starts no thread.
+    # A serial stand-in records the pool size and starts no thread.  The
+    # cap is the CPUs the process may run on, not the machine's count.
     pool_sizes = []
 
     class SerialPool:
@@ -285,9 +302,16 @@ def test_generate_pool_bounded_by_cpu_count(monkeypatch):
     K = 2 * samples._BLOCK + 1  # three blocks, so a pool can start
     ref = generate_sample_set(spec, K, seed=7, workers=1)
     alt = generate_sample_set(spec, K, seed=7, workers=1_000_000)
-    assert all(size <= (os.cpu_count() or 1) for size in pool_sizes)
+    assert all(size <= samples._usable_cpus() for size in pool_sizes)
     assert np.array_equal(alt.ccov, ref.ccov)
     assert np.array_equal(alt.rach, ref.rach)
+
+    pool_sizes.clear()
+    monkeypatch.setattr(samples.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    one = generate_sample_set(spec, K, seed=7, workers=2)
+    assert pool_sizes == []
+    assert one.ccov.tobytes() == ref.ccov.tobytes()
+    assert one.rach.tobytes() == ref.rach.tobytes()
 
 
 def test_generate_degenerate_stochastic_collapses_to_point():
@@ -402,11 +426,11 @@ def test_load_rejects_nan(tmp_path, K, index):
         load_sample_set(path)
 
 
-# The sortedness check compares pairs in pieces of _BLOCK pairs: piece m
-# holds the pairs (i, i + 1) for i in [m * B, (m + 1) * B), so element
-# m * B is the seam the two pieces share.  Three pieces at this K, the last
-# one short.
-B = samples._BLOCK
+# The sortedness check compares pairs in pieces of _CHECK_PAIRS pairs:
+# piece m holds the pairs (i, i + 1) for i in [m * B, (m + 1) * B), so
+# element m * B is the seam the two pieces share.  Three pieces at this K,
+# the last one short.
+B = samples._CHECK_PAIRS
 K_PIECES = 2 * B + 5
 
 

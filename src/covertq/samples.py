@@ -16,8 +16,9 @@ Generation runs in blocks of one stream chunk (STREAM_CHUNK rows), so a
 block's eta span is one PCG64 chunk and a worker's block working set (its
 two buffers, one physics scratch array, the two output slices: five arrays
 of 256 KiB) stays inside a core's 2 MiB L2 cache.  Each worker owns one
-pair of block buffers: for every block it takes, the samplers draw its span
-of the stream into them in place, and the physics kernels reduce it to
+pair of block buffers.  For every block it takes, the channel spec fills
+them in place (each kind's ``_draw``) from the stream positions that
+generate_sample_set alone fixes, and the physics kernels reduce them to
 (c_cov, r_ach) straight into the block's rows of the two K-row output
 arrays, which are then sorted in place.  Peak memory is therefore 16 bytes
 x K plus three block arrays per worker (its two buffers and the one scratch
@@ -67,7 +68,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 import numpy as np
 
@@ -153,6 +154,15 @@ class StochasticChannelSpec:
     eta: TruncatedLognormalSpec
     nb: TruncatedGaussianSpec
 
+    def _digest_fields(self):
+        return ("stochastic", self.eta.mu_ln, self.eta.sigma_ln, self.nb.mu,
+                self.nb.sigma, self.nb.lower, self.nb.upper)
+
+    def _draw(self, seed, eta_at, nb_at, eta, nb) -> None:
+        # Fill one block's buffers in place from stream positions eta_at, nb_at.
+        sample_truncated_lognormal(self.eta, len(eta), seed, eta_at, out=eta)
+        sample_truncated_gaussian(self.nb, len(nb), seed, nb_at, out=nb)
+
 
 @dataclass(frozen=True)
 class BenchmarkChannelSpec:
@@ -166,26 +176,25 @@ class BenchmarkChannelSpec:
         if not 0 < self.eta0 < 1:
             raise ValueError(f"eta0 must lie in (0, 1), got {self.eta0}")
 
+    def _digest_fields(self):
+        return ("benchmark", self.eta0, self.nb.rate)
+
+    def _draw(self, seed, eta_at, nb_at, eta, nb) -> None:
+        # The constant eta draws nothing, so position eta_at goes unread; nb
+        # keeps the stochastic kind's stream positions.
+        eta.fill(self.eta0)
+        sample_exponential(self.nb, len(nb), seed, nb_at, out=nb)
+
 
 ChannelSpec = Union[StochasticChannelSpec, BenchmarkChannelSpec]
 
 
 def channel_digest(spec: ChannelSpec) -> bytes:
     """SHA-256 over a canonical, bit-exact text encoding of the spec."""
-    if isinstance(spec, StochasticChannelSpec):
-        parts = [
-            "stochastic",
-            spec.eta.mu_ln.hex(),
-            spec.eta.sigma_ln.hex(),
-            spec.nb.mu.hex(),
-            spec.nb.sigma.hex(),
-            spec.nb.lower.hex(),
-            spec.nb.upper.hex(),
-        ]
-    elif isinstance(spec, BenchmarkChannelSpec):
-        parts = ["benchmark", spec.eta0.hex(), spec.nb.rate.hex()]
-    else:
+    if not isinstance(spec, get_args(ChannelSpec)):
         raise TypeError(f"not a channel spec: {spec!r}")
+    kind, *fields = spec._digest_fields()
+    parts = [kind, *(field.hex() for field in fields)]
     return hashlib.sha256("|".join(parts).encode("ascii")).digest()
 
 
@@ -213,30 +222,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _workspace(spec: ChannelSpec, rows: int):
-    # One worker's block buffers: eta and nb for up to ``rows`` rows.  The
-    # benchmark channel's constant eta is written here, once per worker.
-    if isinstance(spec, BenchmarkChannelSpec):
-        return np.full(rows, spec.eta0), np.empty(rows)
-    return np.empty(rows), np.empty(rows)
-
-
-def _draw_span(spec: ChannelSpec, lo: int, hi: int, K: int, seed: int, eta, nb):
-    # Draw output rows [lo, hi) of a K-row run into the first hi - lo rows
-    # of a workspace's buffers and return those views: eta uniforms live at
-    # stream positions [lo, hi) and nb uniforms at [K + lo, K + hi).  The
-    # benchmark channel's constant eta draws nothing, but its nb keeps the
-    # same positions, so both variants share one stream layout.
-    count = hi - lo
-    eta, nb = eta[:count], nb[:count]
-    if isinstance(spec, StochasticChannelSpec):
-        sample_truncated_lognormal(spec.eta, count, seed, lo, out=eta)
-        sample_truncated_gaussian(spec.nb, count, seed, K + lo, out=nb)
-    else:
-        sample_exponential(spec.nb, count, seed, K + lo, out=nb)
-    return eta, nb
 
 
 def generate_sample_set(
@@ -273,14 +258,15 @@ def generate_sample_set(
     pending = iter(blocks)
 
     def work(_) -> None:
-        # One worker: its own block buffers, filled in place for each block
-        # it takes from the shared iterator (next() on a range iterator is
-        # atomic under the GIL).  The physics kernels write each block's
-        # results straight into its rows of the two outputs.
-        workspace = _workspace(spec, min(_BLOCK, K))
+        # One worker's block buffers, filled by the spec for each block taken
+        # from the shared iterator (next() on a range iterator is atomic under
+        # the GIL).  The stream layout is fixed here and nowhere else.  The
+        # physics kernels write each block's results into its output rows.
+        eta_buf, nb_buf = np.empty(min(_BLOCK, K)), np.empty(min(_BLOCK, K))
         for lo in pending:
             hi = min(lo + _BLOCK, K)
-            eta, nb = _draw_span(spec, lo, hi, K, seed, *workspace)
+            eta, nb = eta_buf[: hi - lo], nb_buf[: hi - lo]
+            spec._draw(seed, lo, K + lo, eta, nb)
             covertness_constant(eta, nb, out=ccov[lo:hi])
             achievable_rate(eta, nb, out=rach[lo:hi])
 

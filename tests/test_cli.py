@@ -789,6 +789,18 @@ def test_physical_memory_is_the_machine_figure():
     assert memory == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") > 0
 
 
+def test_unknown_physical_memory_refuses_no_size(monkeypatch):
+    # Where the platform cannot say, no size is refused.  resolve_config
+    # draws nothing, so the huge K allocates nothing.
+    def sysconf(name):
+        raise ValueError(f"unrecognized configuration name {name}")
+
+    monkeypatch.setattr(os, "sysconf", sysconf)
+    assert cli._physical_memory() is None
+    args = cli._parser().parse_args(["optimize", "--k", "1000000000000000"])
+    assert cli.resolve_config(args).raw["sampling"]["k"] == 10**15
+
+
 @pytest.mark.parametrize("argv", [
     ("optimize", "--n", "1e30"),
     ("scaling", "--n-values", "1e30"),

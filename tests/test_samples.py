@@ -86,15 +86,28 @@ def test_channel_digest_rejects_other_types():
         channel_digest("not a spec")
 
 
+def test_channel_digests_are_pinned():
+    # Each kind's field order, pinned without the host: the reference CSV
+    # hashes pin these too, but only where numpy dispatches X86_V4.
+    default = cli.resolve_config(cli._parser().parse_args(["optimize"])).channel
+    assert channel_digest(default).hex() == (
+        "5f1ebc823432f51a561ab03b84b2e834be71894eb1142b5b541c7dfdba79845c")
+    assert channel_digest(small_benchmark_spec()).hex() == (
+        "84b0690bca8aef7f2172be99320ac254b231fa19ed66b48f04dae922f4916f81")
+    with pytest.raises(TypeError, match="not a channel spec"):
+        channel_digest(make_baseline_spec().eta)
+
+
 # ---------------------------------------------------------------------------
 # drawing realizations
 
 
-def test_draw_span_stochastic_stream_layout():
-    # Rows [lo, hi) of a K-row run draw eta at stream positions [lo, hi)
-    # and nb at [K + lo, K + hi).
+def test_draw_stochastic_stream_layout():
+    # Rows [40, 100) of a 100-row run: eta from stream position 40 and nb
+    # from 140, the positions generate_sample_set passes.
     spec = make_baseline_spec()
-    eta, nb = samples._draw_span(spec, 40, 100, 100, 5, *samples._workspace(spec, 60))
+    eta, nb = np.empty(60), np.empty(60)
+    spec._draw(5, 40, 140, eta, nb)
     np.testing.assert_array_equal(
         eta, sample_truncated_lognormal(spec.eta, 60, 5, 40)
     )
@@ -103,11 +116,12 @@ def test_draw_span_stochastic_stream_layout():
     )
 
 
-def test_draw_span_benchmark_skips_eta_span():
+def test_draw_benchmark_skips_eta_span():
     # eta is constant for the benchmark variant, but nb must occupy the same
     # stream positions as in the stochastic case.
     spec = small_benchmark_spec()
-    eta, nb = samples._draw_span(spec, 40, 100, 100, 5, *samples._workspace(spec, 60))
+    eta, nb = np.empty(60), np.empty(60)
+    spec._draw(5, 40, 140, eta, nb)
     assert eta.shape == (60,) and np.all(eta == 0.9)
     np.testing.assert_array_equal(
         nb, sample_exponential(spec.nb, 60, 5, 140)
@@ -168,7 +182,8 @@ def test_blocked_generation_matches_whole_array(spec, monkeypatch):
     # so its blocks straddle stream chunks.  The reference draws all rows in
     # one span, reduces them with the whole-expression physics and sorts.
     K, seed = 3 * 2**16 + 12_345, 13
-    eta, nb = samples._draw_span(spec, 0, K, K, seed, *samples._workspace(spec, K))
+    eta, nb = np.empty(K), np.empty(K)
+    spec._draw(seed, 0, K, eta, nb)
     ccov = np.sort(reference_covertness_constant(eta, nb))
     rach = np.sort(reference_achievable_rate(eta, nb))
 
@@ -312,6 +327,19 @@ def test_generate_pool_bounded_by_cpu_count(monkeypatch):
     assert pool_sizes == []
     assert one.ccov.tobytes() == ref.ccov.tobytes()
     assert one.rach.tobytes() == ref.rach.tobytes()
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    # A platform without sched_getaffinity caps threads at the machine's
+    # CPU count, and the bytes stay those of one worker.
+    spec = make_baseline_spec()
+    K = 2 * samples._BLOCK + 1
+    ref = generate_sample_set(spec, K, seed=7, workers=1)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert samples._usable_cpus() == (os.cpu_count() or 1)
+    alt = generate_sample_set(spec, K, seed=7, workers=2)
+    assert alt.ccov.tobytes() == ref.ccov.tobytes()
+    assert alt.rach.tobytes() == ref.rach.tobytes()
 
 
 def test_generate_degenerate_stochastic_collapses_to_point():

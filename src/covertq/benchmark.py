@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantiles import RiskBudgets
-from .risk_constrained import InvariantError, OptimumReport, ProtocolParams, optimize
+from .risk_constrained import OptimumReport, ProtocolParams, optimize
 from .samples import BenchmarkChannelSpec, SampleSet, channel_digest
 from .samples import generate_sample_set  # noqa: F401  (uncalled; perfbench/spans.py patches it)
 from .physics import achievable_rate
@@ -64,12 +64,10 @@ def benchmark_ccov_quantile(c: BenchmarkChannelSpec, eps_cov: float) -> float:
     """Exact strict-outage quantile of c_cov: k * sqrt((Z^2 - 1)/(4*eta0))."""
     eps_cov = RiskBudgets.check(eps_cov, "eps_cov")
     z = 1.0 - (2.0 * c.eta0 / c.nb.rate) * np.log1p(-eps_cov)
-    # ln(1 - eps) < 0 for eps in (0, 1), so Z > 1 and the radicand is
-    # positive; check rather than trust the caller's floating point.  Z*Z
-    # overflows at a tiny rate, where the quantile's limit +inf is right.
+    # ln(1 - eps) < 0 for eps in (0, 1), so Z >= 1 (or +inf) and the
+    # radicand is never negative.  Z*Z overflows at a tiny rate, where the
+    # quantile's limit +inf is right.
     with np.errstate(over="ignore"):
-        if not z * z - 1.0 >= 0.0:
-            raise InvariantError(f"quantile radicand negative at eps={eps_cov}")
         return float(_k(c) * np.sqrt((z * z - 1.0) / (4.0 * c.eta0)))
 
 

@@ -8,6 +8,7 @@ other seeds or sizes generate their own sets locally.
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,16 @@ def run_fresh(script, *args):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def peak_bytes(fn):
+    """Call fn under tracemalloc: (the peak bytes it allocated, its result)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def make_baseline_spec() -> StochasticChannelSpec:

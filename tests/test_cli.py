@@ -1,4 +1,12 @@
-"""End-to-end CLI behavior: artifacts, precedence rules, and exit codes."""
+"""End-to-end CLI behavior: artifacts, precedence rules, and exit codes.
+
+Every input refused with exit 2 before a set is drawn or loaded is one row
+of CONFIG_ERRORS, and test_config_error_exits_2_before_sampling checks the
+whole contract for each row: the exit code, one `config error: ` line
+holding the row's message, no traceback, nothing drawn or loaded and nothing
+written.  Refusals that come later, once a set is drawn or a cache read,
+have tests of their own.
+"""
 
 import errno
 import json
@@ -7,7 +15,6 @@ import mmap
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,13 +25,9 @@ import covertq
 from covertq import (
     BenchmarkChannelSpec,
     ExponentialSpec,
-    OptimumReport,
     ProtocolParams,
     RiskBudgets,
     SensitivityPoint,
-    StochasticChannelSpec,
-    TruncatedGaussianSpec,
-    TruncatedLognormalSpec,
     channel_digest,
     generate_sample_set,
     load_sample_set,
@@ -35,7 +38,7 @@ from covertq import cli, risk_constrained, samples
 from covertq.risk_adjusted import HeatmapResult
 from covertq.samples import SampleFileTruncatedError
 
-from conftest import run_fresh
+from conftest import make_baseline_spec, peak_bytes, run_fresh
 
 
 def run(*argv):
@@ -48,11 +51,8 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
-def default_channel():
-    return StochasticChannelSpec(
-        eta=TruncatedLognormalSpec(mu_ln=-0.0126, sigma_ln=0.05),
-        nb=TruncatedGaussianSpec(mu=0.005, sigma=0.001, lower=0.0, upper=0.5),
-    )
+# The channel digest of the default config's channel.
+BASELINE_DIGEST = channel_digest(make_baseline_spec()).hex()
 
 
 def data_lines(path):
@@ -75,8 +75,7 @@ def test_sample_then_optimize_from_cache(tmp_path, capsys):
     assert rc == 0
 
     lines = out.read_text().splitlines()
-    digest = channel_digest(default_channel()).hex()
-    assert lines[0] == f"# seed=3 K=2000 channel_digest={digest}"
+    assert lines[0] == f"# seed=3 K=2000 channel_digest={BASELINE_DIGEST}"
     assert lines[1] == ("eps_cov,eps_rel,q_max,r_max,t_star,n_t_star,"
                         "q_capped,feasible,below_resolution")
 
@@ -149,7 +148,7 @@ def test_optimize_budget_of_one_order_statistic_is_resolved(tmp_path):
     header, row = data_lines(out)
     cells = dict(zip(header.split(","), row.split(",")))
     assert cells["below_resolution"] == "false"
-    s = generate_sample_set(default_channel(), 49, seed=1)
+    s = generate_sample_set(make_baseline_spec(), 49, seed=1)
     assert float(cells["r_max"]) == s.rach[1]
 
 
@@ -208,7 +207,8 @@ def test_benchmark_validate_rows(tmp_path):
                      ["0.5", "q_max"], ["0.5", "r_max"]]
 
 
-def test_benchmark_validate_reads_channel_section(tmp_path, capsys):
+def test_benchmark_validate_reads_channel_section(tmp_path):
+    # Its refusals are rows of test_config_error_exits_2_before_sampling.
     cfg = write_config(tmp_path, {"channel": {"kind": "benchmark", "eta0": 0.95}})
     out = tmp_path / "val.csv"
     assert run("benchmark-validate", "--config", cfg, "--k", "500",
@@ -216,15 +216,6 @@ def test_benchmark_validate_reads_channel_section(tmp_path, capsys):
     digest = channel_digest(BenchmarkChannelSpec(0.95, ExponentialSpec(10.0)))
     assert out.read_text().splitlines()[0] == (
         f"# seed=1 K=500 channel_digest={digest.hex()}")
-
-    # eta0/rate live only in the channel section, and only on its
-    # benchmark kind.
-    for i, bad in enumerate(({"benchmark": {"eta0": 0.95}},
-                             {"channel": {"kind": "stochastic"}})):
-        cfg = write_config(tmp_path, bad, name=f"bad{i}.json")
-        assert run("benchmark-validate", "--config", cfg, "--k", "500",
-                   "--out", str(out)) == 2, bad
-        assert "config error" in capsys.readouterr().err
 
 
 def test_every_csv_stamps_its_source(tmp_path):
@@ -300,7 +291,7 @@ def test_sensitivity_csv_cells(tmp_path, monkeypatch):
     out = tmp_path / "sens.csv"
     assert run("sensitivity", "--k", "10", "--out", str(out)) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == f"# seed=1 K=10 channel_digest={channel_digest(default_channel()).hex()}"
+    assert lines[0] == f"# seed=1 K=10 channel_digest={BASELINE_DIGEST}"
     assert lines[1] == "eps,s_cov,s_rel,flags"
     assert lines[2] == "0.1,1.5,2.5,"
     assert lines[3] == "0.2,0.5,0.25,atom_suspected;cap_transition"
@@ -354,7 +345,7 @@ def test_risk_adjusted_sweep_csv_cells(tmp_path, monkeypatch):
     assert run("risk-adjusted", "--config", cfg, "--fixed-other", "1.5", "--k", "100",
                "--seed", "3", "--out", str(out)) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == f"# seed=3 K=100 channel_digest={channel_digest(default_channel()).hex()}"
+    assert lines[0] == f"# seed=3 K=100 channel_digest={BASELINE_DIGEST}"
     assert lines[1] == ("lambda_cov,lambda_rel,q_star,r_star,j_value,"
                         "outside_sparse_regime")
     assert lines[2] == "1.0,1.5,0.25,0.5,0.1,false"
@@ -375,7 +366,7 @@ def test_risk_adjusted_heatmap_csv_cells(tmp_path, monkeypatch):
     assert run("risk-adjusted", "--config", cfg, "--mode", "heatmap", "--k", "4",
                "--seed", "0", "--out", str(out)) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == f"# seed=0 K=4 channel_digest={channel_digest(default_channel()).hex()}"
+    assert lines[0] == f"# seed=0 K=4 channel_digest={BASELINE_DIGEST}"
     assert lines[1] == "lambda_cov,lambda_rel,q_star,r_star"
     assert lines[2] == "1.0,1.0,0.1,0.5"
     assert lines[5] == "100.0,100.0,0.4,0.8"
@@ -495,102 +486,6 @@ def test_out_flag_beats_output_dir(tmp_path):
 # exit codes
 
 
-def test_config_error_exits(tmp_path, capsys):
-    # All of these are rejected while resolving the config, before any
-    # sampling happens; no flags may mask the broken key.
-    bad_configs = [
-        {"bogus": {}},
-        {"channel": {"kind": "benchmark", "mu_ln": 1.0}},
-        {"channel": {"kind": "exotic"}},
-        {"protocol": {"n": "many"}},
-        {"protocol": 7},
-        {"sampling": {"k": 0}},
-        {"sampling": {"workers": 0}},
-        {"sampling": {"seed": -1}},
-        {"output_dir": 5},
-        # JSON's NaN and Infinity reach the channel laws.
-        {"channel": {"mu_ln": float("nan")}},
-        {"channel": {"mu_ln": float("inf")}},
-        {"channel": {"mu_ln": float("-inf")}},
-        {"channel": {"sigma_ln": float("inf")}},
-        {"channel": {"nb_mu": float("nan")}},
-        {"channel": {"nb_mu": float("inf")}},
-        {"channel": {"nb_mu": float("-inf")}},
-        {"channel": {"nb_sigma": float("inf")}},
-        {"channel": {"nb_upper": float("inf")}},
-        {"channel": {"kind": "benchmark", "rate": float("inf")}},
-        # The root itself must be an object.
-        [1, 2],
-        7,
-    ]
-    for i, cfg in enumerate(bad_configs):
-        path = write_config(tmp_path, cfg, name=f"bad{i}.json")
-        rc = run("optimize", "--config", path, "--out", str(tmp_path / "x.csv"))
-        assert rc == 2, cfg
-        assert "config error" in capsys.readouterr().err
-
-    # mode/axis choices are checked with the rest of the config, weights
-    # when the sweep builds them; a flag is checked like the config key it
-    # sets.
-    for j, section in enumerate(({"mode": "nope"}, {"axis": "diag"},
-                                 {"lambda_max": float("inf")},
-                                 {"mode": "heatmap", "heatmap_max": float("inf")})):
-        path = write_config(tmp_path, {"risk_adjusted": section,
-                                       "sampling": {"k": 100}},
-                            name=f"ra{j}.json")
-        rc = run("risk-adjusted", "--config", path,
-                 "--out", str(tmp_path / "x.csv"))
-        assert rc == 2, section
-        assert "config error" in capsys.readouterr().err
-    bad_flags = [
-        ("optimize", "--n", "10.5"),
-        ("optimize", "--seed", "-1"),
-        ("optimize", "--seed", str(2**64)),
-        ("risk-adjusted", "--mode", "nope"),
-        ("risk-adjusted", "--axis", "diag"),
-        # Out-of-range values the library, not the schema, rejects.
-        ("frontier", "--eps-max", "1.5"),
-        ("surface", "--eps-max", "1.0"),
-        ("risk-adjusted", "--fixed-other", "-1"),
-        ("risk-adjusted", "--fixed-other", "nan"),
-        ("risk-adjusted", "--fixed-other", "inf"),
-    ]
-    for argv in bad_flags:
-        rc = run(*argv, "--k", "100", "--out", str(tmp_path / "x.csv"))
-        assert rc == 2, argv
-        assert "config error" in capsys.readouterr().err
-
-    not_json = tmp_path / "not.json"
-    not_json.write_text("{nope")
-    assert run("optimize", "--config", str(not_json)) == 2
-    not_utf8 = tmp_path / "latin1.json"
-    not_utf8.write_bytes(b'{"output_dir": "caf\xe9"}')
-    assert run("optimize", "--config", str(not_utf8)) == 2
-    assert "config error" in capsys.readouterr().err
-    assert run("optimize", "--config", str(tmp_path / "missing.json")) == 2
-    assert run("optimize", "--k", "100", "--n", "10.5",
-               "--out", str(tmp_path / "x.csv")) == 2
-    assert run("frontier", "--k", "100", "--eps-min", "0",
-               "--out", str(tmp_path / "x.csv")) == 2
-    assert run("frontier", "--k", "100", "--eps-min", "0.5", "--eps-max", "0.1",
-               "--out", str(tmp_path / "x.csv")) == 2
-    assert "frontier.eps_min <= frontier.eps_max" in capsys.readouterr().err
-    cfg = write_config(tmp_path, {"risk_adjusted": {"heatmap_min": 2.0,
-                                                    "heatmap_max": 1.0}},
-                       name="heat.json")
-    assert run("risk-adjusted", "--config", cfg, "--mode", "heatmap", "--k", "100",
-               "--out", str(tmp_path / "x.csv")) == 2
-    assert ("risk_adjusted.heatmap_min <= risk_adjusted.heatmap_max"
-            in capsys.readouterr().err)
-    assert run("frontier", "--k", "100", "--points", "0",
-               "--out", str(tmp_path / "x.csv")) == 2
-    assert run("risk-adjusted", "--k", "100", "--grid-points", "1",
-               "--out", str(tmp_path / "x.csv")) == 2
-    cfg = write_config(tmp_path, {"scaling": {"n_values": [0]}}, name="sc.json")
-    assert run("scaling", "--config", cfg, "--k", "100",
-               "--out", str(tmp_path / "x.csv")) == 2
-
-
 def refuse_to_sample(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a set was loaded or drawn")
@@ -598,84 +493,158 @@ def refuse_to_sample(monkeypatch):
     monkeypatch.setattr(cli, "generate_sample_set", fail)
 
 
-def test_sweep_inputs_checked_before_sampling(tmp_path, monkeypatch, capsys):
-    # A bad sweep bound, grid size or fixed weight must fail before any
-    # sample set is generated or loaded.
-    refuse_to_sample(monkeypatch)
-    cases = [
-        (("frontier", "--eps-min", "0"), "frontier.eps_min <= frontier.eps_max"),
-        (("frontier", "--eps-min", "0.5", "--eps-max", "0.1"),
-         "frontier.eps_min <= frontier.eps_max"),
-        (("frontier", "--eps-max", "1.5"), "frontier.eps_max < 1"),
-        (("frontier", "--points", "0"), "frontier.points must be >= 1"),
-        (("surface", "--eps-max", "1.0"), "surface.eps_max < 1"),
-        (("surface", "--points", "0"), "surface.points must be >= 1"),
-        (("sensitivity", "--eps-min", "0.5", "--eps-max", "0.1"),
-         "sensitivity.eps_min <= sensitivity.eps_max"),
-        (("sensitivity", "--points", "0"), "sensitivity.points must be >= 1"),
-        (("risk-adjusted", "--grid-points", "1"), "points_per_axis must be >= 2"),
-        (("risk-adjusted", "--fixed-other", "-1"), "weights must be finite"),
-        (("risk-adjusted", "--fixed-other", "nan"), "weights must be finite"),
-        (("risk-adjusted", "--axis", "rel", "--fixed-other", "inf"),
-         "weights must be finite"),
-    ]
-    ra_configs = [
-        ({"lambda_min": 2.0, "lambda_max": 1.0},
-         "risk_adjusted.lambda_min <= risk_adjusted.lambda_max"),
-        ({"lambda_max": float("inf")}, "risk_adjusted.lambda_max < inf"),
-        ({"lambda_points": 0}, "risk_adjusted.lambda_points must be >= 1"),
-        ({"mode": "heatmap", "heatmap_min": 2.0, "heatmap_max": 1.0},
-         "risk_adjusted.heatmap_min <= risk_adjusted.heatmap_max"),
-        ({"mode": "heatmap", "heatmap_points": 0},
-         "risk_adjusted.heatmap_points must be >= 1"),
-    ]
-    for i, (section, message) in enumerate(ra_configs):
-        cfg = write_config(tmp_path, {"risk_adjusted": section}, name=f"ra{i}.json")
-        cases.append((("risk-adjusted", "--config", cfg), message))
-    cache = str(tmp_path / "never-read.cqcs")
-    for argv, message in cases:
-        for source in (("--k", "4000000"), ("--cache", cache)):
-            rc = run(*argv, *source, "--out", str(tmp_path / "x.csv"))
-            err = capsys.readouterr().err
-            assert rc == 2, argv
-            assert err.startswith("config error") and message in err, (argv, err)
-    assert not (tmp_path / "x.csv").exists()
+NAN, INF = float("nan"), float("inf")
+# Every input refused before a set is drawn or loaded: the command and its
+# flags, the config written to cfg.json (None for no --config, bytes as they
+# are) and a part of the message.
+CONFIG_ERRORS = {
+    # The schema: unknown keys, shapes, types and choices.
+    "unknown-key": (("optimize",), {"bogus": {}}, "unknown key(s) in '': ['bogus']"),
+    "key-of-the-other-kind": (("optimize",), {"channel": {"kind": "benchmark", "mu_ln": 1.0}},
+                              "unknown key(s) in 'channel': ['mu_ln']"),
+    "unknown-kind": (("optimize",), {"channel": {"kind": "exotic"}},
+                     "bad value for 'channel.kind'"),
+    "text-for-n": (("optimize",), {"protocol": {"n": "many"}}, "bad value for 'protocol.n'"),
+    "fractional-n-flag": (("optimize", "--n", "10.5"), None, "bad value for 'protocol.n'"),
+    "section-not-an-object": (("optimize",), {"protocol": 7},
+                              "'protocol' must be a JSON object"),
+    "root-a-list": (("optimize",), [1, 2], "config root must be a JSON object"),
+    "root-a-number": (("optimize",), 7, "config root must be a JSON object"),
+    "output-dir-a-number": (("optimize",), {"output_dir": 5}, "bad value for 'output_dir'"),
+    "mode": (("risk-adjusted",), {"risk_adjusted": {"mode": "nope"}},
+             "bad value for 'risk_adjusted.mode'"),
+    "mode-flag": (("risk-adjusted", "--mode", "nope"), None,
+                  "bad value for 'risk_adjusted.mode'"),
+    "axis": (("risk-adjusted",), {"risk_adjusted": {"axis": "diag"}},
+             "bad value for 'risk_adjusted.axis'"),
+    "axis-flag": (("risk-adjusted", "--axis", "diag"), None,
+                  "bad value for 'risk_adjusted.axis'"),
+    # int() and float() take JSON true as 1: these once ran at K = 1,
+    # sigma_ln = 1.0 or n = 1 and exited 0.
+    "true-for-k": (("optimize",), {"sampling": {"k": True}}, "bad value for 'sampling.k'"),
+    "true-for-sigma_ln": (("optimize",), {"channel": {"sigma_ln": True}},
+                          "bad value for 'channel.sigma_ln'"),
+    "true-in-n_values": (("scaling",), {"scaling": {"n_values": [True, 4]}},
+                         "bad value for 'scaling.n_values'"),
+    "false-for-fixed_other": (("risk-adjusted",), {"risk_adjusted": {"fixed_other": False}},
+                              "bad value for 'risk_adjusted.fixed_other'"),
+    # A list key takes an array or comma-separated text, with one value or more.
+    "n_values-an-object": (("scaling",), {"scaling": {"n_values": {"100000": 0, "4": 1}}},
+                           "bad value for 'scaling.n_values'"),
+    "n_values-empty": (("scaling",), {"scaling": {"n_values": []}},
+                       "bad value for 'scaling.n_values'"),
+    "eps_list-an-object": (("benchmark-validate",), {"benchmark": {"eps_list": {"0.1": 0}}},
+                           "bad value for 'benchmark.eps_list'"),
+    "eps_list-empty": (("benchmark-validate",), {"benchmark": {"eps_list": []}},
+                       "bad value for 'benchmark.eps_list'"),
+    # eta0 and rate live only in the channel section, on its benchmark kind.
+    "validate-eta0-outside-channel": (("benchmark-validate",), {"benchmark": {"eta0": 0.95}},
+                                      "unknown key(s) in 'benchmark': ['eta0']"),
+    "validate-stochastic-kind": (("benchmark-validate",), {"channel": {"kind": "stochastic"}},
+                                 "benchmark-validate needs channel.kind 'benchmark'"),
+    # The sampling settings.
+    "k-zero": (("optimize",), {"sampling": {"k": 0}}, "sampling.k must be >= 1"),
+    "workers-zero": (("optimize",), {"sampling": {"workers": 0}},
+                     "sampling.workers must be >= 1"),
+    "seed-negative": (("optimize",), {"sampling": {"seed": -1}},
+                      "sampling.seed must lie in [0, 2**64)"),
+    "seed-negative-flag": (("optimize", "--seed", "-1"), None,
+                           "sampling.seed must lie in [0, 2**64)"),
+    "seed-2**64-flag": (("optimize", "--seed", str(2**64)), None,
+                        "sampling.seed must lie in [0, 2**64)"),
+    # JSON's NaN and Infinity reach the channel laws.
+    **{f"{key}-{value}": (("optimize",), {"channel": {key: value}},
+                          f"{key.removeprefix('nb_')} must be finite, got {value}")
+       for key, value in (("mu_ln", NAN), ("mu_ln", INF), ("mu_ln", -INF), ("sigma_ln", INF),
+                          ("nb_mu", NAN), ("nb_mu", INF), ("nb_mu", -INF),
+                          ("nb_sigma", INF), ("nb_upper", INF))},
+    "rate-inf": (("optimize",), {"channel": {"kind": "benchmark", "rate": INF}},
+                 "rate must be finite, got inf"),
+    # np.sqrt cannot take an integer n >= 2**64: these once ended in a
+    # TypeError traceback after sampling.
+    **{f"n-beyond-uint64-{argv[0]}": (argv, None, "n must be a positive integer below 2**64")
+       for argv in (("optimize", "--n", "1e30"), ("scaling", "--n-values", "1e30"),
+                    ("risk-adjusted", "--n", "1e30"), ("benchmark-validate", "--n", "1e30"))},
+    # Frame lengths and budgets the library refuses.
+    "scaling-n-zero": (("scaling",), {"scaling": {"n_values": [0]}},
+                       "n must be a positive integer"),
+    "scaling-n-negative": (("scaling",), {"scaling": {"n_values": [4, -3]}},
+                           "n must be a positive integer"),
+    "scaling-eps": (("scaling",), {"scaling": {"eps": 1.5}}, "eps_cov must lie in (0, 1)"),
+    "validate-eps": (("benchmark-validate",), {"benchmark": {"eps_list": [0.1, 1.5]}},
+                     "eps must lie in (0, 1)"),
+    # Sweep bounds and sizes.
+    "frontier-eps-min-zero": (("frontier", "--eps-min", "0"), None,
+                              "frontier.eps_min <= frontier.eps_max"),
+    "frontier-bounds-reversed": (("frontier", "--eps-min", "0.5", "--eps-max", "0.1"), None,
+                                 "frontier.eps_min <= frontier.eps_max"),
+    "frontier-eps-max-above-1": (("frontier", "--eps-max", "1.5"), None, "frontier.eps_max < 1"),
+    "frontier-points-zero": (("frontier", "--points", "0"), None,
+                             "frontier.points must be >= 1"),
+    "surface-eps-max-1": (("surface", "--eps-max", "1.0"), None, "surface.eps_max < 1"),
+    "surface-points-zero": (("surface", "--points", "0"), None, "surface.points must be >= 1"),
+    "sensitivity-bounds-reversed": (("sensitivity", "--eps-min", "0.5", "--eps-max", "0.1"),
+                                    None, "sensitivity.eps_min <= sensitivity.eps_max"),
+    "sensitivity-points-zero": (("sensitivity", "--points", "0"), None,
+                                "sensitivity.points must be >= 1"),
+    # The risk-adjusted grid, weight grids and fixed weight.
+    "grid-points-1": (("risk-adjusted", "--grid-points", "1"), None,
+                      "points_per_axis must be >= 2"),
+    **{f"fixed-other-{value}": (("risk-adjusted", "--fixed-other", value), None,
+                                "weights must be finite and >= 0")
+       for value in ("-1", "nan", "inf")},
+    "fixed-other-inf-rel-axis": (("risk-adjusted", "--axis", "rel", "--fixed-other", "inf"),
+                                 None, "weights must be finite and >= 0"),
+    "lambda-bounds-reversed": (("risk-adjusted",), {"risk_adjusted": {
+        "lambda_min": 2.0, "lambda_max": 1.0}},
+        "risk_adjusted.lambda_min <= risk_adjusted.lambda_max"),
+    "lambda-max-inf": (("risk-adjusted",), {"risk_adjusted": {"lambda_max": INF}},
+                       "risk_adjusted.lambda_max < inf"),
+    "lambda-points-zero": (("risk-adjusted",), {"risk_adjusted": {"lambda_points": 0}},
+                           "risk_adjusted.lambda_points must be >= 1"),
+    "heatmap-bounds-reversed": (("risk-adjusted",), {"risk_adjusted": {
+        "mode": "heatmap", "heatmap_min": 2.0, "heatmap_max": 1.0}},
+        "risk_adjusted.heatmap_min <= risk_adjusted.heatmap_max"),
+    "heatmap-max-inf": (("risk-adjusted",), {"risk_adjusted": {
+        "mode": "heatmap", "heatmap_max": INF}}, "risk_adjusted.heatmap_max < inf"),
+    "heatmap-points-zero": (("risk-adjusted",), {"risk_adjusted": {
+        "mode": "heatmap", "heatmap_points": 0}}, "risk_adjusted.heatmap_points must be >= 1"),
+    # Config files that cannot be read or decoded; json.load raises
+    # RecursionError, not ValueError, past its nesting limit.
+    "config-missing": (("optimize", "--config", "missing.json"), None,
+                       "cannot read config missing.json: [Errno 2]"),
+    "config-not-json": (("optimize",), b"{nope", "cannot read config cfg.json: Expecting"),
+    "config-not-utf8": (("optimize",), b'{"output_dir": "caf\xe9"}',
+                        "cannot read config cfg.json: 'utf-8' codec can't decode byte 0xe9"),
+    "config-nested-too-deep": (("optimize",), b"[" * 100_000 + b"]" * 100_000,
+                               "cannot read config cfg.json: maximum recursion depth"),
+}
 
 
-def test_scaling_and_validate_inputs_checked_before_sampling(tmp_path, monkeypatch,
-                                                             capsys):
-    # A bad frame length or budget must fail before any sample set is
-    # generated or loaded.
+@pytest.mark.parametrize("argv, config, message", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS)
+def test_config_error_exits_2_before_sampling(tmp_path, monkeypatch, capsys, argv, config,
+                                              message):
+    # Exit 2 with one message line and no traceback, before any set is drawn
+    # or loaded, and with nothing written: the run's directory holds only its
+    # config.  A command that reads a cache runs again with one that must
+    # never be read.
     refuse_to_sample(monkeypatch)
-    cache = str(tmp_path / "never-read.cqcs")
-    cases = [
-        ({"scaling": {"n_values": [0]}}, "scaling", "n must be a positive integer"),
-        ({"scaling": {"n_values": [4, -3]}}, "scaling", "n must be a positive integer"),
-        ({"scaling": {"eps": 1.5}}, "scaling", "eps_cov must lie in (0, 1)"),
-        ({"channel": {"kind": "benchmark", "eta0": 0.9, "rate": 10.0},
-          "benchmark": {"eps_list": [0.1, 1.5]}},
-         "benchmark-validate", "eps must lie in (0, 1)"),
-        # A list key takes a JSON array or comma-separated text, not an
-        # object's keys, and at least one value.
-        ({"scaling": {"n_values": {"100000": 0, "400000": 1}}}, "scaling",
-         "bad value for 'scaling.n_values'"),
-        ({"scaling": {"n_values": []}}, "scaling", "bad value for 'scaling.n_values'"),
-        ({"benchmark": {"eps_list": {"0.1": None}}}, "benchmark-validate",
-         "bad value for 'benchmark.eps_list'"),
-        ({"benchmark": {"eps_list": []}}, "benchmark-validate",
-         "bad value for 'benchmark.eps_list'"),
-    ]
-    for i, (section, command, message) in enumerate(cases):
-        cfg = write_config(tmp_path, section, name=f"c{i}.json")
-        sources = [("--k", "4000000")]
-        if command == "scaling":
-            sources.append(("--cache", cache))
-        for source in sources:
-            rc = run(command, "--config", cfg, *source, "--out", str(tmp_path / "x.csv"))
-            err = capsys.readouterr().err
-            assert rc == 2, (command, section)
-            assert err.startswith("config error") and message in err, (section, err)
-    assert not (tmp_path / "x.csv").exists()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    if config is not None:
+        Path("cfg.json").write_bytes(
+            config if isinstance(config, bytes) else json.dumps(config).encode())
+        argv = (*argv, "--config", "cfg.json")
+    sources = [()]
+    if "cache" in cli._COMMANDS[argv[0]][3]:
+        sources.append(("--cache", "never-read.cqcs"))
+    for source in sources:
+        assert run(*argv, *source) == 2, source
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith("config error: ") and message in err, err
+        assert "Traceback" not in err
+    assert os.listdir() == ([] if config is None else ["cfg.json"])
 
 
 def test_unallocatable_size_is_config_error(tmp_path, monkeypatch, capsys):
@@ -742,13 +711,10 @@ def test_size_cost_per_point_is_at_most_the_measured_cost(key, tmp_path, monkeyp
         # or not the file has settled.
         monkeypatch.setattr(samples, "_checked", set())
         cfg = write_config(tmp_path, {key.split(".")[0]: {name: size}})
-        tracemalloc.start()
-        try:
-            assert run(*argv, *flags, "--config", cfg, "--cache", str(cache),
-                       "--out", str(tmp_path / "x.csv")) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, rc = peak_bytes(lambda: run(*argv, *flags, "--config", cfg, "--cache", str(cache),
+                                          "--out", str(tmp_path / "x.csv")))
+        assert rc == 0
+        return peak
 
     peak(sizes[0])  # builds what a process builds once, such as the parser
     small, large = peak(sizes[0]), peak(sizes[1])
@@ -801,57 +767,21 @@ def test_unknown_physical_memory_refuses_no_size(monkeypatch):
     assert cli.resolve_config(args).raw["sampling"]["k"] == 10**15
 
 
-@pytest.mark.parametrize("argv", [
-    ("optimize", "--n", "1e30"),
-    ("scaling", "--n-values", "1e30"),
-    ("risk-adjusted", "--n", "1e30"),
-    ("benchmark-validate", "--n", "1e30"),
-], ids=lambda argv: argv[0])
-def test_frame_length_beyond_uint64_is_config_error(tmp_path, monkeypatch, capsys, argv):
-    # np.sqrt cannot take an integer n >= 2**64; these once ended in a
-    # TypeError traceback after sampling.
-    refuse_to_sample(monkeypatch)
-    out = tmp_path / "x.csv"
-    assert run(*argv, "--k", "500", "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error") and "below 2**64" in err, err
-    assert "Traceback" not in err
-    assert not out.exists()
-    assert ProtocolParams(n=2**64 - 1, delta=0.05).n == 2**64 - 1
-    for n in (2**64, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="positive integer below 2"):
-            ProtocolParams(n=n, delta=0.05)
-
-
-@pytest.mark.parametrize("section, command, key", [
-    ({"sampling": {"k": True}}, "optimize", "sampling.k"),
-    ({"channel": {"sigma_ln": True}}, "optimize", "channel.sigma_ln"),
-    ({"scaling": {"n_values": [True, 4]}}, "scaling", "scaling.n_values"),
-    ({"risk_adjusted": {"fixed_other": False}}, "risk-adjusted", "risk_adjusted.fixed_other"),
-], ids=["sampling.k", "channel.sigma_ln", "scaling.n_values", "risk_adjusted.fixed_other"])
-def test_json_boolean_for_a_number_is_config_error(tmp_path, monkeypatch, capsys,
-                                                   section, command, key):
-    # int() and float() take true as 1, so these once ran at K = 1,
-    # sigma_ln = 1.0 or n = 1 and exited 0.
-    refuse_to_sample(monkeypatch)
-    out = tmp_path / "x.csv"
-    assert run(command, "--config", write_config(tmp_path, section),
-               "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error") and f"bad value for '{key}'" in err, err
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
-def test_deeply_nested_config_is_config_error(tmp_path, capsys):
-    # json.load raises RecursionError, not ValueError, past its nesting limit.
-    config, out = tmp_path / "deep.json", tmp_path / "x.csv"
-    config.write_text("[" * 100_000 + "]" * 100_000)
-    assert run("optimize", "--config", str(config), "--k", "1000",
-               "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error") and "Traceback" not in err, err
-    assert not out.exists()
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_every_config_flag_names_a_schema_key(command):
+    # The merge reads flags only at DEFAULTS paths, so a misspelt key would
+    # add a flag that parses and is then ignored.  Channel flags name keys
+    # of the command's default kind.
+    kind = "benchmark" if command == "benchmark-validate" else "stochastic"
+    schema = {**cli.DEFAULTS, "channel": cli.DEFAULTS["channel"][kind]}
+    subparser = cli._parser()._subparsers._group_actions[0].choices[command]
+    dests = [action.dest for action in subparser._actions
+             if action.dest not in ("help", *cli._FILE_FLAGS)]
+    assert dests
+    for dest in dests:
+        section, _, key = dest.rpartition(".")
+        table = schema[section] if section else schema
+        assert key in table and not isinstance(table[key], dict), dest
 
 
 def test_argparse_errors_and_help(capsys):
@@ -1041,16 +971,14 @@ def test_cache_unmappable_is_io_error(tmp_path, capsys, monkeypatch):
     assert "i/o error" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("name, index, value", [
-    ("rach", 0, -np.inf), ("ccov", 0, -1.0), ("rach", -1, 5.0), ("rach", -1, np.inf),
-])
-def test_cache_values_outside_domain_are_io_errors(tmp_path, capsys, name, index, value):
-    # Before the domain check these exited 0 (r_ach = -inf wrote
-    # t_star=-inf; 5.0 and +inf loaded silently) or 5 (negative c_cov).
+def test_cache_value_outside_domain_is_io_error(tmp_path, capsys):
+    # Before the domain check this exited 0 and wrote t_star=-inf.
+    # test_samples.py's test_load_rejects_values_outside_domain owns the
+    # other values.
     cache = tmp_path / "c.cqcs"
     assert run("sample", "--k", "200", "--out", str(cache)) == 0
     s = load_sample_set(cache)
-    getattr(s, name)[index] = value
+    s.rach[0] = -np.inf
     save_sample_set(s, tmp_path / "bad.cqcs")
     out = tmp_path / "x.csv"
     rc = run("optimize", "--cache", str(tmp_path / "bad.cqcs"), "--out", str(out))
@@ -1062,14 +990,6 @@ def test_cache_values_outside_domain_are_io_errors(tmp_path, capsys, name, index
 def test_unwritable_output_is_io_error(tmp_path):
     out = tmp_path / "no_such_dir" / "x.csv"
     assert run("optimize", "--k", "200", "--out", str(out)) == 3
-
-
-def test_internal_invariant_violation_exits_5(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "optimize", lambda s, p, b: OptimumReport(
-        q_max=1.5, r_max=0.5, total_payload=1.0, q_capped=False))
-    rc = run("optimize", "--k", "200", "--out", str(tmp_path / "x.csv"))
-    assert rc == 5
-    assert "internal invariant violation" in capsys.readouterr().err
 
 
 def test_internal_invariant_violation_exits_5_under_optimize_flag(tmp_path):

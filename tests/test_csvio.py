@@ -5,7 +5,6 @@ a cell of any other type is refused."""
 import csv
 import io
 import re
-import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -13,6 +12,8 @@ import numpy as np
 import pytest
 
 from covertq._csvio import write_csv
+
+from conftest import peak_bytes
 
 
 def format_cell(value) -> str:
@@ -124,12 +125,7 @@ def test_write_csv_memo_stays_bounded(tmp_path):
     values = (np.arange(2**17) * 1.000001 + 0.5).tolist()
     rows = ((i, v) for i, v in enumerate(values))
     path = tmp_path / "distinct.csv"
-    tracemalloc.start()
-    try:
-        write_csv(path, ["index", "value"], rows, SOURCE)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = peak_bytes(lambda: write_csv(path, ["index", "value"], rows, SOURCE))
     assert peak < 2 * 2**20
     lines = path.read_text().splitlines()
     assert len(lines) == 2 + 2**17

@@ -8,7 +8,6 @@ from covertq import (
     achievable_rate,
     covertness_constant,
     depolarizing_probability,
-    ProtocolParams,
 )
 from covertq.physics import _entropy_into
 
@@ -193,15 +192,3 @@ def test_kernels_refuse_a_bad_out(kernel):
         with pytest.raises(ValueError, match="must not overlap"):
             kernel(eta, nb, out=out)
 
-
-# ---------------------------------------------------------------------------
-# transmission-probability ceiling: the (n, delta) check guarding the map
-
-
-def test_q_ceiling_validation():
-    with pytest.raises(ValueError):
-        ProtocolParams(n=100, delta=0.0).q_ceiling(1.0)
-    with pytest.raises(ValueError):
-        ProtocolParams(n=100, delta=0.5).q_ceiling(1.0)
-    with pytest.raises(ValueError):
-        ProtocolParams(n=0, delta=0.05).q_ceiling(1.0)

@@ -1,6 +1,5 @@
 """Risk-adjusted objective, grid maximization, weight sweeps, and FOC residuals."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,7 +30,7 @@ from covertq.risk_adjusted import (
     _sparse_q_bound,
 )
 
-from conftest import bench_rach_cdf, bench_rach_density, synthetic_set
+from conftest import bench_rach_cdf, bench_rach_density, peak_bytes, synthetic_set
 
 
 # ---------------------------------------------------------------------------
@@ -147,17 +146,6 @@ def test_weights_and_strategy_validation():
 
 # ---------------------------------------------------------------------------
 # weight sweeps
-
-
-def test_lambda_sweep_single_value_matches_grid_maximize(baseline_set, protocol):
-    g = GridSpec(21)
-    res = heatmap_sweep(baseline_set, protocol, g, [0.3], [0.7])
-    assert all(col.shape == (1, 1) for col in columns(res))
-    assert res.maximum(0, 0) == grid_maximize(baseline_set, RiskWeights(0.3, 0.7),
-                                              protocol, g)
-    res = heatmap_sweep(baseline_set, protocol, g, [0.7], [0.3])
-    assert res.maximum(0, 0) == grid_maximize(baseline_set, RiskWeights(0.7, 0.3),
-                                              protocol, g)
 
 
 def test_lambda_sweep_rel_axis_under_heavy_cov_weight(volatile_set, protocol):
@@ -573,21 +561,12 @@ def test_kept_cells_are_the_nonzero_indices_of_the_keep_mask(kind, shape):
     assert np.array_equal(start, np.searchsorted(expected_owner, np.arange(mask.shape[0] + 1)))
 
 
-def heatmap_sweep_peak_bytes(*args):
-    tracemalloc.start()
-    try:
-        result = heatmap_sweep(*args)
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
-
-
 def test_heatmap_memory_on_baseline_set(baseline_set, protocol):
     # The CLI's 25 x 25 heatmap keeps a row or so per pair: the scratch,
     # the sweep's one G x G float array, dominates the peak.
     g = GridSpec()
     values = np.logspace(-6.0, 6.0, 25)
-    peak, _ = heatmap_sweep_peak_bytes(baseline_set, protocol, g, values, values)
+    peak, _ = peak_bytes(lambda: heatmap_sweep(baseline_set, protocol, g, values, values))
     assert peak < 2 * 8 * g.points_per_axis**2
 
 
@@ -599,7 +578,7 @@ def test_heatmap_memory_when_every_row_is_kept():
     s = synthetic_set(np.zeros(16), np.zeros(16))
     p = ProtocolParams(n=10**4, delta=0.05)
     g = GridSpec()
-    peak, res = heatmap_sweep_peak_bytes(s, p, g, [0.0], np.linspace(1.0, 10.0, 25))
+    peak, res = peak_bytes(lambda: heatmap_sweep(s, p, g, [0.0], np.linspace(1.0, 10.0, 25)))
     assert peak < 2 * 8 * g.points_per_axis**2
     assert res.q_star.shape == (1, 25)
     assert not res.q_star.any() and not res.r_star.any()

@@ -127,11 +127,6 @@ def test_surface_monotone_rows_and_columns(baseline_set, protocol):
     assert np.all(np.diff(t, axis=1) >= 0.0)
 
 
-def test_surface_single_cell_matches_optimize(baseline_set, protocol):
-    matrix = surface_sweep(baseline_set, protocol, [0.02], [0.07])
-    assert matrix[0][0] == optimize(baseline_set, protocol, RiskBudgets(0.02, 0.07))
-
-
 def test_surface_every_cell_matches_optimize():
     # The surface solves each budget axis once; every cell must still equal
     # optimize at its own budgets, capped rows and sub-1/K budgets included.

@@ -6,7 +6,6 @@ import os
 import struct
 import sys
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +40,7 @@ from covertq.distributions import (
 
 from conftest import (
     make_baseline_spec,
+    peak_bytes,
     reference_achievable_rate,
     reference_covertness_constant,
     run_fresh,
@@ -209,15 +209,6 @@ def test_blocked_generation_matches_whole_array(spec, monkeypatch):
     assert pool_sizes == [t for t in threads if t > 1]
 
 
-def _peak_bytes(fn):
-    tracemalloc.start()
-    try:
-        result = fn()
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_generation_peak_memory_near_payload(workers):
     # The two K-row output arrays are 16*K bytes; blocked generation adds
@@ -225,7 +216,7 @@ def test_generation_peak_memory_near_payload(workers):
     K = 2**20
     spec = make_baseline_spec()
     generate_sample_set(spec, 1000, seed=1)  # lazy imports outside the trace
-    peak, s = _peak_bytes(lambda: generate_sample_set(spec, K, seed=1, workers=workers))
+    peak, s = peak_bytes(lambda: generate_sample_set(spec, K, seed=1, workers=workers))
     assert s.K == K
     assert peak < 1.5 * 16 * K, peak / (16 * K)
 
@@ -239,7 +230,7 @@ def test_generation_peak_memory_per_worker(workers):
     K = 3 * 2**16 + 12_345
     spec = make_baseline_spec()
     generate_sample_set(spec, K, seed=1, workers=workers)
-    peak, s = _peak_bytes(lambda: generate_sample_set(spec, K, seed=1, workers=workers))
+    peak, s = peak_bytes(lambda: generate_sample_set(spec, K, seed=1, workers=workers))
     assert s.K == K
     threads = min(workers, samples._usable_cpus())
     blocks = (peak - 16 * K) / (8 * samples._BLOCK)
@@ -253,7 +244,7 @@ def test_load_peak_memory_is_not_k_sized(tmp_path):
     path = tmp_path / "s.cqcs"
     save_sample_set(ramp_set(K), path)
     load_sample_set(path)
-    peak, s = _peak_bytes(lambda: load_sample_set(path))
+    peak, s = peak_bytes(lambda: load_sample_set(path))
     assert s.K == K
     assert peak < 256 << 10, peak
 
@@ -272,7 +263,7 @@ def test_cache_round_trip_peak_memory_near_payload(tmp_path):
         save_sample_set(t, copy)
         return t
 
-    peak, t = _peak_bytes(round_trip)
+    peak, t = peak_bytes(round_trip)
     assert peak < 1.25 * 16 * K, peak / (16 * K)
     for arr in (t.ccov, t.rach):
         assert arr.dtype == np.float64
@@ -290,7 +281,7 @@ def test_load_checks_size_before_allocating(tmp_path):
         with pytest.raises(SampleFileTruncatedError):
             load_sample_set(path)
 
-    peak, _ = _peak_bytes(load)
+    peak, _ = peak_bytes(load)
     assert peak < 1 << 20
 
 
@@ -391,56 +382,28 @@ def test_load_checks_expected_digest(tmp_path):
         load_sample_set(path, expected_digest=channel_digest(small_benchmark_spec()))
 
 
-def test_load_wrong_magic(tmp_path):
-    path = tmp_path / "bad.cqcs"
-    path.write_bytes(b"XXXX" + b"\0" * 100)
-    with pytest.raises(SampleFileFormatError):
-        load_sample_set(path)
-
-
-def test_load_wrong_version(tmp_path):
+@pytest.mark.parametrize("fault", ["wrong-magic", "wrong-version", "truncated",
+                                   "trailing-bytes", "unsorted"])
+def test_load_rejects_a_corrupt_file(tmp_path, fault):
     s = generate_sample_set(make_baseline_spec(), 10, seed=1)
-    path = tmp_path / "s.cqcs"
-    save_sample_set(s, path)
-    raw = bytearray(path.read_bytes())
-    raw[4:8] = struct.pack("<I", 99)
-    path.write_bytes(bytes(raw))
-    with pytest.raises(SampleFileVersionError):
-        load_sample_set(path)
-
-
-def test_load_truncated(tmp_path):
-    s = generate_sample_set(make_baseline_spec(), 10, seed=1)
+    if fault == "unsorted":
+        s = SampleSet(ccov=s.ccov[::-1].copy(), rach=s.rach, seed=s.seed,
+                      channel_digest=s.channel_digest)
     path = tmp_path / "s.cqcs"
     save_sample_set(s, path)
     raw = path.read_bytes()
-    for cut in (10, 64, len(raw) - 8):
-        path.write_bytes(raw[:cut])
-        with pytest.raises(SampleFileTruncatedError):
+    # Each fault's file contents, and the error their load raises.
+    contents, error = {
+        "wrong-magic": ([b"XXXX" + b"\0" * 100], SampleFileFormatError),
+        "wrong-version": ([raw[:4] + struct.pack("<I", 99) + raw[8:]], SampleFileVersionError),
+        "truncated": ([raw[:cut] for cut in (10, 64, len(raw) - 8)], SampleFileTruncatedError),
+        "trailing-bytes": ([raw + b"\0"], SampleFileFormatError),
+        "unsorted": ([raw], SampleFileFormatError),
+    }[fault]
+    for data in contents:
+        path.write_bytes(data)
+        with pytest.raises(error):
             load_sample_set(path)
-
-
-def test_load_trailing_bytes(tmp_path):
-    s = generate_sample_set(make_baseline_spec(), 10, seed=1)
-    path = tmp_path / "s.cqcs"
-    save_sample_set(s, path)
-    path.write_bytes(path.read_bytes() + b"\0")
-    with pytest.raises(SampleFileFormatError):
-        load_sample_set(path)
-
-
-def test_load_rejects_unsorted_arrays(tmp_path):
-    s = generate_sample_set(make_baseline_spec(), 10, seed=1)
-    shuffled = SampleSet(
-        ccov=s.ccov[::-1].copy(),
-        rach=s.rach,
-        seed=s.seed,
-        channel_digest=s.channel_digest,
-    )
-    path = tmp_path / "s.cqcs"
-    save_sample_set(shuffled, path)
-    with pytest.raises(SampleFileFormatError):
-        load_sample_set(path)
 
 
 @pytest.mark.parametrize("K, index", [(10, 4), (10, 9), (1, 0)],

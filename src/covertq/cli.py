@@ -32,15 +32,16 @@ comment line recording the seed, K and channel digest of the sample set
 its rows come from: a cached run stamps the cache's, whatever the flags
 say.  Identical configs reproduce byte-identical files.
 
-Exit codes: 0 success; 2 configuration error: any out-of-range config value
-(sweep bounds and weights included, checked before any sampling; NaN and
-Infinity are out of range for every key), a size (sampling.k, a points
-key, grid_points) whose arrays need more than the machine's physical memory
-or that numpy refuses to allocate, an unreadable, undecodable, non-JSON or
-too deeply nested config file, argparse errors, a cache whose channel
-digest contradicts the config, and an output (--out or the default name,
-and sample's --csv) that names an input (--config, --cache) or the other
-output (checked before any load or sampling); 3 I/O
+Exit codes: 0 success; 2 configuration error, checked before any sampling: a
+value of the wrong type for any key (NaN and Infinity for every float key),
+an out-of-range value in the channel, protocol, sampling or budgets section
+or in a section the command reads (sweep bounds and weights included), a
+size (sampling.k, a points key, grid_points) whose arrays need more than the
+machine's physical memory or that numpy refuses to allocate, an unreadable,
+undecodable, non-JSON or too deeply nested config file, argparse errors, a
+cache whose channel digest contradicts the config, and an output (--out or
+the default name, and sample's --csv) that names an input (--config,
+--cache) or the other output (checked before any load or sampling); 3 I/O
 error (missing, malformed, K = 0, unsorted, NaN-holding or truncated cache,
 a cache with a negative c_cov or an r_ach outside [0, 1], unwritable
 output); 4 a decade gain was requested but is infeasible (zero-throughput
@@ -54,6 +55,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -222,7 +224,10 @@ def _coerce_like(name: str, default, value):
             if as_int != value:
                 raise ValueError("expected an integer")
             return as_int
-        return float(value)
+        value = float(value)
+        if not math.isfinite(value):  # JSON's NaN and Infinity, or a flag's "nan"
+            raise ValueError("expected a finite number")
+        return value
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad value for '{name}': {value!r} ({e})") from e
 
@@ -428,7 +433,7 @@ def _cmd_scaling(cfg, args) -> None:
     # The library objects check every n and eps here, before any sampling.
     for n in block["n_values"]:
         ProtocolParams(n=n, delta=cfg.protocol.delta)
-    RiskBudgets(block["eps"], block["eps"])
+    RiskBudgets.check(block["eps"], "scaling.eps")
     s = _obtain_samples(cfg, args.cache)
     rows = n_scaling_sweep(s, cfg.protocol.delta, block["eps"], block["n_values"])
     _emit(cfg, args, ["n", "n_t_star"], rows, f"{len(rows)} rows", s)
@@ -439,7 +444,7 @@ def _cmd_benchmark_validate(cfg, args) -> None:
         raise ConfigError("benchmark-validate needs channel.kind 'benchmark'")
     eps_list = cfg.raw["benchmark"]["eps_list"]
     for eps in eps_list:  # checked here, before any sampling
-        RiskBudgets.check(eps)
+        RiskBudgets.check(eps, "benchmark.eps_list")
     s = _obtain_samples(cfg)
     rows = validate(s, cfg.channel, cfg.protocol, eps_list)
     _emit(cfg, args, ["eps", "metric", "theory", "mc", "rel_error_percent"],

@@ -178,13 +178,14 @@ def test_criterion_08_risk_adjusted_regimes(volatile_set, protocol):
 
 
 def test_criterion_09_first_order_conditions():
-    # Hand-solved stationary point under constant densities; every constant
-    # is a power of two so the cancellation is exact.
+    # Hand-solved stationary point under constant densities: sqrt(n)/(2*delta)
+    # = 400, and every constant is a power of two, so both residuals cancel
+    # without rounding.
     p = ProtocolParams(n=40000, delta=0.25)
     w = RiskWeights(lambda_cov=2.0**-9, lambda_rel=0.125)
-    st = Strategy(q=0.125, r=0.390625)
-    res = foc_residual(st, w, p, lambda x: 0.5, lambda r: 1.0)
-    synthetic_ok = max(abs(res[0]), abs(res[1])) < 1e-12
+    st = Strategy(q=0.125, r=0.390625)  # r = lambda_cov * 400 * 0.5
+    res_q, res_r = foc_residual(st, w, p, lambda x: 0.5, lambda r: 1.0)
+    synthetic_ok = res_q == 0.0 and res_r == 0.0
 
     c = BenchmarkChannelSpec(eta0=0.9, nb=ExponentialSpec(10.0))
     p = ProtocolParams(n=10**7, delta=0.05)

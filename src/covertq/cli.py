@@ -32,21 +32,21 @@ comment line recording the seed, K and channel digest of the sample set
 its rows come from: a cached run stamps the cache's, whatever the flags
 say.  Identical configs reproduce byte-identical files.
 
-Exit codes: 0 success; 2 configuration error, checked before any sampling: a
-value of the wrong type for any key (NaN and Infinity for every float key),
-an out-of-range value in the channel, protocol, sampling or budgets section
-or in a section the command reads (sweep bounds and weights included), a
-size (sampling.k, a points key, grid_points) whose arrays need more than the
-machine's physical memory or that numpy refuses to allocate, an unreadable,
-undecodable, non-JSON or too deeply nested config file, argparse errors, a
-cache whose channel digest contradicts the config, and an output (--out or
-the default name, and sample's --csv) that names an input (--config,
---cache) or the other output (checked before any load or sampling); 3 I/O
-error (missing, malformed, K = 0, unsorted, NaN-holding or truncated cache,
-a cache with a negative c_cov or an r_ach outside [0, 1], unwritable
-output); 4 a decade gain was requested but is infeasible (zero-throughput
-denominator); 5 internal invariant violation, such as a risk-constrained
-report from any command with q_max outside [0, 1].
+Exit codes: 0 success; 2 configuration error, checked before any sampling and
+naming the dotted key of any value it refuses: a value of the wrong type for
+any key (NaN and Infinity for every float key), an out-of-range value in the
+channel, protocol, sampling or budgets section or in a section the command
+reads (sweep bounds and weights included), a size (sampling.k, a points key,
+grid_points) whose arrays need more than the machine's physical memory or that
+numpy refuses to allocate, an unreadable, undecodable, non-JSON or too deeply
+nested config file, argparse errors, a cache whose channel digest contradicts
+the config, and an output (--out or the default name, and sample's --csv) that
+names an input (--config, --cache) or the other output (checked before any
+load or sampling); 3 I/O error (missing, malformed, K = 0, unsorted,
+NaN-holding or truncated cache, a cache with a negative c_cov or an r_ach
+outside [0, 1], unwritable output); 4 a decade gain was requested but is
+infeasible (zero-throughput denominator); 5 internal invariant violation, such
+as a risk-constrained report from any command with q_max outside [0, 1].
 Handlers raise and main() alone maps exceptions to these codes.
 """
 
@@ -57,6 +57,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -71,7 +72,7 @@ from .distributions import (
     TruncatedLognormalSpec,
 )
 from .quantiles import RiskBudgets
-from .risk_adjusted import GridSpec, RiskWeights, heatmap_sweep
+from .risk_adjusted import GridSpec, heatmap_sweep
 from .risk_constrained import (
     REPORT_COLUMNS,
     InvariantError,
@@ -263,6 +264,14 @@ def _merge_config(user, flags: dict, kind: str) -> dict:
     return _merge("", user, schema, flags)
 
 
+def _built(keys: dict, build, **fields):
+    # A library refusal, each field it names replaced by that field's config key.
+    try:
+        return build(**fields)
+    except ValueError as e:
+        raise ConfigError(re.sub(r"\w+", lambda m: keys.get(m[0], m[0]), str(e))) from e
+
+
 def _build_channel(section: dict) -> ChannelSpec:
     if section["kind"] == "stochastic":
         return StochasticChannelSpec(
@@ -322,15 +331,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if memory is not None and need > memory:
             raise ConfigError(f"{key}={size} needs about {need} bytes, more than "
                               f"the {memory} bytes of physical memory")
-    return RunConfig(
-        channel=_build_channel(raw["channel"]),
-        protocol=ProtocolParams(n=raw["protocol"]["n"], delta=raw["protocol"]["delta"]),
-        budgets=RiskBudgets(
-            eps_cov=raw["budgets"]["eps_cov"], eps_rel=raw["budgets"]["eps_rel"]
-        ),
-        raw=raw,
-        output_dir=Path(out_dir),
-    )
+    # Library fields are named as their keys, less "nb_" (sigma: channel.nb_sigma).
+    keys = {key.removeprefix("nb_"): f"{name}.{key}"
+            for name in ("channel", "protocol", "budgets") for key in raw[name]}
+    return RunConfig(channel=_built(keys, _build_channel, section=raw["channel"]),
+                     protocol=_built(keys, ProtocolParams, **raw["protocol"]),
+                     budgets=_built(keys, RiskBudgets, **raw["budgets"]),
+                     raw=raw, output_dir=Path(out_dir))
 
 
 def _obtain_samples(cfg: RunConfig, cache=None) -> SampleSet:
@@ -342,12 +349,13 @@ def _obtain_samples(cfg: RunConfig, cache=None) -> SampleSet:
 
 
 def _log_grid(cfg: RunConfig, section: str,
-              keys=("eps_min", "eps_max", "points"), top=1.0) -> np.ndarray:
-    # Budget grids lie in (0, 1); weight grids pass top=np.inf.
+              keys=("eps_min", "eps_max", "points"), budget=True) -> np.ndarray:
+    # Budget grids lie in (0, 1); weight grids are bounded below only.
     lo, hi, points = (cfg.raw[section][key] for key in keys)
     lo_key, hi_key, points_key = (f"{section}.{key}" for key in keys)
-    if not 0 < lo <= hi < top:
-        raise ConfigError(f"need 0 < {lo_key} <= {hi_key} < {top:g}, got [{lo}, {hi}]")
+    if not 0 < lo <= hi or budget and hi >= 1:
+        top = " < 1" if budget else ""
+        raise ConfigError(f"need 0 < {lo_key} <= {hi_key}{top}, got [{lo}, {hi}]")
     if points < 1:
         raise ConfigError(f"{points_key} must be >= 1, got {points}")
     return np.logspace(np.log10(lo), np.log10(hi), points)
@@ -432,7 +440,7 @@ def _cmd_scaling(cfg, args) -> None:
     block = cfg.raw["scaling"]
     # The library objects check every n and eps here, before any sampling.
     for n in block["n_values"]:
-        ProtocolParams(n=n, delta=cfg.protocol.delta)
+        _built({"n": "scaling.n_values"}, ProtocolParams, n=n, delta=cfg.protocol.delta)
     RiskBudgets.check(block["eps"], "scaling.eps")
     s = _obtain_samples(cfg, args.cache)
     rows = n_scaling_sweep(s, cfg.protocol.delta, block["eps"], block["n_values"])
@@ -465,21 +473,23 @@ def _cmd_decade_gains(cfg, args) -> None:
 
 def _cmd_risk_adjusted(cfg, args) -> None:
     block = cfg.raw["risk_adjusted"]
-    grid = GridSpec(points_per_axis=block["grid_points"])
+    grid = _built({"points_per_axis": "risk_adjusted.grid_points"}, GridSpec,
+                  points_per_axis=block["grid_points"])
     columns = ["lambda_cov", "lambda_rel", "q_star", "r_star", "j_value",
                "outside_sparse_regime"]
     if block["mode"] == "heatmap":
         values = _log_grid(cfg, "risk_adjusted",
-                           ("heatmap_min", "heatmap_max", "heatmap_points"), np.inf)
+                           ("heatmap_min", "heatmap_max", "heatmap_points"), budget=False)
         cov_values, rel_values = values, values
         # The heatmap drops j_value and the sparse-regime flag.
         columns, summary = columns[:4], f"{len(values)}x{len(values)} grid"
     else:
         values = _log_grid(cfg, "risk_adjusted",
-                           ("lambda_min", "lambda_max", "lambda_points"), np.inf)
-        # RiskWeights checks the fixed weight here, before any sampling.
-        fixed = [RiskWeights(block["fixed_other"], 0.0).lambda_cov]
-        cov_values, rel_values = (values, fixed) if block["axis"] == "cov" else (fixed, values)
+                           ("lambda_min", "lambda_max", "lambda_points"), budget=False)
+        fixed = block["fixed_other"]  # finite: _coerce_like refuses NaN and Infinity
+        if fixed < 0:
+            raise ConfigError(f"risk_adjusted.fixed_other must be >= 0, got {fixed}")
+        cov_values, rel_values = (values, [fixed]) if block["axis"] == "cov" else ([fixed], values)
         summary = f"{len(values)} rows"
     s = _obtain_samples(cfg, args.cache)
     res = heatmap_sweep(s, cfg.protocol, grid, cov_values, rel_values)

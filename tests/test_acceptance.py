@@ -29,6 +29,7 @@ from covertq import (
     grid_maximize,
     load_sample_set,
     optimize,
+    order_index,
     save_sample_set,
     sensitivities_symmetric,
     sensitivity_formula,
@@ -48,18 +49,22 @@ def _report(num, ok, detail):
 def test_criterion_01_closed_form_values(protocol):
     high = BenchmarkChannelSpec(eta0=0.99, nb=ExponentialSpec(10.0))
     low = BenchmarkChannelSpec(eta0=0.9, nb=ExponentialSpec(10.0))
-    q = benchmark_qmax(high, protocol, 0.1)
+    q_high = benchmark_qmax(high, protocol, 0.1)
+    q_low = benchmark_qmax(low, protocol, 0.5)
     r_high = benchmark_rmax(high, 0.1)
     r_low = benchmark_rmax(low, 0.1)
-    ok = (abs(q - 4.59e-4) <= 0.01 * 4.59e-4
+    r_tiny = benchmark_rmax(low, 1e-3)
+    ok = (abs(q_high - 4.59e-4) <= 0.01 * 4.59e-4
+          and abs(q_low - 1.15e-4) <= 0.01 * 1.15e-4
           and abs(r_high - 0.8692) <= 1e-3
-          and abs(r_low - 0.220380) <= 1e-4)
-    assert _report(1, ok, f"closed forms q={q:.4e} r={r_high:.4f}/{r_low:.6f}")
+          and abs(r_low - 0.220380) <= 1e-4
+          and r_tiny < 1e-3)
+    assert _report(1, ok, f"closed forms q={q_high:.4e}/{q_low:.4e} "
+                          f"r={r_high:.4f}/{r_low:.6f}/{r_tiny:.2e}")
 
 
-def test_criterion_02_monte_carlo_agreement(benchmark_channel, protocol):
-    s = generate_sample_set(benchmark_channel, 10**6, seed=1, workers=4)
-    rows = validate(s, benchmark_channel, protocol, [1e-3, 1e-2, 1e-1, 0.2, 0.5])
+def test_criterion_02_monte_carlo_agreement(benchmark_set, benchmark_channel, protocol):
+    rows = validate(benchmark_set, benchmark_channel, protocol, [1e-3, 1e-2, 1e-1, 0.2, 0.5])
     errors = [r.rel_error_percent for r in rows if r.rel_error_percent is not None]
     tiny = [r for r in rows if r.eps == 1e-3 and r.metric == "r_max"]
     ok = (max(errors) < 5.0
@@ -68,20 +73,20 @@ def test_criterion_02_monte_carlo_agreement(benchmark_channel, protocol):
     assert _report(2, ok, f"MC vs closed forms, worst error {max(errors):.2f}%")
 
 
-def test_criterion_03_decade_gains():
+def test_criterion_03_decade_gains(baseline_set, protocol):
     windows = {
         (1e-5, 1e-4): (2.04, 0.8),
         (1e-4, 1e-3): (1.74, 0.3),
         (1e-3, 1e-2): (1.89, 0.3),
         (1e-2, 1e-1): (2.52, 0.3),
     }
-    p = ProtocolParams(n=10**7, delta=0.05)
     spec = make_baseline_spec()
     passed = 0
     per_seed = []
     for seed in (1, 2, 3):
-        s = generate_sample_set(spec, 10**6, seed, workers=4)
-        gains = decade_gains(s, p)
+        # Seed 1 is the session's baseline set.
+        s = baseline_set if seed == 1 else generate_sample_set(spec, 10**6, seed, workers=4)
+        gains = decade_gains(s, protocol)
         hit = all(gain is not None and abs(gain - windows[(lo, hi)][0])
                   <= windows[(lo, hi)][1]
                   for lo, hi, gain in gains)
@@ -145,8 +150,10 @@ def test_criterion_07_quantile_oracle():
             for i in range(20):
                 got = strict_outage_quantile(samples, i / 20)
                 want = brute_force(combo, Fraction(i, 20))
+                m = order_index(i / 20, length)
                 checks += 1
-                mismatches += got != want
+                mismatches += (got != want or m != (i * length) // 20
+                               or samples[min(m, length - 1)] != got)
     ok = mismatches == 0
     assert _report(7, ok, f"strict quantile vs enumeration, "
                           f"{mismatches}/{checks} mismatches")

@@ -548,16 +548,33 @@ CONFIG_ERRORS = {
                         "bad value for 'scaling.n_values': nan"),
     "nan-in-eps_list": (("benchmark-validate",), {"benchmark": {"eps_list": [0.1, NAN]}},
                         "bad value for 'benchmark.eps_list': nan"),
+    # Finite values the library refuses, named by their keys.
+    "nb_sigma-negative": (("optimize",), {"channel": {"nb_sigma": -1}},
+                          "channel.nb_sigma must be > 0, got -1.0"),
+    "nb_lower-above-nb_upper": (("optimize",), {"channel": {"nb_lower": 0.6}},
+                                "need 0 <= channel.nb_lower < channel.nb_upper, got [0.6, 0.5]"),
+    "sigma_ln-zero": (("optimize",), {"channel": {"sigma_ln": 0}},
+                      "channel.sigma_ln must be > 0, got 0.0"),
+    "eta0-above-1": (("optimize",), {"channel": {"kind": "benchmark", "eta0": 1.5}},
+                     "channel.eta0 must lie in (0, 1), got 1.5"),
+    "rate-zero": (("optimize",), {"channel": {"kind": "benchmark", "rate": 0}},
+                  "channel.rate must be > 0, got 0.0"),
+    "delta-above-half": (("optimize",), {"protocol": {"delta": 0.7}},
+                         "protocol.delta must lie in (0, 0.5), got 0.7"),
+    "eps_cov-above-1": (("optimize",), {"budgets": {"eps_cov": 2}},
+                        "budgets.eps_cov must lie in (0, 1), got 2.0"),
     # np.sqrt cannot take an integer n >= 2**64: these once ended in a
     # TypeError traceback after sampling.
-    **{f"n-beyond-uint64-{argv[0]}": (argv, None, "n must be a positive integer below 2**64")
-       for argv in (("optimize", "--n", "1e30"), ("scaling", "--n-values", "1e30"),
-                    ("risk-adjusted", "--n", "1e30"), ("benchmark-validate", "--n", "1e30"))},
+    **{f"n-beyond-uint64-{argv[0]}": (argv, None, f"{key} must be a positive integer below 2**64")
+       for argv, key in ((("optimize", "--n", "1e30"), "protocol.n"),
+                         (("scaling", "--n-values", "1e30"), "scaling.n_values"),
+                         (("risk-adjusted", "--n", "1e30"), "protocol.n"),
+                         (("benchmark-validate", "--n", "1e30"), "protocol.n"))},
     # Frame lengths and budgets the library refuses.
     "scaling-n-zero": (("scaling",), {"scaling": {"n_values": [0]}},
-                       "n must be a positive integer"),
+                       "scaling.n_values must be a positive integer below 2**64, got 0"),
     "scaling-n-negative": (("scaling",), {"scaling": {"n_values": [4, -3]}},
-                           "n must be a positive integer"),
+                           "scaling.n_values must be a positive integer below 2**64, got -3"),
     "scaling-eps": (("scaling",), {"scaling": {"eps": 1.5}},
                     "scaling.eps must lie in (0, 1), got 1.5"),
     "validate-eps": (("benchmark-validate",), {"benchmark": {"eps_list": [0.1, 1.5]}},
@@ -578,9 +595,9 @@ CONFIG_ERRORS = {
                                 "sensitivity.points must be >= 1"),
     # The risk-adjusted grid, weight grids and fixed weight.
     "grid-points-1": (("risk-adjusted", "--grid-points", "1"), None,
-                      "points_per_axis must be >= 2"),
+                      "risk_adjusted.grid_points must be >= 2, got 1"),
     "fixed-other--1": (("risk-adjusted", "--fixed-other", "-1"), None,
-                       "weights must be finite and >= 0"),
+                       "risk_adjusted.fixed_other must be >= 0, got -1.0"),
     **{f"fixed-other-{value}": (("risk-adjusted", "--fixed-other", value), None,
                                 f"bad value for 'risk_adjusted.fixed_other': {value}")
        for value in ("nan", "inf")},
@@ -588,14 +605,14 @@ CONFIG_ERRORS = {
                                  None, "bad value for 'risk_adjusted.fixed_other': inf"),
     "lambda-bounds-reversed": (("risk-adjusted",), {"risk_adjusted": {
         "lambda_min": 2.0, "lambda_max": 1.0}},
-        "risk_adjusted.lambda_min <= risk_adjusted.lambda_max"),
+        "need 0 < risk_adjusted.lambda_min <= risk_adjusted.lambda_max, got [2.0, 1.0]"),
     "lambda-max-inf": (("risk-adjusted",), {"risk_adjusted": {"lambda_max": INF}},
                        "bad value for 'risk_adjusted.lambda_max': inf"),
     "lambda-points-zero": (("risk-adjusted",), {"risk_adjusted": {"lambda_points": 0}},
                            "risk_adjusted.lambda_points must be >= 1"),
     "heatmap-bounds-reversed": (("risk-adjusted",), {"risk_adjusted": {
         "mode": "heatmap", "heatmap_min": 2.0, "heatmap_max": 1.0}},
-        "risk_adjusted.heatmap_min <= risk_adjusted.heatmap_max"),
+        "need 0 < risk_adjusted.heatmap_min <= risk_adjusted.heatmap_max, got [2.0, 1.0]"),
     "heatmap-max-inf": (("risk-adjusted",), {"risk_adjusted": {
         "mode": "heatmap", "heatmap_max": INF}}, "bad value for 'risk_adjusted.heatmap_max': inf"),
     "heatmap-points-zero": (("risk-adjusted",), {"risk_adjusted": {

@@ -57,21 +57,6 @@ def truncated_gaussian_mean(spec):
 # uniform stream
 
 
-def test_stream_uniforms_position_addressing():
-    full = stream_uniforms(7, 0, 2000)
-    np.testing.assert_array_equal(stream_uniforms(7, 500, 800), full[500:1300])
-    np.testing.assert_array_equal(stream_uniforms(7, 0, 1), full[:1])
-
-
-def test_stream_uniforms_chunk_boundary():
-    # Spans crossing a chunk edge must agree with per-chunk reads.
-    lo = STREAM_CHUNK - 10
-    span = stream_uniforms(3, lo, 20)
-    left = stream_uniforms(3, lo, 10)
-    right = stream_uniforms(3, STREAM_CHUNK, 10)
-    np.testing.assert_array_equal(span, np.concatenate([left, right]))
-
-
 def whole_chunk_uniforms(seed, start, count):
     # The stream format spelled out: generate every chunk the span touches
     # in full from PCG64(SeedSequence([seed, c])) and slice.
@@ -118,13 +103,6 @@ def test_inplace_samplers_match_whole_expressions(start, count):
     want = -np.log1p(-u) / EXP_SPEC.rate
     got = sample_exponential(EXP_SPEC, count, 9, start)
     assert got.tobytes() == want.tobytes()
-
-
-def test_stream_call_pattern_independence():
-    one_call = stream_uniforms(11, 0, 1000)
-    pieces = [stream_uniforms(11, start, n)
-              for start, n in ((0, 1), (1, 99), (100, 400), (500, 500))]
-    np.testing.assert_array_equal(one_call, np.concatenate(pieces))
 
 
 def test_stream_uniforms_range_and_count():

@@ -7,7 +7,6 @@ gives the exact supremum without floating-point quantile artifacts.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -98,18 +97,6 @@ def test_quantile_decimal_budget_rounding():
     # exact decimal budget 3/10 does.
     s = np.arange(1.0, 11.0)
     assert strict_outage_quantile(s, 0.3) == brute_force_quantile(s, Fraction(3, 10))
-
-
-def test_quantile_exhaustive_oracle():
-    eps_grid = [(i, Fraction(i, 20)) for i in range(20)]
-    for n in range(1, 13):
-        for combo in combinations_with_replacement((1.0, 2.0, 3.0), n):
-            arr = np.array(combo)
-            for i, frac in eps_grid:
-                got = strict_outage_quantile(arr, i / 20.0)
-                assert got == brute_force_quantile(combo, frac), (combo, i)
-                m = order_index(i / 20.0, n)
-                assert m == (i * n) // 20 and arr[min(m, n - 1)] == got
 
 
 def test_order_index_snaps_whole_order_statistics():

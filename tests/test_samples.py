@@ -341,17 +341,6 @@ def test_sample_set_validation():
 # binary cache
 
 
-def test_save_load_round_trip(tmp_path):
-    s = generate_sample_set(make_baseline_spec(), 1000, seed=9)
-    path = tmp_path / "s.cqcs"
-    save_sample_set(s, path)
-    t = load_sample_set(path)
-    assert t.K == s.K and t.seed == s.seed
-    assert t.channel_digest == s.channel_digest
-    assert t.ccov.tobytes() == s.ccov.tobytes()
-    assert t.rach.tobytes() == s.rach.tobytes()
-
-
 def test_load_checks_expected_digest(tmp_path):
     s = generate_sample_set(make_baseline_spec(), 100, seed=9)
     path = tmp_path / "s.cqcs"

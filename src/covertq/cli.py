@@ -27,7 +27,10 @@ COVERTQ_OUTPUT_DIR (flags and config still win over it).
 
 Each handler declares its CSV's columns and rows; the library modules
 take a sample set and return results only, and _obtain_samples is the
-one place a set is drawn or loaded.  Every CSV artifact starts with a
+one place a set is drawn or loaded.  A command that reads only
+strict-outage quantiles and has no --cache draws a tail set (see
+covertq.samples) that reaches its largest budget, and writes the same
+bytes as on the full set.  Every CSV artifact starts with a
 comment line recording the seed, K and channel digest of the sample set
 its rows come from: a cached run stamps the cache's, whatever the flags
 say.  Identical configs reproduce byte-identical files.
@@ -36,7 +39,8 @@ Exit codes: 0 success; 2 configuration error, checked before any sampling and
 naming the dotted key of any value it refuses: a value of the wrong type for
 any key (NaN and Infinity for every float key), an out-of-range value in the
 channel, protocol, sampling or budgets section or in a section the command
-reads (sweep bounds and weights included), a size (sampling.k, a points key,
+reads (sweep bounds and weights included), a channel law with no
+representable mass (checked before a draw), a size (sampling.k, a points key,
 grid_points) whose arrays need more than the machine's physical memory or that
 numpy refuses to allocate, an unreadable, undecodable, non-JSON or too deeply
 nested config file, argparse errors, a cache whose channel digest contradicts
@@ -74,6 +78,7 @@ from .distributions import (
 from .quantiles import RiskBudgets
 from .risk_adjusted import GridSpec, heatmap_sweep
 from .risk_constrained import (
+    DECADE_BUDGETS,
     REPORT_COLUMNS,
     InvariantError,
     ProtocolParams,
@@ -95,7 +100,7 @@ from .samples import (
     load_sample_set,
     save_sample_set,
 )
-from .sensitivity import sensitivities_symmetric
+from .sensitivity import sensitivities_symmetric, sensitivity_stencil
 from ._csvio import write_csv
 
 __all__ = ["main", "ConfigError", "InfeasibleGainError"]
@@ -272,6 +277,12 @@ def _built(keys: dict, build, **fields):
         raise ConfigError(re.sub(r"\w+", lambda m: keys.get(m[0], m[0]), str(e))) from e
 
 
+def _config_keys(raw: dict) -> dict:
+    # Library fields are named as their keys, less "nb_" (sigma: channel.nb_sigma).
+    return {key.removeprefix("nb_"): f"{name}.{key}"
+            for name in ("channel", "protocol", "budgets") for key in raw[name]}
+
+
 def _build_channel(section: dict) -> ChannelSpec:
     if section["kind"] == "stochastic":
         return StochasticChannelSpec(
@@ -331,21 +342,24 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if memory is not None and need > memory:
             raise ConfigError(f"{key}={size} needs about {need} bytes, more than "
                               f"the {memory} bytes of physical memory")
-    # Library fields are named as their keys, less "nb_" (sigma: channel.nb_sigma).
-    keys = {key.removeprefix("nb_"): f"{name}.{key}"
-            for name in ("channel", "protocol", "budgets") for key in raw[name]}
+    keys = _config_keys(raw)
     return RunConfig(channel=_built(keys, _build_channel, section=raw["channel"]),
                      protocol=_built(keys, ProtocolParams, **raw["protocol"]),
                      budgets=_built(keys, RiskBudgets, **raw["budgets"]),
                      raw=raw, output_dir=Path(out_dir))
 
 
-def _obtain_samples(cfg: RunConfig, cache=None) -> SampleSet:
+def _obtain_samples(cfg: RunConfig, cache=None, eps_max=None) -> SampleSet:
+    # A cache is loaded whole.  A draw first refuses a law with no
+    # representable mass, naming its keys; this check loads scipy.special,
+    # which a cached command never does.  Given eps_max, the largest budget
+    # the command reads, only the tail that reaches it is computed.
     if cache:
         return load_sample_set(cache, expected_digest=channel_digest(cfg.channel))
+    _built(_config_keys(cfg.raw), cfg.channel._check_mass)
     sampling = cfg.raw["sampling"]
     return generate_sample_set(cfg.channel, sampling["k"], sampling["seed"],
-                               workers=sampling["workers"])
+                               workers=sampling["workers"], eps_max=eps_max)
 
 
 def _log_grid(cfg: RunConfig, section: str,
@@ -409,8 +423,9 @@ def _cmd_sample(cfg, args) -> None:
 
 
 def _cmd_optimize(cfg, args) -> None:
-    s = _obtain_samples(cfg, args.cache)
-    report = optimize(s, cfg.protocol, cfg.budgets)
+    b = cfg.budgets
+    s = _obtain_samples(cfg, args.cache, max(b.eps_cov, b.eps_rel))
+    report = optimize(s, cfg.protocol, b)
     row = (cfg.budgets.eps_cov, cfg.budgets.eps_rel, *report.cells(),
            report.r_max > 0, report.below_resolution)
     _emit(cfg, args, ["eps_cov", "eps_rel", *REPORT_COLUMNS, "feasible", "below_resolution"],
@@ -419,7 +434,7 @@ def _cmd_optimize(cfg, args) -> None:
 
 def _cmd_frontier(cfg, args) -> None:
     grid = _log_grid(cfg, "frontier")
-    s = _obtain_samples(cfg, args.cache)
+    s = _obtain_samples(cfg, args.cache, float(grid.max()))
     rows = frontier_sweep(s, cfg.protocol, grid)
     _emit(cfg, args, ["eps", *REPORT_COLUMNS],
           ((eps, *rep.cells()) for eps, rep in rows), f"{len(rows)} rows", s)
@@ -427,7 +442,7 @@ def _cmd_frontier(cfg, args) -> None:
 
 def _cmd_surface(cfg, args) -> None:
     grid = _log_grid(cfg, "surface")
-    s = _obtain_samples(cfg, args.cache)
+    s = _obtain_samples(cfg, args.cache, float(grid.max()))
     matrix = surface_sweep(s, cfg.protocol, grid, grid)
     rows = ((ec, er, *rep.cells())
             for ec, row in zip(grid, matrix, strict=True)
@@ -442,7 +457,7 @@ def _cmd_scaling(cfg, args) -> None:
     for n in block["n_values"]:
         _built({"n": "scaling.n_values"}, ProtocolParams, n=n, delta=cfg.protocol.delta)
     RiskBudgets.check(block["eps"], "scaling.eps")
-    s = _obtain_samples(cfg, args.cache)
+    s = _obtain_samples(cfg, args.cache, block["eps"])
     rows = n_scaling_sweep(s, cfg.protocol.delta, block["eps"], block["n_values"])
     _emit(cfg, args, ["n", "n_t_star"], rows, f"{len(rows)} rows", s)
 
@@ -453,7 +468,7 @@ def _cmd_benchmark_validate(cfg, args) -> None:
     eps_list = cfg.raw["benchmark"]["eps_list"]
     for eps in eps_list:  # checked here, before any sampling
         RiskBudgets.check(eps, "benchmark.eps_list")
-    s = _obtain_samples(cfg)
+    s = _obtain_samples(cfg, eps_max=max(eps_list))
     rows = validate(s, cfg.channel, cfg.protocol, eps_list)
     _emit(cfg, args, ["eps", "metric", "theory", "mc", "rel_error_percent"],
           ((r.eps, r.metric, r.theory, r.mc, r.rel_error_percent) for r in rows),
@@ -461,7 +476,7 @@ def _cmd_benchmark_validate(cfg, args) -> None:
 
 
 def _cmd_decade_gains(cfg, args) -> None:
-    s = _obtain_samples(cfg, args.cache)
+    s = _obtain_samples(cfg, args.cache, max(DECADE_BUDGETS))
     gains = decade_gains(s, cfg.protocol)
     _emit(cfg, args, ["eps_from", "eps_to", "gain"], gains, f"{len(gains)} gains", s)
     infeasible = [(lo, hi) for lo, hi, gain in gains if gain is None]
@@ -502,7 +517,8 @@ def _cmd_risk_adjusted(cfg, args) -> None:
 
 def _cmd_sensitivity(cfg, args) -> None:
     grid = _log_grid(cfg, "sensitivity")
-    s = _obtain_samples(cfg, args.cache)
+    s = _obtain_samples(cfg, args.cache,
+                        max(sensitivity_stencil(float(eps))[2] for eps in grid))
     points = sensitivities_symmetric(s, cfg.protocol, grid)
     _emit(cfg, args, ["eps", "s_cov", "s_rel", "flags"],
           ((pt.eps, pt.s_cov, pt.s_rel, ";".join(pt.flags)) for pt in points),

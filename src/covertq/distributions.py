@@ -150,6 +150,11 @@ def _representable(mass: float, spec) -> float:
     return mass
 
 
+def _lognormal_mass(spec: TruncatedLognormalSpec) -> float:
+    # p_hi = Phi((ln 1 - mu)/sigma), the untruncated law's mass on (0, 1].
+    return _representable(_special.ndtr((0.0 - spec.mu_ln) / spec.sigma_ln), spec)
+
+
 def _gaussian_tail_map(spec: TruncatedGaussianSpec):
     # (p_lo, p_hi, sign): the interval maps to [p_lo, p_hi] in the
     # probabilities of sign*(x - mu)/sigma.  An interval above the mean
@@ -196,7 +201,7 @@ def sample_truncated_lognormal(
     # p_hi = Phi((ln 1 - mu)/sigma).  Mapping through (1 - u) keeps the
     # left edge open: u in [0, 1) lands in (0, p_hi], so no sample can
     # collapse to 0 while exact 1.0 stays reachable at u = 0.
-    p_hi = _representable(_special.ndtr((0.0 - spec.mu_ln) / spec.sigma_ln), spec)
+    p_hi = _lognormal_mass(spec)
     np.subtract(1.0, x, out=x)
     np.multiply(p_hi, x, out=x)
     # ndtri is SciPy's Cephes rational-approximation normal quantile,
@@ -253,7 +258,7 @@ def sample_exponential(
 def truncated_lognormal_cdf(spec: TruncatedLognormalSpec, x) -> np.ndarray:
     """CDF of the truncated law on (0, 1]; 0 below support, 1 above."""
     x = np.asarray(x, dtype=float)
-    p_hi = _representable(_special.ndtr((0.0 - spec.mu_ln) / spec.sigma_ln), spec)
+    p_hi = _lognormal_mass(spec)
     with np.errstate(divide="ignore"):
         raw = _special.ndtr(
             (np.log(np.maximum(x, np.finfo(float).tiny)) - spec.mu_ln) / spec.sigma_ln)

@@ -135,6 +135,16 @@ def _entropy_into(p, tmp):
     return np.divide(p, _LN2, out=p)
 
 
+def _rate_into(p, tmp):
+    # The rate max(0, 1 - H) of depolarizing probabilities p, written over p
+    # with tmp (p's shape) as scratch.  Every step is an IEEE-exact numpy
+    # ufunc or xlogy's scalar loop, so a value does not depend on where its
+    # row sits in p.
+    entropy = _entropy_into(p, tmp)
+    np.subtract(1.0, entropy, out=p)
+    return np.maximum(0.0, p, out=p)
+
+
 def achievable_rate(eta, nb, out=None):
     """Hashing-bound rate max(0, 1 - H(pauli vector)) in qubits per use.
 
@@ -142,7 +152,5 @@ def achievable_rate(eta, nb, out=None):
     one scratch array per call.
     """
     eta_a, nb_a, res = _operands(eta, nb, out)
-    entropy = _entropy_into(_depolarizing_into(eta_a, nb_a, res), np.empty_like(res))
-    np.subtract(1.0, entropy, out=res)
-    np.maximum(0.0, res, out=res)
+    _rate_into(_depolarizing_into(eta_a, nb_a, res), np.empty_like(res))
     return _result(res, out, eta, nb)

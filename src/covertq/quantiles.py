@@ -8,7 +8,9 @@ F<(x) = P[X < x] and the matching quantile is
 
 On an empirical law of K sorted samples the supremum is the order statistic
 x_(m+1) with m = floor(eps*K); this module implements exactly that, and the
-test suite proves the equivalence by brute-force enumeration.  Both
+test suite proves the equivalence by brute-force enumeration.  A quantile
+reads only the sorted lower tail up to its order statistic, so it takes the
+smallest values of K draws and the count K (a tail set's arrays).  Both
 operations cost O(log K) / O(1) on the pre-sorted arrays, which is what
 makes dense budget sweeps against one cached sample set cheap.
 """
@@ -80,12 +82,19 @@ def strict_cdf(samples: np.ndarray, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def strict_outage_quantile(samples: np.ndarray, eps: float):
-    """sup{x : strict_cdf(samples, x) <= eps} of the empirical law.
+def strict_outage_quantile(samples: np.ndarray, eps: float, K: int | None = None):
+    """sup{x : strict_cdf(samples, x) <= eps} of the empirical law of K draws.
 
     Equals the order statistic x_(m+1) with m = order_index(eps, K), clamped
-    to the maximum sample when m + 1 > K.
+    to the maximum sample when m + 1 > K.  ``samples`` holds the smallest
+    len(samples) of the K draws, sorted; K defaults to its length (a full
+    set).  An order statistic past a tail raises ValueError.
     """
     samples = np.asarray(samples)
-    k = samples.size
-    return samples[min(order_index(eps, k), k - 1)]
+    if K is None:
+        K = samples.size
+    i = min(order_index(eps, K), K - 1)
+    if i >= samples.size:
+        raise ValueError(f"the eps={eps} quantile is order statistic {i + 1} of {K} "
+                         f"draws, past this tail of {samples.size} of {K}")
+    return samples[i]

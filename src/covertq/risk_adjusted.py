@@ -185,7 +185,8 @@ class HeatmapResult:
 def objective(
     s: SampleSet, st: Strategy, w: RiskWeights, p: ProtocolParams
 ) -> float:
-    """Risk-adjusted throughput J at a single strategy."""
+    """Risk-adjusted throughput J at a single strategy; s must be a full set."""
+    s.require_full("objective")
     cov_outage = strict_cdf(s.ccov, p.ccov_threshold(st.q))
     rel_outage = strict_cdf(s.rach, st.r)
     return st.q * st.r - w.lambda_cov * cov_outage - w.lambda_rel * rel_outage
@@ -276,8 +277,10 @@ def heatmap_sweep(s: SampleSet, p: ProtocolParams, g: GridSpec,
     sequence is).  Each equals exhaustive evaluation of J on the full grid
     exactly; the module docstring says how.  Weights near the float maximum
     can overflow J to -inf in cells that cannot win; that is silent, not a
-    warning.
+    warning.  s must be a full set: the strict CDFs over the grid and the
+    median read the whole law, and a tail set raises ValueError.
     """
+    s.require_full("heatmap_sweep")
     shape = (len(lambda_cov_values), len(lambda_rel_values))
     if 0 in shape:
         empty = np.empty(shape)

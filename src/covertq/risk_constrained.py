@@ -126,7 +126,8 @@ def optimize(s: SampleSet, p: ProtocolParams, b: RiskBudgets) -> OptimumReport:
     Parameters
     ----------
     s : SampleSet
-        Sorted marginal samples of c_cov and r_ach.
+        Sorted marginal samples of c_cov and r_ach: a full set, or a tail
+        set that reaches the larger budget.
     p : ProtocolParams
         Frame length and covertness threshold.
     b : RiskBudgets
@@ -169,11 +170,11 @@ def surface_sweep(
     RiskBudgets.check(eps_cov_grid[0], "eps_cov")
     eps_rel_axis = [RiskBudgets.check(e, "eps_rel") for e in eps_rel_grid]
     eps_cov_axis = [RiskBudgets.check(e, "eps_cov") for e in eps_cov_grid]
-    r_axis = [(float(strict_outage_quantile(s.rach, e)), order_index(e, s.K) == 0)
+    r_axis = [(float(strict_outage_quantile(s.rach, e, s.K)), order_index(e, s.K) == 0)
               for e in eps_rel_axis]
     matrix = []
     for eps_cov in eps_cov_axis:
-        q_unc = p.q_ceiling(strict_outage_quantile(s.ccov, eps_cov))
+        q_unc = p.q_ceiling(strict_outage_quantile(s.ccov, eps_cov, s.K))
         q_max = min(1.0, q_unc)
         q_coarse = order_index(eps_cov, s.K) == 0
         matrix.append([OptimumReport(

@@ -23,10 +23,34 @@ generate_sample_set alone fixes, and the physics kernels reduce them to
 arrays, which are then sorted in place.  Peak memory is therefore 16 bytes
 x K plus three block arrays per worker (its two buffers and the one scratch
 array a physics call allocates), and a block reuses memory instead of
-faulting in fresh pages.  The cache is written from those arrays directly,
-and a load maps the file copy-on-write instead of reading it: the loaded
-arrays are views of a private mapping, so a write into them stays in
-memory and never reaches the file.  A load allocates nothing of K rows: it
+faulting in fresh pages.
+
+A tail set holds only what a strict-outage quantile at budgets up to eps_max
+reads: the m = order_index(eps_max, K) + 1 smallest values of each marginal,
+sorted, bit for bit the full set's first m entries, while its K stays the
+number of draws.  It is built from the same blocks, except that the second
+array receives the depolarizing probability p of each row instead of its
+rate; c_cov is partitioned in place and only its m smallest are sorted.  The
+rate g(p) = max(0, 1 - H(p)) is non-increasing in p (dH/dp = 3/4 ln(a/b) > 0
+for p < 1), so the m smallest rates come from the largest p: g runs on the
+n = m + ceil(m/4) + 64 largest p only, in block-sized pieces, and the m
+smallest of those are sorted.  Every step of g is an IEEE-exact numpy ufunc
+or xlogy's scalar loop, so a row's rate does not depend on where the row
+sits; np.power, whose vector kernel need not be, stays in p, computed in
+the generation blocks as for a full set.  Computed g follows the exact one
+to a few ulp, so a row left out, whose p is at most the least selected p0,
+has a computed rate above g(p0) - _TAIL_SLACK (1e-12, about 1000 times that
+gap).  The selection is kept when the m-th smallest rate r_m is 0 (no rate
+is below 0) or r_m + _TAIL_SLACK < g(p0); otherwise g runs on every row.
+The two arrays are views of the K-row arrays the blocks filled: a tail set
+costs the same 16 x K bytes while it lives, and nothing is copied.  Readers
+of the whole law (strict_cdf over a grid, the median, a cache save) refuse
+a tail set, and a quantile past its tail raises ValueError.
+
+The cache is written from a full set's arrays directly, and a load maps
+the file copy-on-write instead of reading it: the loaded arrays are views
+of a private mapping, so a write into them stays in memory and never
+reaches the file.  A load allocates nothing of K rows: it
 checks sortedness _CHECK_PAIRS pairs at a time, in one reused buffer.  A
 save replaces the file and never rewrites it in place, so a set already
 mapped from it keeps the bytes it was validated on.
@@ -76,13 +100,16 @@ from ._csvio import unlink_regular_file
 from .distributions import (
     STREAM_CHUNK,
     ExponentialSpec,
+    _gaussian_tail_map,
+    _lognormal_mass,
     TruncatedGaussianSpec,
     TruncatedLognormalSpec,
     sample_exponential,
     sample_truncated_gaussian,
     sample_truncated_lognormal,
 )
-from .physics import achievable_rate, covertness_constant
+from .physics import _depolarizing_into, _rate_into, achievable_rate, covertness_constant
+from .quantiles import order_index
 
 __all__ = [
     "StochasticChannelSpec",
@@ -112,6 +139,13 @@ assert _HEADER.size == 64
 # command after another, faulted in 743 fresh pages per command where these
 # fault in none (BENCH_31.json).  Output does not depend on it.
 _BLOCK = STREAM_CHUNK
+
+# A tail set's rates are computed on the m + ceil(m/4) + _TAIL_EXTRA largest
+# depolarizing probabilities, and the selection is kept when its m-th smallest
+# rate lies more than _TAIL_SLACK below the rate of the least selected p (see
+# the module docstring).
+_TAIL_EXTRA = 64
+_TAIL_SLACK = 1e-12
 
 # Adjacent pairs per piece of a load's NaN and sortedness check, set apart
 # from _BLOCK: a check in 16,384-pair pieces took 21.5 ms per K = 10^7 load
@@ -158,6 +192,11 @@ class StochasticChannelSpec:
         return ("stochastic", self.eta.mu_ln, self.eta.sigma_ln, self.nb.mu,
                 self.nb.sigma, self.nb.lower, self.nb.upper)
 
+    def _check_mass(self) -> None:
+        # The ValueError a draw would raise for a law with no representable mass.
+        _lognormal_mass(self.eta)
+        _gaussian_tail_map(self.nb)
+
     def _draw(self, seed, eta_at, nb_at, eta, nb) -> None:
         # Fill one block's buffers in place from stream positions eta_at, nb_at.
         sample_truncated_lognormal(self.eta, len(eta), seed, eta_at, out=eta)
@@ -178,6 +217,9 @@ class BenchmarkChannelSpec:
 
     def _digest_fields(self):
         return ("benchmark", self.eta0, self.nb.rate)
+
+    def _check_mass(self) -> None:
+        pass  # an exponential law has mass everywhere on [0, inf)
 
     def _draw(self, seed, eta_at, nb_at, eta, nb) -> None:
         # The constant eta draws nothing, so position eta_at goes unread; nb
@@ -200,20 +242,32 @@ def channel_digest(spec: ChannelSpec) -> bytes:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """K channel realizations reduced to sorted marginal arrays; K is their length."""
+    """K channel realizations reduced to sorted marginal arrays.
+
+    K is the number of draws and defaults to the arrays' length.  A full
+    set's arrays hold all K values; a tail set's hold the m < K smallest of
+    each marginal (see generate_sample_set's eps_max).
+    """
 
     ccov: np.ndarray
     rach: np.ndarray
     seed: int
     channel_digest: bytes
+    K: int | None = None
 
     def __post_init__(self) -> None:
         if len(self.ccov) == 0 or len(self.ccov) != len(self.rach):
             raise ValueError("arrays must be nonempty and of equal length")
+        if self.K is None:
+            object.__setattr__(self, "K", len(self.ccov))
+        elif self.K < len(self.ccov):
+            raise ValueError(f"K={self.K} draws cannot give {len(self.ccov)} rows")
 
-    @property
-    def K(self) -> int:
-        return len(self.ccov)
+    def require_full(self, reader: str) -> None:
+        """ValueError naming the tail unless the arrays hold all K draws."""
+        if len(self.ccov) < self.K:
+            raise ValueError(f"{reader} reads the whole law, but this set is a tail "
+                             f"of {len(self.ccov)} of {self.K} draws")
 
 
 def _usable_cpus() -> int:
@@ -224,8 +278,46 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _sorted(a: np.ndarray) -> np.ndarray:
+    a.sort()
+    return a
+
+
+def _smallest(a: np.ndarray, m: int) -> np.ndarray:
+    # The m smallest values of a, sorted, as the view a[:m]; a is reordered.
+    a.partition(m - 1)
+    head = a[:m]
+    head.sort()
+    return head
+
+
+def _rates_in_place(p: np.ndarray) -> None:
+    # Depolarizing probabilities p overwritten with their rates, one
+    # block-sized piece (and one block of scratch) at a time.
+    scratch = np.empty(min(_BLOCK, len(p)))
+    for lo in range(0, len(p), _BLOCK):
+        piece = p[lo : lo + _BLOCK]
+        _rate_into(piece, scratch[: len(piece)])
+
+
+def _smallest_rates(p: np.ndarray, m: int) -> np.ndarray:
+    # The m smallest rates of the depolarizing probabilities p, sorted, as a
+    # view of p, which is overwritten (see the module docstring).
+    cut = max(len(p) - (m + -(-m // 4) + _TAIL_EXTRA), 0)
+    if cut:
+        p.partition(cut)  # p[cut:] holds the largest p, p[cut] the least of them
+    _rates_in_place(p[cut:])
+    floor = float(p[cut])  # if cut > 0, the rate at the least selected p
+    head = _smallest(p[cut:], m)
+    r_m = float(head[-1])
+    if cut and not (r_m == 0.0 or r_m + _TAIL_SLACK < floor):
+        _rates_in_place(p[:cut])
+        head = _smallest(p, m)
+    return head
+
+
 def generate_sample_set(
-    spec: ChannelSpec, K: int, seed: int, workers: int = 1
+    spec: ChannelSpec, K: int, seed: int, workers: int = 1, *, eps_max: float | None = None
 ) -> SampleSet:
     """Draw K realizations, reduce to (c_cov, r_ach), sort each ascending.
 
@@ -241,15 +333,23 @@ def generate_sample_set(
         Worker threads pulling row blocks, at most one per CPU this process
         may run on and one per block.  The result is bit-identical for
         every worker count because block contents are position-addressed.
+    eps_max : float, optional
+        The largest budget the set will be queried at, in [0, 1).  Given, the
+        result is a tail set: its arrays hold only the m = order_index(eps_max,
+        K) + 1 smallest values of each marginal (at most K), equal to the full
+        set's first m entries, and its K is still the number of draws.
 
-    Peak memory is the 16 * K bytes of the result plus three block arrays
-    per worker: its eta and nb buffers and one physics scratch array.
+    Peak memory is the 16 * K bytes of the two arrays plus three block arrays
+    per worker: its eta and nb buffers and one physics scratch array.  A tail
+    set's arrays are views of those two, which live as long as it does.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     digest = channel_digest(spec)  # validates the spec type up front
+    tail = eps_max is not None
+    m = min(order_index(eps_max, K), K - 1) + 1 if tail else K
     blocks = range(0, K, _BLOCK)
     threads = min(workers, _usable_cpus(), len(blocks))
 
@@ -261,25 +361,33 @@ def generate_sample_set(
         # One worker's block buffers, filled by the spec for each block taken
         # from the shared iterator (next() on a range iterator is atomic under
         # the GIL).  The stream layout is fixed here and nowhere else.  The
-        # physics kernels write each block's results into its output rows.
+        # physics kernels write each block's results into its output rows: a
+        # tail set's second array takes the depolarizing probability.
         eta_buf, nb_buf = np.empty(min(_BLOCK, K)), np.empty(min(_BLOCK, K))
         for lo in pending:
             hi = min(lo + _BLOCK, K)
             eta, nb = eta_buf[: hi - lo], nb_buf[: hi - lo]
             spec._draw(seed, lo, K + lo, eta, nb)
             covertness_constant(eta, nb, out=ccov[lo:hi])
-            achievable_rate(eta, nb, out=rach[lo:hi])
+            if tail:
+                _depolarizing_into(eta, nb, rach[lo:hi])
+            else:
+                achievable_rate(eta, nb, out=rach[lo:hi])
 
+    if tail:
+        finish = (lambda: _smallest(ccov, m), lambda: _smallest_rates(rach, m))
+    else:
+        finish = (lambda: _sorted(ccov), lambda: _sorted(rach))
     if threads == 1:
         work(0)
-        ccov.sort()
-        rach.sort()
+        ccov_out, rach_out = (f() for f in finish)
     else:
-        # numpy's sort releases the GIL, so the two arrays sort in parallel.
+        # numpy's sort and partition release the GIL, so the two arrays are
+        # finished in parallel.
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, range(threads)))
-            list(pool.map(np.ndarray.sort, (ccov, rach)))
-    return SampleSet(ccov=ccov, rach=rach, seed=seed, channel_digest=digest)
+            ccov_out, rach_out = pool.map(lambda f: f(), finish)
+    return SampleSet(ccov=ccov_out, rach=rach_out, seed=seed, channel_digest=digest, K=K)
 
 
 def save_sample_set(s: SampleSet, path) -> None:
@@ -289,8 +397,10 @@ def save_sample_set(s: SampleSet, path) -> None:
     a new one created, never truncated or rewritten in place: a loaded set
     may map the old file, and it keeps the old inode's bytes.  Truncating it
     would end the next read of such a set with SIGBUS.  Anything else, such
-    as a device or a FIFO, is opened for writing as it is.
+    as a device or a FIFO, is opened for writing as it is.  A tail set is
+    refused with ValueError before anything is touched.
     """
+    s.require_full("save_sample_set")
     header = _HEADER.pack(_MAGIC, _VERSION, s.K, s.seed, s.channel_digest)
     unlink_regular_file(path)
     with open(path, "wb") as fh:

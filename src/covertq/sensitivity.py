@@ -39,6 +39,7 @@ from .samples import SampleSet
 __all__ = [
     "SensitivityPoint",
     "SingularSensitivityError",
+    "sensitivity_stencil",
     "sensitivities_symmetric",
     "sensitivity_formula",
 ]
@@ -66,6 +67,16 @@ class SensitivityPoint:
     flags: tuple[str, ...] = ()
 
 
+def sensitivity_stencil(eps: float) -> tuple[float, float, float]:
+    """The symmetric budgets (eps - h, eps, eps + h), h = eps/10, of one point.
+
+    eps - h > 0 always; where eps + h reaches 1 the top is eps itself and
+    the difference is one-sided.
+    """
+    h = eps / 10.0
+    return eps - h, eps, (eps + h if eps + h < 1.0 else eps)
+
+
 def sensitivities_symmetric(
     s: SampleSet, p: ProtocolParams, eps_grid
 ) -> list[SensitivityPoint]:
@@ -74,7 +85,8 @@ def sensitivities_symmetric(
     Parameters
     ----------
     s, p : SampleSet, ProtocolParams
-        Cached samples and protocol constants.
+        Samples (a full set, or a tail set that reaches every stencil's top
+        budget) and protocol constants.
     eps_grid : sequence of float
         Budgets in (0, 1); [1e-4, 1e-1] is the numerically well-behaved
         range at K = 10^6.
@@ -88,10 +100,7 @@ def sensitivities_symmetric(
     points = []
     zero_atom = bool(s.rach[0] == 0.0)
     for eps in eps_grid:
-        eps = RiskBudgets.check(float(eps))
-        h = eps / 10.0
-        # eps - h > 0 always; near 1 the difference is one-sided, up to eps.
-        lo, hi = eps - h, (eps + h if eps + h < 1.0 else eps)
+        lo, eps, hi = sensitivity_stencil(RiskBudgets.check(float(eps)))
         span = hi - lo
 
         # t_star(eps_cov, eps_rel) = q_max(eps_cov) * r_max(eps_rel), so the
@@ -101,7 +110,7 @@ def sensitivities_symmetric(
         s_rel = (mid.q_max * at_hi.r_max - mid.q_max * at_lo.r_max) / span
 
         flags = []
-        if zero_atom and strict_outage_quantile(s.rach, lo) == 0.0:
+        if zero_atom and strict_outage_quantile(s.rach, lo, s.K) == 0.0:
             flags.append("atom_suspected")
         if not at_lo.q_capped == mid.q_capped == at_hi.q_capped:
             flags.append("cap_transition")

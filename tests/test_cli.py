@@ -135,6 +135,58 @@ def test_optimize_budget_of_one_order_statistic_is_resolved(tmp_path):
     assert float(cells["r_max"]) == s.rach[1]
 
 
+# Channel sections the tail table runs on: the baseline default, volatile
+# (conftest's, whose lowest rates sit in an r_ach = 0 atom) and the benchmark
+# channel.
+TAIL_CHANNELS = {
+    "baseline": {},
+    "volatile": {"mu_ln": float(np.log(0.96) - 0.5 * 0.07**2), "sigma_ln": 0.07,
+                 "nb_mu": 0.01, "nb_sigma": 0.005},
+    "benchmark": {"kind": "benchmark"},
+}
+# Every command that reads only strict-outage quantiles, with each channel
+# it takes (benchmark-validate takes only the benchmark channel).
+TAIL_CASES = [(command, channel)
+              for command in ("optimize", "frontier", "surface", "scaling", "decade-gains",
+                              "sensitivity", "benchmark-validate")
+              for channel in TAIL_CHANNELS
+              if command != "benchmark-validate" or channel == "benchmark"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("command, channel", TAIL_CASES,
+                         ids=[f"{command}-{channel}" for command, channel in TAIL_CASES])
+def test_cacheless_output_equals_cached_output(tmp_path, monkeypatch, command, channel,
+                                               workers):
+    # Without --cache the command draws a tail set, and its CSV is the same
+    # command's on a full cache written by sample, byte for byte.
+    # benchmark-validate takes no cache, so its full set is drawn whole.  K
+    # spans two generation blocks, the second partial.
+    config = write_config(tmp_path, {"channel": TAIL_CHANNELS[channel],
+                                     "sampling": {"k": 40_000, "workers": workers}})
+    tails = []
+
+    def draw(*args, eps_max=None, **kwargs):
+        tails.append(eps_max)
+        return generate_sample_set(*args, eps_max=eps_max, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_sample_set", draw)
+    tail_csv, full_csv = tmp_path / "tail.csv", tmp_path / "full.csv"
+    rc = run(command, "--config", config, "--out", str(tail_csv))
+    assert rc in (0, 4) and len(tails) == 1 and tails[0] is not None, (rc, tails)
+    if "cache" in cli._COMMANDS[command][3]:
+        cache = tmp_path / "s.cqcs"
+        assert run("sample", "--config", config, "--out", str(cache)) == 0
+        source = ("--cache", str(cache))
+    else:
+        monkeypatch.setattr(cli, "generate_sample_set",
+                            lambda *args, eps_max=None, **kwargs:
+                            generate_sample_set(*args, **kwargs))
+        source = ()
+    assert run(command, "--config", config, *source, "--out", str(full_csv)) == rc
+    assert tail_csv.read_bytes() == full_csv.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # subcommand outputs
 
@@ -387,23 +439,6 @@ def test_extreme_finite_channel_prints_no_warning(tmp_path, capsys, argv, sectio
             ("q_max", "1.0", "1.0"), ("r_max", "0.0", "0.0")}
 
 
-@pytest.mark.parametrize("section", [
-    {"nb_mu": -0.04},                 # [0, 0.5] lies 40 sigma above the mean
-    {"nb_mu": 10.0, "nb_sigma": 0.1},  # ... and 95 sigma below it
-    {"mu_ln": 2.0},                   # (0, 1] lies 40 sigma below the lognormal's mean
-], ids=["nb-above", "nb-below", "eta"])
-def test_channel_beyond_the_float_tail_is_config_error(tmp_path, capsys, section):
-    # Its truncated law has no representable mass; the draws once all sat
-    # at one interval edge (or at eta = 0) and the run exited 0.
-    out = tmp_path / "x.csv"
-    rc = run("optimize", "--config", write_config(tmp_path, {"channel": section}),
-             "--k", "1000", "--out", str(out))
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("config error") and "no representable mass" in err, err
-    assert not out.exists()
-
-
 # ---------------------------------------------------------------------------
 # precedence
 
@@ -617,6 +652,20 @@ CONFIG_ERRORS = {
         "mode": "heatmap", "heatmap_max": INF}}, "bad value for 'risk_adjusted.heatmap_max': inf"),
     "heatmap-points-zero": (("risk-adjusted",), {"risk_adjusted": {
         "mode": "heatmap", "heatmap_points": 0}}, "risk_adjusted.heatmap_points must be >= 1"),
+    # A truncated law with no representable mass, 40 to 95 sigma out (the
+    # draws once all sat at an interval edge or at eta = 0, and the run
+    # exited 0).  Only the drawing path checks it, since the check loads
+    # scipy.special, so these rows run sample, which takes no cache.
+    "nb-above-no-mass": (("sample", "--k", "1000"), {"channel": {"nb_mu": -0.04}},
+                         "TruncatedGaussianSpec(channel.nb_mu=-0.04, channel.nb_sigma=0.001, "
+                         "channel.nb_upper=0.5, channel.nb_lower=0.0) has no representable mass"),
+    "nb-below-no-mass": (("sample", "--k", "1000"),
+                         {"channel": {"nb_mu": 10.0, "nb_sigma": 0.1}},
+                         "(channel.nb_mu=10.0, channel.nb_sigma=0.1, channel.nb_upper=0.5, "
+                         "channel.nb_lower=0.0) has no representable mass"),
+    "eta-no-mass": (("sample", "--k", "1000"), {"channel": {"mu_ln": 2.0}},
+                    "TruncatedLognormalSpec(channel.mu_ln=2.0, channel.sigma_ln=0.05) "
+                    "has no representable mass"),
     # Config files that cannot be read or decoded; json.load raises
     # RecursionError, not ValueError, past its nesting limit.
     "config-missing": (("optimize", "--config", "missing.json"), None,
@@ -659,7 +708,7 @@ def test_unallocatable_size_is_config_error(tmp_path, monkeypatch, capsys):
     # Stands in for numpy's allocation failure at a K no machine can hold;
     # nothing here asks the allocator for that much memory.  The memory
     # figure is lifted so that the physical-memory check lets K through.
-    def too_big(channel, K, seed, workers=1):
+    def too_big(channel, K, seed, workers=1, *, eps_max=None):
         raise MemoryError(f"Unable to allocate {16 * K} bytes")
 
     monkeypatch.setattr(cli, "generate_sample_set", too_big)

@@ -13,7 +13,12 @@ import pytest
 from covertq import (
     BenchmarkChannelSpec,
     ExponentialSpec,
+    GridSpec,
+    ProtocolParams,
+    RiskBudgets,
+    RiskWeights,
     SampleSet,
+    Strategy,
     StochasticChannelSpec,
     TruncatedGaussianSpec,
     TruncatedLognormalSpec,
@@ -21,8 +26,14 @@ from covertq import (
     channel_digest,
     covertness_constant,
     generate_sample_set,
+    grid_maximize,
+    heatmap_sweep,
     load_sample_set,
+    objective,
+    optimize,
+    order_index,
     save_sample_set,
+    strict_outage_quantile,
 )
 from covertq import cli, samples
 from covertq.samples import (
@@ -216,6 +227,29 @@ def test_generation_peak_memory_per_worker(workers):
     assert blocks < 3.5 * threads, blocks
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tail_generation_peaks_no_higher_than_full(workers):
+    # A tail set is selected in place in the two K-row arrays the blocks
+    # fill, with one block of scratch for the rates: no other K-row array.
+    # So it stays within the full path's bound, and at one worker, where the
+    # peak does not depend on thread timing, within a kilobyte (a few
+    # interpreter objects) of the full path's own peak.
+    K = 3 * 2**16 + 12_345
+    spec = make_baseline_spec()
+    threads = min(workers, samples._usable_cpus())
+    generate_sample_set(spec, K, seed=1, workers=workers)
+    full_peak, _ = peak_bytes(lambda: generate_sample_set(spec, K, seed=1, workers=workers))
+    for eps in (1e-3, 0.1, 0.5):
+        generate_sample_set(spec, K, seed=1, workers=workers, eps_max=eps)
+        peak, s = peak_bytes(
+            lambda: generate_sample_set(spec, K, seed=1, workers=workers, eps_max=eps))
+        assert s.K == K and len(s.ccov) < K
+        blocks = (peak - 16 * K) / (8 * samples._BLOCK)
+        assert blocks < 3.5 * threads, (eps, blocks)
+        if threads == 1:
+            assert peak <= full_peak + 1024, (eps, peak, full_peak)
+
+
 def test_load_peak_memory_is_not_k_sized(tmp_path):
     # The payload is mapped, and the sortedness check reuses one piece's
     # comparison buffer (_CHECK_PAIRS bools): nothing of K rows is allocated.
@@ -328,6 +362,8 @@ def test_generate_validation():
         generate_sample_set(small_benchmark_spec(), 10, seed=1, workers=0)
     with pytest.raises(TypeError):
         generate_sample_set(object(), 10, seed=1)
+    with pytest.raises(ValueError, match="eps must lie in"):
+        generate_sample_set(small_benchmark_spec(), 10, seed=1, eps_max=1.0)
 
 
 def test_sample_set_validation():
@@ -335,6 +371,109 @@ def test_sample_set_validation():
         SampleSet(np.zeros(3), np.zeros(2), seed=0, channel_digest=b"\0" * 32)
     with pytest.raises(ValueError):
         SampleSet(np.zeros(0), np.zeros(0), seed=0, channel_digest=b"\0" * 32)
+    with pytest.raises(ValueError, match="K=2 draws cannot give 3 rows"):
+        SampleSet(np.zeros(3), np.zeros(3), seed=0, channel_digest=b"\0" * 32, K=2)
+    assert SampleSet(np.zeros(3), np.zeros(3), seed=0, channel_digest=b"\0" * 32).K == 3
+
+
+# ---------------------------------------------------------------------------
+# tail sets
+
+
+def atom_heavy_spec():
+    # Transmittance around 0.75, where the depolarizing probability crosses
+    # the hashing bound's zero: about half the rates sit in the r_ach = 0
+    # atom.
+    return StochasticChannelSpec(
+        eta=TruncatedLognormalSpec(mu_ln=float(np.log(0.75)), sigma_ln=0.1),
+        nb=TruncatedGaussianSpec(mu=0.005, sigma=0.001, upper=0.5),
+    )
+
+
+# Sizes drawn at random in each regime: one block, several whole blocks, and
+# several with a partial last one.
+_rng = np.random.default_rng(36)
+TAIL_KS = {
+    "one-block": int(_rng.integers(2, samples._BLOCK)),
+    "whole-blocks": int(_rng.integers(2, 5)) * samples._BLOCK,
+    "partial-last-block": int(_rng.integers(samples._BLOCK + 1, 4 * samples._BLOCK)),
+    "one-draw": 1,
+}
+
+
+@pytest.mark.parametrize("K", TAIL_KS.values(), ids=TAIL_KS)
+@pytest.mark.parametrize("spec", [make_baseline_spec(), small_benchmark_spec(), atom_heavy_spec()],
+                         ids=["stochastic", "benchmark", "atom-heavy"])
+def test_tail_set_is_the_full_sets_prefix(spec, K):
+    # From a budget below 1/K (m = 1) up to 0.5, at one and two workers, the
+    # tail holds the full set's first m entries of each array, bit for bit,
+    # and keeps the full set's K, seed and digest.
+    full = generate_sample_set(spec, K, seed=3)
+    for eps in (0.5 / K, 1e-3, 0.1, 0.5):
+        m = min(order_index(eps, K), K - 1) + 1
+        for workers in (1, 2):
+            t = generate_sample_set(spec, K, seed=3, workers=workers, eps_max=eps)
+            assert (t.K, t.seed, t.channel_digest) == (K, 3, full.channel_digest)
+            assert (len(t.ccov), len(t.rach)) == (m, m), (eps, workers)
+            assert t.ccov.tobytes() == full.ccov[:m].tobytes(), (eps, workers)
+            assert t.rach.tobytes() == full.rach[:m].tobytes(), (eps, workers)
+
+
+def test_atom_heavy_channel_puts_about_half_the_rates_at_zero():
+    s = generate_sample_set(atom_heavy_spec(), 20_000, seed=3)
+    assert 0.4 < np.count_nonzero(s.rach == 0.0) / s.K < 0.6
+
+
+def test_tail_falls_back_to_every_row_and_still_matches(monkeypatch):
+    # With the default slack the rates of the selected rows settle the tail;
+    # with an infinite one the guard never accepts a nonzero m-th rate, so
+    # the rates of every other row are computed too, and the tail is the
+    # same.
+    spec, K, eps = make_baseline_spec(), 2 * samples._BLOCK + 999, 0.01
+    m = order_index(eps, K) + 1
+    full = generate_sample_set(spec, K, seed=5)
+    rows = []
+    rates_in_place = samples._rates_in_place
+    monkeypatch.setattr(samples, "_rates_in_place",
+                        lambda p: (rows.append(len(p)), rates_in_place(p)))
+    for slack, passes in ((samples._TAIL_SLACK, 1), (np.inf, 2)):
+        monkeypatch.setattr(samples, "_TAIL_SLACK", slack)
+        rows.clear()
+        t = generate_sample_set(spec, K, seed=5, eps_max=eps)
+        assert len(rows) == passes and sum(rows) == (K if passes == 2 else rows[0])
+        assert rows[0] == m + -(-m // 4) + samples._TAIL_EXTRA
+        assert t.ccov.tobytes() == full.ccov[:m].tobytes(), slack
+        assert t.rach.tobytes() == full.rach[:m].tobytes(), slack
+
+
+_TAIL_PROTOCOL = ProtocolParams(n=10**7, delta=0.05)
+# Readers that would reach past a tail of 11 of 1000 draws (eps_max = 0.01),
+# each given the set and a path.
+TAIL_REFUSALS = {
+    "quantile-past-the-tail": lambda s, path: strict_outage_quantile(s.rach, 0.011, s.K),
+    "optimize-past-the-tail": lambda s, path: optimize(s, _TAIL_PROTOCOL,
+                                                       RiskBudgets(0.02, 0.01)),
+    "heatmap_sweep": lambda s, path: heatmap_sweep(s, _TAIL_PROTOCOL, GridSpec(11),
+                                                   [1.0], [1.0]),
+    "grid_maximize": lambda s, path: grid_maximize(s, RiskWeights(1.0, 1.0),
+                                                   _TAIL_PROTOCOL, GridSpec(11)),
+    "objective": lambda s, path: objective(s, Strategy(0.5, 0.5), RiskWeights(1.0, 1.0),
+                                           _TAIL_PROTOCOL),
+    "save_sample_set": lambda s, path: save_sample_set(s, path),
+}
+
+
+@pytest.mark.parametrize("read", TAIL_REFUSALS.values(), ids=TAIL_REFUSALS)
+def test_reading_past_a_tail_is_refused(tmp_path, read):
+    # ValueError naming the tail, and a save leaves the file it names alone.
+    s = generate_sample_set(make_baseline_spec(), 1000, seed=1, eps_max=0.01)
+    path = tmp_path / "s.cqcs"
+    path.write_bytes(b"kept")
+    with pytest.raises(ValueError, match="tail of 11 of 1000"):
+        read(s, path)
+    assert path.read_bytes() == b"kept"
+    # The last order statistic the tail holds is still read.
+    assert strict_outage_quantile(s.rach, 0.01, s.K) == s.rach[10]
 
 
 # ---------------------------------------------------------------------------

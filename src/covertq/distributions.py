@@ -6,8 +6,10 @@ a Gaussian truncated to [0, b] (thermal photon number), and an exponential
 uniforms at stream positions [start, start + count) and maps each through
 the inverse CDF of the truncated law, so output i depends only on (spec,
 seed, start + i), never on the call pattern or the thread.  Every sampler
-computes in place over its uniforms, so with ``out=`` a call fills a
-caller's buffer and allocates no array of its own.
+is its stream draw followed by an in-place map of the uniforms
+(``_lognormal_map``, ``_gaussian_map``, ``_exponential_map``), so with
+``out=`` a call fills a caller's buffer and allocates no array of its own.
+The maps are what samples' tail screen runs on the rows it keeps.
 
 The uniform source is a counter-addressed stream: position space is split
 into fixed chunks and chunk c is generated from a PCG64 generator keyed by
@@ -194,9 +196,16 @@ def sample_truncated_lognormal(
         downstream code treats the induced +inf covertness constant
         explicitly.
     """
-    # Each step below overwrites the uniforms in place, in the order of
-    # min(exp(mu + sigma * ndtri(p_hi * (1 - u))), 1): same ufuncs, same bits.
-    x = stream_uniforms(seed, start, count, out=out)
+    return _lognormal_map(spec, stream_uniforms(seed, start, count, out=out))
+
+
+def _lognormal_map(spec: TruncatedLognormalSpec, x: np.ndarray, ndtri=None) -> np.ndarray:
+    # Uniforms x mapped in place to draws of the truncated lognormal: each
+    # step overwrites x, in the order of min(exp(mu + sigma * ndtri(p_hi *
+    # (1 - u))), 1), so a draw's bits are those of the whole-expression form.
+    # ndtri, if given, stands in for the normal quantile (the tail screen in
+    # samples widens it).
+    #
     # Truncated region in probability space is (0, p_hi] with
     # p_hi = Phi((ln 1 - mu)/sigma).  Mapping through (1 - u) keeps the
     # left edge open: u in [0, 1) lands in (0, p_hi], so no sample can
@@ -208,7 +217,7 @@ def sample_truncated_lognormal(
     # accurate to well below 1e-9 relative error over (1e-12, 1 - 1e-12).
     # The minimum absorbs the last-ulp excess of the ndtri/ndtr roundtrip
     # at u = 0; values strictly inside (0, 1) are untouched.
-    _special.ndtri(x, out=x)
+    (ndtri or _special.ndtri)(x, out=x)
     np.multiply(spec.sigma_ln, x, out=x)
     np.add(spec.mu_ln, x, out=x)
     np.exp(x, out=x)
@@ -228,12 +237,17 @@ def sample_truncated_gaussian(
     already inside the interval.  ``out`` is filled and returned as in
     sample_truncated_lognormal.
     """
-    # In place, in the order of mu + sign*sigma * ndtri(p_lo + (p_hi - p_lo) * u).
-    x = stream_uniforms(seed, start, count, out=out)
+    return _gaussian_map(spec, stream_uniforms(seed, start, count, out=out))
+
+
+def _gaussian_map(spec: TruncatedGaussianSpec, x: np.ndarray, ndtri=None) -> np.ndarray:
+    # Uniforms x mapped in place to draws of the truncated Gaussian, in the
+    # order of mu + sign*sigma * ndtri(p_lo + (p_hi - p_lo) * u); ndtri as in
+    # _lognormal_map.
     p_lo, p_hi, sign = _gaussian_tail_map(spec)
     np.multiply(p_hi - p_lo, x, out=x)
     np.add(p_lo, x, out=x)
-    _special.ndtri(x, out=x)
+    (ndtri or _special.ndtri)(x, out=x)
     np.multiply(sign * spec.sigma, x, out=x)
     np.add(spec.mu, x, out=x)
     return np.clip(x, spec.lower, spec.upper, out=x)
@@ -246,9 +260,13 @@ def sample_exponential(
 
     ``out`` is filled and returned as in sample_truncated_lognormal.
     """
-    x = stream_uniforms(seed, start, count, out=out)
-    # log1p keeps precision for small u; u in [0, 1) keeps the result finite.
-    # In place, in the order of -log1p(-u) / rate.
+    return _exponential_map(spec, stream_uniforms(seed, start, count, out=out))
+
+
+def _exponential_map(spec: ExponentialSpec, x: np.ndarray) -> np.ndarray:
+    # Uniforms x mapped in place to exponential draws, in the order of
+    # -log1p(-u) / rate.  log1p keeps precision for small u; u in [0, 1)
+    # keeps the result finite.
     np.negative(x, out=x)
     np.log1p(x, out=x)
     np.negative(x, out=x)

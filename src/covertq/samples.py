@@ -18,12 +18,12 @@ two buffers, one physics scratch array, the two output slices: five arrays
 of 256 KiB) stays inside a core's 2 MiB L2 cache.  Each worker owns one
 pair of block buffers.  For every block it takes, the channel spec fills
 them in place (each kind's ``_draw``) from the stream positions that
-generate_sample_set alone fixes, and the physics kernels reduce them to
-(c_cov, r_ach) straight into the block's rows of the two K-row output
-arrays, which are then sorted in place.  Peak memory is therefore 16 bytes
-x K plus three block arrays per worker (its two buffers and the one scratch
-array a physics call allocates), and a block reuses memory instead of
-faulting in fresh pages.
+_blocks alone fixes, and the physics kernels reduce them to (c_cov, r_ach)
+straight into the block's rows of the two K-row output arrays, which are
+then sorted in place.  Peak memory is therefore 16 bytes x K plus three
+block arrays per worker (its two buffers and the one scratch array a
+physics call allocates), and a block reuses memory instead of faulting in
+fresh pages.
 
 A tail set holds only what a strict-outage quantile at budgets up to eps_max
 reads: the m = order_index(eps_max, K) + 1 smallest values of each marginal,
@@ -34,18 +34,52 @@ rate; c_cov is partitioned in place and only its m smallest are sorted.  The
 rate g(p) = max(0, 1 - H(p)) is non-increasing in p (dH/dp = 3/4 ln(a/b) > 0
 for p < 1), so the m smallest rates come from the largest p: g runs on the
 n = m + ceil(m/4) + 64 largest p only, in block-sized pieces, and the m
-smallest of those are sorted.  Every step of g is an IEEE-exact numpy ufunc
-or xlogy's scalar loop, so a row's rate does not depend on where the row
-sits; np.power, whose vector kernel need not be, stays in p, computed in
-the generation blocks as for a full set.  Computed g follows the exact one
-to a few ulp, so a row left out, whose p is at most the least selected p0,
-has a computed rate above g(p0) - _TAIL_SLACK (1e-12, about 1000 times that
-gap).  The selection is kept when the m-th smallest rate r_m is 0 (no rate
-is below 0) or r_m + _TAIL_SLACK < g(p0); otherwise g runs on every row.
-The two arrays are views of the K-row arrays the blocks filled: a tail set
-costs the same 16 x K bytes while it lives, and nothing is copied.  Readers
-of the whole law (strict_cdf over a grid, the median, a cache save) refuse
-a tail set, and a quantile past its tail raises ValueError.
+smallest of those are sorted.  Computed g follows the exact one to a few
+ulp, so a row left out, whose p is at most the least selected p0, has a
+computed rate above g(p0) - _TAIL_SLACK (1e-12, about 1000 times that gap).
+The selection is kept when the m-th smallest rate r_m is 0 (no rate is below
+0) or r_m + _TAIL_SLACK < g(p0); otherwise g runs on every row.
+
+The stochastic kind screens its tail before it maps anything, from K =
+_SCREEN_MIN_K (three blocks) and for m up to K/4; the benchmark kind, whose
+inverse CDF is a single log1p, smaller K and larger budgets map every row as
+above.  A first pass over the blocks draws both uniforms of every row into
+the row's place in the two K-row arrays and counts the rows in each cell of
+a 64 x 64 grid over (u_eta, u_nb), in one counter array.  Each draw is
+monotone in its uniform: eta falls as u_eta rises, and nb rises with u_nb
+except in the truncated Gaussian's mirrored branch (lower above the mean),
+where it falls.  So a cell's draws lie between the draws at its edges, taken
+whichever way they run.  c_cov rises in eta and nb and p falls in eta and
+rises in nb, so a cell's c_cov and p lie between their values at two of its
+corners.  The edge draws come from the same in-place maps with ndtri's result
+moved outward by 2^-40 (1 + |z|), and are then widened by a relative 2^-40
+and the p bounds by an absolute 2^-40: some thousand times the few-ulp
+errors of ndtri (its branch seams included), exp and power, the steps that
+are not correctly rounded (every other step is, and so keeps the order of
+its inputs).  The cell counts give the least c_cov bound tau under which at
+least m rows lie and the greatest p bound pi over which at least n rows
+lie.  A second pass maps only the rows of cells whose c_cov can reach tau
+or whose p can reach pi (about 5.5% of them on the reference channel at
+eps_max = 0.01, 17% at 0.1), moves them to the front of the two arrays and
+selects as above.  Those rows hold the m smallest c_cov and the n largest
+p, so the result is bit for bit the same; only when the rate guard fails
+would g be needed on rows the screen never mapped, and then the draw is
+redone mapping every row.
+
+The screen maps and reduces rows gathered out of their blocks, so it needs
+each value's bits not to depend on where its row sits in an array.  ndtri
+and xlogy run scalar loops, the arithmetic ufuncs are correctly rounded, and
+np.exp and np.power, which are not, run SIMD kernels whose lanes do not
+depend on an array's length or alignment:
+tests/test_samples.py::test_a_values_bits_do_not_depend_on_its_position
+checks every map and kernel on gathered rows of odd lengths at odd offsets
+against their whole block, on the host it runs on.
+
+A tail set's two arrays are views of the K-row arrays the blocks filled:
+while it lives it holds their 16 x K bytes, whichever path built it, and
+nothing is copied.  Readers of the whole law (strict_cdf over a grid, the
+median, a cache save) refuse a tail set, and a quantile past its tail raises
+ValueError.
 
 The cache is written from a full set's arrays directly, and a load maps
 the file copy-on-write instead of reading it: the loaded arrays are views
@@ -84,6 +118,7 @@ Cache file layout (little endian), version 1:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import mmap
 import os
@@ -91,16 +126,20 @@ import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Union, get_args
 
 import numpy as np
 
+from . import _special, distributions
 from ._csvio import unlink_regular_file
 from .distributions import (
     STREAM_CHUNK,
     ExponentialSpec,
+    _gaussian_map,
     _gaussian_tail_map,
+    _lognormal_map,
     _lognormal_mass,
     TruncatedGaussianSpec,
     TruncatedLognormalSpec,
@@ -146,6 +185,21 @@ _BLOCK = STREAM_CHUNK
 # the module docstring).
 _TAIL_EXTRA = 64
 _TAIL_SLACK = 1e-12
+
+# The tail screen (see the module docstring).  Cells per uniform axis: a
+# power of two, so a row's cell floor(u * N) is exact.  The screen runs on
+# at least _SCREEN_MIN_K draws and a tail of at most _SCREEN_MAX_SHARE of
+# them.  Forced on at K = 10^4 it took 0.83 ms against 0.64, and at eps 0.5
+# (65% of rows mapped) 12.4 against 11.8; it wins from two blocks, and
+# sizes up to two blocks stay where the unscreened path's own fallback is
+# tested (BENCH_37.json).  Each cell bound's normal quantiles and draws are
+# widened by a relative _SCREEN_MARGIN, and its p bounds by an absolute
+# one: about 1e-12, some thousand times the few-ulp errors of ndtri, exp
+# and power.
+_SCREEN_CELLS = 64
+_SCREEN_MIN_K = 3 * _BLOCK
+_SCREEN_MAX_SHARE = 0.25
+_SCREEN_MARGIN = 2.0**-40
 
 # Adjacent pairs per piece of a load's NaN and sortedness check, set apart
 # from _BLOCK: a check in 16,384-pair pieces took 21.5 ms per K = 10^7 load
@@ -202,6 +256,12 @@ class StochasticChannelSpec:
         sample_truncated_lognormal(self.eta, len(eta), seed, eta_at, out=eta)
         sample_truncated_gaussian(self.nb, len(nb), seed, nb_at, out=nb)
 
+    def _map(self, eta, nb, ndtri=None) -> None:
+        # The uniforms in eta and nb mapped in place to the draws _draw makes
+        # of them, bit for bit; ndtri as in distributions._lognormal_map.
+        _lognormal_map(self.eta, eta, ndtri)
+        _gaussian_map(self.nb, nb, ndtri)
+
 
 @dataclass(frozen=True)
 class BenchmarkChannelSpec:
@@ -220,6 +280,10 @@ class BenchmarkChannelSpec:
 
     def _check_mass(self) -> None:
         pass  # an exponential law has mass everywhere on [0, inf)
+
+    # No tail screen: the exponential's inverse CDF is one log1p, cheaper
+    # than the screen's pass over every row.
+    _map = None
 
     def _draw(self, seed, eta_at, nb_at, eta, nb) -> None:
         # The constant eta draws nothing, so position eta_at goes unread; nb
@@ -300,20 +364,177 @@ def _rates_in_place(p: np.ndarray) -> None:
         _rate_into(piece, scratch[: len(piece)])
 
 
-def _smallest_rates(p: np.ndarray, m: int) -> np.ndarray:
+def _rate_rows(m: int) -> int:
+    # How many of the largest depolarizing probabilities get a rate first.
+    return m + -(-m // 4) + _TAIL_EXTRA
+
+
+def _smallest_rates(p: np.ndarray, m: int, unmapped: int = 0) -> np.ndarray | None:
     # The m smallest rates of the depolarizing probabilities p, sorted, as a
-    # view of p, which is overwritten (see the module docstring).
-    cut = max(len(p) - (m + -(-m // 4) + _TAIL_EXTRA), 0)
-    if cut:
+    # view of p, which is overwritten (see the module docstring).  unmapped
+    # rows of the draw are not in p, and each of their p lies below all of
+    # the _rate_rows(m) largest in p; where the guard would need their
+    # rates, the result is None.
+    cut = max(len(p) - _rate_rows(m), 0)
+    if cut or unmapped:
         p.partition(cut)  # p[cut:] holds the largest p, p[cut] the least of them
     _rates_in_place(p[cut:])
-    floor = float(p[cut])  # if cut > 0, the rate at the least selected p
+    floor = float(p[cut])  # if cut or unmapped, the rate at the least selected p
     head = _smallest(p[cut:], m)
     r_m = float(head[-1])
-    if cut and not (r_m == 0.0 or r_m + _TAIL_SLACK < floor):
+    if (cut or unmapped) and not (r_m == 0.0 or r_m + _TAIL_SLACK < floor):
+        if unmapped:
+            return None
         _rates_in_place(p[:cut])
         head = _smallest(p, m)
     return head
+
+
+def _blocks(K: int, threads: int, pool, visit) -> None:
+    # visit(rows, eta_at, nb_at, eta, nb) for every generation block: rows
+    # is its slice of the K output rows, eta_at and nb_at the stream
+    # positions of its eta and nb uniforms, and eta and nb one worker's two
+    # block buffers cut to its length.  The stream layout is fixed here and
+    # nowhere else.  Each of the threads workers (on pool, or inline when
+    # pool is None) takes blocks from a shared iterator; next() on a range
+    # iterator is atomic under the GIL.
+    pending = iter(range(0, K, _BLOCK))
+
+    def work(_) -> None:
+        eta_buf, nb_buf = np.empty(min(_BLOCK, K)), np.empty(min(_BLOCK, K))
+        for lo in pending:
+            hi = min(lo + _BLOCK, K)
+            visit(slice(lo, hi), lo, K + lo, eta_buf[: hi - lo], nb_buf[: hi - lo])
+
+    if pool is None:
+        work(0)
+    else:
+        list(pool.map(work, range(threads)))
+
+
+def _both(pool, first, second) -> tuple:
+    # first() and second(), on the pool when there is one: numpy's sort and
+    # partition release the GIL, so the two arrays are finished in parallel.
+    if pool is None:
+        return first(), second()
+    return tuple(pool.map(lambda f: f(), (first, second)))
+
+
+def _cells(u_eta: np.ndarray, u_nb: np.ndarray, eta: np.ndarray, nb: np.ndarray):
+    # Each row's cell index i * N + j, i = floor(u_eta * N) and j = floor(u_nb
+    # * N), as an intp view of the float buffer nb, with eta as scratch.
+    # Every step is exact: u * N only shifts the exponent, and the rest are
+    # integers below N * N.
+    n = _SCREEN_CELLS
+    np.multiply(u_eta, n, out=eta)
+    np.floor(eta, out=eta)
+    np.multiply(eta, n, out=eta)
+    np.multiply(u_nb, n, out=nb)
+    np.floor(nb, out=nb)
+    np.add(eta, nb, out=eta)
+    cell = nb.view(np.intp)
+    cell[...] = eta
+    return cell
+
+
+def _widened_ndtri(sign: float, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # ndtri(q) moved by sign * _SCREEN_MARGIN * (1 + |ndtri(q)|); infinities
+    # stay as they are.
+    z = _special.ndtri(q, out=out)
+    step = _SCREEN_MARGIN * (1.0 + np.abs(z))
+    step[np.isinf(z)] = 0.0
+    z += sign * step
+    return z
+
+
+def _cell_bounds(spec: StochasticChannelSpec):
+    # Bounds (ccov_lo, ccov_hi, p_lo, p_hi), flat arrays indexed as _cells
+    # numbers the cells, on the c_cov and depolarizing probability of every
+    # row whose uniforms fall in a cell (see the module docstring).
+    n, margin = _SCREEN_CELLS, _SCREEN_MARGIN
+    ends = []
+    for sign in (-1.0, 1.0):
+        eta, nb = np.arange(n + 1) / n, np.arange(n + 1) / n
+        spec._map(eta, nb, ndtri=functools.partial(_widened_ndtri, sign))
+        ends.append((eta, nb))
+
+    def cell_range(a, b):
+        # Each draw is monotone in its uniform, so its value in a cell lies
+        # between its values at the cell's two edges, whichever way it runs.
+        v = np.stack([a[:-1], a[1:], b[:-1], b[1:]])
+        return v.min(axis=0) * (1.0 - margin), v.max(axis=0) * (1.0 + margin)
+
+    eta_lo, eta_hi = cell_range(ends[0][0], ends[1][0])
+    nb_lo, nb_hi = cell_range(ends[0][1], ends[1][1])
+    # eta stays at most 1, as the map's minimum keeps it.  c_cov rises in eta
+    # and nb; p falls in eta and rises in nb.
+    eta_lo, eta_hi = eta_lo[:, None], np.minimum(eta_hi, 1.0)[:, None]
+    p_lo = _depolarizing_into(eta_hi, nb_lo, np.empty((n, n)))
+    p_hi = _depolarizing_into(eta_lo, nb_hi, np.empty((n, n)))
+    return (covertness_constant(eta_lo, nb_lo).ravel(), covertness_constant(eta_hi, nb_hi).ravel(),
+            p_lo.ravel() - margin, p_hi.ravel() + margin)
+
+
+def _reach(bound: np.ndarray, counts: np.ndarray, m: int) -> float:
+    # The least cell bound b such that the cells whose bound is at most b hold
+    # at least m rows; inf when all the rows are fewer than m.
+    order = np.argsort(bound)
+    i = int(np.searchsorted(np.cumsum(counts[order]), m))
+    return float(bound[order[i]]) if i < len(order) else np.inf
+
+
+def _screened_tail(spec, K, seed, m, ccov, rach, threads, pool):
+    # A tail set's two arrays, as _smallest and _smallest_rates leave them,
+    # computed by the screen in the K-row arrays ccov and rach (see the module
+    # docstring); None when the rate guard would need a row the screen left
+    # unmapped.
+    n = _SCREEN_CELLS
+    counts = np.zeros(n * n, dtype=np.intp)
+    lock = threading.Lock()
+
+    def draw(rows, eta_at, nb_at, eta, nb) -> None:
+        # The block's uniforms, kept in its output rows, and its cell counts.
+        # stream_uniforms is read on distributions, the call site
+        # perfbench/spans.py traces, as the samplers read it.
+        u_eta = distributions.stream_uniforms(seed, eta_at, len(eta), out=ccov[rows])
+        u_nb = distributions.stream_uniforms(seed, nb_at, len(nb), out=rach[rows])
+        found = np.bincount(_cells(u_eta, u_nb, eta, nb), minlength=n * n)
+        with lock:
+            np.add(counts, found, out=counts)
+
+    _blocks(K, threads, pool, draw)
+    ccov_lo, ccov_hi, p_lo, p_hi = _cell_bounds(spec)
+    # At least m rows have a c_cov of at most tau, and at least _rate_rows(m)
+    # rows a p of at least pi: every row of the m smallest c_cov and of the
+    # _rate_rows(m) largest p lies in a mapped cell.
+    tau = _reach(ccov_hi, counts, m)
+    pi = -_reach(-p_lo, counts, _rate_rows(m))
+    mapped = (ccov_lo <= tau) | (p_hi >= pi)
+    kept = {}
+
+    def fill(rows, eta_at, nb_at, eta, nb) -> None:
+        # The block's rows in mapped cells, drawn from their uniforms and
+        # reduced to (c_cov, p) at the front of its output rows.
+        u_eta, u_nb = ccov[rows], rach[rows]
+        keep = np.flatnonzero(mapped[_cells(u_eta, u_nb, eta, nb)])
+        count = kept[rows.start] = len(keep)
+        eta, nb = eta[:count], nb[:count]
+        np.take(u_eta, keep, out=eta, mode="clip")
+        np.take(u_nb, keep, out=nb, mode="clip")
+        del keep  # before the physics scratch is allocated
+        spec._map(eta, nb)
+        covertness_constant(eta, nb, out=u_eta[:count])
+        _depolarizing_into(eta, nb, u_nb[:count])
+
+    _blocks(K, threads, pool, fill)
+    total = 0
+    for lo, count in sorted(kept.items()):  # the mapped rows, moved to the front
+        ccov[total : total + count] = ccov[lo : lo + count]
+        rach[total : total + count] = rach[lo : lo + count]
+        total += count
+    out = _both(pool, lambda: _smallest(ccov[:total], m),
+                lambda: _smallest_rates(rach[:total], m, K - total))
+    return None if out[1] is None else out
 
 
 def generate_sample_set(
@@ -337,11 +558,17 @@ def generate_sample_set(
         The largest budget the set will be queried at, in [0, 1).  Given, the
         result is a tail set: its arrays hold only the m = order_index(eps_max,
         K) + 1 smallest values of each marginal (at most K), equal to the full
-        set's first m entries, and its K is still the number of draws.
+        set's first m entries, and its K is still the number of draws.  For
+        the stochastic kind, K >= _SCREEN_MIN_K and m <= K/4, the tail is
+        screened: only the rows whose cell can reach either tail are mapped
+        through the inverse CDFs and the physics (see the module docstring).
 
     Peak memory is the 16 * K bytes of the two arrays plus three block arrays
-    per worker: its eta and nb buffers and one physics scratch array.  A tail
-    set's arrays are views of those two, which live as long as it does.
+    per worker: its eta and nb buffers and one physics scratch array.  A
+    screened draw's second pass holds, beside the two buffers, a cell mask of
+    an eighth of a block, then the gather indices or the physics scratch of
+    the block's mapped rows.  A tail set's arrays are views of the two K-row
+    arrays, so a live tail set holds all 16 * K bytes.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
@@ -350,44 +577,31 @@ def generate_sample_set(
     digest = channel_digest(spec)  # validates the spec type up front
     tail = eps_max is not None
     m = min(order_index(eps_max, K), K - 1) + 1 if tail else K
-    blocks = range(0, K, _BLOCK)
-    threads = min(workers, _usable_cpus(), len(blocks))
-
+    screen = (tail and spec._map is not None and K >= _SCREEN_MIN_K
+              and m <= _SCREEN_MAX_SHARE * K)
+    threads = min(workers, _usable_cpus(), -(-K // _BLOCK))
     ccov = np.empty(K)
     rach = np.empty(K)
-    pending = iter(blocks)
 
-    def work(_) -> None:
-        # One worker's block buffers, filled by the spec for each block taken
-        # from the shared iterator (next() on a range iterator is atomic under
-        # the GIL).  The stream layout is fixed here and nowhere else.  The
-        # physics kernels write each block's results into its output rows: a
-        # tail set's second array takes the depolarizing probability.
-        eta_buf, nb_buf = np.empty(min(_BLOCK, K)), np.empty(min(_BLOCK, K))
-        for lo in pending:
-            hi = min(lo + _BLOCK, K)
-            eta, nb = eta_buf[: hi - lo], nb_buf[: hi - lo]
-            spec._draw(seed, lo, K + lo, eta, nb)
-            covertness_constant(eta, nb, out=ccov[lo:hi])
+    def fill(rows, eta_at, nb_at, eta, nb) -> None:
+        # The physics kernels write each block's results into its output
+        # rows: a tail set's second array takes the depolarizing probability.
+        spec._draw(seed, eta_at, nb_at, eta, nb)
+        covertness_constant(eta, nb, out=ccov[rows])
+        if tail:
+            _depolarizing_into(eta, nb, rach[rows])
+        else:
+            achievable_rate(eta, nb, out=rach[rows])
+
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        out = _screened_tail(spec, K, seed, m, ccov, rach, threads, pool) if screen else None
+        if out is None:
+            _blocks(K, threads, pool, fill)
             if tail:
-                _depolarizing_into(eta, nb, rach[lo:hi])
+                out = _both(pool, lambda: _smallest(ccov, m), lambda: _smallest_rates(rach, m))
             else:
-                achievable_rate(eta, nb, out=rach[lo:hi])
-
-    if tail:
-        finish = (lambda: _smallest(ccov, m), lambda: _smallest_rates(rach, m))
-    else:
-        finish = (lambda: _sorted(ccov), lambda: _sorted(rach))
-    if threads == 1:
-        work(0)
-        ccov_out, rach_out = (f() for f in finish)
-    else:
-        # numpy's sort and partition release the GIL, so the two arrays are
-        # finished in parallel.
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(threads)))
-            ccov_out, rach_out = pool.map(lambda f: f(), finish)
-    return SampleSet(ccov=ccov_out, rach=rach_out, seed=seed, channel_digest=digest, K=K)
+                out = _both(pool, lambda: _sorted(ccov), lambda: _sorted(rach))
+    return SampleSet(ccov=out[0], rach=out[1], seed=seed, channel_digest=digest, K=K)
 
 
 def save_sample_set(s: SampleSet, path) -> None:

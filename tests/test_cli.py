@@ -136,13 +136,16 @@ def test_optimize_budget_of_one_order_statistic_is_resolved(tmp_path):
 
 
 # Channel sections the tail table runs on: the baseline default, volatile
-# (conftest's, whose lowest rates sit in an r_ach = 0 atom) and the benchmark
-# channel.
+# (conftest's, whose lowest rates sit in an r_ach = 0 atom), the benchmark
+# channel, nb above its mean (drawn through the Gaussian's upper tail) with
+# eta nearly fixed, and a noise floor that clips nb.
 TAIL_CHANNELS = {
     "baseline": {},
     "volatile": {"mu_ln": float(np.log(0.96) - 0.5 * 0.07**2), "sigma_ln": 0.07,
                  "nb_mu": 0.01, "nb_sigma": 0.005},
     "benchmark": {"kind": "benchmark"},
+    "mirrored": {"sigma_ln": 1e-6, "nb_lower": 0.006},
+    "noise-floor": {"nb_lower": 0.004},
 }
 # Every command that reads only strict-outage quantiles, with each channel
 # it takes (benchmark-validate takes only the benchmark channel).

@@ -2,10 +2,15 @@
 
 import gc
 import hashlib
+import importlib
+import inspect
 import os
+import pkgutil
+import re
 import struct
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +40,7 @@ from covertq import (
     save_sample_set,
     strict_outage_quantile,
 )
+import covertq
 from covertq import cli, samples
 from covertq.samples import (
     SampleFileDigestError,
@@ -44,13 +50,18 @@ from covertq.samples import (
 )
 from covertq.distributions import (
     STREAM_CHUNK,
+    _exponential_map,
+    _gaussian_map,
+    _lognormal_map,
     sample_exponential,
     sample_truncated_gaussian,
     sample_truncated_lognormal,
 )
+from covertq.physics import _depolarizing_into
 
 from conftest import (
     make_baseline_spec,
+    make_volatile_spec,
     peak_bytes,
     reference_achievable_rate,
     reference_covertness_constant,
@@ -390,20 +401,45 @@ def atom_heavy_spec():
     )
 
 
-# Sizes drawn at random in each regime: one block, several whole blocks, and
-# several with a partial last one.
+def with_fields(spec, eta=None, nb=None):
+    # The baseline law with some fields of its eta or nb law replaced.
+    return StochasticChannelSpec(
+        eta=TruncatedLognormalSpec(**{"mu_ln": spec.eta.mu_ln, "sigma_ln": spec.eta.sigma_ln,
+                                      **(eta or {})}),
+        nb=TruncatedGaussianSpec(**{"mu": spec.nb.mu, "sigma": spec.nb.sigma,
+                                    "upper": spec.nb.upper, "lower": spec.nb.lower,
+                                    **(nb or {})}),
+    )
+
+
+# Laws whose draws run against the screen's assumptions: nb falls as its
+# uniform rises (the truncated Gaussian's mirrored branch, here with eta
+# nearly fixed, so nb alone orders the rows), a noise floor that clips nb,
+# and eta within 1e-9 of 1, where c_cov reaches +inf.
+TAIL_LAWS = {
+    "stochastic": make_baseline_spec(),
+    "benchmark": small_benchmark_spec(),
+    "atom-heavy": atom_heavy_spec(),
+    "mirrored-fixed-eta": with_fields(make_baseline_spec(), eta={"sigma_ln": 1e-6},
+                                      nb={"lower": 0.006}),
+    "noise-floor": with_fields(make_baseline_spec(), nb={"lower": 0.004}),
+    "eta-near-one": with_fields(make_baseline_spec(), eta={"mu_ln": -1e-9, "sigma_ln": 1e-9}),
+}
+
+# Sizes drawn at random in each regime: one block, several whole blocks,
+# several with a partial last one, and a size where the tail screen runs.
 _rng = np.random.default_rng(36)
 TAIL_KS = {
     "one-block": int(_rng.integers(2, samples._BLOCK)),
     "whole-blocks": int(_rng.integers(2, 5)) * samples._BLOCK,
     "partial-last-block": int(_rng.integers(samples._BLOCK + 1, 4 * samples._BLOCK)),
     "one-draw": 1,
+    "screened": int(_rng.integers(samples._SCREEN_MIN_K, 4 * samples._BLOCK)),
 }
 
 
 @pytest.mark.parametrize("K", TAIL_KS.values(), ids=TAIL_KS)
-@pytest.mark.parametrize("spec", [make_baseline_spec(), small_benchmark_spec(), atom_heavy_spec()],
-                         ids=["stochastic", "benchmark", "atom-heavy"])
+@pytest.mark.parametrize("spec", TAIL_LAWS.values(), ids=TAIL_LAWS)
 def test_tail_set_is_the_full_sets_prefix(spec, K):
     # From a budget below 1/K (m = 1) up to 0.5, at one and two workers, the
     # tail holds the full set's first m entries of each array, bit for bit,
@@ -444,6 +480,160 @@ def test_tail_falls_back_to_every_row_and_still_matches(monkeypatch):
         assert rows[0] == m + -(-m // 4) + samples._TAIL_EXTRA
         assert t.ccov.tobytes() == full.ccov[:m].tobytes(), slack
         assert t.rach.tobytes() == full.rach[:m].tobytes(), slack
+
+
+def record_screens(monkeypatch):
+    # (rows mapped, rows left unmapped, whether the rates settled the tail)
+    # for each call of _smallest_rates: a screened draw maps fewer than K.
+    calls = []
+    smallest_rates = samples._smallest_rates
+
+    def recorded(p, m, unmapped=0):
+        head = smallest_rates(p, m, unmapped)
+        calls.append((len(p), unmapped, head is not None))
+        return head
+
+    monkeypatch.setattr(samples, "_smallest_rates", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [make_baseline_spec(), make_volatile_spec()],
+                         ids=["baseline", "volatile"])
+def test_screen_maps_few_rows_at_small_budgets(spec, monkeypatch):
+    # At eps_max = 0.01 the screen runs and maps only the rows that can reach
+    # either tail: under 10% of them on baseline (about 5.5%) and under 20% on
+    # volatile.  A budget that would map most rows, a small K and the
+    # benchmark kind take the path that maps every row.
+    calls = record_screens(monkeypatch)
+    K = 10**5
+    full = generate_sample_set(spec, K, seed=1)
+    t = generate_sample_set(spec, K, seed=1, eps_max=0.01)
+    m = len(t.ccov)
+    assert t.ccov.tobytes() == full.ccov[:m].tobytes()
+    assert t.rach.tobytes() == full.rach[:m].tobytes()
+    (mapped, unmapped, settled), = calls
+    assert mapped + unmapped == K and settled
+    assert mapped < (0.1 if spec == make_baseline_spec() else 0.2) * K, mapped
+    for other, K_other, eps in ((spec, K, 0.5), (spec, samples._SCREEN_MIN_K - 1, 0.01),
+                                (small_benchmark_spec(), K, 0.01)):
+        calls.clear()
+        generate_sample_set(other, K_other, seed=1, eps_max=eps)
+        assert [c[1] for c in calls] == [0], (K_other, eps)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_screen_falls_back_to_mapping_every_row(workers, monkeypatch):
+    # With an infinite slack the rate guard never settles a nonzero m-th rate
+    # on the screen's rows, so the draw is redone mapping every row, and the
+    # tail is still the full set's prefix.
+    calls = record_screens(monkeypatch)
+    spec, K, eps = make_baseline_spec(), samples._SCREEN_MIN_K + 4_321, 0.01
+    full = generate_sample_set(spec, K, seed=5)
+    monkeypatch.setattr(samples, "_TAIL_SLACK", np.inf)
+    t = generate_sample_set(spec, K, seed=5, workers=workers, eps_max=eps)
+    m = len(t.ccov)
+    assert [(unmapped > 0, settled) for _, unmapped, settled in calls] == [
+        (True, False), (False, True)]
+    assert t.ccov.tobytes() == full.ccov[:m].tobytes()
+    assert t.rach.tobytes() == full.rach[:m].tobytes()
+
+
+def on_a_copy(draw_map, spec):
+    # draw_map run in place on a copy of the uniforms u, written in out.
+    def run(u, eta, nb, out):
+        out[...] = u
+        return draw_map(spec, out)
+    return run
+
+
+# Each inverse-CDF map and physics kernel a screened draw runs on gathered
+# rows, as a function of the rows' uniforms u and draws (eta, nb) into out.
+POSITION_KERNELS = {
+    "lognormal": on_a_copy(_lognormal_map, make_baseline_spec().eta),
+    "gaussian": on_a_copy(_gaussian_map, make_baseline_spec().nb),
+    "gaussian-mirrored": on_a_copy(_gaussian_map, TruncatedGaussianSpec(
+        mu=0.005, sigma=0.001, upper=0.5, lower=0.006)),
+    "exponential": on_a_copy(_exponential_map, small_benchmark_spec().nb),
+    "covertness_constant": lambda u, eta, nb, out: covertness_constant(eta, nb, out=out),
+    "depolarizing": lambda u, eta, nb, out: _depolarizing_into(eta, nb, out),
+}
+
+
+@pytest.mark.parametrize("kernel", POSITION_KERNELS.values(), ids=POSITION_KERNELS)
+def test_a_values_bits_do_not_depend_on_its_position(kernel):
+    # The screen maps and reduces rows gathered out of their blocks, so each
+    # row must get the bits it gets in its whole block: on gathered subsets
+    # of odd lengths (every SIMD remainder) placed at odd offsets into a
+    # buffer (every alignment), each value matches the whole block's.
+    rng = np.random.default_rng(37)
+    u = rng.random(samples._BLOCK)
+    u[:3] = 0.0, 0.5, np.nextafter(1.0, 0.0)  # the ends of the stream's range
+    eta, nb = np.empty_like(u), np.empty_like(u)
+    make_volatile_spec()._map(eta, nb)
+    whole = kernel(u, eta, nb, np.empty_like(u))
+    buffer = np.empty(2 * samples._BLOCK)
+    for length in (1, 3, 7, 15, 17, 31, 33, 63, 65, 1_001, 4_097):
+        for offset in (0, 1, 3, 5, 7):
+            rows = np.sort(rng.choice(len(u), length, replace=False))
+            out = buffer[offset : offset + length]
+            got = kernel(u[rows], eta[rows], nb[rows], out)
+            assert got.tobytes() == whole[rows].tobytes(), (length, offset)
+
+
+PUBLIC_NAMES = sorted("""
+    BenchmarkChannelSpec ChannelSpec DECADE_BUDGETS ExponentialSpec GridMaximum GridSpec
+    HeatmapResult InvariantError OptimumReport ProtocolParams REPORT_COLUMNS RiskBudgets
+    RiskWeights SampleFileDigestError SampleFileError SampleFileFormatError
+    SampleFileTruncatedError SampleFileVersionError SampleSet SensitivityPoint
+    SingularSensitivityError StochasticChannelSpec Strategy TruncatedGaussianSpec
+    TruncatedLognormalSpec ValidationRow achievable_rate benchmark_ccov_cdf
+    benchmark_ccov_density benchmark_ccov_quantile benchmark_qmax benchmark_rmax
+    channel_digest covertness_constant decade_gains depolarizing_probability foc_residual
+    frontier_sweep generate_sample_set grid_maximize heatmap_sweep load_sample_set
+    n_scaling_sweep objective optimize order_index sample_exponential
+    sample_truncated_gaussian sample_truncated_lognormal save_sample_set
+    sensitivities_symmetric sensitivity_formula sensitivity_stencil strict_cdf
+    strict_outage_quantile surface_sweep validate""".split())
+CONFIG_KEYS = [f"{section}.{key}" for section, names in (
+    ("channel.stochastic", "mu_ln sigma_ln nb_mu nb_sigma nb_lower nb_upper"),
+    ("channel.benchmark", "eta0 rate"),
+    ("protocol", "n delta"),
+    ("sampling", "k seed workers"),
+    ("budgets", "eps_cov eps_rel"),
+    ("frontier", "eps_min eps_max points"),
+    ("surface", "eps_min eps_max points"),
+    ("scaling", "eps n_values"),
+    ("benchmark", "eps_list"),
+    ("risk_adjusted", "grid_points mode axis fixed_other lambda_min lambda_max lambda_points "
+                      "heatmap_min heatmap_max heatmap_points"),
+    ("sensitivity", "eps_min eps_max points"),
+) for key in names.split()] + ["output_dir"]
+
+
+def test_the_screen_adds_no_option():
+    # The screen is chosen inside generate_sample_set, so the options stay as
+    # they were: its signature, the package's public names, the config keys
+    # (each flag but the file flags names one), the file flags and the one
+    # environment variable the package reads.
+    assert str(inspect.signature(generate_sample_set)) == (
+        "(spec: 'ChannelSpec', K: 'int', seed: 'int', workers: 'int' = 1, *, "
+        "eps_max: 'float | None' = None) -> 'SampleSet'")
+    modules = [importlib.import_module(m.name)
+               for m in pkgutil.iter_modules(covertq.__path__, "covertq.")
+               if m.name != "covertq.cli" and not m.name.rpartition(".")[2].startswith("_")]
+    assert sorted(name for module in modules for name in module.__all__) == PUBLIC_NAMES
+
+    def keys(table, prefix=""):
+        return [key for name, value in table.items()
+                for key in (keys(value, f"{prefix}{name}.") if isinstance(value, dict)
+                            else [prefix + name])]
+
+    assert keys(cli.DEFAULTS) == CONFIG_KEYS
+    assert sorted(cli._FILE_FLAGS) == ["cache", "config", "csv", "out"]
+    source = "".join(path.read_text() for path in Path(covertq.__file__).parent.glob("*.py"))
+    assert re.findall(r"os\.environ\S*|getenv\S*", source) == [
+        "os.environ.get(OUTPUT_DIR_ENV,"]
+    assert cli.OUTPUT_DIR_ENV == "COVERTQ_OUTPUT_DIR"
 
 
 _TAIL_PROTOCOL = ProtocolParams(n=10**7, delta=0.05)

@@ -38,10 +38,11 @@ smallest of those are sorted.  Computed g follows the exact one to a few
 ulp, so a row left out, whose p is at most the least selected p0, has a
 computed rate above g(p0) - _TAIL_SLACK (1e-12, about 1000 times that gap).
 The selection is kept when the m-th smallest rate r_m is 0 (no rate is below
-0) or r_m + _TAIL_SLACK < g(p0); otherwise g runs on every row.
+0) or r_m + _TAIL_SLACK < g(p0); otherwise the full set is drawn instead,
+and its sorted first m entries are the tail by definition.
 
 The stochastic kind screens its tail before it maps anything, from K =
-_SCREEN_MIN_K (three blocks) and for m up to K/4; the benchmark kind, whose
+_SCREEN_MIN_K (one block) and for m up to K/4; the benchmark kind, whose
 inverse CDF is a single log1p, smaller K and larger budgets map every row as
 above.  A first pass over the blocks draws both uniforms of every row into
 the row's place in the two K-row arrays and counts the rows in each cell of
@@ -61,10 +62,8 @@ least m rows lie and the greatest p bound pi over which at least n rows
 lie.  A second pass maps only the rows of cells whose c_cov can reach tau
 or whose p can reach pi (about 5.5% of them on the reference channel at
 eps_max = 0.01, 17% at 0.1), moves them to the front of the two arrays and
-selects as above.  Those rows hold the m smallest c_cov and the n largest
-p, so the result is bit for bit the same; only when the rate guard fails
-would g be needed on rows the screen never mapped, and then the draw is
-redone mapping every row.
+selects as above, with the same one fallback.  Those rows hold the m
+smallest c_cov and the n largest p, so the result is bit for bit the same.
 
 The screen maps and reduces rows gathered out of their blocks, so it needs
 each value's bits not to depend on where its row sits in an array.  ndtri
@@ -187,17 +186,18 @@ _TAIL_EXTRA = 64
 _TAIL_SLACK = 1e-12
 
 # The tail screen (see the module docstring).  Cells per uniform axis: a
-# power of two, so a row's cell floor(u * N) is exact.  The screen runs on
-# at least _SCREEN_MIN_K draws and a tail of at most _SCREEN_MAX_SHARE of
-# them.  Forced on at K = 10^4 it took 0.83 ms against 0.64, and at eps 0.5
-# (65% of rows mapped) 12.4 against 11.8; it wins from two blocks, and
-# sizes up to two blocks stay where the unscreened path's own fallback is
-# tested (BENCH_37.json).  Each cell bound's normal quantiles and draws are
-# widened by a relative _SCREEN_MARGIN, and its p bounds by an absolute
-# one: about 1e-12, some thousand times the few-ulp errors of ndtri, exp
-# and power.
+# power of two, so a row's cell floor(u * N) is exact.  The screen runs on at
+# least _SCREEN_MIN_K draws and a tail of at most _SCREEN_MAX_SHARE of
+# them.  Against mapping every row (one worker, 30 pairs at eps 0.01 and 0.1
+# on the baseline and volatile channels) it lost every pair at K = 10^4, won
+# 7 to 30 of them at 2 * 10^4, and from one block won 28 to 30 (at K =
+# 32,768, 1.88 against 2.53 ms; BENCH_38.json).  Forced on at eps 0.5 (65% of
+# rows mapped) it took 12.4 ms against 11.8.  Each cell bound's normal
+# quantiles and draws are widened by a relative _SCREEN_MARGIN, and its p
+# bounds by an absolute one: about 1e-12, some thousand times the few-ulp
+# errors of ndtri, exp and power.
 _SCREEN_CELLS = 64
-_SCREEN_MIN_K = 3 * _BLOCK
+_SCREEN_MIN_K = _BLOCK
 _SCREEN_MAX_SHARE = 0.25
 _SCREEN_MARGIN = 2.0**-40
 
@@ -342,11 +342,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sorted(a: np.ndarray) -> np.ndarray:
-    a.sort()
-    return a
-
-
 def _smallest(a: np.ndarray, m: int) -> np.ndarray:
     # The m smallest values of a, sorted, as the view a[:m]; a is reordered.
     a.partition(m - 1)
@@ -365,16 +360,15 @@ def _rates_in_place(p: np.ndarray) -> None:
 
 
 def _rate_rows(m: int) -> int:
-    # How many of the largest depolarizing probabilities get a rate first.
+    # How many of the largest depolarizing probabilities get a rate.
     return m + -(-m // 4) + _TAIL_EXTRA
 
 
 def _smallest_rates(p: np.ndarray, m: int, unmapped: int = 0) -> np.ndarray | None:
     # The m smallest rates of the depolarizing probabilities p, sorted, as a
-    # view of p, which is overwritten (see the module docstring).  unmapped
-    # rows of the draw are not in p, and each of their p lies below all of
-    # the _rate_rows(m) largest in p; where the guard would need their
-    # rates, the result is None.
+    # view of p, which is overwritten (see the module docstring); None when
+    # the guard cannot settle them.  unmapped rows of the draw are not in p,
+    # and each of their p lies below all of the _rate_rows(m) largest in p.
     cut = max(len(p) - _rate_rows(m), 0)
     if cut or unmapped:
         p.partition(cut)  # p[cut:] holds the largest p, p[cut] the least of them
@@ -383,10 +377,7 @@ def _smallest_rates(p: np.ndarray, m: int, unmapped: int = 0) -> np.ndarray | No
     head = _smallest(p[cut:], m)
     r_m = float(head[-1])
     if (cut or unmapped) and not (r_m == 0.0 or r_m + _TAIL_SLACK < floor):
-        if unmapped:
-            return None
-        _rates_in_place(p[:cut])
-        head = _smallest(p, m)
+        return None
     return head
 
 
@@ -483,11 +474,9 @@ def _reach(bound: np.ndarray, counts: np.ndarray, m: int) -> float:
     return float(bound[order[i]]) if i < len(order) else np.inf
 
 
-def _screened_tail(spec, K, seed, m, ccov, rach, threads, pool):
-    # A tail set's two arrays, as _smallest and _smallest_rates leave them,
-    # computed by the screen in the K-row arrays ccov and rach (see the module
-    # docstring); None when the rate guard would need a row the screen left
-    # unmapped.
+def _screen(spec, K, seed, m, ccov, rach, threads, pool) -> np.ndarray:
+    # The mask of the cells that can reach either tail, from a first pass that
+    # leaves each row's uniforms in its place in ccov and rach.
     n = _SCREEN_CELLS
     counts = np.zeros(n * n, dtype=np.intp)
     lock = threading.Lock()
@@ -509,25 +498,38 @@ def _screened_tail(spec, K, seed, m, ccov, rach, threads, pool):
     # _rate_rows(m) largest p lies in a mapped cell.
     tau = _reach(ccov_hi, counts, m)
     pi = -_reach(-p_lo, counts, _rate_rows(m))
-    mapped = (ccov_lo <= tau) | (p_hi >= pi)
+    return (ccov_lo <= tau) | (p_hi >= pi)
+
+
+def _tail(spec, K, seed, m, ccov, rach, threads, pool, screen):
+    # A tail set's two arrays, as _smallest and _smallest_rates leave them,
+    # computed in the K-row arrays ccov and rach, from every row or, when
+    # screen, from the rows of the cells _screen maps; None when the rate
+    # guard cannot settle the tail.
+    mapped = _screen(spec, K, seed, m, ccov, rach, threads, pool) if screen else None
     kept = {}
 
     def fill(rows, eta_at, nb_at, eta, nb) -> None:
-        # The block's rows in mapped cells, drawn from their uniforms and
-        # reduced to (c_cov, p) at the front of its output rows.
-        u_eta, u_nb = ccov[rows], rach[rows]
-        keep = np.flatnonzero(mapped[_cells(u_eta, u_nb, eta, nb)])
-        count = kept[rows.start] = len(keep)
-        eta, nb = eta[:count], nb[:count]
-        np.take(u_eta, keep, out=eta, mode="clip")
-        np.take(u_nb, keep, out=nb, mode="clip")
-        del keep  # before the physics scratch is allocated
-        spec._map(eta, nb)
-        covertness_constant(eta, nb, out=u_eta[:count])
-        _depolarizing_into(eta, nb, u_nb[:count])
+        # The block's (c_cov, p) into its output rows: of every row, or of
+        # its rows in mapped cells, drawn from their uniforms, at the front.
+        if mapped is None:
+            spec._draw(seed, eta_at, nb_at, eta, nb)
+            c, p = ccov[rows], rach[rows]
+        else:
+            u_eta, u_nb = ccov[rows], rach[rows]
+            keep = np.flatnonzero(mapped[_cells(u_eta, u_nb, eta, nb)])
+            count = kept[rows.start] = len(keep)
+            eta, nb = eta[:count], nb[:count]
+            np.take(u_eta, keep, out=eta, mode="clip")
+            np.take(u_nb, keep, out=nb, mode="clip")
+            del keep  # before the physics scratch is allocated
+            spec._map(eta, nb)
+            c, p = u_eta[:count], u_nb[:count]
+        covertness_constant(eta, nb, out=c)
+        _depolarizing_into(eta, nb, p)
 
     _blocks(K, threads, pool, fill)
-    total = 0
+    total = 0 if screen else K
     for lo, count in sorted(kept.items()):  # the mapped rows, moved to the front
         ccov[total : total + count] = ccov[lo : lo + count]
         rach[total : total + count] = rach[lo : lo + count]
@@ -562,6 +564,8 @@ def generate_sample_set(
         the stochastic kind, K >= _SCREEN_MIN_K and m <= K/4, the tail is
         screened: only the rows whose cell can reach either tail are mapped
         through the inverse CDFs and the physics (see the module docstring).
+        A tail the rate guard cannot settle is the full set's prefix: the
+        full set is drawn in the same arrays, and its first m entries kept.
 
     Peak memory is the 16 * K bytes of the two arrays plus three block arrays
     per worker: its eta and nb buffers and one physics scratch array.  A
@@ -584,23 +588,17 @@ def generate_sample_set(
     rach = np.empty(K)
 
     def fill(rows, eta_at, nb_at, eta, nb) -> None:
-        # The physics kernels write each block's results into its output
-        # rows: a tail set's second array takes the depolarizing probability.
+        # The physics kernels write each block's results into its output rows.
         spec._draw(seed, eta_at, nb_at, eta, nb)
         covertness_constant(eta, nb, out=ccov[rows])
-        if tail:
-            _depolarizing_into(eta, nb, rach[rows])
-        else:
-            achievable_rate(eta, nb, out=rach[rows])
+        achievable_rate(eta, nb, out=rach[rows])
 
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        out = _screened_tail(spec, K, seed, m, ccov, rach, threads, pool) if screen else None
-        if out is None:
+        out = _tail(spec, K, seed, m, ccov, rach, threads, pool, screen) if tail else None
+        if out is None:  # a full set, or a tail the rate guard left unsettled
             _blocks(K, threads, pool, fill)
-            if tail:
-                out = _both(pool, lambda: _smallest(ccov, m), lambda: _smallest_rates(rach, m))
-            else:
-                out = _both(pool, lambda: _sorted(ccov), lambda: _sorted(rach))
+            _both(pool, ccov.sort, rach.sort)
+            out = ccov[:m], rach[:m]
     return SampleSet(ccov=out[0], rach=out[1], seed=seed, channel_digest=digest, K=K)
 
 

@@ -460,28 +460,6 @@ def test_atom_heavy_channel_puts_about_half_the_rates_at_zero():
     assert 0.4 < np.count_nonzero(s.rach == 0.0) / s.K < 0.6
 
 
-def test_tail_falls_back_to_every_row_and_still_matches(monkeypatch):
-    # With the default slack the rates of the selected rows settle the tail;
-    # with an infinite one the guard never accepts a nonzero m-th rate, so
-    # the rates of every other row are computed too, and the tail is the
-    # same.
-    spec, K, eps = make_baseline_spec(), 2 * samples._BLOCK + 999, 0.01
-    m = order_index(eps, K) + 1
-    full = generate_sample_set(spec, K, seed=5)
-    rows = []
-    rates_in_place = samples._rates_in_place
-    monkeypatch.setattr(samples, "_rates_in_place",
-                        lambda p: (rows.append(len(p)), rates_in_place(p)))
-    for slack, passes in ((samples._TAIL_SLACK, 1), (np.inf, 2)):
-        monkeypatch.setattr(samples, "_TAIL_SLACK", slack)
-        rows.clear()
-        t = generate_sample_set(spec, K, seed=5, eps_max=eps)
-        assert len(rows) == passes and sum(rows) == (K if passes == 2 else rows[0])
-        assert rows[0] == m + -(-m // 4) + samples._TAIL_EXTRA
-        assert t.ccov.tobytes() == full.ccov[:m].tobytes(), slack
-        assert t.rach.tobytes() == full.rach[:m].tobytes(), slack
-
-
 def record_screens(monkeypatch):
     # (rows mapped, rows left unmapped, whether the rates settled the tail)
     # for each call of _smallest_rates: a screened draw maps fewer than K.
@@ -521,21 +499,36 @@ def test_screen_maps_few_rows_at_small_budgets(spec, monkeypatch):
         assert [c[1] for c in calls] == [0], (K_other, eps)
 
 
+# The budget that takes each tail route at K = 2 blocks + 999: the screen at
+# eps 0.01, and at eps 0.3 (m above K/4) the route that maps every row.
+TAIL_ROUTES = {"screened": 0.01, "unscreened": 0.3}
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_screen_falls_back_to_mapping_every_row(workers, monkeypatch):
-    # With an infinite slack the rate guard never settles a nonzero m-th rate
-    # on the screen's rows, so the draw is redone mapping every row, and the
-    # tail is still the full set's prefix.
-    calls = record_screens(monkeypatch)
-    spec, K, eps = make_baseline_spec(), samples._SCREEN_MIN_K + 4_321, 0.01
+@pytest.mark.parametrize("route", TAIL_ROUTES)
+def test_unsettled_tail_is_the_full_sets_prefix(route, workers, monkeypatch):
+    # With the default slack the rates of the _rate_rows(m) largest p settle
+    # the tail.  With an infinite one the guard never settles a nonzero m-th
+    # rate: _smallest_rates returns None, the full draw runs, and the tail is
+    # its prefix.  Either way the bytes are the full set's.
+    spec, K, eps = make_baseline_spec(), 2 * samples._BLOCK + 999, TAIL_ROUTES[route]
+    m = order_index(eps, K) + 1
     full = generate_sample_set(spec, K, seed=5)
-    monkeypatch.setattr(samples, "_TAIL_SLACK", np.inf)
-    t = generate_sample_set(spec, K, seed=5, workers=workers, eps_max=eps)
-    m = len(t.ccov)
-    assert [(unmapped > 0, settled) for _, unmapped, settled in calls] == [
-        (True, False), (False, True)]
-    assert t.ccov.tobytes() == full.ccov[:m].tobytes()
-    assert t.rach.tobytes() == full.rach[:m].tobytes()
+    calls, rated, full_rows = record_screens(monkeypatch), [], []
+    rates_in_place = samples._rates_in_place
+    monkeypatch.setattr(samples, "_rates_in_place",
+                        lambda p: (rated.append(len(p)), rates_in_place(p)))
+    monkeypatch.setattr(samples, "achievable_rate", lambda eta, nb, out: (
+        full_rows.append(len(eta)), achievable_rate(eta, nb, out=out)))
+    for slack, settled in ((samples._TAIL_SLACK, True), (np.inf, False)):
+        monkeypatch.setattr(samples, "_TAIL_SLACK", slack)
+        del calls[:], rated[:], full_rows[:]
+        t = generate_sample_set(spec, K, seed=5, workers=workers, eps_max=eps)
+        (_, unmapped, was_settled), = calls
+        assert (unmapped > 0, was_settled) == (route == "screened", settled)
+        assert (rated, sum(full_rows)) == ([samples._rate_rows(m)], 0 if settled else K)
+        assert t.ccov.tobytes() == full.ccov[:m].tobytes(), slack
+        assert t.rach.tobytes() == full.rach[:m].tobytes(), slack
 
 
 def on_a_copy(draw_map, spec):

@@ -28,42 +28,35 @@ fresh pages.
 A tail set holds only what a strict-outage quantile at budgets up to eps_max
 reads: the m = order_index(eps_max, K) + 1 smallest values of each marginal,
 sorted, bit for bit the full set's first m entries, while its K stays the
-number of draws.  It is built from the same blocks, except that the second
-array receives the depolarizing probability p of each row instead of its
-rate; c_cov is partitioned in place and only its m smallest are sorted.  The
-rate g(p) = max(0, 1 - H(p)) is non-increasing in p (dH/dp = 3/4 ln(a/b) > 0
-for p < 1), so the m smallest rates come from the largest p: g runs on the
-n = m + ceil(m/4) + 64 largest p only, in block-sized pieces, and the m
-smallest of those are sorted.  Computed g follows the exact one to a few
-ulp, so a row left out, whose p is at most the least selected p0, has a
-computed rate above g(p0) - _TAIL_SLACK (1e-12, about 1000 times that gap).
-The selection is kept when the m-th smallest rate r_m is 0 (no rate is below
-0) or r_m + _TAIL_SLACK < g(p0); otherwise the full set is drawn instead,
-and its sorted first m entries are the tail by definition.
+number of draws.  Each array is partitioned in place and only its m smallest
+are sorted.
 
 The stochastic kind screens its tail before it maps anything, from K =
 _SCREEN_MIN_K (one block) and for m up to K/4; the benchmark kind, whose
-inverse CDF is a single log1p, smaller K and larger budgets map every row as
-above.  A first pass over the blocks draws both uniforms of every row into
-the row's place in the two K-row arrays and counts the rows in each cell of
-a 64 x 64 grid over (u_eta, u_nb), in one counter array.  Each draw is
-monotone in its uniform: eta falls as u_eta rises, and nb rises with u_nb
-except in the truncated Gaussian's mirrored branch (lower above the mean),
-where it falls.  So a cell's draws lie between the draws at its edges, taken
-whichever way they run.  c_cov rises in eta and nb and p falls in eta and
-rises in nb, so a cell's c_cov and p lie between their values at two of its
-corners.  The edge draws come from the same in-place maps with ndtri's result
-moved outward by 2^-40 (1 + |z|), and are then widened by a relative 2^-40
-and the p bounds by an absolute 2^-40: some thousand times the few-ulp
-errors of ndtri (its branch seams included), exp and power, the steps that
-are not correctly rounded (every other step is, and so keeps the order of
-its inputs).  The cell counts give the least c_cov bound tau under which at
-least m rows lie and the greatest p bound pi over which at least n rows
-lie.  A second pass maps only the rows of cells whose c_cov can reach tau
-or whose p can reach pi (about 5.5% of them on the reference channel at
-eps_max = 0.01, 17% at 0.1), moves them to the front of the two arrays and
-selects as above, with the same one fallback.  Those rows hold the m
-smallest c_cov and the n largest p, so the result is bit for bit the same.
+inverse CDF is a single log1p, smaller K and larger budgets draw every row
+as a full set does.  A first pass over the blocks draws both uniforms of
+every row into the row's place in the two K-row arrays and counts the rows
+in each cell of a 64 x 64 grid over (u_eta, u_nb), in one counter array.
+Each draw is monotone in its uniform: eta falls as u_eta rises, and nb rises
+with u_nb except in the truncated Gaussian's mirrored branch (lower above
+the mean), where it falls.  So a cell's draws lie between the draws at its
+edges, taken whichever way they run.  c_cov rises in eta and nb, the
+depolarizing probability p falls in eta and rises in nb, and the rate g(p) =
+max(0, 1 - H(p)) falls in p (dH/dp = 3/4 ln(a/b) > 0 for p < 1), so a cell's
+c_cov and rate lie between their values at two of its corners.  The edge
+draws come from the same in-place maps with ndtri's result moved outward by
+2^-40 (1 + |z|), and are then widened by a relative 2^-40, the p bounds by
+an absolute 2^-40 and the rates at those p by an absolute 2^-40 again: some
+thousand times the few-ulp errors of ndtri (its branch seams included), exp,
+power and log, the steps that are not correctly rounded (every other step
+is, and so keeps the order of its inputs).  The cell counts give the least
+c_cov bound tau and the least rate bound rho under each of which at least m
+rows lie.  A second pass maps and rates only the rows of cells whose c_cov
+can reach tau or whose rate can reach rho (about 5.5% of them on the
+reference channel at eps_max = 0.01, 15.5% at 0.1), moves them to the front
+of the two arrays and selects the m smallest of each.  Those rows hold the m
+smallest c_cov and the m smallest rates, so the result is bit for bit the
+same.
 
 The screen maps and reduces rows gathered out of their blocks, so it needs
 each value's bits not to depend on where its row sits in an array.  ndtri
@@ -178,24 +171,18 @@ assert _HEADER.size == 64
 # fault in none (BENCH_31.json).  Output does not depend on it.
 _BLOCK = STREAM_CHUNK
 
-# A tail set's rates are computed on the m + ceil(m/4) + _TAIL_EXTRA largest
-# depolarizing probabilities, and the selection is kept when its m-th smallest
-# rate lies more than _TAIL_SLACK below the rate of the least selected p (see
-# the module docstring).
-_TAIL_EXTRA = 64
-_TAIL_SLACK = 1e-12
-
 # The tail screen (see the module docstring).  Cells per uniform axis: a
 # power of two, so a row's cell floor(u * N) is exact.  The screen runs on at
-# least _SCREEN_MIN_K draws and a tail of at most _SCREEN_MAX_SHARE of
-# them.  Against mapping every row (one worker, 30 pairs at eps 0.01 and 0.1
-# on the baseline and volatile channels) it lost every pair at K = 10^4, won
-# 7 to 30 of them at 2 * 10^4, and from one block won 28 to 30 (at K =
-# 32,768, 1.88 against 2.53 ms; BENCH_38.json).  Forced on at eps 0.5 (65% of
-# rows mapped) it took 12.4 ms against 11.8.  Each cell bound's normal
-# quantiles and draws are widened by a relative _SCREEN_MARGIN, and its p
-# bounds by an absolute one: about 1e-12, some thousand times the few-ulp
-# errors of ndtri, exp and power.
+# least _SCREEN_MIN_K draws and a tail of at most _SCREEN_MAX_SHARE of them.
+# Against the full draw plus select (baseline, one worker, 30 pairs;
+# BENCH_39.json) it lost every pair at eps 0.01 and K = 10^4 (1.04 against
+# 0.87 ms), and won every pair at 2 * 10^4 (1.61 against 1.86) and at one
+# block (K = 32,768: 1.98 against 2.83).  At K = 10^5 it also won every pair
+# at eps 0.3 (36% of rows rated; 9.2 against 11.5 ms) and at eps 0.5 (55%;
+# 10.9 against 11.6), so the share cut leaves margin.  Each cell bound's
+# normal quantiles and draws are widened by a relative _SCREEN_MARGIN, and
+# its p and rate bounds by an absolute one: about 1e-12, some thousand times
+# the few-ulp errors of ndtri, exp, power and log.
 _SCREEN_CELLS = 64
 _SCREEN_MIN_K = _BLOCK
 _SCREEN_MAX_SHARE = 0.25
@@ -281,8 +268,10 @@ class BenchmarkChannelSpec:
     def _check_mass(self) -> None:
         pass  # an exponential law has mass everywhere on [0, inf)
 
-    # No tail screen: the exponential's inverse CDF is one log1p, cheaper
-    # than the screen's pass over every row.
+    # No tail screen, so a tail draw maps and rates every row.  At K = 10^5
+    # and eps 0.01 the draw (one log1p per row) is about a seventh of its
+    # time and the rate about half, and it took 5.3 ms against 4.7 for the
+    # baseline's screened draw (BENCH_39.json).
     _map = None
 
     def _draw(self, seed, eta_at, nb_at, eta, nb) -> None:
@@ -344,40 +333,11 @@ def _usable_cpus() -> int:
 
 def _smallest(a: np.ndarray, m: int) -> np.ndarray:
     # The m smallest values of a, sorted, as the view a[:m]; a is reordered.
-    a.partition(m - 1)
+    # When m is len(a), a is sorted whole, without a partition.
+    if m < len(a):
+        a.partition(m - 1)
     head = a[:m]
     head.sort()
-    return head
-
-
-def _rates_in_place(p: np.ndarray) -> None:
-    # Depolarizing probabilities p overwritten with their rates, one
-    # block-sized piece (and one block of scratch) at a time.
-    scratch = np.empty(min(_BLOCK, len(p)))
-    for lo in range(0, len(p), _BLOCK):
-        piece = p[lo : lo + _BLOCK]
-        _rate_into(piece, scratch[: len(piece)])
-
-
-def _rate_rows(m: int) -> int:
-    # How many of the largest depolarizing probabilities get a rate.
-    return m + -(-m // 4) + _TAIL_EXTRA
-
-
-def _smallest_rates(p: np.ndarray, m: int, unmapped: int = 0) -> np.ndarray | None:
-    # The m smallest rates of the depolarizing probabilities p, sorted, as a
-    # view of p, which is overwritten (see the module docstring); None when
-    # the guard cannot settle them.  unmapped rows of the draw are not in p,
-    # and each of their p lies below all of the _rate_rows(m) largest in p.
-    cut = max(len(p) - _rate_rows(m), 0)
-    if cut or unmapped:
-        p.partition(cut)  # p[cut:] holds the largest p, p[cut] the least of them
-    _rates_in_place(p[cut:])
-    floor = float(p[cut])  # if cut or unmapped, the rate at the least selected p
-    head = _smallest(p[cut:], m)
-    r_m = float(head[-1])
-    if (cut or unmapped) and not (r_m == 0.0 or r_m + _TAIL_SLACK < floor):
-        return None
     return head
 
 
@@ -439,9 +399,9 @@ def _widened_ndtri(sign: float, q: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _cell_bounds(spec: StochasticChannelSpec):
-    # Bounds (ccov_lo, ccov_hi, p_lo, p_hi), flat arrays indexed as _cells
-    # numbers the cells, on the c_cov and depolarizing probability of every
-    # row whose uniforms fall in a cell (see the module docstring).
+    # Bounds (ccov_lo, ccov_hi, r_lo, r_hi), flat arrays indexed as _cells
+    # numbers the cells, on the c_cov and rate of every row whose uniforms
+    # fall in a cell (see the module docstring).
     n, margin = _SCREEN_CELLS, _SCREEN_MARGIN
     ends = []
     for sign in (-1.0, 1.0):
@@ -455,15 +415,18 @@ def _cell_bounds(spec: StochasticChannelSpec):
         v = np.stack([a[:-1], a[1:], b[:-1], b[1:]])
         return v.min(axis=0) * (1.0 - margin), v.max(axis=0) * (1.0 + margin)
 
+    def rate(eta, nb, shift):
+        # The rate at the depolarizing probability of (eta, nb) moved by shift.
+        p = _depolarizing_into(eta, nb, np.empty((n, n))) + shift
+        return _rate_into(np.clip(p, 0.0, 1.0, out=p), np.empty((n, n))).ravel()
+
     eta_lo, eta_hi = cell_range(ends[0][0], ends[1][0])
     nb_lo, nb_hi = cell_range(ends[0][1], ends[1][1])
     # eta stays at most 1, as the map's minimum keeps it.  c_cov rises in eta
-    # and nb; p falls in eta and rises in nb.
+    # and nb; p falls in eta and rises in nb, and the rate falls in p.
     eta_lo, eta_hi = eta_lo[:, None], np.minimum(eta_hi, 1.0)[:, None]
-    p_lo = _depolarizing_into(eta_hi, nb_lo, np.empty((n, n)))
-    p_hi = _depolarizing_into(eta_lo, nb_hi, np.empty((n, n)))
     return (covertness_constant(eta_lo, nb_lo).ravel(), covertness_constant(eta_hi, nb_hi).ravel(),
-            p_lo.ravel() - margin, p_hi.ravel() + margin)
+            rate(eta_lo, nb_hi, margin) - margin, rate(eta_hi, nb_lo, -margin) + margin)
 
 
 def _reach(bound: np.ndarray, counts: np.ndarray, m: int) -> float:
@@ -474,9 +437,10 @@ def _reach(bound: np.ndarray, counts: np.ndarray, m: int) -> float:
     return float(bound[order[i]]) if i < len(order) else np.inf
 
 
-def _screen(spec, K, seed, m, ccov, rach, threads, pool) -> np.ndarray:
-    # The mask of the cells that can reach either tail, from a first pass that
-    # leaves each row's uniforms in its place in ccov and rach.
+def _screened(spec, K, seed, m, ccov, rach, threads, pool) -> int:
+    # A screened tail draw (see the module docstring) in the K-row arrays ccov
+    # and rach: the (c_cov, r_ach) of the rows of every cell that can reach
+    # either tail, moved to the front of the two arrays.  Returns their count.
     n = _SCREEN_CELLS
     counts = np.zeros(n * n, dtype=np.intp)
     lock = threading.Lock()
@@ -492,51 +456,33 @@ def _screen(spec, K, seed, m, ccov, rach, threads, pool) -> np.ndarray:
             np.add(counts, found, out=counts)
 
     _blocks(K, threads, pool, draw)
-    ccov_lo, ccov_hi, p_lo, p_hi = _cell_bounds(spec)
-    # At least m rows have a c_cov of at most tau, and at least _rate_rows(m)
-    # rows a p of at least pi: every row of the m smallest c_cov and of the
-    # _rate_rows(m) largest p lies in a mapped cell.
-    tau = _reach(ccov_hi, counts, m)
-    pi = -_reach(-p_lo, counts, _rate_rows(m))
-    return (ccov_lo <= tau) | (p_hi >= pi)
-
-
-def _tail(spec, K, seed, m, ccov, rach, threads, pool, screen):
-    # A tail set's two arrays, as _smallest and _smallest_rates leave them,
-    # computed in the K-row arrays ccov and rach, from every row or, when
-    # screen, from the rows of the cells _screen maps; None when the rate
-    # guard cannot settle the tail.
-    mapped = _screen(spec, K, seed, m, ccov, rach, threads, pool) if screen else None
+    ccov_lo, ccov_hi, r_lo, r_hi = _cell_bounds(spec)
+    # At least m rows have a c_cov of at most tau and a rate of at most rho,
+    # so every row of the m smallest of either lies in a mapped cell.
+    mapped = (ccov_lo <= _reach(ccov_hi, counts, m)) | (r_lo <= _reach(r_hi, counts, m))
     kept = {}
 
     def fill(rows, eta_at, nb_at, eta, nb) -> None:
-        # The block's (c_cov, p) into its output rows: of every row, or of
-        # its rows in mapped cells, drawn from their uniforms, at the front.
-        if mapped is None:
-            spec._draw(seed, eta_at, nb_at, eta, nb)
-            c, p = ccov[rows], rach[rows]
-        else:
-            u_eta, u_nb = ccov[rows], rach[rows]
-            keep = np.flatnonzero(mapped[_cells(u_eta, u_nb, eta, nb)])
-            count = kept[rows.start] = len(keep)
-            eta, nb = eta[:count], nb[:count]
-            np.take(u_eta, keep, out=eta, mode="clip")
-            np.take(u_nb, keep, out=nb, mode="clip")
-            del keep  # before the physics scratch is allocated
-            spec._map(eta, nb)
-            c, p = u_eta[:count], u_nb[:count]
-        covertness_constant(eta, nb, out=c)
-        _depolarizing_into(eta, nb, p)
+        # The block's rows in mapped cells, drawn from their uniforms and
+        # reduced at the front of its output rows.
+        u_eta, u_nb = ccov[rows], rach[rows]
+        keep = np.flatnonzero(mapped[_cells(u_eta, u_nb, eta, nb)])
+        count = kept[rows.start] = len(keep)
+        eta, nb = eta[:count], nb[:count]
+        np.take(u_eta, keep, out=eta, mode="clip")
+        np.take(u_nb, keep, out=nb, mode="clip")
+        del keep  # before the physics scratch is allocated
+        spec._map(eta, nb)
+        covertness_constant(eta, nb, out=u_eta[:count])
+        achievable_rate(eta, nb, out=u_nb[:count])
 
     _blocks(K, threads, pool, fill)
-    total = 0 if screen else K
+    total = 0
     for lo, count in sorted(kept.items()):  # the mapped rows, moved to the front
         ccov[total : total + count] = ccov[lo : lo + count]
         rach[total : total + count] = rach[lo : lo + count]
         total += count
-    out = _both(pool, lambda: _smallest(ccov[:total], m),
-                lambda: _smallest_rates(rach[:total], m, K - total))
-    return None if out[1] is None else out
+    return total
 
 
 def generate_sample_set(
@@ -564,8 +510,8 @@ def generate_sample_set(
         the stochastic kind, K >= _SCREEN_MIN_K and m <= K/4, the tail is
         screened: only the rows whose cell can reach either tail are mapped
         through the inverse CDFs and the physics (see the module docstring).
-        A tail the rate guard cannot settle is the full set's prefix: the
-        full set is drawn in the same arrays, and its first m entries kept.
+        Any other tail draws every row, as a full set does, and sorts only
+        the m smallest of each array.
 
     Peak memory is the 16 * K bytes of the two arrays plus three block arrays
     per worker: its eta and nb buffers and one physics scratch array.  A
@@ -579,10 +525,8 @@ def generate_sample_set(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     digest = channel_digest(spec)  # validates the spec type up front
-    tail = eps_max is not None
-    m = min(order_index(eps_max, K), K - 1) + 1 if tail else K
-    screen = (tail and spec._map is not None and K >= _SCREEN_MIN_K
-              and m <= _SCREEN_MAX_SHARE * K)
+    m = K if eps_max is None else min(order_index(eps_max, K), K - 1) + 1
+    screen = spec._map is not None and K >= _SCREEN_MIN_K and m <= _SCREEN_MAX_SHARE * K
     threads = min(workers, _usable_cpus(), -(-K // _BLOCK))
     ccov = np.empty(K)
     rach = np.empty(K)
@@ -594,11 +538,12 @@ def generate_sample_set(
         achievable_rate(eta, nb, out=rach[rows])
 
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        out = _tail(spec, K, seed, m, ccov, rach, threads, pool, screen) if tail else None
-        if out is None:  # a full set, or a tail the rate guard left unsettled
+        if screen:
+            drawn = _screened(spec, K, seed, m, ccov, rach, threads, pool)
+        else:
             _blocks(K, threads, pool, fill)
-            _both(pool, ccov.sort, rach.sort)
-            out = ccov[:m], rach[:m]
+            drawn = K
+        out = _both(pool, lambda: _smallest(ccov[:drawn], m), lambda: _smallest(rach[:drawn], m))
     return SampleSet(ccov=out[0], rach=out[1], seed=seed, channel_digest=digest, K=K)
 
 

@@ -56,6 +56,7 @@ from covertq.distributions import (
     sample_exponential,
     sample_truncated_gaussian,
     sample_truncated_lognormal,
+    stream_uniforms,
 )
 from covertq.physics import _depolarizing_into
 
@@ -460,75 +461,52 @@ def test_atom_heavy_channel_puts_about_half_the_rates_at_zero():
     assert 0.4 < np.count_nonzero(s.rach == 0.0) / s.K < 0.6
 
 
-def record_screens(monkeypatch):
-    # (rows mapped, rows left unmapped, whether the rates settled the tail)
-    # for each call of _smallest_rates: a screened draw maps fewer than K.
-    calls = []
-    smallest_rates = samples._smallest_rates
-
-    def recorded(p, m, unmapped=0):
-        head = smallest_rates(p, m, unmapped)
-        calls.append((len(p), unmapped, head is not None))
-        return head
-
-    monkeypatch.setattr(samples, "_smallest_rates", recorded)
-    return calls
-
-
 @pytest.mark.parametrize("spec", [make_baseline_spec(), make_volatile_spec()],
                          ids=["baseline", "volatile"])
 def test_screen_maps_few_rows_at_small_budgets(spec, monkeypatch):
-    # At eps_max = 0.01 the screen runs and maps only the rows that can reach
-    # either tail: under 10% of them on baseline (about 5.5%) and under 20% on
-    # volatile.  A budget that would map most rows, a small K and the
-    # benchmark kind take the path that maps every row.
-    calls = record_screens(monkeypatch)
+    # At eps_max = 0.01 the screen runs and rates only the rows that can reach
+    # either tail: under 10% of them on baseline and under 20% on volatile.  A
+    # budget that would map most rows, a small K and the benchmark kind draw
+    # and rate every row.
     K = 10**5
     full = generate_sample_set(spec, K, seed=1)
+    rated = []
+    monkeypatch.setattr(samples, "achievable_rate", lambda eta, nb, out: (
+        rated.append(len(eta)), achievable_rate(eta, nb, out=out)))
     t = generate_sample_set(spec, K, seed=1, eps_max=0.01)
     m = len(t.ccov)
     assert t.ccov.tobytes() == full.ccov[:m].tobytes()
     assert t.rach.tobytes() == full.rach[:m].tobytes()
-    (mapped, unmapped, settled), = calls
-    assert mapped + unmapped == K and settled
-    assert mapped < (0.1 if spec == make_baseline_spec() else 0.2) * K, mapped
+    assert sum(rated) < (0.1 if spec == make_baseline_spec() else 0.2) * K, sum(rated)
     for other, K_other, eps in ((spec, K, 0.5), (spec, samples._SCREEN_MIN_K - 1, 0.01),
                                 (small_benchmark_spec(), K, 0.01)):
-        calls.clear()
+        rated.clear()
         generate_sample_set(other, K_other, seed=1, eps_max=eps)
-        assert [c[1] for c in calls] == [0], (K_other, eps)
+        assert sum(rated) == K_other, (K_other, eps)
 
 
-# The budget that takes each tail route at K = 2 blocks + 999: the screen at
-# eps 0.01, and at eps 0.3 (m above K/4) the route that maps every row.
-TAIL_ROUTES = {"screened": 0.01, "unscreened": 0.3}
+# The stochastic laws the tail tests draw, and the volatile channel.
+CELL_LAWS = {**{name: spec for name, spec in TAIL_LAWS.items()
+                if isinstance(spec, StochasticChannelSpec)},
+             "volatile": make_volatile_spec()}
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("route", TAIL_ROUTES)
-def test_unsettled_tail_is_the_full_sets_prefix(route, workers, monkeypatch):
-    # With the default slack the rates of the _rate_rows(m) largest p settle
-    # the tail.  With an infinite one the guard never settles a nonzero m-th
-    # rate: _smallest_rates returns None, the full draw runs, and the tail is
-    # its prefix.  Either way the bytes are the full set's.
-    spec, K, eps = make_baseline_spec(), 2 * samples._BLOCK + 999, TAIL_ROUTES[route]
-    m = order_index(eps, K) + 1
-    full = generate_sample_set(spec, K, seed=5)
-    calls, rated, full_rows = record_screens(monkeypatch), [], []
-    rates_in_place = samples._rates_in_place
-    monkeypatch.setattr(samples, "_rates_in_place",
-                        lambda p: (rated.append(len(p)), rates_in_place(p)))
-    monkeypatch.setattr(samples, "achievable_rate", lambda eta, nb, out: (
-        full_rows.append(len(eta)), achievable_rate(eta, nb, out=out)))
-    for slack, settled in ((samples._TAIL_SLACK, True), (np.inf, False)):
-        monkeypatch.setattr(samples, "_TAIL_SLACK", slack)
-        del calls[:], rated[:], full_rows[:]
-        t = generate_sample_set(spec, K, seed=5, workers=workers, eps_max=eps)
-        (_, unmapped, was_settled), = calls
-        assert (unmapped > 0, was_settled) == (route == "screened", settled)
-        assert (rated, sum(full_rows)) == ([samples._rate_rows(m)], 0 if settled else K)
-        assert t.ccov.tobytes() == full.ccov[:m].tobytes(), slack
-        assert t.rach.tobytes() == full.rach[:m].tobytes(), slack
+@pytest.mark.parametrize("spec", CELL_LAWS.values(), ids=CELL_LAWS)
+def test_every_row_lies_inside_its_cells_bounds(spec):
+    # The screen's premise: every row's c_cov and rate lie inside the bounds
+    # _cell_bounds gives the cell of its two uniforms, so the rows of the
+    # unmapped cells can reach neither tail.
+    ccov_lo, ccov_hi, r_lo, r_hi = samples._cell_bounds(spec)
+    K = 4 * samples._BLOCK + 123
+    for seed in (1, 2, 3):
+        u_eta, u_nb = stream_uniforms(seed, 0, K), stream_uniforms(seed, K, K)
+        eta, nb = u_eta.copy(), u_nb.copy()
+        spec._map(eta, nb)
+        c, r = covertness_constant(eta, nb), achievable_rate(eta, nb)
+        cell = samples._cells(u_eta, u_nb, np.empty(K), np.empty(K))
+        for name, value, lo, hi in (("c_cov", c, ccov_lo, ccov_hi), ("rate", r, r_lo, r_hi)):
+            outside = np.count_nonzero((value < lo[cell]) | (value > hi[cell]))
+            assert outside == 0, (seed, name, outside)
 
 
 def on_a_copy(draw_map, spec):
@@ -549,6 +527,7 @@ POSITION_KERNELS = {
     "exponential": on_a_copy(_exponential_map, small_benchmark_spec().nb),
     "covertness_constant": lambda u, eta, nb, out: covertness_constant(eta, nb, out=out),
     "depolarizing": lambda u, eta, nb, out: _depolarizing_into(eta, nb, out),
+    "achievable_rate": lambda u, eta, nb, out: achievable_rate(eta, nb, out=out),
 }
 
 

@@ -54,10 +54,11 @@ REQUIRED = {
                     "test_in_place_rewrite_after_the_check_is_caught")},
     **{("tests.test_samples", name): "tail bytes"
        for name in (*(f"test_a_values_bits_do_not_depend_on_its_position[{kernel}]"
-                      for kernel in ("depolarizing", "covertness_constant", "exponential",
-                                     "gaussian-mirrored", "gaussian", "lognormal")),
-                    *(f"test_unsettled_tail_is_the_full_sets_prefix[{route}-{workers}]"
-                      for workers in (2, 1) for route in ("unscreened", "screened")))},
+                      for kernel in ("achievable_rate", "depolarizing", "covertness_constant",
+                                     "exponential", "gaussian-mirrored", "gaussian", "lognormal")),
+                    *(f"test_every_row_lies_inside_its_cells_bounds[{law}]"
+                      for law in ("volatile", "eta-near-one", "noise-floor", "mirrored-fixed-eta",
+                                  "atom-heavy", "stochastic")))},
 }
 PASSING = ("tests.test_cli", "test_sample_then_optimize_from_cache")
 
